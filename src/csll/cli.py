@@ -1,7 +1,8 @@
 """Command-line driver: check, run, explore, export-proof, gen-link.
 
 Exit codes: 0 success; 1 syntax/scope/type error; 2 validity failure (or
-refused proof export); 3 inconclusive validity; 4 step budget exhausted.
+refused proof export); 4 step budget exhausted; 5 internal error (the
+derivation and proof validity checkers disagree).
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ def _load(path: str) -> Program:
 def _validity_json(v: ValidityReport | None) -> dict | None:
     if v is None:
         return None
-    return {"verdict": v.verdict, "reason": v.reason, "witness": v.witness,
-            "checked_cycles": v.checked_cycles, "bound": v.bound}
+    return {"verdict": v.verdict, "reason": v.reason, "witness": v.witness}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     prog = _load(args.file)
-    report = check_program(prog, bound=args.validity_bound)
+    report = check_program(prog)
     rows = []
     worst = 0
+    disagree = []
     for r in report.defs:
         row: dict = {"name": r.name, "well_typed": r.well_typed,
                      "diagnostics": [str(d) for d in r.diagnostics],
@@ -48,15 +49,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             worst = max(worst, 1)
         else:
             enc = encode_derivation(r.derivation)
-            pv = proof_validity(enc.graph, bound=args.validity_bound)
+            pv = proof_validity(enc.graph)
             row["proof_validity"] = _validity_json(pv)
             row["agreement"] = pv.verdict == r.validity.verdict
+            if not row["agreement"]:
+                disagree.append(r.name)
             if r.validity.verdict == "invalid":
                 worst = max(worst, 2)
-            elif r.validity.verdict == "inconclusive":
-                worst = max(worst, 3) if worst < 2 else worst
         rows.append(row)
-    verdict = {0: "accepted", 1: "type-error", 2: "invalid", 3: "inconclusive"}[worst]
+    verdict = {0: "accepted", 1: "type-error", 2: "invalid"}[worst]
     if args.format == "json":
         print(json.dumps({"file": args.file, "verdict": verdict, "definitions": rows}, indent=2))
     else:
@@ -67,12 +68,14 @@ def cmd_check(args: argparse.Namespace) -> int:
                     print(f"  {d}")
                 continue
             v = row["validity"]
-            agree = "agrees" if row.get("agreement") else "DISAGREES"
-            print(f"{row['name']}: {v['verdict']} ({v['reason']}); proof checker {agree}")
+            print(f"{row['name']}: {v['verdict']} ({v['reason']})")
             if v["witness"]:
                 print(f"  witness cycle through nodes {v['witness']}")
-        hint = f" (try a larger --validity-bound than {args.validity_bound})" if worst == 3 else ""
-        print(f"verdict: {verdict}{hint}")
+        print(f"verdict: {verdict}")
+    if disagree:
+        print(f"internal error: derivation and proof validity disagree on {', '.join(disagree)}",
+              file=sys.stderr)
+        return 5
     return worst
 
 
@@ -139,7 +142,7 @@ def cmd_export_proof(args: argparse.Namespace) -> int:
     if args.definition not in defs:
         print(f"error: no definition named {args.definition!r}", file=sys.stderr)
         return 1
-    report = check_program(prog, bound=args.validity_bound)
+    report = check_program(prog)
     rep = report.report_for(args.definition)
     if not rep.well_typed:
         for d in rep.diagnostics:
@@ -150,7 +153,7 @@ def cmd_export_proof(args: argparse.Namespace) -> int:
               "use --force to export anyway", file=sys.stderr)
         return 2
     enc = encode_derivation(rep.derivation)
-    pv = proof_validity(enc.graph, bound=args.validity_bound)
+    pv = proof_validity(enc.graph)
     if args.format == "dot":
         out = proof_to_dot(enc.graph, highlight=nu_thread_witness(enc.graph))
     else:
@@ -190,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="typecheck and validate every definition")
     p.add_argument("file")
-    p.add_argument("--validity-bound", type=int, default=3, metavar="L")
     common(p)
     p.set_defaults(fn=cmd_check)
 
@@ -212,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-proof", help="encode a definition's derivation")
     p.add_argument("file")
     p.add_argument("definition")
-    p.add_argument("--validity-bound", type=int, default=3, metavar="L")
     p.add_argument("--force", action="store_true",
                    help="export even when the derivation is invalid")
     p.add_argument("-o", "--output", default=None)

@@ -1,146 +1,158 @@
-"""Cycle analysis over small directed multigraphs.
+"""Exact trace conditions on cyclic graphs, by size-change closure.
 
-Works at the edge level (parallel edges stay distinct) because both the
-typing-derivation checker and the proof checker thread per-edge channel or
-occurrence correspondences around cycles.
+Both validity conditions of csll have one shape: every infinite path through
+a finite graph must carry a thread that progresses infinitely often.  The
+caller describes the graph through `out_edges(n)`, which yields
+`(target, back, arcs)` for every premise edge of node `n`; an arc
+`(src_slot, tgt_slot, progressing)` says that a thread at `src_slot` of `n`
+continues at `tgt_slot` of `target`.  Non-back edges form a tree below the
+root and back edges point at ancestors, as in cyclic derivations and proofs.
+
+The targets of back edges are the heads, and every cycle passes through one.
+The tree paths between heads are summarised once as size-change graphs: sets
+of arcs between slots, an arc progressing when some step along the path
+progressed.  Closing these graphs under composition decides the condition
+exactly (Lee, Jones & Ben-Amram, POPL 2001; for cyclic proofs Brotherston &
+Simpson, JLC 2011): every infinite path carries a progressing thread if and
+only if every idempotent loop graph `G;G = G` at a head has a progressing
+self-arc.  The closure is explored shortest walk first, so every element
+keeps a shortest walk that realises it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import heapq
+import itertools
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable
+
+Slot = Hashable
+Arc = tuple[Slot, Slot, bool]
+Graph = frozenset  # of arcs, at most one per (src, tgt) slot pair
+Step = tuple[int, int]  # (node, premise index)
 
 
-@dataclass(frozen=True)
-class GEdge:
-    src: int
-    tgt: int
-    key: int  # index into the caller's edge payload table
+def _graph(arcs: Iterable[Arc]) -> Graph:
+    out: dict[tuple[Slot, Slot], bool] = {}
+    for i, j, p in arcs:
+        out[i, j] = out.get((i, j), False) or p
+    return frozenset((i, j, p) for (i, j), p in out.items())
 
 
-def strongly_connected_components(nodes: Iterable[int], edges: list[GEdge]) -> list[set[int]]:
-    """Tarjan's algorithm, iterative."""
-    adj: dict[int, list[int]] = {n: [] for n in nodes}
-    for e in edges:
-        adj[e.src].append(e.tgt)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[set[int]] = []
-    counter = [0]
+def _compose(g1: Iterable[Arc], g2: Iterable[Arc]) -> Graph:
+    nxt: dict[Slot, list[tuple[Slot, bool]]] = {}
+    for j, k, q in g2:
+        nxt.setdefault(j, []).append((k, q))
+    return _graph((i, k, p or q) for i, j, p in g1 for k, q in nxt.get(j, ()))
 
-    for root in adj:
-        if root in index:
+
+@dataclass
+class Closure:
+    """What `closure_check` found.
+
+    `counterexample` lists the nodes of a shortest closed walk whose graph is
+    an idempotent loop without a progressing self-arc: repeated forever, the
+    walk carries no progressing thread (None when there is none).  `thread`
+    is a progressing thread, as (node, slot) pairs, around the shortest walk
+    of an idempotent loop that has such a self-arc (empty when none has)."""
+
+    counterexample: list[int] | None = None
+    thread: list[tuple[int, Slot]] = field(default_factory=list)
+
+
+def closure_check(root: int, out_edges: Callable[[int], Iterable[tuple[int, bool, Iterable[Arc]]]]
+                  ) -> Closure:
+    """Decide the trace condition of the module docstring for the graph below `root`."""
+    edges: dict[int, list[tuple[int, bool, tuple[Arc, ...]]]] = {}
+    parent: dict[int, Step] = {}
+    depth = {root: 0}
+    order = [root]  # preorder: parents before children
+    heads: set[int] = set()
+    for n in order:
+        edges[n] = [(t, back, tuple(arcs)) for t, back, arcs in out_edges(n)]
+        for i, (t, back, _) in enumerate(edges[n]):
+            if back:
+                heads.add(t)
+            else:
+                parent[t] = (n, i)
+                depth[t] = depth[n] + 1
+                order.append(t)
+
+    # segments[h]: one (walk length, next head, graph, last step) per tree
+    # path from head h to the next head, entered by a tree or a back edge
+    segments: dict[int, list[tuple[int, int, Graph, Step]]] = {h: [] for h in heads}
+    below: dict[int, tuple[int, Graph | None]] = {}  # node -> (head above it, graph from there)
+    for n in order:
+        head, g = below.pop(n, (None, None))
+        if n in heads:
+            if head is not None:
+                segments[head].append((depth[n] - depth[head], n, g, parent[n]))
+            head, g = n, None
+        if head is None:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            succs = adj[v]
-            while pi < len(succs):
-                w = succs[pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return sccs
+        for i, (t, back, arcs) in enumerate(edges[n]):
+            g2 = _graph(arcs) if g is None else _compose(g, arcs)
+            if back:
+                segments[head].append((depth[n] - depth[head] + 1, t, g2, (n, i)))
+            else:
+                below[t] = (head, g2)
+
+    seen: dict[tuple, tuple] = {}  # (head, head, graph) -> (previous element, last segment)
+
+    def walk(key: tuple | None) -> list[Step]:
+        steps: list[Step] = []
+        while key is not None:
+            prev, (_, _, _, (n, i)) = seen[key]
+            start = key[0] if prev is None else prev[1]
+            path = [(n, i)]
+            while n != start:
+                n, i = parent[n]
+                path.append((n, i))
+            steps[:0] = path[::-1]
+            key = prev
+        return steps
+
+    result = Closure()
+    tie = itertools.count()
+    heap = [(s[0], next(tie), a, s[1], s[2], None, s) for a, out in segments.items() for s in out]
+    heapq.heapify(heap)
+    while heap and (result.counterexample is None or not result.thread):
+        length, _, a, b, g, prev, seg = heapq.heappop(heap)
+        key = (a, b, g)
+        if key in seen:
+            continue
+        seen[key] = (prev, seg)
+        if a == b and _compose(g, g) == g:
+            loops = {i for i, j, p in g if p and i == j}
+            if not loops:
+                if result.counterexample is None:
+                    result.counterexample = [n for n, _ in walk(key)]
+            elif not result.thread:
+                result.thread = _thread(edges, walk(key), loops)
+        for s in segments[b]:
+            nkey = (a, s[1], _compose(g, s[2]))
+            if nkey not in seen:
+                heapq.heappush(heap, (length + s[0], next(tie), *nkey, key, s))
+    return result
 
 
-def simple_cycles(scc: set[int], edges: list[GEdge], cap: int = 5000) -> tuple[list[list[GEdge]], bool]:
-    """All node-simple edge cycles within one SCC.
-
-    Returns (cycles, truncated); truncated is set when the cap stops the
-    enumeration early.
-    """
-    out: dict[int, list[GEdge]] = {n: [] for n in scc}
-    for e in edges:
-        if e.src in scc and e.tgt in scc:
-            out[e.src].append(e)
-    cycles: list[list[GEdge]] = []
-    truncated = False
-    order = sorted(scc)
-    for idx, start in enumerate(order):
-        allowed = set(order[idx:])
-
-        def dfs(u: int, path: list[GEdge], visited: set[int]) -> bool:
-            nonlocal truncated
-            for e in out.get(u, ()):  # noqa: B023 - bound per iteration on purpose
-                if len(cycles) >= cap:
-                    truncated = True
-                    return False
-                if e.tgt == start:
-                    cycles.append(path + [e])
-                elif e.tgt in allowed and e.tgt not in visited:
-                    if not dfs(e.tgt, path + [e], visited | {e.tgt}):
-                        return False
-            return True
-
-        if not dfs(start, [], {start}):
-            break
-    return cycles, truncated
-
-
-def walk_nodes(walk: list[GEdge]) -> list[int]:
-    return [e.src for e in walk]
-
-
-def rotate_walk(walk: list[GEdge], node: int) -> list[GEdge]:
-    for i, e in enumerate(walk):
-        if e.src == node:
-            return walk[i:] + walk[:i]
-    raise ValueError("node not on walk")
-
-
-def compose_walks(w1: list[GEdge], w2: list[GEdge]) -> list[GEdge] | None:
-    """Concatenate two cyclic walks at a shared node, or None if disjoint."""
-    nodes2 = set(walk_nodes(w2))
-    for n in walk_nodes(w1):
-        if n in nodes2:
-            return rotate_walk(w1, n) + rotate_walk(w2, n)
-    return None
-
-
-def composite_walks(cycles: list[list[GEdge]], max_len: int, cap: int = 2000) -> tuple[list[list[GEdge]], bool]:
-    """Cyclic walks made of up to max_len simple cycles glued at shared nodes."""
-    walks: list[list[GEdge]] = []
-    truncated = False
-    frontier: list[list[GEdge]] = list(cycles)
-    for _ in range(max_len - 1):
-        nxt: list[list[GEdge]] = []
-        for w in frontier:
-            for c in cycles:
-                combined = compose_walks(w, c)
-                if combined is None:
-                    continue
-                if len(walks) + len(nxt) >= cap:
-                    truncated = True
-                    return walks + nxt, truncated
-                nxt.append(combined)
-        walks.extend(nxt)
-        frontier = nxt
-    return walks, truncated
+def _thread(edges: dict[int, list[tuple[int, bool, tuple[Arc, ...]]]], steps: list[Step],
+            loops: set[Slot]) -> list[tuple[int, Slot]]:
+    """A thread around the closed walk that returns to its start slot and
+    progresses on the way; `loops` are the slots whose self-arc guarantees it."""
+    n, i = steps[0]
+    slot = next(s for s, _, _ in edges[n][i][2] if s in loops)
+    layers: list[dict[tuple[Slot, bool], tuple[Slot, bool] | None]] = [{(slot, False): None}]
+    for n, i in steps:
+        layer: dict[tuple[Slot, bool], tuple[Slot, bool] | None] = {}
+        for s, done in layers[-1]:
+            for a, b, p in edges[n][i][2]:
+                if a == s:
+                    layer.setdefault((b, done or p), (s, done))
+        layers.append(layer)
+    state: tuple[Slot, bool] | None = (slot, True)
+    thread = []
+    for pos in range(len(steps), 0, -1):
+        state = layers[pos][state]
+        thread.append((steps[pos - 1][0], state[0]))
+    return thread[::-1]

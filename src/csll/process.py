@@ -405,52 +405,3 @@ def subject(p: Process) -> ChannelName | None:
         case Fork(x, _, _, _) | Server(x, _, _, _) | Cons(x, _, _, _):
             return x
     return None
-
-
-def rebuild(p: Process, children: tuple[Process, ...]) -> Process:
-    """p with its immediate process children replaced, preserving other fields."""
-    match p:
-        case Wait(x, _):
-            (b,) = children
-            return Wait(x, b, span=p.span)
-        case Fork(x, y, _, _):
-            pb, c = children
-            return Fork(x, y, pb, c, span=p.span)
-        case Join(x, y, _):
-            (b,) = children
-            return Join(x, y, b, span=p.span)
-        case Select(x, t, _):
-            (b,) = children
-            return Select(x, t, b, span=p.span)
-        case Case(x, _, _):
-            l, r = children
-            return Case(x, l, r, span=p.span)
-        case Server(x, y, _, _):
-            a, i = children
-            return Server(x, y, a, i, span=p.span)
-        case Cons(x, y, _, _):
-            c, t = children
-            return Cons(x, y, c, t, span=p.span)
-        case Cut(x, anno, _, _):
-            l, r = children
-            return Cut(x, anno, l, r, span=p.span)
-    if children:
-        raise ValueError(f"{type(p).__name__} has no process children")
-    return p
-
-
-def process_children(p: Process) -> tuple[Process, ...]:
-    match p:
-        case Wait(_, b) | Join(_, _, b) | Select(_, _, b):
-            return (b,)
-        case Fork(_, _, pb, c):
-            return (pb, c)
-        case Case(_, l, r):
-            return (l, r)
-        case Server(_, _, a, i):
-            return (a, i)
-        case Cons(_, _, c, t):
-            return (c, t)
-        case Cut(_, _, l, r):
-            return (l, r)
-    return ()

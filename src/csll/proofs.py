@@ -8,6 +8,17 @@ channels expand into three-rule gadgets (fixed point, additive, then axiom
 or multiplicative), matching their list interpretation.  Fresh atomic
 addresses come from an injective stream that is split between independent
 premises and shared between mutually exclusive ones.
+
+Thread validity: a thread follows occurrence successors (descent at the
+principal occurrence, carry elsewhere, the address map across back edges),
+and it progresses where its occurrence is the principal formula of a `nu`
+rule.  The proof is valid exactly when every infinite path carries a thread
+that progresses infinitely often, decided by the same size-change closure as
+derivation validity (`cycles.closure_check`).  Encoded formulas have
+fixed-point bodies closed but for their own variable, so a thread that
+unfolds a greatest fixed point infinitely often has a greatest fixed point
+as its least recurring formula; a thread that merely carries one unchanged
+does not progress.
 """
 
 from __future__ import annotations
@@ -17,10 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from . import formulas as mf
 from . import types as ty
-from .cycles import (
-    GEdge, composite_walks, simple_cycles, strongly_connected_components,
-    walk_nodes,
-)
+from .cycles import closure_check
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
 from .process import Call, Case, ChannelName, Cons, Cut, Fork, Join, Nil, Select, Server, Wait
 from .typecheck import Derivation, DerivNode, ValidityReport
@@ -389,216 +397,33 @@ def _succ_addresses(g: ProofGraph, node: ProofNode, edge: ProofEdge, addr: Addre
     return [addr] if addr in child_addrs else []
 
 
-def _product_cycle_sets(g: ProofGraph, walk: list[GEdge], payloads: list[ProofEdge],
-                        cap: int = 2000) -> list[frozenset[MuFormula]] | None:
-    """Formula sets of the cyclic threads supported by one cyclic walk.
-
-    States of the product graph are (position on the walk, occurrence
-    address); its cycles are exactly the periodic threads."""
-    k = len(walk)
-    states: dict[tuple[int, Address], int] = {}
-    occs: list[tuple[int, Address]] = []
-
-    def state_id(pos: int, addr: Address) -> int:
-        key = (pos, addr)
-        if key not in states:
-            states[key] = len(occs)
-            occs.append(key)
-        return states[key]
-
-    edges: list[GEdge] = []
-    for pos in range(k):
-        node = g.node(walk[pos].src)
-        edge = payloads[walk[pos].key]
-        for occ in node.sequent:
-            src = state_id(pos, occ.address)
-            for nxt in _succ_addresses(g, node, edge, occ.address):
-                edges.append(GEdge(src, state_id((pos + 1) % k, nxt), len(edges)))
-
-    all_ids = set(range(len(occs)))
-    sets: list[frozenset[MuFormula]] = []
-    for scc in strongly_connected_components(all_ids, edges):
-        scc_edges = [e for e in edges if e.src in scc and e.tgt in scc]
-        if not scc_edges:
-            continue
-        cycles, truncated = simple_cycles(scc, scc_edges, cap)
-        if truncated:
-            return None
-        for cyc in cycles:
-            forms = []
-            for e in cyc:
-                pos, addr = occs[e.src]
-                forms.append(g.node(walk[pos].src).occurrence_at(addr).formula)
-            sets.append(frozenset(forms))
-    return sets
+def _thread_edges(g: ProofGraph):
+    """Occurrence successors as closure arcs; an arc progresses where its
+    source is the principal occurrence of a greatest fixed point."""
+    def out_edges(nid: int):
+        node = g.node(nid)
+        for e in node.premises:
+            yield e.target, e.back, [
+                (o.address, nxt, node.rule == "nu" and o.address == node.principal)
+                for o in node.sequent for nxt in _succ_addresses(g, node, e, o.address)]
+    return out_edges
 
 
-def _classify_walk(g: ProofGraph, walk: list[GEdge], payloads: list[ProofEdge]) -> str:
-    """'pass' (a greatest-fixed-point thread recurs), 'refute', or 'ambiguous'."""
-    sets = _product_cycle_sets(g, walk, payloads)
-    if sets is None:
-        return "ambiguous"
-    for s in sets:
-        m = mf.min_formula(s)
-        if m is not None and mf.is_nu(m):
-            return "pass"
-    if not sets:
-        return "refute"
-    union = frozenset().union(*sets)
-    gmin = mf.min_formula(union)
-    if gmin is not None and mf.is_mu(gmin) and all(gmin in s for s in sets):
-        return "refute"
-    return "ambiguous"
-
-
-def _nu_field_covers(g: ProofGraph, scc: set[int], scc_edges: list[GEdge],
-                     payloads: list[ProofEdge], cycles: list[list[GEdge]]) -> bool:
-    """Search for an occurrence field that is coherent on every edge of the
-    component and whose least formula is a greatest fixed point present on
-    every cycle; such a field supports every infinite branch at once."""
-    if not scc:
-        return False
-    order = sorted(scc)
-    root = order[0]
-    out: dict[int, list[GEdge]] = {n: [] for n in scc}
-    for e in scc_edges:
-        out[e.src].append(e)
-
-    def try_assign(field: dict[int, Address], todo: list[GEdge]) -> dict[int, Address] | None:
-        if not todo:
-            return field
-        e, rest = todo[0], todo[1:]
-        node = g.node(e.src)
-        succs = _succ_addresses(g, node, payloads[e.key], field[e.src])
-        for s in succs:
-            if e.tgt in field:
-                if field[e.tgt] == s:
-                    got = try_assign(field, rest)
-                    if got is not None:
-                        return got
-            else:
-                nxt = dict(field)
-                nxt[e.tgt] = s
-                # order outstanding edges so sources are assigned first
-                pending = rest + [ed for ed in out[e.tgt] if ed not in rest]
-                pending.sort(key=lambda ed: ed.src not in nxt)
-                got = try_assign(nxt, pending)
-                if got is not None:
-                    return got
-        return None
-
-    for start in g.node(root).sequent:
-        field = try_assign({root: start.address}, list(out[root]))
-        if field is None or set(field) != scc:
-            continue
-        forms = {n: g.node(n).occurrence_at(field[n]).formula for n in field}
-        gmin = mf.min_formula(forms.values())
-        if gmin is None or not mf.is_nu(gmin):
-            continue
-        if all(any(forms[e.src] == gmin for e in cyc) for cyc in cycles):
-            return True
-    return False
-
-
-def proof_validity(g: ProofGraph, bound: int = 3, cycle_cap: int = 5000) -> ValidityReport:
+def proof_validity(g: ProofGraph) -> ValidityReport:
     """Thread-based counterpart of the derivation validity check."""
-    payloads: list[ProofEdge] = []
-    edges: list[GEdge] = []
-    for node in g.nodes.values():
-        for pe in node.premises:
-            edges.append(GEdge(node.nid, pe.target, len(payloads)))
-            payloads.append(pe)
-
-    checked = 0
-    inconclusive = False
-    for scc in strongly_connected_components(g.nodes.keys(), edges):
-        scc_edges = [e for e in edges if e.src in scc and e.tgt in scc]
-        if not scc_edges:
-            continue
-        cycles, truncated = simple_cycles(scc, scc_edges, cycle_cap)
-        ambiguous = False
-        for cyc in cycles:
-            checked += 1
-            verdict = _classify_walk(g, cyc, payloads)
-            if verdict == "refute":
-                return ValidityReport("invalid",
-                                      "cycle admits no recurring greatest-fixed-point thread",
-                                      witness=walk_nodes(cyc), checked_cycles=checked, bound=bound)
-            if verdict == "ambiguous":
-                ambiguous = True
-        if truncated or ambiguous:
-            inconclusive = True
-            continue
-        if len(cycles) == 1:
-            continue
-        if _nu_field_covers(g, scc, scc_edges, payloads, cycles):
-            continue
-        composites, _ = composite_walks(cycles, bound)
-        for walk in composites:
-            checked += 1
-            if _classify_walk(g, walk, payloads) == "refute":
-                return ValidityReport("invalid",
-                                      "composite cycle admits no recurring greatest-fixed-point thread",
-                                      witness=walk_nodes(walk), checked_cycles=checked, bound=bound)
-        inconclusive = True  # composite space is unbounded beyond the bound
-    if inconclusive:
-        return ValidityReport("inconclusive",
-                              f"composite cycles checked only up to {bound} compositions",
-                              checked_cycles=checked, bound=bound)
-    return ValidityReport("valid", "every cycle supports a recurring greatest-fixed-point thread",
-                          checked_cycles=checked, bound=bound)
+    walk = closure_check(g.root, _thread_edges(g)).counterexample
+    if walk is None:
+        return ValidityReport("valid", "every cycle supports a recurring greatest-fixed-point thread")
+    if len(set(walk)) == len(walk):
+        return ValidityReport("invalid", "cycle admits no recurring greatest-fixed-point thread", walk)
+    return ValidityReport("invalid", "composite cycle admits no recurring greatest-fixed-point thread",
+                          walk)
 
 
 def nu_thread_witness(g: ProofGraph) -> list[tuple[int, Address]]:
     """Node/address pairs of one recurring greatest-fixed-point thread, for
     rendering; empty when none exists."""
-    payloads: list[ProofEdge] = []
-    edges: list[GEdge] = []
-    for node in g.nodes.values():
-        for pe in node.premises:
-            edges.append(GEdge(node.nid, pe.target, len(payloads)))
-            payloads.append(pe)
-    for scc in strongly_connected_components(g.nodes.keys(), edges):
-        scc_edges = [e for e in edges if e.src in scc and e.tgt in scc]
-        if not scc_edges:
-            continue
-        cycles, _ = simple_cycles(scc, scc_edges, 500)
-        for walk in cycles:
-            k = len(walk)
-            states: dict[tuple[int, Address], int] = {}
-            occs: list[tuple[int, Address]] = []
-
-            def sid(pos: int, addr: Address) -> int:
-                key = (pos, addr)
-                if key not in states:
-                    states[key] = len(occs)
-                    occs.append(key)
-                return states[key]
-
-            pedges: list[GEdge] = []
-            for pos in range(k):
-                node = g.node(walk[pos].src)
-                edge = payloads[walk[pos].key]
-                for occ in node.sequent:
-                    src = sid(pos, occ.address)
-                    for nxt in _succ_addresses(g, node, edge, occ.address):
-                        pedges.append(GEdge(src, sid((pos + 1) % k, nxt), len(pedges)))
-            for pscc in strongly_connected_components(range(len(occs)), pedges):
-                sub = [e for e in pedges if e.src in pscc and e.tgt in pscc]
-                if not sub:
-                    continue
-                pcycles, _ = simple_cycles(pscc, sub, 200)
-                for pc in pcycles:
-                    forms = []
-                    witness = []
-                    for e in pc:
-                        pos, addr = occs[e.src]
-                        witness.append((walk[pos].src, addr))
-                        forms.append(g.node(walk[pos].src).occurrence_at(addr).formula)
-                    m = mf.min_formula(forms)
-                    if m is not None and mf.is_nu(m):
-                        return witness
-    return []
+    return closure_check(g.root, _thread_edges(g)).thread
 
 
 # --- principal reduction ------------------------------------------------------

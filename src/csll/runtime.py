@@ -263,7 +263,7 @@ def is_close_normal(p: Process, defs: Program) -> bool:
     """True when p unfolds to a bare close (the terminal shape at a 1-typed context)."""
     try:
         return isinstance(unfold(p, defs), Close)
-    except Exception:
+    except DivergentUnfolding:
         return False
 
 

@@ -7,12 +7,14 @@ argument correspondence is emitted instead, which keeps every derivation
 finite.
 
 Validity rules out derivations whose infinite unfoldings contain a branch
-that stops witnessing a server on one fixed channel.  On the finite graph
-this becomes cycle analysis: every cycle must pass through a server node
-whose subject channel returns to itself under the channel-lineage maps
-composed around the cycle.  Channel lineage follows rule premises and dies
-where a channel is introduced (cut and session binders) or dropped (the
-idle branch of a server).
+that stops witnessing a server on one fixed channel.  A thread is a channel
+lineage: it follows rule premises and back-edge argument correspondences,
+and dies where a channel is introduced (cut and session binders) or dropped
+(the idle branch of a server).  A thread progresses at a server node whose
+subject it is.  The derivation is valid exactly when every infinite path
+carries a thread that progresses infinitely often; `cycles.closure_check`
+decides this by size-change closure: every idempotent loop graph at a
+back-edge target must have a progressing self-arc.
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import types as ty
-from .cycles import (
-    GEdge, composite_walks, simple_cycles, strongly_connected_components,
-    walk_nodes,
-)
+from .cycles import closure_check
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
     Nil, Process, Program, Select, Server, SourceSpan, Wait, free_names,
@@ -321,125 +320,30 @@ def check(p: Process, ctx: TypeContext, prog: Program) -> Derivation:
 
 @dataclass
 class ValidityReport:
-    verdict: str  # "valid" | "invalid" | "inconclusive"
+    verdict: str  # "valid" | "invalid"
     reason: str
     witness: list[int] | None = None
-    checked_cycles: int = 0
-    bound: int = 3
 
     @property
     def is_valid(self) -> bool:
         return self.verdict == "valid"
 
 
-def _walk_passes(walk: list[GEdge], d: Derivation, payloads: list[DerivEdge]) -> bool:
-    """Does some server on the walk have a subject that returns to itself?"""
-    k = len(walk)
-    for i in range(k):
-        node = d.node(walk[i].src)
-        if node.rule != "server" or node.subject is None:
-            continue
-        start = node.subject
-        ctx_size = len(node.judgment.context)
-        slot: ChannelName | None = start
-        for lap in range(max(1, ctx_size)):
-            for j in range(k):
-                e = walk[(i + j) % k]
-                slot = payloads[e.key].down_map.get(slot) if slot is not None else None
-            if slot == start:
-                return True
-            if slot is None:
-                break
-    return False
+def validity_check(d: Derivation) -> ValidityReport:
+    """Decide the criterion of the module docstring: a thread is a channel
+    lineage, and it progresses at a server whose subject it is."""
+    def out_edges(nid: int):
+        node = d.node(nid)
+        for e in node.premises:
+            yield e.target, e.back, [(s, t, node.rule == "server" and s == node.subject)
+                                     for s, t in e.down]
 
-
-def _invariant_field_covers(scc: set[int], scc_edges: list[GEdge], cycles: list[list[GEdge]],
-                            d: Derivation, payloads: list[DerivEdge]) -> bool:
-    """Look for a lineage-invariant slot field whose servers cover every cycle."""
-    if not scc:
-        return False
-    root = min(scc)
-    out: dict[int, list[GEdge]] = {n: [] for n in scc}
-    for e in scc_edges:
-        out[e.src].append(e)
-    for cand in [c for c, _ in d.node(root).judgment.context]:
-        field: dict[int, ChannelName] = {root: cand}
-        stack = [root]
-        ok = True
-        while stack and ok:
-            n = stack.pop()
-            for e in out[n]:
-                nxt = payloads[e.key].down_map.get(field[n])
-                if nxt is None:
-                    ok = False
-                    break
-                if e.tgt in field:
-                    if field[e.tgt] != nxt:
-                        ok = False
-                        break
-                else:
-                    field[e.tgt] = nxt
-                    stack.append(e.tgt)
-        if not ok or set(field) != scc:
-            continue
-        def covered(cycle: list[GEdge]) -> bool:
-            for e in cycle:
-                node = d.node(e.src)
-                if node.rule == "server" and node.subject == field[e.src]:
-                    return True
-            return False
-        if all(covered(c) for c in cycles):
-            return True
-    return False
-
-
-def validity_check(d: Derivation, bound: int = 3, cycle_cap: int = 5000) -> ValidityReport:
-    """Classify the derivation's cycles; see the module docstring for the criterion."""
-    payloads: list[DerivEdge] = []
-    edges: list[GEdge] = []
-    for node in d.nodes.values():
-        for pe in node.premises:
-            edges.append(GEdge(node.nid, pe.target, len(payloads)))
-            payloads.append(pe)
-
-    checked = 0
-    inconclusive = False
-    for scc in strongly_connected_components(d.nodes.keys(), edges):
-        scc_edges = [e for e in edges if e.src in scc and e.tgt in scc]
-        if not scc_edges:
-            continue
-        cycles, truncated = simple_cycles(scc, scc_edges, cycle_cap)
-        for cyc in cycles:
-            checked += 1
-            if not _walk_passes(cyc, d, payloads):
-                return ValidityReport(
-                    "invalid",
-                    "cycle with no server whose subject channel recurs",
-                    witness=walk_nodes(cyc), checked_cycles=checked, bound=bound)
-        if truncated:
-            inconclusive = True
-            continue
-        if len(cycles) == 1:
-            continue  # single loop: its repetitions are the only branches here
-        if _invariant_field_covers(scc, scc_edges, cycles, d, payloads):
-            continue
-        composites, comp_truncated = composite_walks(cycles, bound)
-        for walk in composites:
-            checked += 1
-            if not _walk_passes(walk, d, payloads):
-                return ValidityReport(
-                    "invalid",
-                    "composite cycle with no recurring server channel",
-                    witness=walk_nodes(walk), checked_cycles=checked, bound=bound)
-        inconclusive = True  # composite space not exhausted beyond the bound
-        del comp_truncated
-    if inconclusive:
-        return ValidityReport(
-            "inconclusive",
-            f"composite cycles checked only up to {bound} compositions",
-            checked_cycles=checked, bound=bound)
-    return ValidityReport("valid", "every cycle recurs through a server on a fixed channel",
-                          checked_cycles=checked, bound=bound)
+    walk = closure_check(d.root, out_edges).counterexample
+    if walk is None:
+        return ValidityReport("valid", "every cycle recurs through a server on a fixed channel")
+    if len(set(walk)) == len(walk):
+        return ValidityReport("invalid", "cycle with no server whose subject channel recurs", walk)
+    return ValidityReport("invalid", "composite cycle with no recurring server channel", walk)
 
 
 # --- whole programs ----------------------------------------------------------
@@ -489,14 +393,14 @@ def definition_derivation(defn: Definition, prog: Program) -> Derivation:
     return check(root_proc, dict(defn.params), prog)
 
 
-def check_program(prog: Program, bound: int = 3) -> ProgramReport:
+def check_program(prog: Program) -> ProgramReport:
     reports = []
     for defn in prog.all_definitions():
         rep = DefReport(defn.name)
         try:
             d = definition_derivation(defn, prog)
             rep.derivation = d
-            rep.validity = validity_check(d, bound=bound)
+            rep.validity = validity_check(d)
         except TypeCheckError as e:
             rep.diagnostics.append(e.diagnostic)
         reports.append(rep)

@@ -37,8 +37,6 @@ def _file_verdict(name: str) -> str:
         return "type-error"
     if any(r.validity.verdict == "invalid" for r in rep.defs):
         return "invalid"
-    if any(r.validity.verdict == "inconclusive" for r in rep.defs):
-        return "inconclusive"
     return "accepted"
 
 

@@ -14,7 +14,7 @@ CHECK_SCHEMA = {
     "type": "object",
     "required": ["file", "verdict", "definitions"],
     "properties": {
-        "verdict": {"enum": ["accepted", "type-error", "invalid", "inconclusive"]},
+        "verdict": {"enum": ["accepted", "type-error", "invalid"]},
         "definitions": {
             "type": "array",
             "items": {
@@ -26,7 +26,13 @@ CHECK_SCHEMA = {
                     "diagnostics": {"type": "array", "items": {"type": "string"}},
                     "validity": {
                         "type": ["object", "null"],
-                        "required": ["verdict", "reason", "witness", "checked_cycles", "bound"],
+                        "required": ["verdict", "reason", "witness"],
+                        "properties": {
+                            "verdict": {"enum": ["valid", "invalid"]},
+                            "reason": {"type": "string"},
+                            "witness": {"type": ["array", "null"], "items": {"type": "integer"}},
+                        },
+                        "additionalProperties": False,
                     },
                     "agreement": {"type": "boolean"},
                 },
@@ -92,6 +98,25 @@ def test_check_json_schema_and_agreement(capsys):
         jsonschema.validate(doc, CHECK_SCHEMA)
         for d in doc["definitions"]:
             assert d["agreement"] is True
+
+
+def test_checker_disagreement_is_internal_error(monkeypatch, capsys):
+    import csll.cli
+    from csll.typecheck import ValidityReport
+
+    real = csll.cli.proof_validity
+
+    def flipped(g):
+        v = real(g)
+        return ValidityReport("invalid" if v.is_valid else "valid", v.reason, v.witness)
+
+    monkeypatch.setattr(csll.cli, "proof_validity", flipped)
+    code = main(["check", "--format", "json", str(CORPUS / "lock.csll")])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert "internal error" in captured.err
+    doc = json.loads(captured.out)
+    assert [d["agreement"] for d in doc["definitions"]] == [False, False]
 
 
 @pytest.mark.parametrize("name", ["lock.csll", "omega.csll", "omega_server.csll",

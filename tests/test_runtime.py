@@ -95,6 +95,12 @@ def test_run_det_lock_terminates(lock):
     assert is_close_normal(tr.final, lock)
 
 
+def test_is_close_normal_false_on_divergent_unfolding():
+    from csll.parser import parse_program
+    prog = parse_program("def Loop(x: 1) = Loop(x)\nmain(z: 1) = Loop(z)\n", "<loop>")
+    assert is_close_normal(prog.main.body, prog) is False
+
+
 def test_run_det_traces_are_reproducible(lock):
     t1 = run(lock.main.body, dict(lock.main.params), lock, scheduler="det")
     t2 = run(lock.main.body, dict(lock.main.params), lock, scheduler="det")

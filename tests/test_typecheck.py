@@ -1,9 +1,14 @@
+import json
+
 import pytest
 
 from csll import types as ty
+from csll.cli import main
+from csll.parser import parse_program
 from csll.process import (
     Call, Close, Cut, Definition, Program, Wait, free_names, fresh,
 )
+from csll.proofs import encode_derivation, proof_validity
 from csll.typecheck import (
     TypeCheckError, check, check_program, definition_derivation,
     split_context, validity_check,
@@ -151,23 +156,65 @@ def TwoPhase(x: srv bot, y: srv bot, z: 1) =
 
 
 def test_inconclusive_when_cycle_witnesses_differ():
-    # one cycle recurs on x, the other on y, and x dies along the idle path,
-    # so no single channel witnesses every composite branch; the bounded
-    # check concedes rather than guessing
-    from csll.parser import parse_program
+    # one loop recurs on x, the other on y, and x dies along the idle path.
+    # A branch that takes the y loop infinitely often carries the y thread,
+    # since y survives both loops; any other branch ends in the x loop.  So
+    # no single channel serves every branch, yet every branch is served: the
+    # exact closure decides this valid where a bounded search would concede.
     prog = parse_program(TWO_PHASE, "<twophase>")
     rep = check_program(prog)
     assert rep.defs[0].well_typed
-    assert rep.defs[0].validity.verdict == "inconclusive"
-    d = definition_derivation(prog.defs["TwoPhase"], prog)
-    assert validity_check(d, bound=6).verdict == "inconclusive"
+    assert rep.defs[0].validity.verdict == "valid"
+    assert rep.defs[0].accepted
 
 
-def test_inconclusive_exit_code(tmp_path, capsys):
-    from csll.cli import main
+def test_two_phase_exit_code(tmp_path, capsys):
     f = tmp_path / "twophase.csll"
     f.write_text(TWO_PHASE)
     code = main(["check", str(f)])
     out = capsys.readouterr().out
-    assert code == 3
-    assert "--validity-bound" in out  # the report hints at the knob
+    assert code == 0
+    assert "verdict: accepted" in out
+
+
+BAD = "def Bad(x: srv bot) = new y : 1 { close y | wait y; Bad(x) }\n"
+
+
+def test_bad_carried_server_is_invalid_on_both_sides(tmp_path, capsys):
+    # the loop carries the server channel x around but never serves on it;
+    # at proof level that is a thread that never unfolds its greatest fixed
+    # point, which does not progress
+    prog = parse_program(BAD, "<bad>")
+    d = definition_derivation(prog.defs["Bad"], prog)
+    assert validity_check(d).verdict == "invalid"
+    assert proof_validity(encode_derivation(d).graph).verdict == "invalid"
+    f = tmp_path / "bad.csll"
+    f.write_text(BAD)
+    code = main(["check", "--format", "json", str(f)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert [r["agreement"] for r in doc["definitions"]] == [True]
+
+
+ZIGZAG = """
+def Zigzag(x: srv bot, y: srv bot, z: 1) =
+  server x(u) {
+    wait u; new w : 1 { Drain(y, w) | wait w; new y2 : cli 1 { done y2 | Zigzag(x, y2, z) } }
+  } idle {
+    server y(v) { wait v; new x2 : cli 1 { done x2 | Zigzag(x2, y, z) } } idle { close z }
+  }
+
+def Drain(y: srv bot, z: 1) = server y(v) { wait v; Drain(y, z) } idle { close z }
+"""
+
+
+def test_alternating_loops_invalid_though_each_loop_passes():
+    # the x loop serves x and replaces y, the y loop serves y and replaces
+    # x: each loop alone is served, but alternating them kills every thread
+    prog = parse_program(ZIGZAG, "<zigzag>")
+    d = definition_derivation(prog.defs["Zigzag"], prog)
+    dv = validity_check(d)
+    pv = proof_validity(encode_derivation(d).graph)
+    assert (dv.verdict, pv.verdict) == ("invalid", "invalid")
+    assert dv.reason.startswith("composite cycle") and pv.reason.startswith("composite cycle")
+    assert len(set(dv.witness)) < len(dv.witness)
