@@ -1,12 +1,14 @@
 """Canonical forms for processes.
 
-Two rewrites are applied: commutative siblings are ordered by a structural
-key that is invariant under renaming of bound channels (cut sides, clients
-within a pool on the same channel), and bound channels are then renumbered
-in traversal order.  The result is a deterministic, idempotent normal form
-used as state identity during exploration.  Invocations are never unfolded
-here and cut nests are not reassociated, so the quotient is coarser than
-full structural pre-congruence; exploration over-approximates accordingly.
+Two rewrites are applied.  One bottom-up pass orders commutative siblings
+(cut sides, clients within a pool on the same channel) by a structural key
+that is invariant under renaming of bound channels; each node's key is built
+from the keys of its already-sorted children, so every subterm is keyed
+once.  Bound channels are then renumbered in traversal order.  The result
+is a deterministic, idempotent normal form used as state identity during
+exploration.  Invocations are never unfolded here and cut nests are not
+reassociated, so the quotient is coarser than full structural
+pre-congruence; exploration over-approximates accordingly.
 """
 
 from __future__ import annotations
@@ -24,79 +26,74 @@ def _type_key(t: SessionType) -> tuple:
     return (type(t).__name__,) + tuple(_type_key(c) for c in type_children(t))
 
 
-def _akey(p: Process, env: dict[ChannelName, int], depth: int) -> tuple:
-    """Structural key; bound channels appear as binder levels, free ones by identity."""
+def _sort(p: Process, env: dict[ChannelName, int], depth: int) -> tuple[Process, tuple]:
+    """p with its commutative siblings ordered, and the structural key of the
+    result: bound channels appear as binder levels, free ones by identity.
+    A parent's key is built from its children's keys."""
 
     def ck(c: ChannelName) -> tuple:
-        if c in env:
-            return ("b", env[c])
-        return ("f", c.name, c.uid)
+        level = env.get(c)
+        return ("f", c.name, c.uid) if level is None else ("b", level)
 
     match p:
-        case Call(name, args):
-            return ("call", name, tuple(ck(a) for a in args))
-        case Fail(x):
-            return ("fail", ck(x))
-        case Close(x):
-            return ("close", ck(x))
-        case Nil(x):
-            return ("nil", ck(x))
-        case Wait(x, body):
-            return ("wait", ck(x), _akey(body, env, depth))
-        case Select(x, tag, body):
-            return ("select", ck(x), tag, _akey(body, env, depth))
-        case Case(x, l, r):
-            return ("case", ck(x), _akey(l, env, depth), _akey(r, env, depth))
-        case Join(x, y, body):
-            return ("join", ck(x), _akey(body, {**env, y: depth}, depth + 1))
-        case Fork(x, y, pb, cont):
-            return ("fork", ck(x), _akey(pb, {**env, y: depth}, depth + 1), _akey(cont, env, depth))
-        case Server(x, y, acc, idle):
-            return ("server", ck(x), _akey(acc, {**env, y: depth}, depth + 1), _akey(idle, env, depth))
-        case Cons(x, y, client, pool):
-            return ("cons", ck(x), _akey(client, {**env, y: depth}, depth + 1), _akey(pool, env, depth))
         case Cut(x, anno, l, r):
             env2 = {**env, x: depth}
-            return ("cut", _type_key(anno), _akey(l, env2, depth + 1), _akey(r, env2, depth + 1))
+            ls, lk = _sort(l, env2, depth + 1)
+            rs, rk = _sort(r, env2, depth + 1)
+            if rk < lk:
+                # the annotation types the left side, so commuting dualizes it
+                ls, lk, rs, rk, anno = rs, rk, ls, lk, dual(anno)
+            return Cut(x, anno, ls, rs, span=p.span), ("cut", _type_key(anno), lk, rk)
+        case Cons(x, _, _, _):
+            cells: list[tuple[tuple, ChannelName, Process]] = []
+            node: Process = p
+            while isinstance(node, Cons) and node.chan == x:
+                body, key = _sort(node.client, {**env, node.session: depth}, depth + 1)
+                cells.append((key, node.session, body))
+                node = node.pool
+            out, key = _sort(node, env, depth)
+            cells.sort(key=lambda cell: cell[0])
+            for ckey, y, body in reversed(cells):
+                out = Cons(x, y, body, out, span=p.span)
+                key = ("cons", ck(x), ckey, key)
+            return out, key
+        case Wait(x, body):
+            bs, bk = _sort(body, env, depth)
+            return Wait(x, bs, span=p.span), ("wait", ck(x), bk)
+        case Select(x, tag, body):
+            bs, bk = _sort(body, env, depth)
+            return Select(x, tag, bs, span=p.span), ("select", ck(x), tag, bk)
+        case Case(x, l, r):
+            ls, lk = _sort(l, env, depth)
+            rs, rk = _sort(r, env, depth)
+            return Case(x, ls, rs, span=p.span), ("case", ck(x), lk, rk)
+        case Join(x, y, body):
+            bs, bk = _sort(body, {**env, y: depth}, depth + 1)
+            return Join(x, y, bs, span=p.span), ("join", ck(x), bk)
+        case Fork(x, y, pb, cont):
+            ps, pk = _sort(pb, {**env, y: depth}, depth + 1)
+            cs, cks = _sort(cont, env, depth)
+            return Fork(x, y, ps, cs, span=p.span), ("fork", ck(x), pk, cks)
+        case Server(x, y, acc, idle):
+            acs, ak = _sort(acc, {**env, y: depth}, depth + 1)
+            ids, ik = _sort(idle, env, depth)
+            return Server(x, y, acs, ids, span=p.span), ("server", ck(x), ak, ik)
+        case Call(name, args):
+            return p, ("call", name, tuple(ck(a) for a in args))
+        case Fail(x):
+            return p, ("fail", ck(x))
+        case Close(x):
+            return p, ("close", ck(x))
+        case Nil(x):
+            return p, ("nil", ck(x))
     raise TypeError(f"not a process: {p!r}")
 
 
-def _sort(p: Process, env: dict[ChannelName, int], depth: int) -> Process:
-    match p:
-        case Cut(x, anno, l, r):
-            env2 = {**env, x: depth}
-            ls = _sort(l, env2, depth + 1)
-            rs = _sort(r, env2, depth + 1)
-            if _akey(rs, env2, depth + 1) < _akey(ls, env2, depth + 1):
-                # the annotation types the left side, so commuting dualizes it
-                ls, rs, anno = rs, ls, dual(anno)
-            return Cut(x, anno, ls, rs, span=p.span)
-        case Cons(x, _, _, _):
-            cells: list[tuple[ChannelName, Process]] = []
-            node: Process = p
-            while isinstance(node, Cons) and node.chan == x:
-                cells.append((node.session, _sort(node.client, {**env, node.session: depth}, depth + 1)))
-                node = node.pool
-            end = _sort(node, env, depth)
-            if len(cells) > 1:
-                cells.sort(key=lambda cell: _akey(cell[1], {**env, cell[0]: depth}, depth + 1))
-            out = end
-            for y, body in reversed(cells):
-                out = Cons(x, y, body, out, span=p.span)
-            return out
-        case Wait(x, body):
-            return Wait(x, _sort(body, env, depth), span=p.span)
-        case Select(x, tag, body):
-            return Select(x, tag, _sort(body, env, depth), span=p.span)
-        case Case(x, l, r):
-            return Case(x, _sort(l, env, depth), _sort(r, env, depth), span=p.span)
-        case Join(x, y, body):
-            return Join(x, y, _sort(body, {**env, y: depth}, depth + 1), span=p.span)
-        case Fork(x, y, pb, cont):
-            return Fork(x, y, _sort(pb, {**env, y: depth}, depth + 1), _sort(cont, env, depth), span=p.span)
-        case Server(x, y, acc, idle):
-            return Server(x, y, _sort(acc, {**env, y: depth}, depth + 1), _sort(idle, env, depth), span=p.span)
-    return p
+def cell_key(client: Process, session: ChannelName) -> tuple:
+    """Structural key of a pool client with its session bound.  Clients of
+    one pool with equal keys are interchangeable: connecting either one gives
+    the same canonical reduct."""
+    return _sort(client, {session: 0}, 1)[1]
 
 
 def _renumber(p: Process) -> Process:
@@ -146,4 +143,4 @@ def _renumber(p: Process) -> Process:
 
 
 def canonical_form(p: Process) -> Process:
-    return _renumber(_sort(p, {}, 0))
+    return _renumber(_sort(p, {}, 0)[0])

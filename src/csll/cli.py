@@ -20,8 +20,8 @@ from .proofs import (
     encode_derivation, nu_thread_witness, proof_to_dot, proof_to_json_dict,
     proof_validity,
 )
-from .runtime import check_fair_termination, explore, run, state_hash
-from .typecheck import ValidityReport, check_program, definition_derivation
+from .runtime import check_fair_termination, run
+from .typecheck import ValidityReport, check_program
 
 
 def _load(path: str) -> Program:

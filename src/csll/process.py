@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .types import SessionType
 

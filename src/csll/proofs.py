@@ -30,8 +30,8 @@ from . import formulas as mf
 from . import types as ty
 from .cycles import closure_check
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
-from .process import Call, Case, ChannelName, Cons, Cut, Fork, Join, Nil, Select, Server, Wait
-from .typecheck import Derivation, DerivNode, ValidityReport
+from .process import Case, ChannelName, Cons, Cut, Fork, Join, Nil, Select, Server
+from .typecheck import Derivation, ValidityReport
 
 
 # --- streams of atomic addresses ---------------------------------------------
@@ -384,17 +384,21 @@ def encode_derivation(d: Derivation, sigma0: dict[ChannelName, Address] | None =
 # --- thread validity ----------------------------------------------------------
 
 
-def _succ_addresses(g: ProofGraph, node: ProofNode, edge: ProofEdge, addr: Address) -> list[Address]:
-    """Occurrence successors along one premise edge (descent or carry)."""
+def _succ_addresses(g: ProofGraph, node: ProofNode, edge: ProofEdge) -> list[tuple[Address, Address]]:
+    """(address, successor) pairs of node's occurrences along one premise
+    edge, in sequent order: the address map across a back edge, else descent
+    at the principal occurrence and carry elsewhere."""
     if edge.back:
-        nxt = edge.corr_map.get(addr)
-        return [nxt] if nxt is not None else []
-    child = g.node(edge.target)
-    child_addrs = {o.address for o in child.sequent}
-    if node.principal is not None and addr == node.principal:
-        occ = node.occurrence_at(addr)
-        return [s.address for s in occ_step(occ) if s.address in child_addrs]
-    return [addr] if addr in child_addrs else []
+        corr = edge.corr_map
+        return [(o.address, corr[o.address]) for o in node.sequent if o.address in corr]
+    child_addrs = {o.address for o in g.node(edge.target).sequent}
+    out = []
+    for o in node.sequent:
+        if o.address == node.principal:
+            out.extend((o.address, s.address) for s in occ_step(o) if s.address in child_addrs)
+        elif o.address in child_addrs:
+            out.append((o.address, o.address))
+    return out
 
 
 def _thread_edges(g: ProofGraph):
@@ -403,9 +407,8 @@ def _thread_edges(g: ProofGraph):
     def out_edges(nid: int):
         node = g.node(nid)
         for e in node.premises:
-            yield e.target, e.back, [
-                (o.address, nxt, node.rule == "nu" and o.address == node.principal)
-                for o in node.sequent for nxt in _succ_addresses(g, node, e, o.address)]
+            yield e.target, e.back, [(a, nxt, node.rule == "nu" and a == node.principal)
+                                     for a, nxt in _succ_addresses(g, node, e)]
     return out_edges
 
 

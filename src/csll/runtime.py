@@ -6,7 +6,9 @@ channel.  Exposure rewrites lazily: invocations are unfolded only while they
 block discovery, guards are pulled out through enclosing cuts (and, in the
 full semantics, through pool heads), mirroring the pre-congruence moves that
 justify each step.  The deterministic fragment drops every pool rule, so
-clients connect strictly in queue order.
+clients connect strictly in queue order.  In the full semantics, connecting
+either of two clients with equal canonical keys gives one canonical state
+(symmetry reduction), so exploration canonicalizes one reduct per such class.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import types as ty
-from .canon import canonical_form
+from .canon import canonical_form, cell_key
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, DivergentUnfolding, Fail,
-    Fork, Join, Nil, Process, Program, Select, Server, Wait, channels,
-    free_names, fresh, instantiate, rename, subject, threads, unfold,
+    Fork, Join, Nil, Process, Program, Select, Server, Wait,
+    free_names, fresh, instantiate, rename, subject, unfold,
 )
 from .printer import pretty_process
 
@@ -112,12 +114,14 @@ def _descr(p: Process) -> str:
 class Step:
     """One enabled reduction: the redex, the pre-congruence rearrangement that
     exposes it (with the synchronizing cut as a shared subterm), and the
-    reduct."""
+    reduct.  Steps that connect interchangeable clients of one pool share
+    their `orbit` token, and their reducts have one canonical form."""
 
     info: RedexInfo
     exposed: Process
     cut: Cut        # the exposed cut node, embedded in `exposed`
     reduct: Process
+    orbit: object
 
 
 def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...]) -> list[Step]:
@@ -137,10 +141,12 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...])
 
     out: list[Step] = []
 
-    def add(i: RedexInfo, core: Process, exp1: Process = None, exp2: Process = None) -> None:
+    def add(i: RedexInfo, core: Process, exp1: Process = None, exp2: Process = None,
+            orbit: object = None) -> None:
         exposed_cut = Cut(x, left_type, exp1 if exp1 is not None else g1,
                           exp2 if exp2 is not None else g2)
-        out.append(Step(i, around(exposed_cut), exposed_cut, around(core)))
+        out.append(Step(i, around(exposed_cut), exposed_cut, around(core),
+                        orbit if orbit is not None else object()))
 
     def close_wait(gc: Close, gw: Wait) -> None:
         add(info("r-close", gc, gw), gw.body)
@@ -173,21 +179,27 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...])
                 else:
                     add(i, gs.idle, exp1=g1, exp2=end)
             return
-        indices = range(len(cells)) if pool_ok else range(1)
-        for i in indices:
+        tails = [end]  # tails[k] is the pool from cell k on, shared by the rests below
+        for y, body in reversed(cells):
+            tails.append(Cons(x, y, body, tails[-1]))
+        tails.reverse()
+        # symmetry reduction: clients with equal keys share one orbit
+        orbits: dict[tuple, object] = {}
+        for i in range(len(cells)) if pool_ok else range(1):
             y, body = cells[i]
             c = fresh(y.name)
             client = rename(body, {y: c})
             accept = rename(gs.accept, {gs.session: c})
-            rest = _rebuild_pool(x, cells[:i] + cells[i + 1:], end)
+            rest = _rebuild_pool(x, cells[:i], tails[i + 1])
             exposed_pool = Cons(x, y, body, rest)
             core = Cut(c, client_type.inner, client,
                        Cut(x, client_type, rest, accept))
             ri = info("r-connect", gp, gs, client_index=i)
+            orbit = orbits.setdefault(cell_key(body, y), object())
             if pool_is_left:
-                add(ri, core, exp1=exposed_pool, exp2=g2)
+                add(ri, core, exp1=exposed_pool, exp2=g2, orbit=orbit)
             else:
-                add(ri, core, exp1=g1, exp2=exposed_pool)
+                add(ri, core, exp1=g1, exp2=exposed_pool, orbit=orbit)
 
     pairs = ((g1, g2, left_type, True), (g2, g1, ty.dual(left_type), False))
     for a, b, a_type, a_is_left in pairs:
@@ -209,22 +221,35 @@ def _steps_full(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...] 
     out: list[Step] = []
     if isinstance(p, Cut):
         out.extend(_sync_redexes(p, defs, pool_ok, path))
-        for st in _steps_full(p.left, defs, pool_ok, path + ("L",)):
-            out.append(Step(st.info, Cut(p.chan, p.anno, st.exposed, p.right), st.cut,
-                            Cut(p.chan, p.anno, st.reduct, p.right)))
-        for st in _steps_full(p.right, defs, pool_ok, path + ("R",)):
-            out.append(Step(st.info, Cut(p.chan, p.anno, p.left, st.exposed), st.cut,
-                            Cut(p.chan, p.anno, p.left, st.reduct)))
+        out.extend(_in_context(_steps_full(p.left, defs, pool_ok, path + ("L",)),
+                               lambda q: Cut(p.chan, p.anno, q, p.right)))
+        out.extend(_in_context(_steps_full(p.right, defs, pool_ok, path + ("R",)),
+                               lambda q: Cut(p.chan, p.anno, p.left, q)))
     elif pool_ok and isinstance(p, Cons):
-        for st in _steps_full(p.pool, defs, pool_ok, path + ("T",)):
-            out.append(Step(st.info, Cons(p.chan, p.session, p.client, st.exposed), st.cut,
-                            Cons(p.chan, p.session, p.client, st.reduct)))
+        out.extend(_in_context(_steps_full(p.pool, defs, pool_ok, path + ("T",)),
+                               lambda q: Cons(p.chan, p.session, p.client, q)))
     return out
+
+
+def _in_context(steps: list[Step], ctx: Callable[[Process], Process]) -> list[Step]:
+    return [Step(st.info, ctx(st.exposed), st.cut, ctx(st.reduct), st.orbit) for st in steps]
 
 
 def _steps(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...] = ()
            ) -> list[tuple[RedexInfo, Process]]:
     return [(st.info, st.reduct) for st in _steps_full(p, defs, pool_ok, path)]
+
+
+def _canonical_steps(p: Process, defs: Program, pool_ok: bool) -> list[tuple[RedexInfo, Process]]:
+    """Each step with its canonical reduct, canonicalized once per orbit."""
+    forms: dict[object, Process] = {}
+    out = []
+    for st in _steps_full(p, defs, pool_ok):
+        q = forms.get(st.orbit)
+        if q is None:
+            q = forms[st.orbit] = canonical_form(st.reduct)
+        out.append((st.info, q))
+    return out
 
 
 def enabled_steps(p: Process, defs: Program, deterministic: bool = False) -> list[Step]:
@@ -234,12 +259,12 @@ def enabled_steps(p: Process, defs: Program, deterministic: bool = False) -> lis
 
 def step_all(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
     """Every one-step reduct under the full semantics, canonicalized."""
-    return [(info, canonical_form(q)) for info, q in _steps(p, defs, pool_ok=True)]
+    return _canonical_steps(p, defs, pool_ok=True)
 
 
 def step_det(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
     """One-step reducts with all pool rules removed (queue order only)."""
-    return [(info, canonical_form(q)) for info, q in _steps(p, defs, pool_ok=False)]
+    return _canonical_steps(p, defs, pool_ok=False)
 
 
 def find_redex(p: Process, defs: Program) -> tuple[RedexInfo, Process]:
@@ -267,8 +292,12 @@ def is_close_normal(p: Process, defs: Program) -> bool:
         return False
 
 
+def _digest(canonical: Process) -> str:
+    return hashlib.sha256(pretty_process(canonical).encode()).hexdigest()[:12]
+
+
 def state_hash(p: Process) -> str:
-    return hashlib.sha256(pretty_process(canonical_form(p)).encode()).hexdigest()[:12]
+    return _digest(canonical_form(p))
 
 
 @dataclass
@@ -302,7 +331,7 @@ def run(p: Process, ctx: dict, defs: Program, scheduler: str = "det",
 
     def record(i: int, info: RedexInfo) -> None:
         states.append(canonical_form(cur))
-        steps.append(TraceStep(i, info, state_hash(cur)))
+        steps.append(TraceStep(i, info, _digest(states[-1])))
 
     if scheduler == "det":
         for i in range(max_steps):
@@ -353,9 +382,10 @@ class ReductionGraph:
             yield t
 
     def to_json_dict(self) -> dict:
+        normals = self.normal_forms()
         return {
-            "states": [{"id": i, "term": pretty_process(s), "hash": state_hash(s),
-                        "normal": i in self.normal_forms(), "expanded": i in self.expanded}
+            "states": [{"id": i, "term": pretty_process(s), "hash": _digest(s),
+                        "normal": i in normals, "expanded": i in self.expanded}
                        for i, s in enumerate(self.states)],
             "edges": [{"from": src, "rule": info.kind, "channel": info.channel, "to": tgt}
                       for src, outs in sorted(self.edges.items()) for info, tgt in outs],
@@ -393,8 +423,11 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
                 g.partial = True
                 return g
             g.expanded.add(sid)
+            targets: dict[int, int] = {}  # the steps of one orbit share their canonical reduct
             for info, q in step_all(g.states[sid], defs):
-                tid = g.add_state(q)
+                tid = targets.get(id(q))
+                if tid is None:
+                    tid = targets[id(q)] = g.add_state(q)
                 g.edges[sid].append((info, tid))
                 if tid not in g.expanded:
                     nxt.append(tid)
@@ -448,15 +481,33 @@ class FairTerminationReport:
 
 def check_fair_termination(p: Process, defs: Program, max_states: int = 100_000,
                            max_depth: int = 10_000) -> FairTerminationReport:
-    """Fair termination holds iff every reachable state is weakly terminating."""
+    """Fair termination holds iff every reachable state is weakly terminating.
+
+    Two backward passes give every state's `is_weakly_terminating` answer:
+    'yes' for the states that reach a normal form, else 'unknown' for those
+    that reach an unexpanded state, else 'no'."""
     g = explore(p, defs, max_states, max_depth)
-    unknown = False
+    preds: list[list[int]] = [[] for _ in g.states]
+    for src, outs in g.edges.items():
+        for _, tgt in outs:
+            preds[tgt].append(src)
+    yes = _backward_closure(preds, g.normal_forms())
+    maybe = _backward_closure(preds, set(range(len(g.states))) - g.expanded)
     for sid in range(len(g.states)):
-        wt = is_weakly_terminating(sid, g)
-        if wt == "no":
+        if sid not in yes and sid not in maybe:
             return FairTerminationReport("not-fairly-terminating", g, sid)
-        if wt == "unknown":
-            unknown = True
-    if unknown or g.partial:
+    if g.partial or len(yes) < len(g.states):
         return FairTerminationReport("unknown", g)
     return FairTerminationReport("fairly-terminating", g)
+
+
+def _backward_closure(preds: list[list[int]], seeds: set[int]) -> set[int]:
+    """The states that reach some seed."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for s in preds[stack.pop()]:
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return seen

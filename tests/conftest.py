@@ -39,3 +39,18 @@ def cas() -> Program:
 @pytest.fixture(scope="session")
 def comm() -> Program:
     return load_corpus("comm.csll")
+
+
+def lock_text(n: int) -> str:
+    """corpus/lock.csll's server with n closing clients u0..u{n-1}."""
+    clients = "; ".join(f"client x(u{i}) {{ close u{i} }}" for i in range(n))
+    return ("def Lock(x: srv bot, z: 1) =\n  server x(y) { wait y; Lock(x, z) } idle { close z }\n"
+            f"main(z: 1) = new x : cli 1 {{ {clients}; done x | Lock(x, z) }}\n")
+
+
+def cas_text(kinds: list[str]) -> str:
+    """corpus/cas.csll's register with one Client{kind} per entry of kinds ("TF" or "FT")."""
+    defs = (CORPUS / "cas.csll").read_text(encoding="utf-8").split("\nmain(")[0]
+    clients = "; ".join(f"client x(y{i}) {{ Client{k}(y{i}) }}" for i, k in enumerate(kinds))
+    return (f"{defs}\nmain(z: 1 + 1) =\n"
+            f"  new x : cli ((1 + 1) + (1 + 1)) {{ {clients}; done x | CasTrue(x, z) }}\n")

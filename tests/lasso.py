@@ -25,8 +25,8 @@ def derivation_edges(d: Derivation) -> dict:
 
 def proof_edges(g: ProofGraph) -> dict:
     """node -> [(target, back, arcs)]; an occurrence arc progresses at a principal nu."""
-    return {nid: [(e.target, e.back, [(o.address, t, n.rule == "nu" and o.address == n.principal)
-                              for o in n.sequent for t in _succ_addresses(g, n, e, o.address)])
+    return {nid: [(e.target, e.back, [(a, t, n.rule == "nu" and a == n.principal)
+                              for a, t in _succ_addresses(g, n, e)])
                   for e in n.premises]
             for nid, n in g.nodes.items()}
 

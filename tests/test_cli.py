@@ -6,7 +6,7 @@ import pytest
 
 from csll.cli import main
 
-from .conftest import CORPUS
+from .conftest import CORPUS, CORPUS_FILES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -127,6 +127,13 @@ def test_golden_check_reports(capsys, name):
     doc["file"] = name  # normalize the path
     golden = json.loads((GOLDEN / f"{name}.check.json").read_text())
     assert doc == golden
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_golden_explore_graphs(capsys, name):
+    # state terms, state hashes and edge order, byte for byte
+    _, out = run_cli(capsys, "explore", "--format", "json", str(CORPUS / name))
+    assert out == (GOLDEN / f"{name}.explore.json").read_text(encoding="utf-8")
 
 
 def test_syntax_error_exit_code(tmp_path, capsys):

@@ -133,6 +133,16 @@ def test_canonical_sorts_pool():
     assert canonical_form(p1) == canonical_form(p2)
 
 
+def test_canonical_orders_cut_sides_by_pool_clients():
+    # the sides differ only in a client, so that client's key decides the order
+    x, a, y, v, z = fresh("x"), fresh("a"), fresh("y"), fresh("v"), fresh("z")
+    left = Cons(a, y, Close(y), Cons(a, v, Close(v), Nil(a)))
+    right = Cons(a, y, Close(y), Cons(a, v, Wait(v, Close(z)), Nil(a)))
+    p = Cut(x, ty.ONE, left, right)
+    q = Cut(x, ty.BOT, right, left)
+    assert canonical_form(p) == canonical_form(q)
+
+
 @given(processes())
 def test_canonical_idempotent(p):
     c = canonical_form(p)

@@ -9,9 +9,11 @@ from csll.process import (
     Call, Close, Cons, Cut, Nil, Program, Server, Wait, channels, fresh,
     threads, unfold,
 )
+from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
 from .strategies import processes
+from csll.parser import parse_program
 from csll.runtime import (
-    NoRedexError, check_fair_termination, explore, find_redex,
+    NoRedexError, check_fair_termination, enabled_steps, explore, find_redex,
     is_close_normal, is_weakly_terminating, run, step_all, step_det,
 )
 
@@ -242,3 +244,81 @@ def test_post_hoc_fairness_accounting(lock, omega):
     # no state of the divergent system terminates, so the infinite run this
     # trace approximates is fair (finitely many weakly terminating states)
     assert weakly_terminating_state_count(tr2, omega) == 0
+
+
+def _graph_programs() -> list[tuple[str, Program]]:
+    progs = [(name, load_corpus(name)) for name in CORPUS_FILES]
+    progs += [(f"lock_{n}", parse_program(lock_text(n))) for n in range(1, 9)]
+    mixes = [["TF"], ["FT", "TF"], ["TF", "TF", "FT"], ["FT", "TF", "FT", "TF"],
+             ["TF", "FT", "FT", "TF", "TF"], ["FT", "FT", "TF", "TF", "FT", "TF"]]
+    progs += [(f"cas_{len(m)}", parse_program(cas_text(m))) for m in mixes]
+    return progs + [(f"gen_{seed}", gen_program(seed)) for seed in range(100)]
+
+
+def test_step_all_equals_per_step_canonicalisation():
+    # step_all canonicalizes one reduct per orbit of interchangeable clients;
+    # the reference canonicalizes every step's own reduct
+    shared = 0
+    for name, prog in _graph_programs():
+        g = explore(prog.main.body, prog, max_states=300)
+        for state in g.states:
+            steps = enabled_steps(state, prog)
+            assert step_all(state, prog) == [(st.info, canonical_form(st.reduct)) for st in steps], name
+            shared += len(steps) - len({st.orbit for st in steps})
+    assert shared > 0
+
+
+def test_random_runs_continue_from_the_drawn_client():
+    # connecting u0 or u1 first gives one canonical state, but the run goes on
+    # with the client the scheduler drew
+    prog = parse_program(lock_text(3))
+    lines = {seed: [s.line() for s in run(prog.main.body, {}, prog, "random", seed=seed).steps]
+             for seed in (0, 1)}
+    assert lines[0] == ["0, r-connect, x, 246a83c4ed88", "1, r-close, u1, 051c2ff3bdca",
+                        "2, r-connect, x, 7294ff60965c", "3, r-close, u0, 4eb6d6eed2c7",
+                        "4, r-connect, x, 38d4e9d735f1", "5, r-close, u2, 4910815dd83e",
+                        "6, r-done, x, d317002044d6"]
+    assert [line.split(", ")[2] for line in lines[1]] == ["x", "u0", "x", "u2", "x", "u1", "x"]
+
+
+def _fair_termination_reference(g) -> tuple[str, int | None]:
+    unknown = False
+    for sid in range(len(g.states)):
+        wt = is_weakly_terminating(sid, g)
+        if wt == "no":
+            return "not-fairly-terminating", sid
+        unknown = unknown or wt == "unknown"
+    return ("unknown" if unknown or g.partial else "fairly-terminating"), None
+
+
+# whoever connects with in1 first stalls the pool in a loop, so a bounded
+# exploration finds a state that is not weakly terminating beside unexpanded ones
+GATE = """
+def Hold(x: srv (bot & bot), z: 1) = new w : 1 { close w | wait w; Hold(x, z) }
+
+def Gate(x: srv (bot & bot), z: 1) =
+  server x(y) { case y { in1: wait y; Hold(x, z) ; in2: wait y; Gate(x, z) } } idle { close z }
+
+main(z: 1) =
+  new x : cli (1 + 1) {
+    client x(a) { a.in1; close a }; client x(b) { b.in2; close b }; client x(c) { c.in2; close c }; done x
+    | Gate(x, z)
+  }
+"""
+
+
+def test_fair_termination_equals_per_state_reference():
+    progs = [(name, load_corpus(name)) for name in CORPUS_FILES]
+    progs += [("lock_6", parse_program(lock_text(6))), ("cas_4", parse_program(cas_text(["TF", "FT"] * 2))),
+              ("gate", parse_program(GATE))]
+    progs += [(f"gen_{seed}", gen_program(seed)) for seed in range(20)]
+    seen = set()
+    for name, prog in progs:
+        for max_states, max_depth in ((100_000, 10_000), (1, 10_000), (2, 10_000), (5, 10_000),
+                                      (100_000, 1), (100_000, 2), (100_000, 4)):
+            rep = check_fair_termination(prog.main.body, prog, max_states, max_depth)
+            expected = _fair_termination_reference(rep.graph)
+            assert (rep.verdict, rep.offending_state) == expected, (name, max_states, max_depth)
+            seen.add((rep.verdict, rep.graph.partial))
+    assert {("unknown", True), ("not-fairly-terminating", True),
+            ("not-fairly-terminating", False), ("fairly-terminating", False)} <= seen
