@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from csll.gen import gen_program
 from csll.process import channels, threads, unfold
-from csll.runtime import _steps, explore, is_close_normal
+from csll.runtime import enabled_steps, explore, is_close_normal
 from csll.typecheck import check, check_program
 
 
@@ -40,7 +40,7 @@ def main() -> int:
         for sid, state in enumerate(g.states):
             states += 1
             if not is_close_normal(state, prog):
-                assert _steps(state, prog, pool_ok=False), f"seed {seed}: stuck state {sid}"
+                assert enabled_steps(state, prog, deterministic=True), f"seed {seed}: stuck state {sid}"
             u = unfold(state, prog)
             assert threads(u) > channels(u), f"seed {seed}: counting lemma failed"
         for sid in g.expanded:

@@ -19,11 +19,7 @@ from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Fail, Fork, Join, Nil,
     Process, Select, Server, Wait,
 )
-from .types import SessionType, children as type_children, dual
-
-
-def _type_key(t: SessionType) -> tuple:
-    return (type(t).__name__,) + tuple(_type_key(c) for c in type_children(t))
+from .types import dual, type_key
 
 
 def _sort(p: Process, env: dict[ChannelName, int], depth: int) -> tuple[Process, tuple]:
@@ -43,7 +39,7 @@ def _sort(p: Process, env: dict[ChannelName, int], depth: int) -> tuple[Process,
             if rk < lk:
                 # the annotation types the left side, so commuting dualizes it
                 ls, lk, rs, rk, anno = rs, rk, ls, lk, dual(anno)
-            return Cut(x, anno, ls, rs, span=p.span), ("cut", _type_key(anno), lk, rk)
+            return Cut(x, anno, ls, rs, span=p.span), ("cut", type_key(anno), lk, rk)
         case Cons(x, _, _, _):
             cells: list[tuple[tuple, ChannelName, Process]] = []
             node: Process = p

@@ -193,10 +193,6 @@ def is_nu(phi: MuFormula) -> bool:
     return isinstance(phi, Nu)
 
 
-def is_mu(phi: MuFormula) -> bool:
-    return isinstance(phi, Mu)
-
-
 def render_formula(phi: MuFormula) -> str:
     match phi:
         case Var(x):

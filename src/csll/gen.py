@@ -26,12 +26,8 @@ from .process import (
 _FRESH_NAMES = "uvwstpq"
 
 
-def _tkey(t: ty.SessionType) -> tuple:
-    return (type(t).__name__,) + tuple(_tkey(c) for c in ty.children(t))
-
-
 def _ms(types: tuple[ty.SessionType, ...]) -> tuple[ty.SessionType, ...]:
-    return tuple(sorted(types, key=_tkey))
+    return tuple(sorted(types, key=ty.type_key))
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class Oracle:
 
     def witness(self, types: tuple[ty.SessionType, ...]) -> _Move | None:
         ms = _ms(types)
-        key = tuple(_tkey(t) for t in ms)
+        key = tuple(ty.type_key(t) for t in ms)
         if key in self.memo:
             return self.memo[key]
         self.memo[key] = None  # in-progress: treat self-dependency as failure
@@ -166,7 +162,7 @@ class ProcessGen:
 
     def generate(self, ctx: dict[ChannelName, ty.SessionType], fuel: int) -> Process:
         """A random process well typed in ctx (which must be completable)."""
-        ms_items = sorted(ctx.items(), key=lambda kv: (_tkey(kv[1]), kv[0].name, kv[0].uid))
+        ms_items = sorted(ctx.items(), key=lambda kv: (ty.type_key(kv[1]), kv[0].name, kv[0].uid))
         ms = tuple(t for _, t in ms_items)
         chans = [c for c, _ in ms_items]
         if fuel > 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .types import SessionType
@@ -162,6 +163,15 @@ class Program:
         if self.main is not None:
             yield self.main
 
+    @cached_property
+    def _call_depths(self) -> dict[str, int | None]:
+        """`call_depth` of every definition body, built once: the definitions
+        of a program do not change after construction."""
+        table: dict[str, int | None] = {}
+        for name in self.defs:
+            _depth(Call(name, ()), self, table)
+        return table
+
 
 def free_names(p: Process) -> frozenset[ChannelName]:
     match p:
@@ -305,74 +315,42 @@ class DivergentUnfolding(Exception):
     """Raised when a program contains an unguarded cycle of invocations."""
 
 
-def _def_call_depth(prog: Program) -> dict[str, int | None]:
-    """Call depth of each definition body; None marks an unguarded call cycle."""
-    depths: dict[str, int | None] = {}
-    in_progress: set[str] = set()
-
-    def of_process(p: Process) -> int | None:
-        match p:
-            case Call(name, _):
-                d = of_def(name)
-                return None if d is None else 1 + d
-            case Cut(_, _, l, r):
-                dl, dr = of_process(l), of_process(r)
-                if dl is None or dr is None:
-                    return None
-                return 1 + max(dl, dr)
-        return 0
-
-    def of_def(name: str) -> int | None:
-        if name in depths:
-            return depths[name]
-        if name in in_progress:
-            return None
-        if name not in prog.defs:
-            raise KeyError(f"undefined process name: {name}")
-        in_progress.add(name)
-        d = of_process(prog.defs[name].body)
-        in_progress.discard(name)
-        depths[name] = d
-        return d
-
-    for name in prog.defs:
-        of_def(name)
-    return depths
-
-
 def call_depth(p: Process, prog: Program) -> int | None:
     """Depth of unguarded unfolding needed below p, or None if it diverges.
 
     Invocations add one plus the depth of their body, cuts add one plus the
-    max of their sides, and every guard resets to zero.
+    max of their sides, and every guard resets to zero.  An invocation of a
+    name the program does not define is opaque: it never unfolds, and counts
+    as zero like a guard.
     """
-    depths = _def_call_depth(prog)
+    return _depth(p, prog, prog._call_depths)
 
-    def go(p: Process) -> int | None:
-        match p:
-            case Call(name, _):
-                if name not in prog.defs:
-                    raise KeyError(f"undefined process name: {name}")
-                d = depths[name]
-                return None if d is None else 1 + d
-            case Cut(_, _, l, r):
-                dl, dr = go(l), go(r)
-                if dl is None or dr is None:
-                    return None
-                return 1 + max(dl, dr)
-        return 0
 
-    return go(p)
+def _depth(p: Process, prog: Program, table: dict[str, int | None]) -> int | None:
+    match p:
+        case Call(name, _) if name in prog.defs:
+            if name not in table:
+                table[name] = None  # met again before it is done: an unguarded cycle
+                table[name] = _depth(prog.defs[name].body, prog, table)
+            d = table[name]
+            return None if d is None else 1 + d
+        case Cut(_, _, l, r):
+            dl, dr = _depth(l, prog, table), _depth(r, prog, table)
+            if dl is None or dr is None:
+                return None
+            return 1 + max(dl, dr)
+    return 0
 
 
 def unfold(p: Process, prog: Program) -> Process:
-    """Expand invocations until none is unguarded (reachable through cuts only)."""
+    """Expand invocations until none is unguarded (reachable through cuts only).
+    Invocations of names the program does not define stay as they are."""
     if call_depth(p, prog) is None:
         raise DivergentUnfolding("unguarded call cycle; unfolding would not terminate")
 
     def go(p: Process) -> Process:
         match p:
-            case Call(name, args):
+            case Call(name, args) if name in prog.defs:
                 return go(instantiate(prog.defs[name], args))
             case Cut(x, anno, l, r):
                 return Cut(x, anno, go(l), go(r), span=p.span)

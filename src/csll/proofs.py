@@ -180,17 +180,12 @@ class EncodedProof:
     deriv_to_proof: dict[int, int]
 
 
-def encode_derivation(d: Derivation, sigma0: dict[ChannelName, Address] | None = None,
-                      rho0: AddressStream | None = None) -> EncodedProof:
+def encode_derivation(d: Derivation) -> EncodedProof:
     """Encode a typing derivation into a cyclic pre-proof.
 
     Accepts invalid derivations as well (their encodings are exactly what the
     proof-level validity check is for)."""
-    root_ctx = d.node(d.root).judgment.ctx
-    if sigma0 is None:
-        sigma0, rho0 = initial_assignment(root_ctx)
-    if rho0 is None:
-        rho0 = address_stream(max((a.atom for a in sigma0.values()), default=-1) + 1)
+    sigma0, rho0 = initial_assignment(d.node(d.root).judgment.ctx)
 
     g = ProofGraph()
     mapping: dict[int, int] = {}
@@ -376,7 +371,7 @@ def encode_derivation(d: Derivation, sigma0: dict[ChannelName, Address] | None =
             return
         raise AssertionError(f"unexpected derivation rule {rule!r}")
 
-    root_edge = make_edge(d.root, dict(sigma0), rho0, {})
+    root_edge = make_edge(d.root, sigma0, rho0, {})
     g.root = root_edge.target
     return EncodedProof(g, mapping)
 

@@ -5,10 +5,14 @@ Redexes live at a cut whose two sides expose dual actions on the cut
 channel.  Exposure rewrites lazily: invocations are unfolded only while they
 block discovery, guards are pulled out through enclosing cuts (and, in the
 full semantics, through pool heads), mirroring the pre-congruence moves that
-justify each step.  The deterministic fragment drops every pool rule, so
-clients connect strictly in queue order.  In the full semantics, connecting
-either of two clients with equal canonical keys gives one canonical state
-(symmetry reduction), so exploration canonicalizes one reduct per such class.
+justify each step.  An invocation is unfolded exactly when its unguarded
+unfolding terminates (`call_depth` is not None); one whose unguarded
+unfolding diverges is stuck in both semantics, and so is an invocation of a
+name the program does not define.  The deterministic fragment drops every
+pool rule, so clients connect strictly in queue order.  In the full
+semantics, connecting either of two clients with equal canonical keys gives
+one canonical state (symmetry reduction), so exploration canonicalizes one
+reduct per such class.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .canon import canonical_form, cell_key
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, DivergentUnfolding, Fail,
     Fork, Join, Nil, Process, Program, Select, Server, Wait,
-    free_names, fresh, instantiate, rename, subject, unfold,
+    call_depth, free_names, fresh, instantiate, rename, subject, unfold,
 )
 from .printer import pretty_process
 
@@ -45,13 +49,11 @@ class RedexInfo:
         return f"{self.kind}@{self.channel}[{loc}]"
 
 
-def _unfold_head(p: Process, defs: Program, budget: int = 64) -> Process:
-    while isinstance(p, Call) and budget > 0:
-        defn = defs.defs.get(p.name)
-        if defn is None:
-            return p
-        p = instantiate(defn, p.args)
-        budget -= 1
+def _unfold_head(p: Process, defs: Program) -> Process:
+    # call_depth is 0 for an undefined name and None for a diverging
+    # unfolding: both invocations stay, stuck
+    while isinstance(p, Call) and call_depth(p, defs):
+        p = instantiate(defs.defs[p.name], p.args)
     return p
 
 
@@ -124,22 +126,22 @@ class Step:
     orbit: object
 
 
-def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...]) -> list[Step]:
+def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
+                  ctx: Callable[[Process], Process], out: list[Step]) -> None:
+    """Append the steps at cut, whose enclosing context is ctx, to out."""
     x = cut.chan
     lg = _find_guard(cut.left, x, defs, pool_ok)
     rg = _find_guard(cut.right, x, defs, pool_ok)
     if lg is None or rg is None:
-        return []
+        return
     (g1, rb1), (g2, rb2) = lg, rg
     left_type = cut.anno
 
     def around(core: Process) -> Process:
-        return rb1(rb2(core))
+        return ctx(rb1(rb2(core)))
 
     def info(kind: str, a: Process, b: Process, client_index: int = 0) -> RedexInfo:
         return RedexInfo(kind, x.name, path, (_descr(a), _descr(b)), client_index)
-
-    out: list[Step] = []
 
     def add(i: RedexInfo, core: Process, exp1: Process = None, exp2: Process = None,
             orbit: object = None) -> None:
@@ -212,39 +214,35 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...])
                 case_sel(a, b, a_type)
             case (Cons(), Server()) | (Nil(), Server()):
                 pool_server(a, b, a_type, a_is_left)
-    return out
 
 
-def _steps_full(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...] = ()
-                ) -> list[Step]:
+def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
+          ctx: Callable[[Process], Process], out: list[Step]) -> None:
+    """Append to out every step below p, whose enclosing context is ctx."""
     p = _unfold_head(p, defs)
-    out: list[Step] = []
     if isinstance(p, Cut):
-        out.extend(_sync_redexes(p, defs, pool_ok, path))
-        out.extend(_in_context(_steps_full(p.left, defs, pool_ok, path + ("L",)),
-                               lambda q: Cut(p.chan, p.anno, q, p.right)))
-        out.extend(_in_context(_steps_full(p.right, defs, pool_ok, path + ("R",)),
-                               lambda q: Cut(p.chan, p.anno, p.left, q)))
+        _sync_redexes(p, defs, pool_ok, path, ctx, out)
+        _walk(p.left, defs, pool_ok, path + ("L",),
+              lambda q: ctx(Cut(p.chan, p.anno, q, p.right)), out)
+        _walk(p.right, defs, pool_ok, path + ("R",),
+              lambda q: ctx(Cut(p.chan, p.anno, p.left, q)), out)
     elif pool_ok and isinstance(p, Cons):
-        out.extend(_in_context(_steps_full(p.pool, defs, pool_ok, path + ("T",)),
-                               lambda q: Cons(p.chan, p.session, p.client, q)))
+        _walk(p.pool, defs, pool_ok, path + ("T",),
+              lambda q: ctx(Cons(p.chan, p.session, p.client, q)), out)
+
+
+def enabled_steps(p: Process, defs: Program, deterministic: bool = False) -> list[Step]:
+    """Full step records including the exposed rearrangement, uncanonicalized."""
+    out: list[Step] = []
+    _walk(p, defs, not deterministic, (), lambda q: q, out)
     return out
 
 
-def _in_context(steps: list[Step], ctx: Callable[[Process], Process]) -> list[Step]:
-    return [Step(st.info, ctx(st.exposed), st.cut, ctx(st.reduct), st.orbit) for st in steps]
-
-
-def _steps(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...] = ()
-           ) -> list[tuple[RedexInfo, Process]]:
-    return [(st.info, st.reduct) for st in _steps_full(p, defs, pool_ok, path)]
-
-
-def _canonical_steps(p: Process, defs: Program, pool_ok: bool) -> list[tuple[RedexInfo, Process]]:
-    """Each step with its canonical reduct, canonicalized once per orbit."""
+def step_all(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
+    """Every one-step reduct under the full semantics, canonicalized once per orbit."""
     forms: dict[object, Process] = {}
     out = []
-    for st in _steps_full(p, defs, pool_ok):
+    for st in enabled_steps(p, defs):
         q = forms.get(st.orbit)
         if q is None:
             q = forms[st.orbit] = canonical_form(st.reduct)
@@ -252,19 +250,9 @@ def _canonical_steps(p: Process, defs: Program, pool_ok: bool) -> list[tuple[Red
     return out
 
 
-def enabled_steps(p: Process, defs: Program, deterministic: bool = False) -> list[Step]:
-    """Full step records including the exposed rearrangement, uncanonicalized."""
-    return _steps_full(p, defs, pool_ok=not deterministic)
-
-
-def step_all(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
-    """Every one-step reduct under the full semantics, canonicalized."""
-    return _canonical_steps(p, defs, pool_ok=True)
-
-
 def step_det(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
     """One-step reducts with all pool rules removed (queue order only)."""
-    return _canonical_steps(p, defs, pool_ok=False)
+    return [(st.info, canonical_form(st.reduct)) for st in enabled_steps(p, defs, deterministic=True)]
 
 
 def find_redex(p: Process, defs: Program) -> tuple[RedexInfo, Process]:
@@ -278,10 +266,10 @@ def find_redex(p: Process, defs: Program) -> tuple[RedexInfo, Process]:
     except DivergentUnfolding as e:
         # an unguarded invocation cycle never exposes a guard, so it is stuck
         raise NoRedexError(str(e)) from e
-    steps = _steps(q, defs, pool_ok=False)
+    steps = enabled_steps(q, defs, deterministic=True)
     if not steps:
         raise NoRedexError(f"no deterministic redex in: {pretty_process(q)}")
-    return steps[0]
+    return steps[0].info, steps[0].reduct
 
 
 def is_close_normal(p: Process, defs: Program) -> bool:
@@ -325,35 +313,34 @@ def run(p: Process, ctx: dict, defs: Program, scheduler: str = "det",
         seed: int | None = None, max_steps: int = 1000) -> Trace:
     """Drive p to a normal form (or a step budget) under the chosen scheduler."""
     del ctx  # typing is the caller's concern; kept for symmetry with checking
+    if scheduler == "det":
+        seed = None  # the deterministic schedule draws nothing
+
+        def next_step(q: Process) -> tuple[RedexInfo, Process] | None:
+            try:
+                return find_redex(q, defs)
+            except NoRedexError:
+                return None
+    elif scheduler == "random":
+        rng = _random.Random(seed)
+
+        def next_step(q: Process) -> tuple[RedexInfo, Process] | None:
+            steps = enabled_steps(q, defs)
+            if not steps:
+                return None
+            st = rng.choice(steps)
+            return st.info, st.reduct
+    else:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
     steps: list[TraceStep] = []
     states: list[Process] = [canonical_form(p)]
     cur = p
-
-    def record(i: int, info: RedexInfo) -> None:
+    while (nxt := next_step(cur)) is not None and len(steps) < max_steps:
+        info, cur = nxt
         states.append(canonical_form(cur))
-        steps.append(TraceStep(i, info, _digest(states[-1])))
-
-    if scheduler == "det":
-        for i in range(max_steps):
-            try:
-                info, nxt = find_redex(cur, defs)
-            except NoRedexError:
-                return Trace(steps, cur, True, False, scheduler, states=states)
-            cur = nxt
-            record(i, info)
-        terminated = not _steps(cur, defs, pool_ok=False)
-        return Trace(steps, cur, terminated, not terminated, scheduler, states=states)
-    if scheduler == "random":
-        rng = _random.Random(seed)
-        for i in range(max_steps):
-            succ = _steps(cur, defs, pool_ok=True)
-            if not succ:
-                return Trace(steps, cur, True, False, scheduler, seed, states=states)
-            info, cur = rng.choice(succ)
-            record(i, info)
-        terminated = not _steps(cur, defs, pool_ok=True)
-        return Trace(steps, cur, terminated, not terminated, scheduler, seed, states=states)
-    raise ValueError(f"unknown scheduler {scheduler!r}")
+        steps.append(TraceStep(len(steps), info, _digest(states[-1])))
+    terminated = nxt is None
+    return Trace(steps, cur, terminated, not terminated, scheduler, seed, states=states)
 
 
 @dataclass

@@ -78,10 +78,6 @@ class DerivEdge:
     # correspondence, a type-preserving bijection.
     down: tuple[tuple[ChannelName, ChannelName], ...]
 
-    @property
-    def down_map(self) -> dict[ChannelName, ChannelName]:
-        return dict(self.down)
-
 
 @dataclass(frozen=True)
 class DerivNode:

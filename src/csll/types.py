@@ -116,6 +116,11 @@ def children(t: SessionType) -> tuple[SessionType, ...]:
     return ()
 
 
+def type_key(t: SessionType) -> tuple:
+    """A sort key for types: the constructor names of the tree, in pre-order."""
+    return (type(t).__name__,) + tuple(type_key(c) for c in children(t))
+
+
 def subtypes(t: SessionType) -> Iterator[SessionType]:
     """All subtrees of t, including t itself (pre-order)."""
     yield t

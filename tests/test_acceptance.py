@@ -20,7 +20,7 @@ from csll.proofs import (
     PRINCIPAL_STEPS, encode_derivation, proof_validity, simulate_step,
 )
 from csll.runtime import (
-    _steps, check_fair_termination, enabled_steps, explore, is_close_normal, run,
+    check_fair_termination, enabled_steps, explore, is_close_normal, run,
 )
 from csll.typecheck import check, check_program, definition_derivation, validity_check
 
@@ -134,7 +134,7 @@ def test_criterion_5_deadlock_freedom():
         for state in g.states:
             states += 1
             if not is_close_normal(state, prog):
-                assert _steps(state, prog, pool_ok=False), (seed, pretty_process(state))
+                assert enabled_steps(state, prog, deterministic=True), (seed, pretty_process(state))
         programs += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"deadlock-freedom sweep took {elapsed:.1f}s"

@@ -211,15 +211,61 @@ def test_graph_exports(lock):
     assert dot.startswith("digraph") and "r-connect" in dot
 
 
-def test_unguarded_call_cycle_is_stuck_not_crashing():
+LOOP_THROUGH_CUT = "def L(x: 1) = new y : 1 { L(y) | wait y; close x }\nmain(z: 1) = L(z)\n"
+
+
+def test_unguarded_call_cycle_is_stuck_not_crashing(tmp_path, capsys):
+    from csll.cli import main
     from csll.process import Definition
-    prog = Program({"B": Definition("B", (), Call("B", ()))})
-    p = Call("B", ())
-    assert step_all(p, prog) == []
+    # B's cycle exposes nothing; L's runs through the left side of a cut
+    loop = parse_program(LOOP_THROUGH_CUT)
+    cases = [(Program({"B": Definition("B", (), Call("B", ()))}), Call("B", ())),
+             (loop, loop.main.body)]
+    for prog, p in cases:
+        assert step_all(p, prog) == [] and step_det(p, prog) == []
+        with pytest.raises(NoRedexError):
+            find_redex(p, prog)
+        for scheduler in ("det", "random"):
+            tr = run(p, {}, prog, scheduler=scheduler, seed=0, max_steps=10)
+            assert tr.terminated and tr.steps == []
+        assert len(explore(p, prog).states) == 1
+    path = tmp_path / "loop.csll"
+    path.write_text(LOOP_THROUGH_CUT)
+    for argv in (["explore"], ["run", "--scheduler", "random"]):
+        assert main([*argv, str(path)]) == 0
+    assert "L(z)" in capsys.readouterr().out
+
+
+def test_long_unguarded_chain_unfolds_in_both_semantics():
+    # A1(x) = A2(x), ..., A70(x) = close x: a terminating unguarded
+    # unfolding is followed to its end, however long
+    text = "".join(f"def A{i}(x: 1) = A{i + 1}(x)\n" for i in range(1, 70))
+    text += "def A70(x: 1) = close x\nmain(z: 1) = new x : 1 { A1(x) | wait x; close z }\n"
+    prog = parse_program(text)
+    p = prog.main.body
+    for steps in (step_all(p, prog), step_det(p, prog)):
+        assert [info.kind for info, _ in steps] == ["r-close"]
+    for scheduler in ("det", "random"):
+        tr = run(p, {}, prog, scheduler=scheduler, seed=0)
+        assert [s.info.kind for s in tr.steps] == ["r-close"]
+        assert tr.terminated and is_close_normal(tr.final, prog)
+    ft = check_fair_termination(p, prog)
+    assert len(ft.graph.states) == 2 and ft.verdict == "fairly-terminating"
+
+
+def test_undefined_name_is_opaque_in_both_semantics():
+    from csll.process import Definition, call_depth
+    x, y, z = fresh("x"), fresh("y"), fresh("z")
+    prog = Program({"A": Definition("A", ((x, ty.ONE),), Call("U", (x,)))})
+    p = Cut(y, ty.ONE, Call("A", (y,)), Wait(y, Close(z)))
+    assert call_depth(p, prog) == 2
+    assert unfold(p, prog) == Cut(y, ty.ONE, Call("U", (y,)), Wait(y, Close(z)))
+    assert step_all(p, prog) == [] and step_det(p, prog) == []
     with pytest.raises(NoRedexError):
         find_redex(p, prog)
-    tr = run(p, {}, prog, scheduler="det", max_steps=10)
-    assert tr.terminated and tr.steps == []
+    for scheduler in ("det", "random"):
+        tr = run(p, {}, prog, scheduler=scheduler, seed=0)
+        assert tr.terminated and tr.steps == []
 
 
 @settings(max_examples=80)
