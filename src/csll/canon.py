@@ -4,8 +4,10 @@ Two rewrites are applied.  One bottom-up pass orders commutative siblings
 (cut sides, clients within a pool on the same channel) by a structural key
 that is invariant under renaming of bound channels; each node's key is built
 from the keys of its already-sorted children, so every subterm is keyed
-once.  Bound channels are then renumbered in traversal order.  The result
-is a deterministic, idempotent normal form used as state identity during
+once.  Bound channels are then renamed in traversal order by
+`process.rename`, with binder ids -1, -2, ...: parsed and fresh channels have
+positive ids, so no free channel is captured.  The result is a
+deterministic, idempotent normal form used as state identity during
 exploration.  Invocations are never unfolded here and cut nests are not
 reassociated, so the quotient is coarser than full structural
 pre-congruence; exploration over-approximates accordingly.
@@ -17,7 +19,7 @@ import itertools
 
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Fail, Fork, Join, Nil,
-    Process, Select, Server, Wait,
+    Process, Select, Server, Wait, rename,
 )
 from .types import dual, type_key
 
@@ -92,51 +94,6 @@ def cell_key(client: Process, session: ChannelName) -> tuple:
     return _sort(client, {session: 0}, 1)[1]
 
 
-def _renumber(p: Process) -> Process:
-    counter = itertools.count(0)
-
-    def bind(c: ChannelName, m: dict[ChannelName, ChannelName]) -> tuple[ChannelName, dict[ChannelName, ChannelName]]:
-        nc = ChannelName("c", next(counter))
-        return nc, {**m, c: nc}
-
-    def ref(c: ChannelName, m: dict[ChannelName, ChannelName]) -> ChannelName:
-        return m.get(c, c)
-
-    def go(p: Process, m: dict[ChannelName, ChannelName]) -> Process:
-        match p:
-            case Call(name, args):
-                return Call(name, tuple(ref(a, m) for a in args))
-            case Fail(x):
-                return Fail(ref(x, m))
-            case Close(x):
-                return Close(ref(x, m))
-            case Nil(x):
-                return Nil(ref(x, m))
-            case Wait(x, body):
-                return Wait(ref(x, m), go(body, m))
-            case Select(x, tag, body):
-                return Select(ref(x, m), tag, go(body, m))
-            case Case(x, l, r):
-                return Case(ref(x, m), go(l, m), go(r, m))
-            case Join(x, y, body):
-                ny, m2 = bind(y, m)
-                return Join(ref(x, m), ny, go(body, m2))
-            case Fork(x, y, pb, cont):
-                ny, m2 = bind(y, m)
-                return Fork(ref(x, m), ny, go(pb, m2), go(cont, m))
-            case Server(x, y, acc, idle):
-                ny, m2 = bind(y, m)
-                return Server(ref(x, m), ny, go(acc, m2), go(idle, m))
-            case Cons(x, y, client, pool):
-                ny, m2 = bind(y, m)
-                return Cons(ref(x, m), ny, go(client, m2), go(pool, m))
-            case Cut(x, anno, l, r):
-                nx, m2 = bind(x, m)
-                return Cut(nx, anno, go(l, m2), go(r, m2))
-        raise TypeError(f"not a process: {p!r}")
-
-    return go(p, {})
-
-
 def canonical_form(p: Process) -> Process:
-    return _renumber(_sort(p, {}, 0)[0])
+    ids = itertools.count(1)
+    return rename(_sort(p, {}, 0)[0], {}, refresh=lambda _: ChannelName("c", -next(ids)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from . import types as ty
 from .process import (
@@ -54,47 +55,46 @@ class Oracle:
         if key in self.memo:
             return self.memo[key]
         self.memo[key] = None  # in-progress: treat self-dependency as failure
-        move = self._search(ms)
+        # a fail on the first top closes any context, whatever else it holds
+        top = next((i for i, t in enumerate(ms) if isinstance(t, ty.Top)), None)
+        move = _Move("fail", top) if top is not None else next(self.moves(ms), None)
         self.memo[key] = move
         return move
 
-    def _search(self, ms: tuple[ty.SessionType, ...]) -> _Move | None:
-        if not ms:
-            return None
-        if len(ms) == 1:
-            if isinstance(ms[0], ty.One):
-                return _Move("close")
-            if isinstance(ms[0], ty.Client):
-                return _Move("done")
-        for i, t in enumerate(ms):
-            if isinstance(t, ty.Top):
-                return _Move("fail", i)
+    def moves(self, ms: tuple[ty.SessionType, ...]) -> Iterator[_Move]:
+        """Every typing-rule move on the sorted multiset ms whose premises are
+        all completable, in a fixed order (it decides the generated programs);
+        the oracle is asked lazily, so the first move costs only its own checks."""
+        if len(ms) == 1 and isinstance(ms[0], ty.One):
+            yield _Move("close")
+        if len(ms) == 1 and isinstance(ms[0], ty.Client):
+            yield _Move("done")
         rest_of = lambda i: ms[:i] + ms[i + 1:]
         for i, t in enumerate(ms):
             match t:
+                case ty.Top():
+                    yield _Move("fail", i)
                 case ty.Bot():
                     if self.completable(rest_of(i)):
-                        return _Move("wait", i)
+                        yield _Move("wait", i)
                 case ty.Par(l, r):
                     if self.completable(rest_of(i) + (l, r)):
-                        return _Move("join", i)
+                        yield _Move("join", i)
                 case ty.Plus(l, r):
-                    if self.completable(rest_of(i) + (l,)):
-                        return _Move("select", i, tag=1)
-                    if self.completable(rest_of(i) + (r,)):
-                        return _Move("select", i, tag=2)
+                    for tag, side in ((1, l), (2, r)):
+                        if self.completable(rest_of(i) + (side,)):
+                            yield _Move("select", i, tag=tag)
                 case ty.With(l, r):
                     if self.completable(rest_of(i) + (l,)) and self.completable(rest_of(i) + (r,)):
-                        return _Move("case", i)
+                        yield _Move("case", i)
                 case ty.Tensor(l, r):
-                    got = self._split(rest_of(i), (l,), (r,))
-                    if got is not None:
-                        return _Move("fork", i, mask=got)
+                    mask = self._split(rest_of(i), (l,), (r,))
+                    if mask is not None:
+                        yield _Move("fork", i, mask=mask)
                 case ty.Client(inner):
-                    got = self._split(rest_of(i), (inner,), (t,))
-                    if got is not None:
-                        return _Move("cons", i, mask=got)
-        return None
+                    mask = self._split(rest_of(i), (inner,), (t,))
+                    if mask is not None:
+                        yield _Move("cons", i, mask=mask)
 
     def _split(self, rest: tuple[ty.SessionType, ...], extra_a: tuple, extra_b: tuple
                ) -> tuple[int, ...] | None:
@@ -166,7 +166,8 @@ class ProcessGen:
         ms = tuple(t for _, t in ms_items)
         chans = [c for c, _ in ms_items]
         if fuel > 0:
-            moves = self._candidates(ms)
+            moves = list(self.oracle.moves(ms))
+            assert moves, f"uncompletable context: {ms}"
             if len(ctx) <= 3 and self.rng.random() < 0.4:
                 cut = self._try_cut(ctx, fuel)
                 if cut is not None:
@@ -177,45 +178,6 @@ class ProcessGen:
             moves = [w]
         move = self.rng.choice(moves)
         return self._apply(move, chans, ms, ctx, fuel - 1)
-
-    def _candidates(self, ms: tuple[ty.SessionType, ...]) -> list[_Move]:
-        out: list[_Move] = []
-        orc = self.oracle
-        if len(ms) == 1 and isinstance(ms[0], ty.One):
-            out.append(_Move("close"))
-        if len(ms) == 1 and isinstance(ms[0], ty.Client):
-            out.append(_Move("done"))
-        rest_of = lambda i: ms[:i] + ms[i + 1:]
-        for i, t in enumerate(ms):
-            match t:
-                case ty.Top():
-                    out.append(_Move("fail", i))
-                case ty.Bot():
-                    if orc.completable(rest_of(i)):
-                        out.append(_Move("wait", i))
-                case ty.Par(_, _):
-                    if orc.completable(rest_of(i) + (t.left, t.right)):
-                        out.append(_Move("join", i))
-                case ty.Plus(_, _):
-                    for tag, side in ((1, t.left), (2, t.right)):
-                        if orc.completable(rest_of(i) + (side,)):
-                            out.append(_Move("select", i, tag=tag))
-                case ty.With(_, _):
-                    if orc.completable(rest_of(i) + (t.left,)) and orc.completable(rest_of(i) + (t.right,)):
-                        out.append(_Move("case", i))
-                case ty.Tensor(_, _):
-                    mask = orc._split(rest_of(i), (t.left,), (t.right,))
-                    if mask is not None:
-                        out.append(_Move("fork", i, mask=mask))
-                case ty.Client(inner):
-                    mask = orc._split(rest_of(i), (inner,), (t,))
-                    if mask is not None:
-                        out.append(_Move("cons", i, mask=mask))
-        if not out:
-            w = self.oracle.witness(ms)
-            assert w is not None, f"uncompletable context: {ms}"
-            out.append(w)
-        return out
 
     def _try_cut(self, ctx: dict[ChannelName, ty.SessionType], fuel: int) -> Process | None:
         rng = self.rng

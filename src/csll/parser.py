@@ -29,6 +29,7 @@ rejected here, linearity is the typechecker's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import types as ty
 from .process import (
@@ -163,44 +164,25 @@ class _Parser:
         return self._additive()
 
     def _additive(self) -> ty.SessionType:
-        first = self._multiplicative()
-        tok = self.peek()
-        if tok.kind not in ("PLUS", "AMP"):
-            return first
-        op = tok.kind
-        parts = [first]
-        while self.peek().kind == op:
-            self.next()
-            parts.append(self._multiplicative())
-        bad = self.peek()
-        if bad.kind in ("PLUS", "AMP"):
-            raise ParseError("mixing '+' and '&' needs parentheses", bad.span)
-        ctor = ty.Plus if op == "PLUS" else ty.With
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = ctor(part, out)
-        return out
+        return self._chain(self._multiplicative, {"+": ty.Plus, "&": ty.With})
 
     def _multiplicative(self) -> ty.SessionType:
-        first = self._prefix()
-        tok = self.peek()
-        is_par = tok.kind == "KEYWORD" and tok.text == "par"
-        if tok.kind != "STAR" and not is_par:
-            return first
-        op = "STAR" if tok.kind == "STAR" else "par"
-        parts = [first]
-        while (self.peek().kind == "STAR" and op == "STAR") or (
-            op == "par" and self.at_keyword("par")
-        ):
+        return self._chain(self._prefix, {"*": ty.Tensor, "par": ty.Par})
+
+    def _chain(self, operand: Callable[[], ty.SessionType], ctors: dict[str, type]) -> ty.SessionType:
+        """A right-associative chain of operands joined by one operator of
+        ctors (keyed by token text); mixing two of them needs parentheses."""
+        parts = [operand()]
+        op = self.peek().text
+        while op in ctors and self.peek().text == op:
             self.next()
-            parts.append(self._prefix())
+            parts.append(operand())
         bad = self.peek()
-        if bad.kind == "STAR" or (bad.kind == "KEYWORD" and bad.text == "par"):
-            raise ParseError("mixing '*' and 'par' needs parentheses", bad.span)
-        ctor = ty.Tensor if op == "STAR" else ty.Par
+        if bad.text in ctors:
+            raise ParseError(f"mixing {' and '.join(repr(o) for o in ctors)} needs parentheses", bad.span)
         out = parts[-1]
         for part in reversed(parts[:-1]):
-            out = ctor(part, out)
+            out = ctors[op](part, out)
         return out
 
     def _prefix(self) -> ty.SessionType:

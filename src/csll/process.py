@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .types import SessionType
 
@@ -198,21 +198,25 @@ def free_names(p: Process) -> frozenset[ChannelName]:
     raise TypeError(f"not a process: {p!r}")
 
 
-def rename(p: Process, mapping: dict[ChannelName, ChannelName], *, refresh: bool = False) -> Process:
+def rename(p: Process, mapping: dict[ChannelName, ChannelName], *,
+           refresh: bool | Callable[[ChannelName], ChannelName] = False) -> Process:
     """Capture-avoiding renaming of free channels.
 
     With refresh=True every binder gets a fresh unique id, which keeps binder
-    ids distinct when a definition body is inlined more than once.
+    ids distinct when a definition body is inlined more than once.  A
+    function passed as refresh names every binder instead, in traversal order
+    (binder before its scope, left before right).
     """
+    namer = refresh if callable(refresh) else lambda b: fresh(b.name)
 
     def ren(c: ChannelName, m: dict[ChannelName, ChannelName]) -> ChannelName:
         return m.get(c, c)
 
     def under(binder: ChannelName, m: dict[ChannelName, ChannelName]) -> tuple[ChannelName, dict[ChannelName, ChannelName]]:
-        m = {k: v for k, v in m.items() if k != binder}
-        if refresh or any(v == binder for v in m.values()):
-            nb = fresh(binder.name)
-            m[binder] = nb
+        m = dict(m)
+        m.pop(binder, None)
+        if refresh or binder in m.values():
+            nb = m[binder] = namer(binder)
             return nb, m
         return binder, m
 
@@ -311,10 +315,6 @@ def alpha_equal(p: Process, q: Process, free_map: dict[ChannelName, ChannelName]
     return go(p, q, {})
 
 
-class DivergentUnfolding(Exception):
-    """Raised when a program contains an unguarded cycle of invocations."""
-
-
 def call_depth(p: Process, prog: Program) -> int | None:
     """Depth of unguarded unfolding needed below p, or None if it diverges.
 
@@ -342,21 +342,21 @@ def _depth(p: Process, prog: Program, table: dict[str, int | None]) -> int | Non
     return 0
 
 
+def unfold_head(p: Process, prog: Program) -> Process:
+    """The unfolding rule: an invocation unfolds exactly when its unguarded
+    unfolding terminates.  One whose unfolding diverges stays, stuck, and so
+    does an invocation of a name the program does not define (depth 0)."""
+    while isinstance(p, Call) and call_depth(p, prog):
+        p = instantiate(prog.defs[p.name], p.args)
+    return p
+
+
 def unfold(p: Process, prog: Program) -> Process:
-    """Expand invocations until none is unguarded (reachable through cuts only).
-    Invocations of names the program does not define stay as they are."""
-    if call_depth(p, prog) is None:
-        raise DivergentUnfolding("unguarded call cycle; unfolding would not terminate")
-
-    def go(p: Process) -> Process:
-        match p:
-            case Call(name, args) if name in prog.defs:
-                return go(instantiate(prog.defs[name], args))
-            case Cut(x, anno, l, r):
-                return Cut(x, anno, go(l), go(r), span=p.span)
-        return p
-
-    return go(p)
+    """`unfold_head` at every position reachable through cuts only."""
+    p = unfold_head(p, prog)
+    if isinstance(p, Cut):
+        return Cut(p.chan, p.anno, unfold(p.left, prog), unfold(p.right, prog), span=p.span)
+    return p
 
 
 def threads(p: Process) -> int:

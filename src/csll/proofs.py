@@ -24,6 +24,7 @@ does not progress.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import formulas as mf
@@ -31,36 +32,17 @@ from . import types as ty
 from .cycles import closure_check
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
 from .process import Case, ChannelName, Cons, Cut, Fork, Join, Nil, Select, Server
-from .typecheck import Derivation, ValidityReport
+from .typecheck import Derivation, ValidityReport, check
 
 
 # --- streams of atomic addresses ---------------------------------------------
 
 
-class AddressStream:
-    """Injective stream of atomic addresses (realized lazily)."""
-
-    def head(self) -> int:
-        raise NotImplementedError
-
-    def tail(self) -> "AddressStream":
-        raise NotImplementedError
-
-    def even(self) -> "AddressStream":
-        raise NotImplementedError
-
-    def odd(self) -> "AddressStream":
-        raise NotImplementedError
-
-    def at(self, n: int) -> int:
-        s: AddressStream = self
-        for _ in range(n):
-            s = s.tail()
-        return s.head()
-
-
 @dataclass(frozen=True)
-class _Affine(AddressStream):
+class AddressStream:
+    """Injective stream of atomic addresses: offset, offset + step, ...
+    Its even and odd halves are disjoint streams of the same shape."""
+
     offset: int
     step: int
 
@@ -68,40 +50,20 @@ class _Affine(AddressStream):
         return self.offset
 
     def tail(self) -> AddressStream:
-        return _Affine(self.offset + self.step, self.step)
+        return AddressStream(self.offset + self.step, self.step)
 
     def even(self) -> AddressStream:
-        return _Affine(self.offset, 2 * self.step)
+        return AddressStream(self.offset, 2 * self.step)
 
     def odd(self) -> AddressStream:
-        return _Affine(self.offset + self.step, 2 * self.step)
+        return AddressStream(self.offset + self.step, 2 * self.step)
 
-
-@dataclass(frozen=True)
-class _ConsStream(AddressStream):
-    first: int
-    rest: AddressStream
-
-    def head(self) -> int:
-        return self.first
-
-    def tail(self) -> AddressStream:
-        return self.rest
-
-    def even(self) -> AddressStream:
-        # (a, t0, t1, ...) at even indices is (a, t1, t3, ...)
-        return _ConsStream(self.first, self.rest.odd())
-
-    def odd(self) -> AddressStream:
-        return self.rest.even()
+    def at(self, n: int) -> int:
+        return self.offset + n * self.step
 
 
 def address_stream(start: int = 0) -> AddressStream:
-    return _Affine(start, 1)
-
-
-def cons(atom: int, s: AddressStream) -> AddressStream:
-    return _ConsStream(atom, s)
+    return AddressStream(start, 1)
 
 
 # --- proof graphs -------------------------------------------------------------
@@ -161,12 +123,11 @@ def _mkseq(*occs: Occurrence) -> tuple[Occurrence, ...]:
     return out
 
 
-def initial_assignment(ctx: dict[ChannelName, ty.SessionType], stream: AddressStream | None = None
+def initial_assignment(ctx: dict[ChannelName, ty.SessionType]
                        ) -> tuple[dict[ChannelName, Address], AddressStream]:
     """Give every context channel its own atomic address, returning the rest
     of the stream."""
-    if stream is None:
-        stream = address_stream()
+    stream = address_stream()
     sigma: dict[ChannelName, Address] = {}
     for c in sorted(ctx, key=lambda c: (c.name, c.uid)):
         sigma[c] = Address(stream.head(), False)
@@ -533,8 +494,6 @@ def proof_bisimilar(g1: ProofGraph, g2: ProofGraph) -> bool:
     are re-rooted across back edges, so they are ignored) and premise order,
     following back edges transparently; regular presentations that differ
     only by loop unrolling compare equal."""
-    from collections import Counter
-
     def principal_formula(g: ProofGraph, n: ProofNode) -> MuFormula | None:
         return n.occurrence_at(n.principal).formula if n.principal is not None else None
 
@@ -571,8 +530,6 @@ def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationR
     """Check one reduction against its proof image: encode the derivation of
     the exposed term, apply the redex kind's number of principal steps at the
     encoded cut, and compare with the encoding of the reduct's derivation."""
-    from .typecheck import check
-
     d1 = check(exposed, ctx, prog)
     enc1 = encode_derivation(d1)
     dnid = None

@@ -5,11 +5,14 @@ Redexes live at a cut whose two sides expose dual actions on the cut
 channel.  Exposure rewrites lazily: invocations are unfolded only while they
 block discovery, guards are pulled out through enclosing cuts (and, in the
 full semantics, through pool heads), mirroring the pre-congruence moves that
-justify each step.  An invocation is unfolded exactly when its unguarded
+justify each step.  Both semantics use one unfolding rule,
+`process.unfold_head`: an invocation is unfolded exactly when its unguarded
 unfolding terminates (`call_depth` is not None); one whose unguarded
-unfolding diverges is stuck in both semantics, and so is an invocation of a
-name the program does not define.  The deterministic fragment drops every
-pool rule, so clients connect strictly in queue order.  In the full
+unfolding diverges is stuck, and so is an invocation of a name the program
+does not define, while the rest of the state may still step.  The
+deterministic fragment drops every pool rule, so clients connect strictly in
+queue order; its scheduler takes the first deterministic step, from the same
+lazily unfolded states that exploration reaches.  In the full
 semantics, connecting either of two clients with equal canonical keys gives
 one canonical state (symmetry reduction), so exploration canonicalizes one
 reduct per such class.
@@ -20,14 +23,15 @@ from __future__ import annotations
 import hashlib
 import random as _random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from . import types as ty
 from .canon import canonical_form, cell_key
 from .process import (
-    Call, Case, ChannelName, Close, Cons, Cut, DivergentUnfolding, Fail,
-    Fork, Join, Nil, Process, Program, Select, Server, Wait,
-    call_depth, free_names, fresh, instantiate, rename, subject, unfold,
+    Case, ChannelName, Close, Cons, Cut, Fail, Fork, Join, Nil, Process,
+    Program, Select, Server, Wait, free_names, fresh, rename, subject,
+    unfold_head,
 )
 from .printer import pretty_process
 
@@ -49,18 +53,10 @@ class RedexInfo:
         return f"{self.kind}@{self.channel}[{loc}]"
 
 
-def _unfold_head(p: Process, defs: Program) -> Process:
-    # call_depth is 0 for an undefined name and None for a diverging
-    # unfolding: both invocations stay, stuck
-    while isinstance(p, Call) and call_depth(p, defs):
-        p = instantiate(defs.defs[p.name], p.args)
-    return p
-
-
 def _find_guard(p: Process, x: ChannelName, defs: Program, pool_ok: bool
                 ) -> tuple[Process, Callable[[Process], Process]] | None:
     """Locate the unguarded x-guard in p, with a rebuild closure for its context."""
-    p = _unfold_head(p, defs)
+    p = unfold_head(p, defs)
     s = subject(p)
     if s == x:
         return p, lambda h: h
@@ -89,7 +85,7 @@ def _pool_cells(g: Process, x: ChannelName, defs: Program
     cells: list[tuple[ChannelName, Process]] = []
     node = g
     while True:
-        node = _unfold_head(node, defs)
+        node = unfold_head(node, defs)
         if isinstance(node, Cons) and node.chan == x:
             cells.append((node.session, node.client))
             node = node.pool
@@ -219,12 +215,15 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
 def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
           ctx: Callable[[Process], Process], out: list[Step]) -> None:
     """Append to out every step below p, whose enclosing context is ctx."""
-    p = _unfold_head(p, defs)
+    p = unfold_head(p, defs)
     if isinstance(p, Cut):
-        _sync_redexes(p, defs, pool_ok, path, ctx, out)
-        _walk(p.left, defs, pool_ok, path + ("L",),
+        # each side is unfolded once, for the steps at p and below it; the
+        # context of a step below one side keeps the other side as it was
+        sides = Cut(p.chan, p.anno, unfold_head(p.left, defs), unfold_head(p.right, defs))
+        _sync_redexes(sides, defs, pool_ok, path, ctx, out)
+        _walk(sides.left, defs, pool_ok, path + ("L",),
               lambda q: ctx(Cut(p.chan, p.anno, q, p.right)), out)
-        _walk(p.right, defs, pool_ok, path + ("R",),
+        _walk(sides.right, defs, pool_ok, path + ("R",),
               lambda q: ctx(Cut(p.chan, p.anno, p.left, q)), out)
     elif pool_ok and isinstance(p, Cons):
         _walk(p.pool, defs, pool_ok, path + ("T",),
@@ -256,28 +255,20 @@ def step_det(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
 
 
 def find_redex(p: Process, defs: Program) -> tuple[RedexInfo, Process]:
-    """The deterministic scheduler's next step, following the deadlock-freedom
-    construction: unfold, then locate a channel whose two guards synchronize.
+    """The deterministic scheduler's next step: the first step of
+    `enabled_steps(p, defs, deterministic=True)`.
 
     Raises NoRedexError when p is in normal form.
     """
-    try:
-        q = unfold(p, defs)
-    except DivergentUnfolding as e:
-        # an unguarded invocation cycle never exposes a guard, so it is stuck
-        raise NoRedexError(str(e)) from e
-    steps = enabled_steps(q, defs, deterministic=True)
+    steps = enabled_steps(p, defs, deterministic=True)
     if not steps:
-        raise NoRedexError(f"no deterministic redex in: {pretty_process(q)}")
+        raise NoRedexError(f"no deterministic redex in: {pretty_process(p)}")
     return steps[0].info, steps[0].reduct
 
 
 def is_close_normal(p: Process, defs: Program) -> bool:
     """True when p unfolds to a bare close (the terminal shape at a 1-typed context)."""
-    try:
-        return isinstance(unfold(p, defs), Close)
-    except DivergentUnfolding:
-        return False
+    return isinstance(unfold_head(p, defs), Close)
 
 
 def _digest(canonical: Process) -> str:
@@ -313,33 +304,21 @@ def run(p: Process, ctx: dict, defs: Program, scheduler: str = "det",
         seed: int | None = None, max_steps: int = 1000) -> Trace:
     """Drive p to a normal form (or a step budget) under the chosen scheduler."""
     del ctx  # typing is the caller's concern; kept for symmetry with checking
-    if scheduler == "det":
-        seed = None  # the deterministic schedule draws nothing
-
-        def next_step(q: Process) -> tuple[RedexInfo, Process] | None:
-            try:
-                return find_redex(q, defs)
-            except NoRedexError:
-                return None
-    elif scheduler == "random":
-        rng = _random.Random(seed)
-
-        def next_step(q: Process) -> tuple[RedexInfo, Process] | None:
-            steps = enabled_steps(q, defs)
-            if not steps:
-                return None
-            st = rng.choice(steps)
-            return st.info, st.reduct
-    else:
+    if scheduler not in ("det", "random"):
         raise ValueError(f"unknown scheduler {scheduler!r}")
+    det = scheduler == "det"
+    if det:
+        seed = None  # the deterministic schedule takes the first step and draws nothing
+    pick = itemgetter(0) if det else _random.Random(seed).choice
     steps: list[TraceStep] = []
     states: list[Process] = [canonical_form(p)]
     cur = p
-    while (nxt := next_step(cur)) is not None and len(steps) < max_steps:
-        info, cur = nxt
+    while (enabled := enabled_steps(cur, defs, deterministic=det)) and len(steps) < max_steps:
+        st = pick(enabled)
+        cur = st.reduct
         states.append(canonical_form(cur))
-        steps.append(TraceStep(len(steps), info, _digest(states[-1])))
-    terminated = nxt is None
+        steps.append(TraceStep(len(steps), st.info, _digest(states[-1])))
+    terminated = not enabled
     return Trace(steps, cur, terminated, not terminated, scheduler, seed, states=states)
 
 

@@ -26,6 +26,7 @@ from .cycles import closure_check
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
     Nil, Process, Program, Select, Server, SourceSpan, Wait, free_names,
+    instantiate,
 )
 
 TypeContext = dict[ChannelName, ty.SessionType]
@@ -185,7 +186,6 @@ class _Checker:
                     corr = tuple(zip(args, anc_args))
                     back = DerivEdge(anc_id, True, corr)
                     return self.emit(nid, p, ctx, "call", [(back, {})])
-                from .process import instantiate
                 body = instantiate(defn, args)
                 child = self.check(body, dict(ctx), {**path, name: (nid, args)})
                 return self.emit(nid, p, ctx, "call", [(child, _identity_down(ctx))])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -186,6 +189,23 @@ def test_explore_omega(capsys):
     assert code == 0
     assert "normal forms: 0" in out
     assert "not-fairly-terminating" in out
+
+
+def test_explore_keeps_a_free_channel_named_like_a_binder(tmp_path):
+    # in a fresh interpreter the parameter c gets the first channel id, the
+    # id the canonical form's second binder used to get
+    path = tmp_path / "free_c.csll"
+    path.write_text("main(c: 1) = new a : 1 { close a | new b : 1 { close b | wait b; wait a; close c } }\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from csll.cli import main; sys.exit(main(sys.argv[1:]))",
+         "explore", "--format", "json", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    terms = [s["term"] for s in json.loads(proc.stdout)["states"]]
+    assert terms == ["new c2 : 1 { close c2 | new c3 : 1 { close c3 | wait c3; wait c2; close c } }",
+                     "new c2 : 1 { close c2 | wait c2; close c }", "close c"]
 
 
 def test_explore_dot_output(capsys):

@@ -75,6 +75,20 @@ def test_type_precedence_and_associativity():
         parse_type("1 * 1 par 1")
 
 
+@pytest.mark.parametrize("text, message, column, length", [
+    ("1 + bot & 1", "mixing '+' and '&' needs parentheses", 9, 1),
+    ("1 & bot & 1 + bot", "mixing '+' and '&' needs parentheses", 13, 1),
+    ("1 * bot par 1", "mixing '*' and 'par' needs parentheses", 9, 3),
+    ("(1 + bot) par 1 * 1", "mixing '*' and 'par' needs parentheses", 17, 1),
+])
+def test_mixing_operators_needs_parentheses(text, message, column, length):
+    with pytest.raises(ParseError) as exc:
+        parse_type(text)
+    assert exc.value.message == message
+    span = exc.value.span
+    assert (span.file, span.line, span.column, span.length) == ("<type>", 1, column, length)
+
+
 def test_parse_errors_carry_spans():
     with pytest.raises(ParseError) as exc:
         parse_program("def A(x: 1) = close")

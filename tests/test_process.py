@@ -1,10 +1,9 @@
-import pytest
 from hypothesis import given
 
 from csll import types as ty
 from csll.canon import canonical_form
 from csll.process import (
-    Call, Close, Cons, Cut, Definition, DivergentUnfolding, Fork, Nil,
+    Call, ChannelName, Close, Cons, Cut, Definition, Fork, Nil,
     Program, Server, Wait, alpha_equal, call_depth, channels, free_names,
     fresh, rename, threads, unfold,
 )
@@ -63,8 +62,8 @@ def test_call_depth_omega_is_two():
 def test_call_depth_divergence_flag():
     prog = Program({"B": Definition("B", (), Call("B", ()))})
     assert call_depth(Call("B", ()), prog) is None
-    with pytest.raises(DivergentUnfolding):
-        unfold(Call("B", ()), prog)
+    # a diverging unfolding is not taken: the invocation stays, stuck
+    assert unfold(Call("B", ()), prog) == Call("B", ())
 
 
 def lock_program():
@@ -141,6 +140,14 @@ def test_canonical_orders_cut_sides_by_pool_clients():
     p = Cut(x, ty.ONE, left, right)
     q = Cut(x, ty.BOT, right, left)
     assert canonical_form(p) == canonical_form(q)
+
+
+def test_canonical_binders_capture_no_free_channel():
+    # a free channel named like the canonical binders, with the first id that
+    # `fresh` hands out, stays free
+    c, a, b = ChannelName("c", 1), fresh("a"), fresh("b")
+    p = Cut(a, ty.ONE, Close(a), Cut(b, ty.ONE, Close(b), Wait(b, Wait(a, Close(c)))))
+    assert free_names(canonical_form(p)) == {c}
 
 
 @given(processes())

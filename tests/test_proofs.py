@@ -7,7 +7,7 @@ from csll import types as ty
 from csll.formulas import Address
 from csll.process import Call, Close, Cut, Nil, Program, Wait, fresh
 from csll.proofs import (
-    NotPrincipalError, PRINCIPAL_STEPS, address_stream, cons,
+    NotPrincipalError, PRINCIPAL_STEPS, address_stream,
     encode_derivation, nu_thread_witness, principal_reduce,
     principal_reduce_at, proof_bisimilar, proof_to_dot, proof_to_json_dict,
     proof_validity, simulate_step,
@@ -26,6 +26,7 @@ EMPTY = Program({})
 def test_stream_head_tail():
     s = address_stream()
     assert [s.at(i) for i in range(5)] == [0, 1, 2, 3, 4]
+    assert s.tail().tail().head() == s.at(2)
 
 
 def test_stream_even_odd_disjoint():
@@ -33,14 +34,6 @@ def test_stream_even_odd_disjoint():
     evens = {s.even().at(i) for i in range(20)}
     odds = {s.odd().at(i) for i in range(20)}
     assert not evens & odds
-
-
-def test_cons_stream_laws():
-    s = cons(99, address_stream())
-    assert s.at(0) == 99 and s.at(1) == 0 and s.at(2) == 1
-    # even of (a, t) is (a, odd t); odd of (a, t) is even t
-    assert [s.even().at(i) for i in range(3)] == [99, 1, 3]
-    assert [s.odd().at(i) for i in range(3)] == [0, 2, 4]
 
 
 def test_stream_injectivity_through_splits():

@@ -268,6 +268,35 @@ def test_undefined_name_is_opaque_in_both_semantics():
         assert tr.terminated and tr.steps == []
 
 
+# the det step at b leaves A(a) folded, as exploration does
+LAZY_SIDE = ("def A(a: 1) = close a\n"
+             "main(z: 1) = new a : 1 { A(a) | new b : 1 { close b | wait b; wait a; close z } }\n")
+
+
+def test_det_run_states_are_graph_states():
+    progs = [(name, load_corpus(name)) for name in CORPUS_FILES]
+    progs += [(f"gen_{seed}", gen_program(seed)) for seed in range(200)]
+    progs.append(("lazy_side", parse_program(LAZY_SIDE)))
+    for name, prog in progs:
+        g = explore(prog.main.body, prog, max_states=500)
+        assert not g.partial, name
+        tr = run(prog.main.body, {}, prog, scheduler="det", max_steps=100)
+        assert all(state in g.index for state in tr.states), name
+    assert [s.line() for s in tr.steps] == ["0, r-close, b, c8528cd2ff44", "1, r-close, a, d317002044d6"]
+
+
+def test_det_run_steps_past_a_divergent_invocation():
+    # B(y) is stuck, but the cut on w next to it still reduces
+    prog = parse_program("def B(y: 1) = B(y)\n"
+                         "main(z: 1) = new y : 1 { B(y) | new w : 1 { close w | wait w; wait y; close z } }\n")
+    p = prog.main.body
+    assert [str(info) for info, _ in step_det(p, prog)] == ["r-close@w[R]"]
+    assert str(find_redex(p, prog)[0]) == "r-close@w[R]"
+    for scheduler in ("det", "random"):
+        tr = run(p, {}, prog, scheduler=scheduler, seed=0)
+        assert [str(s.info) for s in tr.steps] == ["r-close@w[R]"] and tr.terminated
+
+
 @settings(max_examples=80)
 @given(processes())
 def test_step_all_total_on_arbitrary_terms(p):
