@@ -16,6 +16,7 @@ pre-congruence; exploration over-approximates accordingly.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Fail, Fork, Join, Nil,
@@ -95,5 +96,20 @@ def cell_key(client: Process, session: ChannelName) -> tuple:
 
 
 def canonical_form(p: Process) -> Process:
+    return canonical_hashed(p)[0]
+
+
+def canonical_hashed(p: Process) -> tuple[Process, int]:
+    """The canonical form of p and the hash of its structural key, which
+    canonical forms share with every term they are the form of, so equal
+    forms have equal hashes.  The key is a tuple, hashed in C."""
+    sorted_p, key = _sort(p, {}, 0)
     ids = itertools.count(1)
-    return rename(_sort(p, {}, 0)[0], {}, refresh=lambda _: ChannelName("c", -next(ids)))
+    return rename(sorted_p, {}, refresh=lambda _: _binder(next(ids))), hash(key)
+
+
+@cache
+def _binder(k: int) -> ChannelName:
+    """The name of the k-th binder of a canonical form.  Names are immutable,
+    so all canonical forms share one object per position."""
+    return ChannelName("c", -k)

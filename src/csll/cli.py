@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 syntax/scope/type error; 2 validity failure (or
 refused proof export); 4 step budget exhausted; 5 internal error (the
-derivation and proof validity checkers disagree).
+derivation and proof validity checkers disagree); 6 the input nests too
+deeply to process.
 """
 
 from __future__ import annotations
@@ -237,6 +238,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print(f"error: the input nests too deeply to process (Python recursion limit "
+              f"{sys.getrecursionlimit()})", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 from .types import SessionType
@@ -206,54 +207,86 @@ def rename(p: Process, mapping: dict[ChannelName, ChannelName], *,
     ids distinct when a definition body is inlined more than once.  A
     function passed as refresh names every binder instead, in traversal order
     (binder before its scope, left before right).
+
+    One scope map serves the whole traversal: a binder's entry is set on
+    entering its scope and the entry it shadowed is restored on leaving it.
     """
-    namer = refresh if callable(refresh) else lambda b: fresh(b.name)
+    namer = refresh if callable(refresh) else _fresh_like if refresh else None
+    return _RENAME[type(p)](p, dict(mapping), namer)
 
-    def ren(c: ChannelName, m: dict[ChannelName, ChannelName]) -> ChannelName:
-        return m.get(c, c)
 
-    def under(binder: ChannelName, m: dict[ChannelName, ChannelName]) -> tuple[ChannelName, dict[ChannelName, ChannelName]]:
-        m = dict(m)
-        m.pop(binder, None)
-        if refresh or binder in m.values():
-            nb = m[binder] = namer(binder)
-            return nb, m
-        return binder, m
+def _fresh_like(b: ChannelName) -> ChannelName:
+    return fresh(b.name)
 
-    def go(p: Process, m: dict[ChannelName, ChannelName]) -> Process:
-        match p:
-            case Call(name, args):
-                return Call(name, tuple(ren(a, m) for a in args), span=p.span)
-            case Fail(x):
-                return Fail(ren(x, m), span=p.span)
-            case Close(x):
-                return Close(ren(x, m), span=p.span)
-            case Nil(x):
-                return Nil(ren(x, m), span=p.span)
-            case Wait(x, body):
-                return Wait(ren(x, m), go(body, m), span=p.span)
-            case Fork(x, y, pb, cont):
-                ny, my = under(y, m)
-                return Fork(ren(x, m), ny, go(pb, my), go(cont, m), span=p.span)
-            case Join(x, y, body):
-                ny, my = under(y, m)
-                return Join(ren(x, m), ny, go(body, my), span=p.span)
-            case Select(x, tag, body):
-                return Select(ren(x, m), tag, go(body, m), span=p.span)
-            case Case(x, l, r):
-                return Case(ren(x, m), go(l, m), go(r, m), span=p.span)
-            case Server(x, y, acc, idle):
-                ny, my = under(y, m)
-                return Server(ren(x, m), ny, go(acc, my), go(idle, m), span=p.span)
-            case Cons(x, y, client, pool):
-                ny, my = under(y, m)
-                return Cons(ren(x, m), ny, go(client, my), go(pool, m), span=p.span)
-            case Cut(x, anno, l, r):
-                nx, mx = under(x, m)
-                return Cut(nx, anno, go(l, mx), go(r, mx), span=p.span)
-        raise TypeError(f"not a process: {p!r}")
 
-    return go(p, dict(mapping))
+_Namer = Optional[Callable[[ChannelName], ChannelName]]
+
+
+def _under(b: ChannelName, m: dict[ChannelName, ChannelName], namer: _Namer, p: Process,
+           q: Process | None = None) -> tuple[ChannelName, Process, Process | None]:
+    """Binder b's new name, and p (and q) renamed in b's scope; the entry of m
+    that b shadows is restored on leaving it."""
+    old = m.pop(b, None)
+    if namer is not None:
+        nb = m[b] = namer(b)
+    elif b in m.values():  # b would capture the image of a free channel
+        nb = m[b] = fresh(b.name)
+    else:
+        nb = b
+    p = _RENAME[type(p)](p, m, namer)
+    if q is not None:
+        q = _RENAME[type(q)](q, m, namer)
+    if old is None:
+        m.pop(b, None)
+    else:
+        m[b] = old
+    return nb, p, q
+
+
+def _r_call(p: Call, m: dict, namer: _Namer) -> Process:
+    return Call(p.name, tuple([m.get(a, a) for a in p.args]), span=p.span)
+
+
+def _r_leaf(p: Fail | Close | Nil, m: dict, namer: _Namer) -> Process:
+    return type(p)(m.get(p.chan, p.chan), span=p.span)
+
+
+def _r_wait(p: Wait, m: dict, namer: _Namer) -> Process:
+    return Wait(m.get(p.chan, p.chan), _RENAME[type(p.body)](p.body, m, namer), span=p.span)
+
+
+def _r_select(p: Select, m: dict, namer: _Namer) -> Process:
+    return Select(m.get(p.chan, p.chan), p.tag, _RENAME[type(p.body)](p.body, m, namer), span=p.span)
+
+
+def _r_case(p: Case, m: dict, namer: _Namer) -> Process:
+    left = _RENAME[type(p.left)](p.left, m, namer)
+    return Case(m.get(p.chan, p.chan), left, _RENAME[type(p.right)](p.right, m, namer), span=p.span)
+
+
+def _r_join(p: Join, m: dict, namer: _Namer) -> Process:
+    y, body, _ = _under(p.payload, m, namer, p.body)
+    return Join(m.get(p.chan, p.chan), y, body, span=p.span)
+
+
+def _r_scoped(p: Fork | Server | Cons, m: dict, namer: _Namer) -> Process:
+    """A subject, a binder scoped over the next subterm only, and the rest."""
+    x, y, body, rest = _FIELDS[type(p)](p)
+    y, body, _ = _under(y, m, namer, body)
+    return type(p)(m.get(x, x), y, body, _RENAME[type(rest)](rest, m, namer), span=p.span)
+
+
+def _r_cut(p: Cut, m: dict, namer: _Namer) -> Process:
+    x, left, right = _under(p.chan, m, namer, p.left, p.right)
+    return Cut(x, p.anno, left, right, span=p.span)
+
+
+_FIELDS = {t: attrgetter(*t.__match_args__) for t in (Fork, Server, Cons)}
+_RENAME: dict[type, Callable[[Process, dict, _Namer], Process]] = {
+    Call: _r_call, Fail: _r_leaf, Close: _r_leaf, Nil: _r_leaf, Wait: _r_wait,
+    Select: _r_select, Case: _r_case, Join: _r_join, Fork: _r_scoped,
+    Server: _r_scoped, Cons: _r_scoped, Cut: _r_cut,
+}
 
 
 def instantiate(defn: Definition, args: tuple[ChannelName, ...]) -> Process:

@@ -334,6 +334,9 @@ def encode_derivation(d: Derivation) -> EncodedProof:
 
     root_edge = make_edge(d.root, sigma0, rho0, {})
     g.root = root_edge.target
+    # make_edge and emit call each other, so their closures form a cycle that
+    # holds g; clearing them lets reference counting free g after its last use
+    del make_edge, emit
     return EncodedProof(g, mapping)
 
 

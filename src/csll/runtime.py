@@ -15,7 +15,11 @@ queue order; its scheduler takes the first deterministic step, from the same
 lazily unfolded states that exploration reaches.  In the full
 semantics, connecting either of two clients with equal canonical keys gives
 one canonical state (symmetry reduction), so exploration canonicalizes one
-reduct per such class.
+reduct per such class.  A step record builds its rearrangement and its
+reduct only on first access, so exploration builds one reduct per class and
+a random run only the drawn step's.  The reduction graph buckets its states
+by the C-level hash of their canonical keys and confirms a hit by
+canonical-term equality.
 """
 
 from __future__ import annotations
@@ -23,15 +27,16 @@ from __future__ import annotations
 import hashlib
 import random as _random
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterator
 
 from . import types as ty
-from .canon import canonical_form, cell_key
+from .canon import canonical_form, canonical_hashed, cell_key
 from .process import (
-    Case, ChannelName, Close, Cons, Cut, Fail, Fork, Join, Nil, Process,
-    Program, Select, Server, Wait, free_names, fresh, rename, subject,
-    unfold_head,
+    Call, Case, ChannelName, Close, Cons, Cut, Fail, Fork, Join, Nil, Process,
+    Program, Select, Server, Wait, call_depth, free_names, fresh, rename,
+    subject, unfold_head,
 )
 from .printer import pretty_process
 
@@ -40,7 +45,7 @@ class NoRedexError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RedexInfo:
     kind: str                 # r-close | r-comm | r-case | r-done | r-connect
     channel: str              # display name of the synchronizing channel
@@ -108,18 +113,30 @@ def _descr(p: Process) -> str:
     return names.get(type(p), type(p).__name__.lower())
 
 
-@dataclass(frozen=True)
 class Step:
     """One enabled reduction: the redex, the pre-congruence rearrangement that
     exposes it (with the synchronizing cut as a shared subterm), and the
-    reduct.  Steps that connect interchangeable clients of one pool share
+    reduct.  `cut`, `exposed` and `reduct` are built on first access and
+    kept.  Steps that connect interchangeable clients of one pool share
     their `orbit` token, and their reducts have one canonical form."""
 
-    info: RedexInfo
-    exposed: Process
-    cut: Cut        # the exposed cut node, embedded in `exposed`
-    reduct: Process
-    orbit: object
+    def __init__(self, info: RedexInfo, orbit: object, around: Callable[[Process], Process],
+                 cut: Callable[[], Cut], core: Callable[[], Process]):
+        self.info, self.orbit = info, orbit
+        self._around, self._cut, self._core = around, cut, core
+
+    @cached_property
+    def cut(self) -> Cut:
+        """The exposed cut node, embedded in `exposed`."""
+        return self._cut()
+
+    @cached_property
+    def exposed(self) -> Process:
+        return self._around(self.cut)
+
+    @cached_property
+    def reduct(self) -> Process:
+        return self._around(self._core())
 
 
 def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
@@ -139,23 +156,22 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
     def info(kind: str, a: Process, b: Process, client_index: int = 0) -> RedexInfo:
         return RedexInfo(kind, x.name, path, (_descr(a), _descr(b)), client_index)
 
-    def add(i: RedexInfo, core: Process, exp1: Process = None, exp2: Process = None,
-            orbit: object = None) -> None:
-        exposed_cut = Cut(x, left_type, exp1 if exp1 is not None else g1,
-                          exp2 if exp2 is not None else g2)
-        out.append(Step(i, around(exposed_cut), exposed_cut, around(core),
-                        orbit if orbit is not None else object()))
+    def add(i: RedexInfo, core: Callable[[], Process],
+            cut: Callable[[], Cut] = lambda: Cut(x, left_type, g1, g2), orbit: object = None) -> None:
+        out.append(Step(i, orbit if orbit is not None else object(), around, cut, core))
 
     def close_wait(gc: Close, gw: Wait) -> None:
-        add(info("r-close", gc, gw), gw.body)
+        add(info("r-close", gc, gw), lambda: gw.body)
 
     def comm(gf: Fork, gj: Join, fork_type: ty.SessionType) -> None:
         if not isinstance(fork_type, ty.Tensor):
             return
-        c = fresh(gf.payload.name)
-        payload = rename(gf.payload_body, {gf.payload: c})
-        jbody = rename(gj.body, {gj.payload: c})
-        core = Cut(c, fork_type.left, payload, Cut(x, fork_type.right, gf.cont, jbody))
+
+        def core() -> Process:
+            c = fresh(gf.payload.name)
+            payload = rename(gf.payload_body, {gf.payload: c})
+            jbody = rename(gj.body, {gj.payload: c})
+            return Cut(c, fork_type.left, payload, Cut(x, fork_type.right, gf.cont, jbody))
         add(info("r-comm", gf, gj), core)
 
     def case_sel(gs: Select, gc: Case, sel_type: ty.SessionType) -> None:
@@ -163,41 +179,38 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
             return
         branch = gc.left if gs.tag == 1 else gc.right
         chosen = sel_type.left if gs.tag == 1 else sel_type.right
-        add(info("r-case", gs, gc), Cut(x, chosen, gs.body, branch))
+        add(info("r-case", gs, gc), lambda: Cut(x, chosen, gs.body, branch))
 
     def pool_server(gp: Process, gs: Server, client_type: ty.SessionType, pool_is_left: bool) -> None:
         if not isinstance(client_type, ty.Client):
             return
         cells, end = _pool_cells(gp, x, defs)
-        if not cells:
-            if isinstance(end, Nil) and end.chan == x:
-                i = info("r-done", end, gs)
-                if pool_is_left:
-                    add(i, gs.idle, exp1=end, exp2=g2)
-                else:
-                    add(i, gs.idle, exp1=g1, exp2=end)
-            return
-        tails = [end]  # tails[k] is the pool from cell k on, shared by the rests below
-        for y, body in reversed(cells):
-            tails.append(Cons(x, y, body, tails[-1]))
-        tails.reverse()
-        # symmetry reduction: clients with equal keys share one orbit
-        orbits: dict[tuple, object] = {}
-        for i in range(len(cells)) if pool_ok else range(1):
+
+        def rest(i: int) -> Process:
+            return _rebuild_pool(x, cells[:i] + cells[i + 1:], end)
+
+        def exposed(i: int) -> Cut:
+            """The exposed cut, with cell i at the pool's head if there are cells."""
+            pool = Cons(x, *cells[i], rest(i)) if cells else end
+            return Cut(x, left_type, pool, g2) if pool_is_left else Cut(x, left_type, g1, pool)
+
+        def connect(i: int) -> Process:
             y, body = cells[i]
             c = fresh(y.name)
             client = rename(body, {y: c})
             accept = rename(gs.accept, {gs.session: c})
-            rest = _rebuild_pool(x, cells[:i], tails[i + 1])
-            exposed_pool = Cons(x, y, body, rest)
-            core = Cut(c, client_type.inner, client,
-                       Cut(x, client_type, rest, accept))
-            ri = info("r-connect", gp, gs, client_index=i)
-            orbit = orbits.setdefault(cell_key(body, y), object())
-            if pool_is_left:
-                add(ri, core, exp1=exposed_pool, exp2=g2, orbit=orbit)
-            else:
-                add(ri, core, exp1=g1, exp2=exposed_pool, orbit=orbit)
+            return Cut(c, client_type.inner, client, Cut(x, client_type, rest(i), accept))
+
+        if not cells:
+            if isinstance(end, Nil) and end.chan == x:
+                add(info("r-done", end, gs), lambda: gs.idle, partial(exposed, 0))
+            return
+        # symmetry reduction: clients with equal keys share one orbit
+        orbits: dict[tuple, object] = {}
+        for i in range(len(cells)) if pool_ok else range(1):
+            y, body = cells[i]
+            add(info("r-connect", gp, gs, client_index=i), partial(connect, i), partial(exposed, i),
+                orbits.setdefault(cell_key(body, y), object()))
 
     pairs = ((g1, g2, left_type, True), (g2, g1, ty.dual(left_type), False))
     for a, b, a_type, a_is_left in pairs:
@@ -324,24 +337,43 @@ def run(p: Process, ctx: dict, defs: Program, scheduler: str = "det",
 
 @dataclass
 class ReductionGraph:
-    states: list[Process] = field(default_factory=list)
-    index: dict[Process, int] = field(default_factory=dict)
+    states: list[Process] = field(default_factory=list)  # canonical forms
+    # the last state added whose canonical key has a given hash, and for each
+    # state the one added before it with the same hash
+    buckets: dict[int, int] = field(default_factory=dict)
+    collisions: dict[int, int] = field(default_factory=dict)
     edges: dict[int, list[tuple[RedexInfo, int]]] = field(default_factory=dict)
     expanded: set[int] = field(default_factory=set)
+    diverging: set[int] = field(default_factory=set)  # stuck on an invocation that diverges
     partial: bool = False
     root: int = 0
 
+    def find(self, p: Process) -> int | None:
+        """The id of the state that is p's canonical form, if the graph has one."""
+        return self._find(*canonical_hashed(p))
+
+    def _find(self, q: Process, h: int) -> int | None:
+        sid = self.buckets.get(h)
+        while sid is not None and self.states[sid] != q:
+            sid = self.collisions.get(sid)
+        return sid
+
     def add_state(self, p: Process) -> int:
-        sid = self.index.get(p)
+        """The id of the state that is p's canonical form, added if the graph has none."""
+        q, h = canonical_hashed(p)
+        sid = self._find(q, h)
         if sid is None:
             sid = len(self.states)
-            self.states.append(p)
-            self.index[p] = sid
+            self.states.append(q)
+            if h in self.buckets:
+                self.collisions[sid] = self.buckets[h]
+            self.buckets[h] = sid
             self.edges[sid] = []
         return sid
 
     def normal_forms(self) -> set[int]:
-        return {sid for sid in self.expanded if not self.edges[sid]}
+        """The expanded states without a step, except those in `diverging`."""
+        return {sid for sid in self.expanded if not self.edges[sid]} - self.diverging
 
     def successors(self, sid: int) -> Iterator[int]:
         for _, t in self.edges[sid]:
@@ -374,11 +406,11 @@ class ReductionGraph:
 
 def explore(p: Process, defs: Program, max_states: int = 100_000,
             max_depth: int = 10_000) -> ReductionGraph:
-    """Breadth-first closure of step_all with canonical-form deduplication."""
+    """Breadth-first closure of step_all with canonical-form deduplication.
+    A state stuck only on a diverging invocation is `diverging`, not normal."""
     g = ReductionGraph()
-    root = g.add_state(canonical_form(p))
-    g.root = root
-    frontier = [root]
+    g.root = g.add_state(p)
+    frontier = [g.root]
     depth = 0
     while frontier and depth < max_depth:
         nxt: list[int] = []
@@ -389,19 +421,29 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
                 g.partial = True
                 return g
             g.expanded.add(sid)
-            targets: dict[int, int] = {}  # the steps of one orbit share their canonical reduct
-            for info, q in step_all(g.states[sid], defs):
-                tid = targets.get(id(q))
+            targets: dict[object, int] = {}  # the steps of one orbit share their canonical reduct
+            for st in enabled_steps(g.states[sid], defs):
+                tid = targets.get(st.orbit)
                 if tid is None:
-                    tid = targets[id(q)] = g.add_state(q)
-                g.edges[sid].append((info, tid))
+                    tid = targets[st.orbit] = g.add_state(st.reduct)
+                g.edges[sid].append((st.info, tid))
                 if tid not in g.expanded:
                     nxt.append(tid)
+            if not g.edges[sid] and _holds_diverging_call(g.states[sid], defs):
+                g.diverging.add(sid)
         frontier = nxt
         depth += 1
     if frontier:
         g.partial = True
     return g
+
+
+def _holds_diverging_call(p: Process, defs: Program) -> bool:
+    """p holds, at a position reached through cuts, an invocation whose
+    unguarded unfolding diverges."""
+    if isinstance(p, Cut):
+        return _holds_diverging_call(p.left, defs) or _holds_diverging_call(p.right, defs)
+    return isinstance(p, Call) and call_depth(p, defs) is None
 
 
 def is_weakly_terminating(sid: int, g: ReductionGraph) -> str:
@@ -429,13 +471,14 @@ def weakly_terminating_state_count(trace: Trace, defs: Program,
     """Post-hoc fairness accounting for a recorded run: the number of its
     states that are weakly terminating.  A fair run contains only finitely
     many, so an infinite run approximated by a truncated trace whose count
-    stopped growing is fair-so-far."""
-    count = 0
-    for state in trace.states:
-        g = explore(state, defs, max_states=max_states, max_depth=max_depth)
-        if is_weakly_terminating(g.root, g) == "yes":
-            count += 1
-    return count
+    stopped growing is fair-so-far.
+
+    Every state is answered from one graph, explored from the trace's first
+    state, and the bounds apply to that graph: a state outside it, or whose
+    normal forms lie beyond it, is not counted."""
+    g = explore(trace.states[0], defs, max_states=max_states, max_depth=max_depth)
+    yes = _backward_closure(_predecessors(g), g.normal_forms())
+    return sum(g.find(state) in yes for state in trace.states)
 
 
 @dataclass
@@ -453,10 +496,7 @@ def check_fair_termination(p: Process, defs: Program, max_states: int = 100_000,
     'yes' for the states that reach a normal form, else 'unknown' for those
     that reach an unexpanded state, else 'no'."""
     g = explore(p, defs, max_states, max_depth)
-    preds: list[list[int]] = [[] for _ in g.states]
-    for src, outs in g.edges.items():
-        for _, tgt in outs:
-            preds[tgt].append(src)
+    preds = _predecessors(g)
     yes = _backward_closure(preds, g.normal_forms())
     maybe = _backward_closure(preds, set(range(len(g.states))) - g.expanded)
     for sid in range(len(g.states)):
@@ -465,6 +505,14 @@ def check_fair_termination(p: Process, defs: Program, max_states: int = 100_000,
     if g.partial or len(yes) < len(g.states):
         return FairTerminationReport("unknown", g)
     return FairTerminationReport("fairly-terminating", g)
+
+
+def _predecessors(g: ReductionGraph) -> list[list[int]]:
+    preds: list[list[int]] = [[] for _ in g.states]
+    for src, outs in g.edges.items():
+        for _, tgt in outs:
+            preds[tgt].append(src)
+    return preds
 
 
 def _backward_closure(preds: list[list[int]], seeds: set[int]) -> set[int]:

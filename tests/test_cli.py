@@ -9,7 +9,7 @@ import pytest
 
 from csll.cli import main
 
-from .conftest import CORPUS, CORPUS_FILES
+from .conftest import CORPUS, CORPUS_FILES, lock_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -146,6 +146,18 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "bad.csll:" in err and "expected" in err
+
+
+def test_deep_input_exits_6_without_traceback(tmp_path, capsys):
+    # 500 clients nest the checker past Python's recursion limit, and 1000
+    # nest the parser past it
+    for n, command in ((500, "check"), (1000, "explore")):
+        path = tmp_path / f"lock_{n}.csll"
+        path.write_text(lock_text(n))
+        assert main([command, str(path)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nests too deeply" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_type_error_exit_code(tmp_path, capsys):

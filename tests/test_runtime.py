@@ -6,8 +6,8 @@ from csll.canon import canonical_form
 from csll.gen import gen_program
 from csll.printer import pretty_process
 from csll.process import (
-    Call, Close, Cons, Cut, Nil, Program, Server, Wait, channels, fresh,
-    threads, unfold,
+    Call, Close, Cons, Cut, Nil, Process, Program, Server, Wait, channels,
+    fresh, threads, unfold,
 )
 from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
 from .strategies import processes
@@ -231,9 +231,28 @@ def test_unguarded_call_cycle_is_stuck_not_crashing(tmp_path, capsys):
         assert len(explore(p, prog).states) == 1
     path = tmp_path / "loop.csll"
     path.write_text(LOOP_THROUGH_CUT)
-    for argv in (["explore"], ["run", "--scheduler", "random"]):
-        assert main([*argv, str(path)]) == 0
-    assert "L(z)" in capsys.readouterr().out
+    assert main(["explore", str(path)]) == 0
+    assert "normal forms: 0" in capsys.readouterr().out  # L(z) diverges: no normal form
+    assert main(["run", "--scheduler", "random", str(path)]) == 0
+    assert "terminal: L(z)" in capsys.readouterr().out
+
+
+def test_divergent_invocation_is_not_a_normal_form(tmp_path, capsys):
+    # L(z) cannot step, but only because its unfolding never ends: explore
+    # must not count it as a normal form, as `check` rejects the program
+    from csll.cli import main
+    prog = parse_program(LOOP_THROUGH_CUT)
+    ft = check_fair_termination(prog.main.body, prog)
+    assert ft.graph.diverging == {0} and ft.graph.normal_forms() == set()
+    assert ft.verdict == "not-fairly-terminating" and ft.offending_state == 0
+    assert is_weakly_terminating(0, ft.graph) == "no"
+    path = tmp_path / "loop.csll"
+    path.write_text(LOOP_THROUGH_CUT)
+    assert main(["explore", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "normal forms: 0" in out and "normal[" not in out
+    assert "fair termination: not-fairly-terminating" in out
+    assert main(["check", str(path)]) == 2
 
 
 def test_long_unguarded_chain_unfolds_in_both_semantics():
@@ -281,7 +300,7 @@ def test_det_run_states_are_graph_states():
         g = explore(prog.main.body, prog, max_states=500)
         assert not g.partial, name
         tr = run(prog.main.body, {}, prog, scheduler="det", max_steps=100)
-        assert all(state in g.index for state in tr.states), name
+        assert all(g.find(state) is not None for state in tr.states), name
     assert [s.line() for s in tr.steps] == ["0, r-close, b, c8528cd2ff44", "1, r-close, a, d317002044d6"]
 
 
@@ -397,3 +416,68 @@ def test_fair_termination_equals_per_state_reference():
             seen.add((rep.verdict, rep.graph.partial))
     assert {("unknown", True), ("not-fairly-terminating", True),
             ("not-fairly-terminating", False), ("fairly-terminating", False)} <= seen
+
+
+def _count_renames(monkeypatch) -> list[int]:
+    """Route `process.rename`, wherever csll imported it, through a counter."""
+    import sys
+    from csll import process
+    real, calls = process.rename, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("csll") and getattr(mod, "rename", None) is real:
+            monkeypatch.setattr(mod, "rename", counting)
+    return calls
+
+
+def test_step_all_renames_once_per_orbit_not_per_client(monkeypatch):
+    # lock_n's clients form one orbit: one reduct is built, whatever n is
+    calls = _count_renames(monkeypatch)
+    counts = []
+    for n in (8, 64):
+        prog = parse_program(lock_text(n))
+        calls[0] = 0
+        assert len(step_all(prog.main.body, prog)) == n
+        counts.append(calls[0])
+    assert counts[0] == counts[1], counts
+
+
+def test_random_run_builds_only_the_drawn_step(monkeypatch):
+    calls = _count_renames(monkeypatch)
+    prog = parse_program(lock_text(32))
+    tr = run(prog.main.body, {}, prog, scheduler="random", seed=3)
+    assert tr.terminated and len(tr.steps) == 65
+    assert calls[0] <= 3 * (len(tr.steps) + 1), calls[0]
+
+
+def test_step_records_keep_what_they_build(lock, cas, comm):
+    # the exposed cut is a shared subterm of the exposed term, and every
+    # field is built once
+    def nodes(p):
+        yield p
+        for child in vars(p).values():
+            if isinstance(child, Process):
+                yield from nodes(child)
+    for prog in (lock, cas, comm):
+        g = explore(prog.main.body, prog)
+        for state in g.states:
+            for det in (False, True):
+                for st in enabled_steps(state, prog, deterministic=det):
+                    assert st.reduct is st.reduct and st.exposed is st.exposed
+                    assert any(node is st.cut for node in nodes(st.exposed))
+
+
+def test_state_lookup_is_exact_under_hash_collisions(monkeypatch, cas):
+    # states are bucketed by the hash of their canonical key; with every
+    # hash equal, term equality alone must still tell the states apart
+    from csll import runtime
+    progs = [cas, parse_program(lock_text(4)), parse_program(cas_text(["TF", "FT", "TF"]))]
+    expected = [explore(p.main.body, p).to_json_dict() for p in progs]
+    monkeypatch.setattr(runtime, "canonical_hashed", lambda p: (canonical_form(p), 0))
+    for prog, doc in zip(progs, expected):
+        g = explore(prog.main.body, prog)
+        assert g.to_json_dict() == doc and len(g.collisions) == len(g.states) - 1
+        assert all(g.find(state) == sid for sid, state in enumerate(g.states))
