@@ -153,13 +153,12 @@ def cmd_export_proof(args: argparse.Namespace) -> int:
         print(f"error: derivation of {args.definition} is {rep.validity.verdict}; "
               "use --force to export anyway", file=sys.stderr)
         return 2
-    enc = encode_derivation(rep.derivation)
-    pv = proof_validity(enc.graph)
+    g = encode_derivation(rep.derivation).graph
     if args.format == "dot":
-        out = proof_to_dot(enc.graph, highlight=nu_thread_witness(enc.graph))
+        out = proof_to_dot(g, highlight=nu_thread_witness(g))
     else:
-        doc = proof_to_json_dict(enc.graph)
-        doc["validity"] = _validity_json(pv)
+        doc = proof_to_json_dict(g)
+        doc["validity"] = _validity_json(proof_validity(g))
         out = json.dumps(doc, indent=2)
     if args.output:
         Path(args.output).write_text(out + "\n", encoding="utf-8")

@@ -23,38 +23,36 @@ def _type_level(t: ty.SessionType) -> int:
 
 
 def pretty_type(t: ty.SessionType) -> str:
-    def render(t: ty.SessionType) -> str:
-        match t:
-            case ty.One():
-                return "1"
-            case ty.Bot():
-                return "bot"
-            case ty.Zero():
-                return "0"
-            case ty.Top():
-                return "top"
-            case ty.Server(inner):
-                return "srv " + wrap(inner, _PREFIX, None)
-            case ty.Client(inner):
-                return "cli " + wrap(inner, _PREFIX, None)
-        op, level = _BIN[type(t)]
-        left = wrap(t.left, level + 1, None)
-        right = wrap(t.right, level, op)
-        return f"{left} {op} {right}"
+    match t:
+        case ty.One():
+            return "1"
+        case ty.Bot():
+            return "bot"
+        case ty.Zero():
+            return "0"
+        case ty.Top():
+            return "top"
+        case ty.Server(inner):
+            return "srv " + _wrap_type(inner, _PREFIX, None)
+        case ty.Client(inner):
+            return "cli " + _wrap_type(inner, _PREFIX, None)
+    op, level = _BIN[type(t)]
+    left = _wrap_type(t.left, level + 1, None)
+    right = _wrap_type(t.right, level, op)
+    return f"{left} {op} {right}"
 
-    def wrap(t: ty.SessionType, min_level: int, same_op: str | None) -> str:
-        level = _type_level(t)
-        if level > min_level:
-            return render(t)
-        if level == min_level:
-            # right operand of a right-associative chain: same operator only
-            if type(t) in _BIN and _BIN[type(t)][0] == same_op:
-                return render(t)
-            if type(t) not in _BIN:
-                return render(t)
-        return "(" + render(t) + ")"
 
-    return render(t)
+def _wrap_type(t: ty.SessionType, min_level: int, same_op: str | None) -> str:
+    level = _type_level(t)
+    if level > min_level:
+        return pretty_type(t)
+    if level == min_level:
+        # right operand of a right-associative chain: same operator only
+        if type(t) in _BIN and _BIN[type(t)][0] == same_op:
+            return pretty_type(t)
+        if type(t) not in _BIN:
+            return pretty_type(t)
+    return "(" + pretty_type(t) + ")"
 
 
 class _Namer:

@@ -1,13 +1,17 @@
 """Cyclic pre-proofs: encoding of typing derivations, thread validity, and
 top-level principal cut reduction.
 
-A typing derivation maps onto a proof graph rule by rule; invocation nodes
-are erased, so a derivation back edge becomes a proof back edge targeting
-the encoding of the ancestor's body, with an address re-rooting map.  Shared
-channels expand into three-rule gadgets (fixed point, additive, then axiom
-or multiplicative), matching their list interpretation.  Fresh atomic
-addresses come from an injective stream that is split between independent
-premises and shared between mutually exclusive ones.
+A typing derivation maps onto a proof graph rule by rule, in one pass of
+`_Encoder`.  Its `edge` erases invocation nodes, so a derivation back edge
+becomes a proof back edge targeting the encoding of the ancestor's body,
+with an address re-rooting map; an invocation chain closing on itself
+becomes a degenerate `loop` node.  Its `premise` gives a premise the
+parent's addresses, overridden by those the rule introduces, and a stream
+of fresh atomic addresses: an injective stream is split between independent
+premises and shared between mutually exclusive ones.  `emit` states each
+one-node rule once; `gadget` expands a shared channel into three rules
+(fixed point, additive, then axiom or multiplicative), matching its list
+interpretation.
 
 Thread validity: a thread follows occurrence successors (descent at the
 principal occurrence, carry elsewhere, the address map across back edges),
@@ -19,6 +23,11 @@ fixed-point bodies closed but for their own variable, so a thread that
 unfolds a greatest fixed point infinitely often has a greatest fixed point
 as its least recurring formula; a thread that merely carries one unchanged
 does not progress.
+
+Principal reduction (`principal_reduce_at`) states the key cases as one
+fold over (child steps, positive premises, negative premise), listed in
+`_KEY_CASES`: one/bot is the empty fold, tensor/par folds "lr", plus/with
+the chosen side and mu/nu "i".
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from . import formulas as mf
 from . import types as ty
 from .cycles import closure_check
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
-from .process import Case, ChannelName, Cons, Cut, Fork, Join, Nil, Select, Server
-from .typecheck import Derivation, ValidityReport, check
+from .process import ChannelName
+from .typecheck import Derivation, DerivNode, ValidityReport, _closure_report, check
 
 
 # --- streams of atomic addresses ---------------------------------------------
@@ -74,10 +83,6 @@ class ProofEdge:
     target: int
     back: bool = False
     corr: tuple[tuple[Address, Address], ...] = ()
-
-    @property
-    def corr_map(self) -> dict[Address, Address]:
-        return dict(self.corr)
 
 
 @dataclass(frozen=True)
@@ -127,12 +132,8 @@ def initial_assignment(ctx: dict[ChannelName, ty.SessionType]
                        ) -> tuple[dict[ChannelName, Address], AddressStream]:
     """Give every context channel its own atomic address, returning the rest
     of the stream."""
-    stream = address_stream()
-    sigma: dict[ChannelName, Address] = {}
-    for c in sorted(ctx, key=lambda c: (c.name, c.uid)):
-        sigma[c] = Address(stream.head(), False)
-        stream = stream.tail()
-    return sigma, stream
+    sigma = {c: Address(i, False) for i, c in enumerate(sorted(ctx, key=lambda c: (c.name, c.uid)))}
+    return sigma, address_stream(len(sigma))
 
 
 @dataclass
@@ -141,203 +142,147 @@ class EncodedProof:
     deriv_to_proof: dict[int, int]
 
 
-def encode_derivation(d: Derivation) -> EncodedProof:
-    """Encode a typing derivation into a cyclic pre-proof.
+def _occs(sigma: dict[ChannelName, Address], context: tuple[tuple[ChannelName, ty.SessionType], ...],
+          *skip: ChannelName) -> list[Occurrence]:
+    return [Occurrence(encode_type(t), sigma[c]) for c, t in context if c not in skip]
 
-    Accepts invalid derivations as well (their encodings are exactly what the
-    proof-level validity check is for)."""
-    sigma0, rho0 = initial_assignment(d.node(d.root).judgment.ctx)
 
-    g = ProofGraph()
-    mapping: dict[int, int] = {}
+class _Encoder:
+    """One encoding pass over a derivation.  `calls` records, for every call
+    node that a back edge targets, the proof node standing for it and its
+    address assignment: back edges target ancestors only, and each ancestor
+    is entered once, before the back edges below it."""
 
-    def ctx_occs(sigma: dict[ChannelName, Address], ctx: dict[ChannelName, ty.SessionType],
-                 *skip: ChannelName) -> list[Occurrence]:
-        return [Occurrence(encode_type(t), sigma[c]) for c, t in ctx.items() if c not in skip]
+    def __init__(self, d: Derivation):
+        self.d = d
+        self.g = ProofGraph()
+        self.mapping: dict[int, int] = {}
+        self.calls: dict[int, tuple[int, dict[ChannelName, Address]] | None] = dict.fromkeys(
+            e.target for n in d.nodes.values() for e in n.premises if e.back)
 
-    def child_sigma(sigma: dict[ChannelName, Address], child_ctx: dict[ChannelName, ty.SessionType],
-                    overrides: dict[ChannelName, Address]) -> dict[ChannelName, Address]:
-        out: dict[ChannelName, Address] = {}
-        for c in child_ctx:
-            addr = overrides.get(c, sigma.get(c))
-            if addr is None:
-                raise AssertionError(f"no address for channel {c!r} in premise")
-            out[c] = addr
-        return out
-
-    def make_edge(nid: int, sigma: dict[ChannelName, Address], rho: AddressStream,
-                  path: dict[int, tuple[int, dict[ChannelName, Address]]]) -> ProofEdge:
-        node = d.node(nid)
+    def edge(self, nid: int, sigma: dict[ChannelName, Address], rho: AddressStream) -> ProofEdge:
+        """The edge to the encoding of derivation node nid: invocation chains
+        are erased, and one closing on itself becomes a degenerate `loop`."""
+        node = self.d.nodes[nid]
         pending: list[int] = []
         pid: int | None = None
         while node.rule == "call":
             e = node.premises[0]
             if e.back:
-                anc_pid, anc_sigma = path[e.target]
+                anc_pid, anc_sigma = self.calls[e.target]
                 corr = tuple(sorted(((sigma[s], anc_sigma[t]) for s, t in e.down),
                                     key=lambda st: (st[0].atom, st[0].bar, st[0].word)))
-                if pid is not None:
-                    # pure invocation chain closing on itself: keep the graph
-                    # well-formed with a degenerate looping node
-                    seq = _mkseq(*ctx_occs(sigma, node.judgment.ctx))
-                    g.add(ProofNode(pid, "loop", seq, (ProofEdge(anc_pid, True, corr),)))
-                    for dnid in pending:
-                        mapping[dnid] = pid
-                    return ProofEdge(pid, False)
-                return ProofEdge(anc_pid, True, corr)
+                if pid is None:
+                    return ProofEdge(anc_pid, True, corr)
+                self.g.add(ProofNode(pid, "loop", _mkseq(*_occs(sigma, node.judgment.context)),
+                                     (ProofEdge(anc_pid, True, corr),)))
+                self.mapping.update(dict.fromkeys(pending, pid))
+                return ProofEdge(pid, False)
             if pid is None:
-                pid = g.new_id()
-            path = {**path, nid: (pid, dict(sigma))}
+                pid = self.g.new_id()
+            if nid in self.calls:
+                self.calls[nid] = (pid, sigma)
             pending.append(nid)
             nid = e.target
-            node = d.node(nid)
+            node = self.d.nodes[nid]
         if pid is None:
-            pid = g.new_id()
-        for dnid in pending:
-            mapping[dnid] = pid
-        emit(nid, sigma, rho, pid, path)
+            pid = self.g.new_id()
+        self.mapping.update(dict.fromkeys(pending, pid))
+        self.emit(node, sigma, rho, pid)
         return ProofEdge(pid, False)
 
-    def emit(nid: int, sigma: dict[ChannelName, Address], rho: AddressStream,
-             pid: int, path: dict[int, tuple[int, dict[ChannelName, Address]]]) -> None:
-        node = d.node(nid)
-        mapping[nid] = pid
-        ctx = node.judgment.ctx
+    def premise(self, node: DerivNode, i: int, sigma: dict[ChannelName, Address], rho: AddressStream,
+                introduced: dict[ChannelName, Address] | None = None) -> ProofEdge:
+        """The edge to premise i, whose channels keep the parent's addresses
+        unless the rule introduces them, encoded from stream rho."""
+        target = node.premises[i].target
+        over = introduced or {}
+        child = {c: over[c] if c in over else sigma[c]
+                 for c, _ in self.d.nodes[target].judgment.context}
+        return self.edge(target, child, rho)
+
+    def emit(self, node: DerivNode, sigma: dict[ChannelName, Address], rho: AddressStream,
+             pid: int) -> None:
+        self.mapping[node.nid] = pid
         p = node.judgment.process
-        rule = node.rule
+        x = node.subject
+        side = cut_pair = None
+        prem = self.premise
+        match node.rule:
+            case "one" | "top":
+                edges = ()
+            case "bot":
+                edges = (prem(node, 0, sigma, rho),)
+            case "par":
+                a = sigma[x]
+                edges = (prem(node, 0, sigma, rho, {p.payload: a.child("l"), x: a.child("r")}),)
+            case "tensor":
+                a = sigma[x]
+                edges = (prem(node, 0, sigma, rho.even(), {p.payload: a.child("l")}),
+                         prem(node, 1, sigma, rho.odd(), {x: a.child("r")}))
+            case "plus":
+                side = p.tag
+                edges = (prem(node, 0, sigma, rho, {x: sigma[x].child("l" if side == 1 else "r")}),)
+            case "with":
+                a = sigma[x]
+                edges = (prem(node, 0, sigma, rho, {x: a.child("l")}),
+                         prem(node, 1, sigma, rho, {x: a.child("r")}))
+            case "cut":
+                cut_pair = (Address(rho.head(), False), Address(rho.head(), True))
+                rest = rho.tail()
+                edges = (prem(node, 0, sigma, rest.even(), {p.chan: cut_pair[0]}),
+                         prem(node, 1, sigma, rest.odd(), {p.chan: cut_pair[1]}))
+            case "done" | "client" | "server":
+                return self.gadget(node, sigma, rho, pid)
+            case rule:
+                raise AssertionError(f"unexpected derivation rule {rule!r}")
+        self.g.add(ProofNode(pid, node.rule, _mkseq(*_occs(sigma, node.judgment.context)), edges,
+                             None if x is None else sigma[x], side, cut_pair))
 
-        def prem_ctx(i: int) -> dict[ChannelName, ty.SessionType]:
-            return d.node(node.premises[i].target).judgment.ctx
+    def gadget(self, node: DerivNode, sigma: dict[ChannelName, Address], rho: AddressStream,
+               pid: int) -> None:
+        """A shared channel's three rules: fixed point, additive, then axiom
+        (`done`) or multiplicative (`client`, and a server's two branches)."""
+        x = node.subject
+        p = node.judgment.process
+        top = Occurrence(encode_type(next(t for c, t in node.judgment.context if c == x)), sigma[x])
+        (unfolded,) = occ_step(top)
+        left, right = occ_step(unfolded)
+        a = right.address
+        ids = [pid] + [self.g.new_id() for _ in range(3 if node.rule == "server" else 2)]
+        prem = self.premise
+        match node.rule:
+            case "done":
+                rules = [("mu", top, (ProofEdge(ids[1]),), None),
+                         ("plus", unfolded, (ProofEdge(ids[2]),), 1),
+                         ("one", left, (), None)]
+            case "client":
+                edges = (prem(node, 0, sigma, rho.even(), {p.session: a.child("l")}),
+                         prem(node, 1, sigma, rho.odd(), {x: a.child("r")}))
+                rules = [("mu", top, (ProofEdge(ids[1]),), None),
+                         ("plus", unfolded, (ProofEdge(ids[2]),), 2),
+                         ("tensor", right, edges, None)]
+            case _:  # server: the idle branch drops x and shares the stream with accept
+                idle = prem(node, 1, sigma, rho)
+                accept = prem(node, 0, sigma, rho, {x: a.child("r"), p.session: a.child("l")})
+                rules = [("nu", top, (ProofEdge(ids[1]),), None),
+                         ("with", unfolded, (ProofEdge(ids[2]), ProofEdge(ids[3])), None),
+                         ("bot", left, (idle,), None),
+                         ("par", right, (accept,), None)]
+        rest = _occs(sigma, node.judgment.context, x)
+        for nid, (rule, occ, edges, side) in zip(ids, rules):
+            self.g.add(ProofNode(nid, rule, _mkseq(occ, *rest), edges, occ.address, side))
 
-        if rule == "one":
-            x = node.subject
-            g.add(ProofNode(pid, "one", _mkseq(Occurrence(mf.F_ONE, sigma[x])), principal=sigma[x]))
-            return
-        if rule == "top":
-            x = node.subject
-            g.add(ProofNode(pid, "top", _mkseq(*ctx_occs(sigma, ctx)), principal=sigma[x]))
-            return
-        if rule == "bot":
-            x = node.subject
-            s2 = child_sigma(sigma, prem_ctx(0), {})
-            edge = make_edge(node.premises[0].target, s2, rho, path)
-            g.add(ProofNode(pid, "bot", _mkseq(*ctx_occs(sigma, ctx)), (edge,), principal=sigma[x]))
-            return
-        if rule == "par":
-            assert isinstance(p, Join)
-            x, y = p.chan, p.payload
-            alpha = sigma[x]
-            s2 = child_sigma(sigma, prem_ctx(0), {y: alpha.child("l"), x: alpha.child("r")})
-            edge = make_edge(node.premises[0].target, s2, rho, path)
-            g.add(ProofNode(pid, "par", _mkseq(*ctx_occs(sigma, ctx)), (edge,), principal=alpha))
-            return
-        if rule == "tensor":
-            assert isinstance(p, Fork)
-            x, y = p.chan, p.payload
-            alpha = sigma[x]
-            s1 = child_sigma(sigma, prem_ctx(0), {y: alpha.child("l")})
-            s2 = child_sigma(sigma, prem_ctx(1), {x: alpha.child("r")})
-            e1 = make_edge(node.premises[0].target, s1, rho.even(), path)
-            e2 = make_edge(node.premises[1].target, s2, rho.odd(), path)
-            g.add(ProofNode(pid, "tensor", _mkseq(*ctx_occs(sigma, ctx)), (e1, e2), principal=alpha))
-            return
-        if rule == "plus":
-            assert isinstance(p, Select)
-            x = p.chan
-            alpha = sigma[x]
-            step = "l" if p.tag == 1 else "r"
-            s2 = child_sigma(sigma, prem_ctx(0), {x: alpha.child(step)})
-            edge = make_edge(node.premises[0].target, s2, rho, path)
-            g.add(ProofNode(pid, "plus", _mkseq(*ctx_occs(sigma, ctx)), (edge,),
-                            principal=alpha, side=p.tag))
-            return
-        if rule == "with":
-            assert isinstance(p, Case)
-            x = p.chan
-            alpha = sigma[x]
-            s1 = child_sigma(sigma, prem_ctx(0), {x: alpha.child("l")})
-            s2 = child_sigma(sigma, prem_ctx(1), {x: alpha.child("r")})
-            e1 = make_edge(node.premises[0].target, s1, rho, path)
-            e2 = make_edge(node.premises[1].target, s2, rho, path)
-            g.add(ProofNode(pid, "with", _mkseq(*ctx_occs(sigma, ctx)), (e1, e2), principal=alpha))
-            return
-        if rule == "cut":
-            assert isinstance(p, Cut)
-            x = p.chan
-            atom = rho.head()
-            rest = rho.tail()
-            a_pos = Address(atom, False)
-            a_neg = Address(atom, True)
-            s1 = child_sigma(sigma, prem_ctx(0), {x: a_pos})
-            s2 = child_sigma(sigma, prem_ctx(1), {x: a_neg})
-            e1 = make_edge(node.premises[0].target, s1, rest.even(), path)
-            e2 = make_edge(node.premises[1].target, s2, rest.odd(), path)
-            g.add(ProofNode(pid, "cut", _mkseq(*ctx_occs(sigma, ctx)), (e1, e2),
-                            cut_pair=(a_pos, a_neg)))
-            return
-        if rule == "done":
-            assert isinstance(p, Nil)
-            x = node.subject
-            alpha = sigma[x]
-            top = Occurrence(encode_type(ctx[x]), alpha)
-            (unfolded,) = occ_step(top)
-            one_occ, _tensor_occ = occ_step(unfolded)
-            plus_id, one_id = g.new_id(), g.new_id()
-            g.add(ProofNode(pid, "mu", _mkseq(top), (ProofEdge(plus_id),), principal=alpha))
-            g.add(ProofNode(plus_id, "plus", _mkseq(unfolded), (ProofEdge(one_id),),
-                            principal=unfolded.address, side=1))
-            g.add(ProofNode(one_id, "one", _mkseq(one_occ), principal=one_occ.address))
-            return
-        if rule == "client":
-            assert isinstance(p, Cons)
-            x, y = p.chan, p.session
-            alpha = sigma[x]
-            rest_occs = ctx_occs(sigma, ctx, x)
-            top = Occurrence(encode_type(ctx[x]), alpha)
-            (unfolded,) = occ_step(top)
-            _one_occ, tensor_occ = occ_step(unfolded)
-            s1 = child_sigma(sigma, prem_ctx(0), {y: tensor_occ.address.child("l")})
-            s2 = child_sigma(sigma, prem_ctx(1), {x: tensor_occ.address.child("r")})
-            plus_id, tensor_id = g.new_id(), g.new_id()
-            e1 = make_edge(node.premises[0].target, s1, rho.even(), path)
-            e2 = make_edge(node.premises[1].target, s2, rho.odd(), path)
-            g.add(ProofNode(pid, "mu", _mkseq(top, *rest_occs), (ProofEdge(plus_id),), principal=alpha))
-            g.add(ProofNode(plus_id, "plus", _mkseq(unfolded, *rest_occs), (ProofEdge(tensor_id),),
-                            principal=unfolded.address, side=2))
-            g.add(ProofNode(tensor_id, "tensor", _mkseq(tensor_occ, *rest_occs), (e1, e2),
-                            principal=tensor_occ.address))
-            return
-        if rule == "server":
-            assert isinstance(p, Server)
-            x, y = p.chan, p.session
-            alpha = sigma[x]
-            rest_occs = ctx_occs(sigma, ctx, x)
-            top = Occurrence(encode_type(ctx[x]), alpha)
-            (unfolded,) = occ_step(top)
-            bot_occ, par_occ = occ_step(unfolded)
-            with_id, bot_id, par_id = g.new_id(), g.new_id(), g.new_id()
-            # idle branch: x is dropped, the stream is shared with the accept branch
-            s_idle = child_sigma(sigma, prem_ctx(1), {})
-            e_idle = make_edge(node.premises[1].target, s_idle, rho, path)
-            s_acc = child_sigma(sigma, prem_ctx(0),
-                                {x: par_occ.address.child("r"), y: par_occ.address.child("l")})
-            e_acc = make_edge(node.premises[0].target, s_acc, rho, path)
-            g.add(ProofNode(pid, "nu", _mkseq(top, *rest_occs), (ProofEdge(with_id),), principal=alpha))
-            g.add(ProofNode(with_id, "with", _mkseq(unfolded, *rest_occs),
-                            (ProofEdge(bot_id), ProofEdge(par_id)), principal=unfolded.address))
-            g.add(ProofNode(bot_id, "bot", _mkseq(bot_occ, *rest_occs), (e_idle,),
-                            principal=bot_occ.address))
-            g.add(ProofNode(par_id, "par", _mkseq(par_occ, *rest_occs), (e_acc,),
-                            principal=par_occ.address))
-            return
-        raise AssertionError(f"unexpected derivation rule {rule!r}")
 
-    root_edge = make_edge(d.root, sigma0, rho0, {})
-    g.root = root_edge.target
-    # make_edge and emit call each other, so their closures form a cycle that
-    # holds g; clearing them lets reference counting free g after its last use
-    del make_edge, emit
-    return EncodedProof(g, mapping)
+def encode_derivation(d: Derivation) -> EncodedProof:
+    """Encode a typing derivation into a cyclic pre-proof.
+
+    Accepts invalid derivations as well (their encodings are exactly what the
+    proof-level validity check is for)."""
+    sigma0, rho0 = initial_assignment(dict(d.nodes[d.root].judgment.context))
+    enc = _Encoder(d)
+    enc.g.root = enc.edge(d.root, sigma0, rho0).target
+    return EncodedProof(enc.g, enc.mapping)
 
 
 # --- thread validity ----------------------------------------------------------
@@ -348,7 +293,7 @@ def _succ_addresses(g: ProofGraph, node: ProofNode, edge: ProofEdge) -> list[tup
     edge, in sequent order: the address map across a back edge, else descent
     at the principal occurrence and carry elsewhere."""
     if edge.back:
-        corr = edge.corr_map
+        corr = dict(edge.corr)
         return [(o.address, corr[o.address]) for o in node.sequent if o.address in corr]
     child_addrs = {o.address for o in g.node(edge.target).sequent}
     out = []
@@ -373,13 +318,10 @@ def _thread_edges(g: ProofGraph):
 
 def proof_validity(g: ProofGraph) -> ValidityReport:
     """Thread-based counterpart of the derivation validity check."""
-    walk = closure_check(g.root, _thread_edges(g)).counterexample
-    if walk is None:
-        return ValidityReport("valid", "every cycle supports a recurring greatest-fixed-point thread")
-    if len(set(walk)) == len(walk):
-        return ValidityReport("invalid", "cycle admits no recurring greatest-fixed-point thread", walk)
-    return ValidityReport("invalid", "composite cycle admits no recurring greatest-fixed-point thread",
-                          walk)
+    return _closure_report(g.root, _thread_edges(g),
+                           "every cycle supports a recurring greatest-fixed-point thread",
+                           "cycle admits no recurring greatest-fixed-point thread",
+                           "composite cycle admits no recurring greatest-fixed-point thread")
 
 
 def nu_thread_witness(g: ProofGraph) -> list[tuple[int, Address]]:
@@ -397,27 +339,28 @@ class NotPrincipalError(Exception):
 
 def _retarget(g: ProofGraph, old: int, new: int) -> None:
     for nid, node in list(g.nodes.items()):
-        changed = False
-        prems = []
-        for e in node.premises:
-            if e.target == old:
-                prems.append(replace(e, target=new))
-                changed = True
-            else:
-                prems.append(e)
-        if changed:
-            g.nodes[nid] = replace(node, premises=tuple(prems))
+        if any(e.target == old for e in node.premises):
+            g.nodes[nid] = replace(node, premises=tuple(replace(e, target=new) if e.target == old else e
+                                                        for e in node.premises))
     if g.root == old:
         g.root = new
 
 
-def _strip(seq: tuple[Occurrence, ...], addr: Address) -> list[Occurrence]:
-    return [o for o in seq if o.address != addr]
+# (positive rule, negative rule, chosen side): the child steps that the cut
+# formula pair takes, one new cut each, innermost last
+_KEY_CASES = {("one", "bot", None): "", ("tensor", "par", None): "lr", ("mu", "nu", None): "i",
+              ("plus", "with", 1): "l", ("plus", "with", 2): "r"}
 
 
 def principal_reduce_at(g: ProofGraph, cut_id: int) -> tuple[ProofGraph, int]:
     """One principal cut-reduction step at the given cut node; returns the new
-    graph and the node standing where the cut stood."""
+    graph and the node standing where the cut stood.
+
+    Every key case is one fold over (child steps, positive premises, negative
+    premise): from the right, each positive premise is cut against what the
+    fold has built so far, starting from the negative rule's premise (the
+    chosen branch of a `with`).  one/bot is the empty fold, which leaves the
+    `bot` premise itself."""
     node = g.node(cut_id)
     if node.rule != "cut" or node.cut_pair is None:
         raise NotPrincipalError(f"node {cut_id} is not a cut")
@@ -433,55 +376,19 @@ def principal_reduce_at(g: ProofGraph, cut_id: int) -> tuple[ProofGraph, int]:
     if n1.principal != a_pos or n2.principal != a_neg:
         raise NotPrincipalError(
             f"cut occurrences are not principal in both premises ({n1.rule}/{n2.rule})")
-
-    def new_cut(pair: tuple[Address, Address], left: ProofEdge, right: ProofEdge,
-                left_strip: ProofNode, right_strip: ProofNode) -> int:
-        seq = _mkseq(*(_strip(left_strip.sequent, pair[0]) + _strip(right_strip.sequent, pair[1])))
-        nid = g.new_id()
-        g.add(ProofNode(nid, "cut", seq, (left, right), cut_pair=pair))
-        return nid
-
-    if n1.rule == "one" and n2.rule == "bot":
-        result = n2.premises[0].target
-        _retarget(g, cut_id, result)
-        return g, result
-    if n1.rule == "tensor" and n2.rule == "par":
-        eL, eR = n1.premises
-        (eP,) = n2.premises
-        if eL.back or eR.back or eP.back:
-            raise NotPrincipalError("premise behind a back edge")
-        right_pair = (a_pos.child("r"), a_neg.child("r"))
-        inner = new_cut(right_pair, eR, eP, g.node(eR.target), g.node(eP.target))
-        left_pair = (a_pos.child("l"), a_neg.child("l"))
-        outer = new_cut(left_pair, eL, ProofEdge(inner), g.node(eL.target), g.node(inner))
-        _retarget(g, cut_id, outer)
-        return g, outer
-    if n1.rule == "plus" and n2.rule == "with":
-        (eP,) = n1.premises
-        branch = n2.premises[0] if n1.side == 1 else n2.premises[1]
-        if eP.back or branch.back:
-            raise NotPrincipalError("premise behind a back edge")
-        step = "l" if n1.side == 1 else "r"
+    steps = _KEY_CASES.get((n1.rule, n2.rule, n1.side))
+    if steps is None:
+        raise NotPrincipalError(f"no key case for {n1.rule}/{n2.rule}")
+    pos, neg = n1.premises, n2.premises[steps == "r"]
+    if pos and any(e.back for e in (*pos, neg)):
+        raise NotPrincipalError("premise behind a back edge")
+    for step, e in zip(reversed(steps), reversed(pos)):
         pair = (a_pos.child(step), a_neg.child(step))
-        nid = new_cut(pair, eP, branch, g.node(eP.target), g.node(branch.target))
-        _retarget(g, cut_id, nid)
-        return g, nid
-    if n1.rule == "mu" and n2.rule == "nu":
-        (eM,) = n1.premises
-        (eN,) = n2.premises
-        if eM.back or eN.back:
-            raise NotPrincipalError("premise behind a back edge")
-        pair = (a_pos.child("i"), a_neg.child("i"))
-        nid = new_cut(pair, eM, eN, g.node(eM.target), g.node(eN.target))
-        _retarget(g, cut_id, nid)
-        return g, nid
-    raise NotPrincipalError(f"no key case for {n1.rule}/{n2.rule}")
-
-
-def principal_reduce(g: ProofGraph) -> ProofGraph:
-    """One principal step at the root cut."""
-    g2, _ = principal_reduce_at(g, g.root)
-    return g2
+        seq = _mkseq(*(o for o in g.node(e.target).sequent if o.address != pair[0]),
+                     *(o for o in g.node(neg.target).sequent if o.address != pair[1]))
+        neg = ProofEdge(g.add(ProofNode(g.new_id(), "cut", seq, (e, neg), cut_pair=pair)))
+    _retarget(g, cut_id, neg.target)
+    return g, neg.target
 
 
 # --- process-step / proof-step correspondence ---------------------------------

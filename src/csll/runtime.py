@@ -105,12 +105,14 @@ def _rebuild_pool(x: ChannelName, cells: list[tuple[ChannelName, Process]], end:
     return out
 
 
+_DESCR = {
+    Close: "close", Wait: "wait", Fail: "fail", Fork: "send", Join: "recv",
+    Select: "select", Case: "case", Server: "server", Cons: "client", Nil: "done",
+}
+
+
 def _descr(p: Process) -> str:
-    names = {
-        Close: "close", Wait: "wait", Fail: "fail", Fork: "send", Join: "recv",
-        Select: "select", Case: "case", Server: "server", Cons: "client", Nil: "done",
-    }
-    return names.get(type(p), type(p).__name__.lower())
+    return _DESCR.get(type(p), type(p).__name__.lower())
 
 
 class Step:

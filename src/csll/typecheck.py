@@ -60,10 +60,6 @@ class Judgment:
     process: Process
     context: tuple[tuple[ChannelName, ty.SessionType], ...]
 
-    @property
-    def ctx(self) -> TypeContext:
-        return dict(self.context)
-
 
 def _ctx_tuple(ctx: TypeContext) -> tuple[tuple[ChannelName, ty.SessionType], ...]:
     return tuple(sorted(ctx.items(), key=lambda kv: (kv[0].name, kv[0].uid)))
@@ -325,6 +321,15 @@ class ValidityReport:
         return self.verdict == "valid"
 
 
+def _closure_report(root: int, out_edges, valid: str, cycle: str, composite: str) -> ValidityReport:
+    """`cycles.closure_check`'s verdict as a report: valid, or invalid with a
+    shortest witness walk that is either a simple or a composite cycle."""
+    walk = closure_check(root, out_edges).counterexample
+    if walk is None:
+        return ValidityReport("valid", valid)
+    return ValidityReport("invalid", cycle if len(set(walk)) == len(walk) else composite, walk)
+
+
 def validity_check(d: Derivation) -> ValidityReport:
     """Decide the criterion of the module docstring: a thread is a channel
     lineage, and it progresses at a server whose subject it is."""
@@ -334,12 +339,10 @@ def validity_check(d: Derivation) -> ValidityReport:
             yield e.target, e.back, [(s, t, node.rule == "server" and s == node.subject)
                                      for s, t in e.down]
 
-    walk = closure_check(d.root, out_edges).counterexample
-    if walk is None:
-        return ValidityReport("valid", "every cycle recurs through a server on a fixed channel")
-    if len(set(walk)) == len(walk):
-        return ValidityReport("invalid", "cycle with no server whose subject channel recurs", walk)
-    return ValidityReport("invalid", "composite cycle with no recurring server channel", walk)
+    return _closure_report(d.root, out_edges,
+                           "every cycle recurs through a server on a fixed channel",
+                           "cycle with no server whose subject channel recurs",
+                           "composite cycle with no recurring server channel")
 
 
 # --- whole programs ----------------------------------------------------------

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from csll.cli import main
+from csll.parser import parse_program
 
 from .conftest import CORPUS, CORPUS_FILES, lock_text
 
@@ -248,6 +249,32 @@ def test_export_proof_forced_reports_invalid(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["validity"]["verdict"] == "invalid"
+
+
+PROOF_EXPORTS = [(name, d.name) for name in CORPUS_FILES
+                 for d in parse_program((CORPUS / name).read_text(encoding="utf-8"), name)
+                 .all_definitions()]
+
+
+@pytest.mark.parametrize("name,definition", PROOF_EXPORTS)
+def test_golden_export_proofs(capsys, name, definition):
+    # node ids, rules, addresses and all three shared-channel gadgets, byte for byte
+    force = ["--force"] if name.startswith("omega") else []
+    code, out = run_cli(capsys, "export-proof", "--format", "json", str(CORPUS / name),
+                        definition, *force)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.{definition}.proof.json").read_text(encoding="utf-8")
+
+
+def test_export_proof_dot_skips_the_validity_report(capsys, monkeypatch):
+    import csll.cli
+
+    def refuse(g):
+        raise AssertionError("proof_validity is not needed for --format dot")
+
+    monkeypatch.setattr(csll.cli, "proof_validity", refuse)
+    code, out = run_cli(capsys, "export-proof", str(CORPUS / "lock.csll"), "Lock", "--format", "dot")
+    assert code == 0 and out.startswith("digraph proof {")
 
 
 def test_export_proof_dot_highlight(capsys):

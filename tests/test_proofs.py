@@ -8,8 +8,8 @@ from csll.formulas import Address
 from csll.process import Call, Close, Cut, Nil, Program, Wait, fresh
 from csll.proofs import (
     NotPrincipalError, PRINCIPAL_STEPS, address_stream,
-    encode_derivation, nu_thread_witness, principal_reduce,
-    principal_reduce_at, proof_bisimilar, proof_to_dot, proof_to_json_dict,
+    encode_derivation, nu_thread_witness, principal_reduce_at,
+    proof_bisimilar, proof_to_dot, proof_to_json_dict,
     proof_validity, simulate_step,
 )
 from csll.runtime import enabled_steps, explore
@@ -196,7 +196,7 @@ def test_principal_reduce_close_erases_cut():
     p = Cut(x, ty.ONE, Close(x), Wait(x, Close(z)))
     d = check(p, {z: ty.ONE}, EMPTY)
     g = encode_derivation(d).graph
-    g2 = principal_reduce(g)
+    g2, _ = principal_reduce_at(g, g.root)
     root = g2.node(g2.root)
     assert root.rule == "one"  # what remains is the proof of close z
     fresh_enc = encode_derivation(check(Close(z), {z: ty.ONE}, EMPTY)).graph
@@ -211,7 +211,7 @@ def test_principal_reduce_requires_principal_premises(lock):
     d = check(reduct, dict(lock.main.params), lock)
     g = encode_derivation(d).graph
     with pytest.raises(NotPrincipalError):
-        principal_reduce(g)
+        principal_reduce_at(g, g.root)
 
 
 def test_reduce_at_rejects_non_cut(lock):
