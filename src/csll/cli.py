@@ -1,9 +1,9 @@
 """Command-line driver: check, run, explore, export-proof, gen-link.
 
-Exit codes: 0 success; 1 syntax/scope/type error; 2 validity failure (or
-refused proof export); 4 step budget exhausted; 5 internal error (the
-derivation and proof validity checkers disagree); 6 the input nests too
-deeply to process.
+Exit codes: 0 success; 1 syntax/scope/type error or unreadable input; 2
+validity failure (or refused proof export); 4 step budget exhausted; 5
+internal error (the derivation and proof validity checkers disagree); 6 the
+input nests too deeply to process.
 """
 
 from __future__ import annotations
@@ -234,8 +234,11 @@ def main(argv: list[str] | None = None) -> int:
     except CsllError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:  # names its file: missing, a directory, unreadable
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as e:
+        print(f"error: {args.file} is not UTF-8 text: {e}", file=sys.stderr)
         return 1
     except RecursionError:
         print(f"error: the input nests too deeply to process (Python recursion limit "

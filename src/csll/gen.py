@@ -109,31 +109,17 @@ class Oracle:
 
 
 _CUT_ATOMS = (ty.ONE, ty.BOT)
+_TYPE_CTORS = (None, ty.Tensor, ty.Par, ty.Plus, ty.With)  # None: an atom
 
 
-def random_type(rng: random.Random, depth: int = 2, allow_shared: bool = False) -> ty.SessionType:
-    """A random type; shared modalities only when requested."""
+def random_type(rng: random.Random, depth: int = 2) -> ty.SessionType:
+    """A random MALL type over the atoms 1 and bot, at most depth deep."""
     if depth <= 1:
         return rng.choice(_CUT_ATOMS)
-    ctors = ["atom", "tensor", "par", "plus", "with"]
-    if allow_shared:
-        ctors += ["client", "server"]
-    match rng.choice(ctors):
-        case "atom":
-            return rng.choice(_CUT_ATOMS)
-        case "tensor":
-            return ty.Tensor(random_type(rng, depth - 1), random_type(rng, depth - 1))
-        case "par":
-            return ty.Par(random_type(rng, depth - 1), random_type(rng, depth - 1))
-        case "plus":
-            return ty.Plus(random_type(rng, depth - 1), random_type(rng, depth - 1))
-        case "with":
-            return ty.With(random_type(rng, depth - 1), random_type(rng, depth - 1))
-        case "client":
-            return ty.Client(random_type(rng, depth - 1))
-        case "server":
-            return ty.Server(random_type(rng, depth - 1))
-    raise AssertionError
+    ctor = rng.choice(_TYPE_CTORS)
+    if ctor is None:
+        return rng.choice(_CUT_ATOMS)
+    return ctor(random_type(rng, depth - 1), random_type(rng, depth - 1))
 
 
 def random_any_type(rng: random.Random, depth: int = 3) -> ty.SessionType:

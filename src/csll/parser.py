@@ -43,6 +43,8 @@ KEYWORDS = {
     "bot", "top",
 }
 
+_LEAVES = {"close": Close, "fail": Fail, "done": Nil}
+
 _SYMBOLS = {
     "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
     ":": "COLON", ";": "SEMI", ",": "COMMA", "|": "PIPE", ".": "DOT",
@@ -223,46 +225,47 @@ class _Parser:
             raise ScopeError(f"unbound channel {tok.text!r}", tok.span)
         return env[tok.text]
 
+    def binder(self) -> str:
+        """'(' NAME ')': the name a construct binds."""
+        self.expect("LPAREN")
+        name = self.ident("channel name").text
+        self.expect("RPAREN")
+        return name
+
+    def block(self, env: dict[str, ChannelName]) -> Process:
+        self.expect("LBRACE")
+        body = self.process(env)
+        self.expect("RBRACE")
+        return body
+
     def process(self, env: dict[str, ChannelName]) -> Process:
         tok = self.peek()
         span = tok.span
         if tok.kind == "KEYWORD":
             word = tok.text
-            if word == "close":
+            if word in _LEAVES:
                 self.next()
-                return Close(self.chan_ref(env), span=span)
-            if word == "fail":
-                self.next()
-                return Fail(self.chan_ref(env), span=span)
-            if word == "done":
-                self.next()
-                return Nil(self.chan_ref(env), span=span)
+                return _LEAVES[word](self.chan_ref(env), span=span)
             if word == "wait":
                 self.next()
                 x = self.chan_ref(env)
                 self.expect("SEMI")
                 return Wait(x, self.process(env), span=span)
-            if word == "send":
+            if word in ("send", "client"):
                 self.next()
                 x = self.chan_ref(env)
-                self.expect("LPAREN")
-                ytok = self.ident("channel name")
-                self.expect("RPAREN")
-                y = fresh(ytok.text)
-                self.expect("LBRACE")
-                payload = self.process({**env, ytok.text: y})
-                self.expect("RBRACE")
+                name = self.binder()
+                y = fresh(name)
+                body = self.block({**env, name: y})
                 self.expect("SEMI")
-                return Fork(x, y, payload, self.process(env), span=span)
+                return (Fork if word == "send" else Cons)(x, y, body, self.process(env), span=span)
             if word == "recv":
                 self.next()
                 x = self.chan_ref(env)
-                self.expect("LPAREN")
-                ytok = self.ident("channel name")
-                self.expect("RPAREN")
+                name = self.binder()
                 self.expect("SEMI")
-                y = fresh(ytok.text)
-                return Join(x, y, self.process({**env, ytok.text: y}), span=span)
+                y = fresh(name)
+                return Join(x, y, self.process({**env, name: y}), span=span)
             if word == "case":
                 self.next()
                 x = self.chan_ref(env)
@@ -279,30 +282,11 @@ class _Parser:
             if word == "server":
                 self.next()
                 x = self.chan_ref(env)
-                self.expect("LPAREN")
-                ytok = self.ident("channel name")
-                self.expect("RPAREN")
-                y = fresh(ytok.text)
-                self.expect("LBRACE")
-                accept = self.process({**env, ytok.text: y})
-                self.expect("RBRACE")
+                name = self.binder()
+                y = fresh(name)
+                accept = self.block({**env, name: y})
                 self.expect_keyword("idle")
-                self.expect("LBRACE")
-                idle = self.process(env)
-                self.expect("RBRACE")
-                return Server(x, y, accept, idle, span=span)
-            if word == "client":
-                self.next()
-                x = self.chan_ref(env)
-                self.expect("LPAREN")
-                ytok = self.ident("channel name")
-                self.expect("RPAREN")
-                y = fresh(ytok.text)
-                self.expect("LBRACE")
-                client = self.process({**env, ytok.text: y})
-                self.expect("RBRACE")
-                self.expect("SEMI")
-                return Cons(x, y, client, self.process(env), span=span)
+                return Server(x, y, accept, self.block(env), span=span)
             if word == "new":
                 self.next()
                 xtok = self.ident("channel name")
@@ -363,6 +347,12 @@ class _Parser:
         self.expect("RPAREN")
         return tuple(out)
 
+    def definition(self, name: str) -> Definition:
+        """params '=' process, after the head of a def or main."""
+        params = self.params()
+        self.expect("EQUALS")
+        return Definition(name, params, self.process({c.name: c for c, _ in params}))
+
     def program(self) -> Program:
         defs: dict[str, Definition] = {}
         main: Definition | None = None
@@ -372,19 +362,12 @@ class _Parser:
                 name_tok = self.ident("definition name")
                 if name_tok.text in defs:
                     raise ScopeError(f"duplicate definition {name_tok.text!r}", name_tok.span)
-                params = self.params()
-                self.expect("EQUALS")
-                env = {c.name: c for c, _ in params}
-                body = self.process(env)
-                defs[name_tok.text] = Definition(name_tok.text, params, body)
+                defs[name_tok.text] = self.definition(name_tok.text)
             elif self.at_keyword("main"):
                 tok = self.next()
                 if main is not None:
                     raise ScopeError("duplicate main", tok.span)
-                params = self.params()
-                self.expect("EQUALS")
-                env = {c.name: c for c, _ in params}
-                main = Definition("main", params, self.process(env))
+                main = self.definition("main")
             else:
                 tok = self.peek()
                 raise ParseError(f"expected 'def' or 'main', found {tok.text or 'end of input'!r}", tok.span)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import types as ty
-from .parser import KEYWORDS
+from .parser import _LEAVES, KEYWORDS
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
     Nil, Process, Program, Select, Server, Wait, free_names,
@@ -89,6 +89,8 @@ class _Namer:
 
 _INLINE_LIMIT = 44
 
+_LEAF_WORDS = {ctor: word for word, ctor in _LEAVES.items()}
+
 
 def pretty_process(p: Process, namer: _Namer | None = None, indent: int = 0) -> str:
     if namer is None:
@@ -108,12 +110,8 @@ def _render(p: Process, n: _Namer, indent: int) -> str:
     match p:
         case Call(name, args):
             return f"{name}({', '.join(n.of(a) for a in args)})"
-        case Close(x):
-            return f"close {n.of(x)}"
-        case Fail(x):
-            return f"fail {n.of(x)}"
-        case Nil(x):
-            return f"done {n.of(x)}"
+        case Close(x) | Fail(x) | Nil(x):
+            return f"{_LEAF_WORDS[type(p)]} {n.of(x)}"
         case Wait(x, body):
             return f"wait {n.of(x)}; " + _render(body, n, indent)
         case Select(x, tag, body):
@@ -124,12 +122,13 @@ def _render(p: Process, n: _Namer, indent: int) -> str:
             out = f"recv {n.of(x)}({yd}); " + _render(body, n, indent)
             n.pop()
             return out
-        case Fork(x, y, pb, cont):
+        case Fork(x, y, body, rest) | Cons(x, y, body, rest):
             n.push()
             yd = n.bind(y)
-            payload = _render(pb, n, indent)
+            block = _block(_render(body, n, indent), indent)
             n.pop()
-            return f"send {n.of(x)}({yd}){_block(payload, indent)}; " + _render(cont, n, indent)
+            word = "send" if isinstance(p, Fork) else "client"
+            return f"{word} {n.of(x)}({yd}){block}; " + _render(rest, n, indent)
         case Case(x, l, r):
             pad = "  " * (indent + 1)
             left = _render(l, n, indent + 1)
@@ -147,12 +146,6 @@ def _render(p: Process, n: _Namer, indent: int) -> str:
             idle_s = _render(idle, n, indent + 1)
             return (f"server {n.of(x)}({yd}) " + _block(accept, indent)
                     + " idle " + _block(idle_s, indent))
-        case Cons(x, y, client, pool):
-            n.push()
-            yd = n.bind(y)
-            body = _render(client, n, indent)
-            n.pop()
-            return f"client {n.of(x)}({yd}){_block(body, indent)}; " + _render(pool, n, indent)
         case Cut(x, anno, l, r):
             n.push()
             xd = n.bind(x)

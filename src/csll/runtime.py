@@ -34,9 +34,9 @@ from typing import Callable, Iterator
 from . import types as ty
 from .canon import canonical_form, canonical_hashed, cell_key
 from .process import (
-    Call, Case, ChannelName, Close, Cons, Cut, Fail, Fork, Join, Nil, Process,
-    Program, Select, Server, Wait, call_depth, free_names, fresh, rename,
-    subject, unfold_head,
+    Case, ChannelName, Close, Cons, Cut, Fork, Join, Nil, Process, Program,
+    Select, Server, Wait, call_depth, free_names, fresh, rename, subject,
+    unfold_head,
 )
 from .printer import pretty_process
 
@@ -50,7 +50,6 @@ class RedexInfo:
     kind: str                 # r-close | r-comm | r-case | r-done | r-connect
     channel: str              # display name of the synchronizing channel
     path: tuple[str, ...]     # steps to the cut: L/R (cut sides), T (pool tail)
-    participants: tuple[str, str]
     client_index: int = 0     # which pool cell connects, for r-connect
 
     def __str__(self) -> str:
@@ -105,16 +104,6 @@ def _rebuild_pool(x: ChannelName, cells: list[tuple[ChannelName, Process]], end:
     return out
 
 
-_DESCR = {
-    Close: "close", Wait: "wait", Fail: "fail", Fork: "send", Join: "recv",
-    Select: "select", Case: "case", Server: "server", Cons: "client", Nil: "done",
-}
-
-
-def _descr(p: Process) -> str:
-    return _DESCR.get(type(p), type(p).__name__.lower())
-
-
 class Step:
     """One enabled reduction: the redex, the pre-congruence rearrangement that
     exposes it (with the synchronizing cut as a shared subterm), and the
@@ -155,15 +144,14 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
     def around(core: Process) -> Process:
         return ctx(rb1(rb2(core)))
 
-    def info(kind: str, a: Process, b: Process, client_index: int = 0) -> RedexInfo:
-        return RedexInfo(kind, x.name, path, (_descr(a), _descr(b)), client_index)
-
-    def add(i: RedexInfo, core: Callable[[], Process],
-            cut: Callable[[], Cut] = lambda: Cut(x, left_type, g1, g2), orbit: object = None) -> None:
-        out.append(Step(i, orbit if orbit is not None else object(), around, cut, core))
+    def add(kind: str, core: Callable[[], Process],
+            cut: Callable[[], Cut] = lambda: Cut(x, left_type, g1, g2), orbit: object = None,
+            client_index: int = 0) -> None:
+        out.append(Step(RedexInfo(kind, x.name, path, client_index),
+                        orbit if orbit is not None else object(), around, cut, core))
 
     def close_wait(gc: Close, gw: Wait) -> None:
-        add(info("r-close", gc, gw), lambda: gw.body)
+        add("r-close", lambda: gw.body)
 
     def comm(gf: Fork, gj: Join, fork_type: ty.SessionType) -> None:
         if not isinstance(fork_type, ty.Tensor):
@@ -174,14 +162,14 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
             payload = rename(gf.payload_body, {gf.payload: c})
             jbody = rename(gj.body, {gj.payload: c})
             return Cut(c, fork_type.left, payload, Cut(x, fork_type.right, gf.cont, jbody))
-        add(info("r-comm", gf, gj), core)
+        add("r-comm", core)
 
     def case_sel(gs: Select, gc: Case, sel_type: ty.SessionType) -> None:
         if not isinstance(sel_type, ty.Plus):
             return
         branch = gc.left if gs.tag == 1 else gc.right
         chosen = sel_type.left if gs.tag == 1 else sel_type.right
-        add(info("r-case", gs, gc), lambda: Cut(x, chosen, gs.body, branch))
+        add("r-case", lambda: Cut(x, chosen, gs.body, branch))
 
     def pool_server(gp: Process, gs: Server, client_type: ty.SessionType, pool_is_left: bool) -> None:
         if not isinstance(client_type, ty.Client):
@@ -205,14 +193,14 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
 
         if not cells:
             if isinstance(end, Nil) and end.chan == x:
-                add(info("r-done", end, gs), lambda: gs.idle, partial(exposed, 0))
+                add("r-done", lambda: gs.idle, partial(exposed, 0))
             return
         # symmetry reduction: clients with equal keys share one orbit
         orbits: dict[tuple, object] = {}
         for i in range(len(cells)) if pool_ok else range(1):
             y, body = cells[i]
-            add(info("r-connect", gp, gs, client_index=i), partial(connect, i), partial(exposed, i),
-                orbits.setdefault(cell_key(body, y), object()))
+            add("r-connect", partial(connect, i), partial(exposed, i),
+                orbits.setdefault(cell_key(body, y), object()), i)
 
     pairs = ((g1, g2, left_type, True), (g2, g1, ty.dual(left_type), False))
     for a, b, a_type, a_is_left in pairs:
@@ -288,10 +276,6 @@ def is_close_normal(p: Process, defs: Program) -> bool:
 
 def _digest(canonical: Process) -> str:
     return hashlib.sha256(pretty_process(canonical).encode()).hexdigest()[:12]
-
-
-def state_hash(p: Process) -> str:
-    return _digest(canonical_form(p))
 
 
 @dataclass
@@ -431,21 +415,13 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
                 g.edges[sid].append((st.info, tid))
                 if tid not in g.expanded:
                     nxt.append(tid)
-            if not g.edges[sid] and _holds_diverging_call(g.states[sid], defs):
+            if not g.edges[sid] and call_depth(g.states[sid], defs) is None:
                 g.diverging.add(sid)
         frontier = nxt
         depth += 1
     if frontier:
         g.partial = True
     return g
-
-
-def _holds_diverging_call(p: Process, defs: Program) -> bool:
-    """p holds, at a position reached through cuts, an invocation whose
-    unguarded unfolding diverges."""
-    if isinstance(p, Cut):
-        return _holds_diverging_call(p.left, defs) or _holds_diverging_call(p.right, defs)
-    return isinstance(p, Call) and call_depth(p, defs) is None
 
 
 def is_weakly_terminating(sid: int, g: ReductionGraph) -> str:

@@ -1,10 +1,16 @@
 """Linear typechecker building finite cyclic derivations, plus the validity check.
 
-The typing rules are applied syntax-directedly.  Invocations recurse into the
-definition body (renamed to the call's arguments); when the same definition is
-already being checked on the current ancestor path, a back edge with the
-argument correspondence is emitted instead, which keeps every derivation
-finite.
+The typing rules are applied syntax-directedly, and each is stated once.
+The guard constructs (every action on a channel) share one row format in
+`_GUARDS`: the rule, the constructor the subject's type must have, and how a
+mismatch message names it; `_subject_type` applies the row before dispatch.
+Each case of `_Checker.check` then only lists its premises as (process,
+context, channels it keeps), and one loop checks them in order, allocating
+node ids in preorder and giving each tree edge the identity lineage on the
+kept channels.  Invocations recurse into the definition body (renamed to the
+call's arguments); when the same definition is already being checked on the
+current ancestor path, a back edge with the argument correspondence is
+emitted instead, which keeps every derivation finite.
 
 Validity rules out derivations whose infinite unfoldings contain a branch
 that stops witnessing a server on one fixed channel.  A thread is a channel
@@ -19,10 +25,13 @@ back-edge target must have a progressing self-arc.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import types as ty
 from .cycles import closure_check
+from .printer import pretty_type
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
     Nil, Process, Program, Select, Server, SourceSpan, Wait, free_names,
@@ -110,190 +119,124 @@ def split_context(ctx: TypeContext, fn_left: frozenset[ChannelName], fn_right: f
     return left, right
 
 
-def _identity_down(ctx: TypeContext, *drop: ChannelName) -> dict[ChannelName, ChannelName]:
-    return {c: c for c in ctx if c not in drop}
+# One row per guard construct: its rule, the type constructor its subject
+# must have, and how a type-mismatch message names that constructor.
+_GUARDS: dict[type, tuple[str, type, str]] = {
+    Close: ("one", ty.One, "1 (close)"),
+    Fail: ("top", ty.Top, "top (fail)"),
+    Nil: ("done", ty.Client, "a client pool"),
+    Wait: ("bot", ty.Bot, "bot (wait)"),
+    Join: ("par", ty.Par, "an input pair (recv)"),
+    Fork: ("tensor", ty.Tensor, "an output pair (send)"),
+    Select: ("plus", ty.Plus, "a selection (.in1/.in2)"),
+    Case: ("with", ty.With, "a branch (case)"),
+    Server: ("server", ty.Server, "a server"),
+    Cons: ("client", ty.Client, "a client pool"),
+}
+
+_UID = attrgetter("uid")
+
+
+def _subject_type(p: Process, ctx: TypeContext, row: tuple[str, type, str]) -> ty.SessionType:
+    """The type of p's subject, which must be in ctx and have row's constructor."""
+    rule, ctor, shown = row
+    x = p.chan
+    if x not in ctx:
+        raise _err("scope", rule, f"channel {x.name} is not in the context", p.span)
+    t = ctx[x]
+    if isinstance(t, ctor):
+        return t
+    if isinstance(t, ty.Zero):
+        raise _err("zero-subject", rule,
+                   f"channel {x.name} has the empty type 0; no action can introduce it", p.span)
+    raise _err("type-mismatch", rule,
+               f"channel {x.name} has type {pretty_type(t)} but is used as {shown}", p.span)
+
+
+def _callee(p: Call, ctx: TypeContext, prog: Program) -> Definition:
+    """The definition p invokes, once p's arguments match its parameters."""
+    name, args, span = p.name, p.args, p.span
+    defn = prog.defs.get(name)
+    if defn is None:
+        raise _err("scope", "call", f"undefined process {name!r}", span)
+    if len(args) != len(defn.params):
+        raise _err("arity", "call", f"{name} takes {len(defn.params)} argument(s), got {len(args)}", span)
+    if len(set(args)) != len(args):
+        raise _err("linearity", "call", f"repeated argument in call to {name}", span)
+    if set(args) != set(ctx):
+        missing = sorted({c.name for c in set(ctx) - set(args)})
+        extra = sorted({c.name for c in set(args) - set(ctx)})
+        what = [f"{label} channel(s) {names}" for label, names in (("unused", missing), ("unknown", extra))
+                if names]
+        raise _err("linearity", "call", f"call to {name}: {', '.join(what)}", span)
+    for a, (_, expected) in zip(args, defn.params):
+        if ctx[a] != expected:
+            raise _err("type-mismatch", "call", f"argument {a.name} of {name} has type "
+                       f"{pretty_type(ctx[a])}, annotation says {pretty_type(expected)}", span)
+    return defn
 
 
 class _Checker:
     def __init__(self, prog: Program):
         self.prog = prog
         self.nodes: dict[int, DerivNode] = {}
-        self.next_id = 0
-
-    def new_id(self) -> int:
-        nid = self.next_id
-        self.next_id += 1
-        return nid
-
-    def emit(self, nid: int, p: Process, ctx: TypeContext, rule: str,
-             premises: list[tuple[int | DerivEdge, dict[ChannelName, ChannelName]]] | None = None,
-             subject: ChannelName | None = None, tag: int | None = None) -> int:
-        edges = []
-        for item, down in premises or []:
-            if isinstance(item, DerivEdge):
-                edges.append(item)
-            else:
-                edges.append(DerivEdge(item, False, tuple(sorted(down.items(), key=lambda kv: kv[0].uid))))
-        self.nodes[nid] = DerivNode(nid, Judgment(p, _ctx_tuple(ctx)), rule, tuple(edges), subject, tag)
-        return nid
+        self.ids = itertools.count()
 
     def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
-        nid = self.new_id()
-        span = p.span
-
-        def want(x: ChannelName, ctor: type, rule: str) -> ty.SessionType:
-            if x not in ctx:
-                raise _err("scope", rule, f"channel {x.name} is not in the context", span)
-            t = ctx[x]
-            if isinstance(t, ctor):
-                return t
-            if isinstance(t, ty.Zero):
-                raise _err("zero-subject", rule,
-                           f"channel {x.name} has the empty type 0; no action can introduce it", span)
-            raise _err("type-mismatch", rule,
-                       f"channel {x.name} has type {_ty_str(t)} but is used as {_ty_str_ctor(ctor)}", span)
-
+        nid = next(self.ids)
+        tag = None
+        edges: list[DerivEdge] = []
+        # (process, context, channels whose lineage continues into it)
+        premises: tuple[tuple[Process, TypeContext, TypeContext], ...] = ()
+        row = _GUARDS.get(type(p))
+        if row is not None:
+            rule, x = row[0], p.chan
+            t = _subject_type(p, ctx, row)
+            rest = {c: v for c, v in ctx.items() if c != x}
         match p:
             case Call(name, args):
-                defn = self.prog.defs.get(name)
-                if defn is None:
-                    raise _err("scope", "call", f"undefined process {name!r}", span)
-                if len(args) != len(defn.params):
-                    raise _err("arity", "call",
-                               f"{name} takes {len(defn.params)} argument(s), got {len(args)}", span)
-                if len(set(args)) != len(args):
-                    raise _err("linearity", "call", f"repeated argument in call to {name}", span)
-                if set(args) != set(ctx):
-                    missing = {c.name for c in set(ctx) - set(args)}
-                    extra = {c.name for c in set(args) - set(ctx)}
-                    what = []
-                    if missing:
-                        what.append(f"unused channel(s) {sorted(missing)}")
-                    if extra:
-                        what.append(f"unknown channel(s) {sorted(extra)}")
-                    raise _err("linearity", "call", f"call to {name}: {', '.join(what)}", span)
-                for a, (_, expected) in zip(args, defn.params):
-                    if ctx[a] != expected:
-                        raise _err("type-mismatch", "call",
-                                   f"argument {a.name} of {name} has type {_ty_str(ctx[a])}, "
-                                   f"annotation says {_ty_str(expected)}", span)
+                rule = "call"
+                defn = _callee(p, ctx, self.prog)
                 if name in path:
                     anc_id, anc_args = path[name]
-                    corr = tuple(zip(args, anc_args))
-                    back = DerivEdge(anc_id, True, corr)
-                    return self.emit(nid, p, ctx, "call", [(back, {})])
-                body = instantiate(defn, args)
-                child = self.check(body, dict(ctx), {**path, name: (nid, args)})
-                return self.emit(nid, p, ctx, "call", [(child, _identity_down(ctx))])
-
-            case Close(x):
-                want(x, ty.One, "one")
-                self._exactly(ctx, {x}, "one", span)
-                return self.emit(nid, p, ctx, "one", subject=x)
-
-            case Fail(x):
-                want(x, ty.Top, "top")
-                return self.emit(nid, p, ctx, "top", subject=x)
-
-            case Nil(x):
-                want(x, ty.Client, "done")
-                self._exactly(ctx, {x}, "done", span)
-                return self.emit(nid, p, ctx, "done", subject=x)
-
-            case Wait(x, body):
-                want(x, ty.Bot, "bot")
-                ctx2 = {c: t for c, t in ctx.items() if c != x}
-                child = self.check(body, ctx2, path)
-                return self.emit(nid, p, ctx, "bot", [(child, _identity_down(ctx, x))], subject=x)
-
-            case Join(x, y, body):
-                t = want(x, ty.Par, "par")
-                ctx2 = {**{c: v for c, v in ctx.items() if c != x}, y: t.left, x: t.right}
-                child = self.check(body, ctx2, path)
-                return self.emit(nid, p, ctx, "par", [(child, _identity_down(ctx))], subject=x)
-
-            case Fork(x, y, payload, cont):
-                t = want(x, ty.Tensor, "tensor")
-                rest = {c: v for c, v in ctx.items() if c != x}
-                fl = free_names(payload) - {y}
-                fr = free_names(cont) - {x}
-                left, right = split_context(rest, fl, fr, span, "tensor")
-                cl = self.check(payload, {**left, y: t.left}, path)
-                cr = self.check(cont, {**right, x: t.right}, path)
-                return self.emit(nid, p, ctx, "tensor",
-                                 [(cl, _identity_down(left)),
-                                  (cr, {**_identity_down(right), x: x})], subject=x)
-
-            case Select(x, tag, body):
-                t = want(x, ty.Plus, "plus")
-                chosen = t.left if tag == 1 else t.right
-                ctx2 = {**ctx, x: chosen}
-                child = self.check(body, ctx2, path)
-                return self.emit(nid, p, ctx, "plus", [(child, _identity_down(ctx))],
-                                 subject=x, tag=tag)
-
-            case Case(x, lbody, rbody):
-                t = want(x, ty.With, "with")
-                cl = self.check(lbody, {**ctx, x: t.left}, path)
-                cr = self.check(rbody, {**ctx, x: t.right}, path)
-                down = _identity_down(ctx)
-                return self.emit(nid, p, ctx, "with", [(cl, down), (cr, down)], subject=x)
-
-            case Server(x, y, accept, idle):
-                t = want(x, ty.Server, "server")
-                ctx_accept = {**ctx, y: t.inner}
-                cl = self.check(accept, ctx_accept, path)
-                ctx_idle = {c: v for c, v in ctx.items() if c != x}
-                cr = self.check(idle, ctx_idle, path)
-                return self.emit(nid, p, ctx, "server",
-                                 [(cl, _identity_down(ctx)),
-                                  (cr, _identity_down(ctx, x))], subject=x)
-
-            case Cons(x, y, client, pool):
-                t = want(x, ty.Client, "client")
-                rest = {c: v for c, v in ctx.items() if c != x}
-                fl = free_names(client) - {y}
-                fr = free_names(pool) - {x}
-                left, right = split_context(rest, fl, fr, span, "client")
-                cl = self.check(client, {**left, y: t.inner}, path)
-                cr = self.check(pool, {**right, x: t}, path)
-                return self.emit(nid, p, ctx, "client",
-                                 [(cl, _identity_down(left)),
-                                  (cr, {**_identity_down(right), x: x})], subject=x)
-
-            case Cut(x, anno, lbody, rbody):
+                    edges.append(DerivEdge(anc_id, True, tuple(zip(args, anc_args))))
+                else:
+                    premises = ((instantiate(defn, args), dict(ctx), ctx),)
+                    path = {**path, name: (nid, args)}
+            case Cut(x, anno, first, second):
+                rule = "cut"
                 if x in ctx:
-                    raise _err("scope", "cut", f"cut rebinds channel {x.name} already in context", span)
-                fl = free_names(lbody) - {x}
-                fr = free_names(rbody) - {x}
-                left, right = split_context(ctx, fl, fr, span, "cut")
-                cl = self.check(lbody, {**left, x: anno}, path)
-                cr = self.check(rbody, {**right, x: ty.dual(anno)}, path)
-                return self.emit(nid, p, ctx, "cut",
-                                 [(cl, _identity_down(left)), (cr, _identity_down(right))])
-
-        raise _err("type-mismatch", "?", f"cannot type {type(p).__name__}", span)
-
-    def _exactly(self, ctx: TypeContext, allowed: set[ChannelName], rule: str, span) -> None:
-        extra = set(ctx) - allowed
-        if extra:
-            names = sorted(c.name for c in extra)
-            raise _err("linearity", rule, f"unused channel(s) {names}", span)
-
-
-def _ty_str(t: ty.SessionType) -> str:
-    from .printer import pretty_type
-    return pretty_type(t)
-
-
-def _ty_str_ctor(ctor: type) -> str:
-    samples = {
-        ty.One: "1 (close)", ty.Bot: "bot (wait)", ty.Top: "top (fail)",
-        ty.Tensor: "an output pair (send)", ty.Par: "an input pair (recv)",
-        ty.Plus: "a selection (.in1/.in2)", ty.With: "a branch (case)",
-        ty.Server: "a server", ty.Client: "a client pool",
-    }
-    return samples.get(ctor, ctor.__name__)
+                    raise _err("scope", "cut", f"cut rebinds channel {x.name} already in context", p.span)
+                left, right = split_context(ctx, free_names(first), free_names(second), p.span)
+                premises = ((first, {**left, x: anno}, left), (second, {**right, x: ty.dual(anno)}, right))
+            case Close() | Nil():
+                if rest:
+                    raise _err("linearity", rule, f"unused channel(s) {sorted(c.name for c in rest)}", p.span)
+            case Fail():  # the top rule absorbs any context
+                pass
+            case Wait(_, body):
+                premises = ((body, rest, rest),)
+            case Join(_, y, body):
+                premises = ((body, {**rest, y: t.left, x: t.right}, ctx),)
+            case Fork(_, y, first, second) | Cons(_, y, first, second):
+                a, b = (t.left, t.right) if rule == "tensor" else (t.inner, t)
+                left, right = split_context(rest, free_names(first) - {y}, free_names(second), p.span, rule)
+                right = {**right, x: b}
+                premises = ((first, {**left, y: a}, left), (second, right, right))
+            case Select(_, tag, body):
+                premises = ((body, {**ctx, x: t.left if tag == 1 else t.right}, ctx),)
+            case Case(_, first, second):
+                premises = ((first, {**ctx, x: t.left}, ctx), (second, {**ctx, x: t.right}, ctx))
+            case Server(_, y, accept, idle):
+                premises = ((accept, {**ctx, y: t.inner}, ctx), (idle, rest, rest))
+            case _:
+                raise _err("type-mismatch", "?", f"cannot type {type(p).__name__}", p.span)
+        for q, q_ctx, kept in premises:
+            edges.append(DerivEdge(self.check(q, q_ctx, path), False,
+                                   tuple((c, c) for c in sorted(kept, key=_UID))))
+        self.nodes[nid] = DerivNode(nid, Judgment(p, _ctx_tuple(ctx)), rule, tuple(edges),
+                                    x if row else None, tag)
+        return nid
 
 
 def check(p: Process, ctx: TypeContext, prog: Program) -> Derivation:
@@ -397,8 +340,7 @@ def check_program(prog: Program) -> ProgramReport:
     for defn in prog.all_definitions():
         rep = DefReport(defn.name)
         try:
-            d = definition_derivation(defn, prog)
-            rep.derivation = d
+            rep.derivation = d = definition_derivation(defn, prog)
             rep.validity = validity_check(d)
         except TypeCheckError as e:
             rep.diagnostics.append(e.diagnostic)

@@ -149,6 +149,20 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     assert "bad.csll:" in err and "expected" in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_input_exits_1_with_one_error_line(tmp_path, capsys, kind):
+    # each error line names the input
+    path = tmp_path / "latin1.csll"
+    if kind == "directory":
+        path = CORPUS
+    else:
+        path.write_bytes("main(z: 1) = close z -- café\n".encode("latin-1"))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.name in err
+
+
 def test_deep_input_exits_6_without_traceback(tmp_path, capsys):
     # 500 clients nest the checker past Python's recursion limit, and 1000
     # nest the parser past it
