@@ -4,7 +4,8 @@ Two rewrites are applied.  One bottom-up pass orders commutative siblings
 (cut sides, clients within a pool on the same channel) by a structural key
 that is invariant under renaming of bound channels; each node's key is built
 from the keys of its already-sorted children, so every subterm is keyed
-once.  Bound channels are then renamed in traversal order by
+once; apart from cuts, pools and invocations a node's key follows its row
+of `process.BINDING`.  Bound channels are then renamed in traversal order by
 `process.rename`, with binder ids -1, -2, ...: parsed and fresh channels have
 positive ids, so no free channel is captured.  The result is a
 deterministic, idempotent normal form used as state identity during
@@ -18,10 +19,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .process import (
-    Call, Case, ChannelName, Close, Cons, Cut, Fail, Fork, Join, Nil,
-    Process, Select, Server, Wait, rename,
-)
+from .process import BINDING, Call, ChannelName, Cons, Cut, Process, rename
 from .types import dual, type_key
 
 
@@ -56,36 +54,27 @@ def _sort(p: Process, env: dict[ChannelName, int], depth: int) -> tuple[Process,
                 out = Cons(x, y, body, out, span=p.span)
                 key = ("cons", ck(x), ckey, key)
             return out, key
-        case Wait(x, body):
-            bs, bk = _sort(body, env, depth)
-            return Wait(x, bs, span=p.span), ("wait", ck(x), bk)
-        case Select(x, tag, body):
-            bs, bk = _sort(body, env, depth)
-            return Select(x, tag, bs, span=p.span), ("select", ck(x), tag, bk)
-        case Case(x, l, r):
-            ls, lk = _sort(l, env, depth)
-            rs, rk = _sort(r, env, depth)
-            return Case(x, ls, rs, span=p.span), ("case", ck(x), lk, rk)
-        case Join(x, y, body):
-            bs, bk = _sort(body, {**env, y: depth}, depth + 1)
-            return Join(x, y, bs, span=p.span), ("join", ck(x), bk)
-        case Fork(x, y, pb, cont):
-            ps, pk = _sort(pb, {**env, y: depth}, depth + 1)
-            cs, cks = _sort(cont, env, depth)
-            return Fork(x, y, ps, cs, span=p.span), ("fork", ck(x), pk, cks)
-        case Server(x, y, acc, idle):
-            acs, ak = _sort(acc, {**env, y: depth}, depth + 1)
-            ids, ik = _sort(idle, env, depth)
-            return Server(x, y, acs, ids, span=p.span), ("server", ck(x), ak, ik)
         case Call(name, args):
             return p, ("call", name, tuple(ck(a) for a in args))
-        case Fail(x):
-            return p, ("fail", ck(x))
-        case Close(x):
-            return p, ("close", ck(x))
-        case Nil(x):
-            return p, ("nil", ck(x))
-    raise TypeError(f"not a process: {p!r}")
+    # name, subject and scalars, then the keys inside and outside the binder's scope
+    t = type(p)
+    row = BINDING[t]
+    vals = row.fields(p)
+    key = [_NAMES[t], ck(vals[row.subject]), *(vals[i] for i in row.scalars)]
+    if not (row.inside or row.outside):
+        return p, tuple(key)
+    vals = list(vals)
+    inner = env if row.binder is None else {**env, vals[row.binder]: depth}
+    for i in row.inside:
+        vals[i], k = _sort(vals[i], inner, depth + 1)
+        key.append(k)
+    for i in row.outside:
+        vals[i], k = _sort(vals[i], env, depth)
+        key.append(k)
+    return t(*vals, span=p.span), tuple(key)
+
+
+_NAMES = {t: t.__name__.lower() for t in BINDING}
 
 
 def cell_key(client: Process, session: ChannelName) -> tuple:

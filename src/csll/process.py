@@ -1,8 +1,11 @@
 """Process terms, global definitions, and the syntactic operations on them.
 
 Channels carry a unique id so that binder instances stay distinct under
-rewriting; alpha-equivalence is checked structurally through a binder
-correspondence.
+rewriting.  The binding structure of every constructor is stated once, in
+`BINDING`: the field of its subject, the channel it binds, and which
+subterms lie inside and outside that binder's scope.  Free names, subjects,
+alpha-equality, renaming (and `canon`'s canonical keys) all read that table
+rather than restating it per constructor.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .types import SessionType
 
@@ -27,8 +30,7 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ChannelName:
+class ChannelName(NamedTuple):
     name: str
     uid: int
 
@@ -174,29 +176,73 @@ class Program:
         return table
 
 
+class Binding(NamedTuple):
+    """A `BINDING` row as field positions; scalars are the fields it does not name."""
+
+    fields: Callable[[Process], tuple]  # all fields, in constructor order
+    subject: int | None
+    binder: int | None
+    inside: tuple[int, ...]
+    outside: tuple[int, ...]
+    scalars: tuple[int, ...]
+
+
+def _binding(t: type, subject: str | None, binder: str | None,
+             inside: tuple[str, ...], outside: tuple[str, ...]) -> Binding:
+    order = t.__match_args__
+    at = {f: i for i, f in enumerate(order)}
+    named = {subject, binder, *inside, *outside}
+    fields = attrgetter(*order) if len(order) > 1 else lambda p: (getattr(p, order[0]),)
+    return Binding(fields, at.get(subject), at.get(binder), tuple(at[f] for f in inside),
+                   tuple(at[f] for f in outside), tuple(i for f, i in at.items() if f not in named))
+
+
+# The binding structure of every constructor, by field name: (subject,
+# binder, subterms in the binder's scope, subterms outside it).  An
+# invocation's arguments are free.
+BINDING: dict[type, Binding] = {t: _binding(t, *row) for t, row in {
+    Call: (None, None, (), ()),
+    Fail: ("chan", None, (), ()),
+    Close: ("chan", None, (), ()),
+    Nil: ("chan", None, (), ()),
+    Wait: ("chan", None, (), ("body",)),
+    Select: ("chan", None, (), ("body",)),
+    Case: ("chan", None, (), ("left", "right")),
+    Join: ("chan", "payload", ("body",), ()),
+    Fork: ("chan", "payload", ("payload_body",), ("cont",)),
+    Server: ("chan", "session", ("accept",), ("idle",)),
+    Cons: ("chan", "session", ("client",), ("pool",)),
+    Cut: (None, "chan", ("left", "right"), ()),
+}.items()}
+
+
 def free_names(p: Process) -> frozenset[ChannelName]:
-    match p:
-        case Call(_, args):
-            return frozenset(args)
-        case Fail(x) | Close(x) | Nil(x):
-            return frozenset((x,))
-        case Wait(x, body):
-            return free_names(body) | {x}
-        case Fork(x, y, pb, cont):
-            return (free_names(pb) - {y}) | free_names(cont) | {x}
-        case Join(x, y, body):
-            return (free_names(body) - {y}) | {x}
-        case Select(x, _, body):
-            return free_names(body) | {x}
-        case Case(x, l, r):
-            return free_names(l) | free_names(r) | {x}
-        case Server(x, y, acc, idle):
-            return (free_names(acc) - {y}) | free_names(idle) | {x}
-        case Cons(x, y, client, pool):
-            return (free_names(client) - {y}) | free_names(pool) | {x}
-        case Cut(x, _, l, r):
-            return (free_names(l) | free_names(r)) - {x}
-    raise TypeError(f"not a process: {p!r}")
+    return _free_names(p, {})
+
+
+def _free_names(p: Process, memo: dict[int, frozenset[ChannelName]]) -> frozenset[ChannelName]:
+    """free_names(p), taking and leaving each subterm's set in memo under its id()."""
+    names = memo.get(id(p))
+    if names is None:
+        row = BINDING[type(p)]
+        vals = row.fields(p)
+        found = set(p.args) if type(p) is Call else set()
+        for i in row.inside:
+            found |= _free_names(vals[i], memo)
+        if row.binder is not None:
+            found.discard(vals[row.binder])
+        for i in row.outside:
+            found |= _free_names(vals[i], memo)
+        if row.subject is not None:
+            found.add(vals[row.subject])
+        names = memo[id(p)] = frozenset(found)
+    return names
+
+
+def subject(p: Process) -> ChannelName | None:
+    """The channel a guard acts on; None for cuts and invocations."""
+    row = BINDING[type(p)]
+    return None if row.subject is None else row.fields(p)[row.subject]
 
 
 def rename(p: Process, mapping: dict[ChannelName, ChannelName], *,
@@ -212,81 +258,40 @@ def rename(p: Process, mapping: dict[ChannelName, ChannelName], *,
     entering its scope and the entry it shadowed is restored on leaving it.
     """
     namer = refresh if callable(refresh) else _fresh_like if refresh else None
-    return _RENAME[type(p)](p, dict(mapping), namer)
+    return _rename(p, dict(mapping), namer)
 
 
 def _fresh_like(b: ChannelName) -> ChannelName:
     return fresh(b.name)
 
 
-_Namer = Optional[Callable[[ChannelName], ChannelName]]
-
-
-def _under(b: ChannelName, m: dict[ChannelName, ChannelName], namer: _Namer, p: Process,
-           q: Process | None = None) -> tuple[ChannelName, Process, Process | None]:
-    """Binder b's new name, and p (and q) renamed in b's scope; the entry of m
-    that b shadows is restored on leaving it."""
-    old = m.pop(b, None)
-    if namer is not None:
-        nb = m[b] = namer(b)
-    elif b in m.values():  # b would capture the image of a free channel
-        nb = m[b] = fresh(b.name)
-    else:
-        nb = b
-    p = _RENAME[type(p)](p, m, namer)
-    if q is not None:
-        q = _RENAME[type(q)](q, m, namer)
-    if old is None:
-        m.pop(b, None)
-    else:
-        m[b] = old
-    return nb, p, q
-
-
-def _r_call(p: Call, m: dict, namer: _Namer) -> Process:
-    return Call(p.name, tuple([m.get(a, a) for a in p.args]), span=p.span)
-
-
-def _r_leaf(p: Fail | Close | Nil, m: dict, namer: _Namer) -> Process:
-    return type(p)(m.get(p.chan, p.chan), span=p.span)
-
-
-def _r_wait(p: Wait, m: dict, namer: _Namer) -> Process:
-    return Wait(m.get(p.chan, p.chan), _RENAME[type(p.body)](p.body, m, namer), span=p.span)
-
-
-def _r_select(p: Select, m: dict, namer: _Namer) -> Process:
-    return Select(m.get(p.chan, p.chan), p.tag, _RENAME[type(p.body)](p.body, m, namer), span=p.span)
-
-
-def _r_case(p: Case, m: dict, namer: _Namer) -> Process:
-    left = _RENAME[type(p.left)](p.left, m, namer)
-    return Case(m.get(p.chan, p.chan), left, _RENAME[type(p.right)](p.right, m, namer), span=p.span)
-
-
-def _r_join(p: Join, m: dict, namer: _Namer) -> Process:
-    y, body, _ = _under(p.payload, m, namer, p.body)
-    return Join(m.get(p.chan, p.chan), y, body, span=p.span)
-
-
-def _r_scoped(p: Fork | Server | Cons, m: dict, namer: _Namer) -> Process:
-    """A subject, a binder scoped over the next subterm only, and the rest."""
-    x, y, body, rest = _FIELDS[type(p)](p)
-    y, body, _ = _under(y, m, namer, body)
-    return type(p)(m.get(x, x), y, body, _RENAME[type(rest)](rest, m, namer), span=p.span)
-
-
-def _r_cut(p: Cut, m: dict, namer: _Namer) -> Process:
-    x, left, right = _under(p.chan, m, namer, p.left, p.right)
-    return Cut(x, p.anno, left, right, span=p.span)
-
-
-_FIELDS = {t: attrgetter(*t.__match_args__) for t in (Fork, Server, Cons)}
-_RENAME: dict[type, Callable[[Process, dict, _Namer], Process]] = {
-    Call: _r_call, Fail: _r_leaf, Close: _r_leaf, Nil: _r_leaf, Wait: _r_wait,
-    Select: _r_select, Case: _r_case, Join: _r_join, Fork: _r_scoped,
-    Server: _r_scoped, Cons: _r_scoped, Cut: _r_cut,
-}
+def _rename(p: Process, m: dict, namer: Callable[[ChannelName], ChannelName] | None) -> Process:
+    """p renamed by m: first its binder and the subterms in the binder's scope
+    (the entry of m that the binder shadows is restored on leaving the
+    scope), then its subject and the subterms outside the scope."""
+    if type(p) is Call:
+        return Call(p.name, tuple([m.get(a, a) for a in p.args]), span=p.span)
+    row = BINDING[type(p)]
+    vals = list(row.fields(p))
+    if row.binder is not None:
+        b = vals[row.binder]
+        old = m.pop(b, None)
+        # without a namer b keeps its name unless it would capture the image
+        # of a free channel
+        if namer is not None or b in m.values():
+            vals[row.binder] = m[b] = (namer or _fresh_like)(b)
+        for i in row.inside:
+            vals[i] = _rename(vals[i], m, namer)
+        if old is None:
+            m.pop(b, None)
+        else:
+            m[b] = old
+    if row.subject is not None:
+        x = vals[row.subject]
+        vals[row.subject] = m.get(x, x)
+    for i in row.outside:
+        vals[i] = _rename(vals[i], m, namer)
+    return type(p)(*vals, span=p.span)
 
 
 def instantiate(defn: Definition, args: tuple[ChannelName, ...]) -> Process:
@@ -313,37 +318,21 @@ def alpha_equal(p: Process, q: Process, free_map: dict[ChannelName, ChannelName]
         return a.name == b.name
 
     def go(p: Process, q: Process, env: dict[ChannelName, ChannelName]) -> bool:
-        if type(p) is not type(q):
+        t = type(p)
+        if t is not type(q):
             return False
-        match p, q:
-            case Call(n1, a1), Call(n2, a2):
-                return n1 == n2 and len(a1) == len(a2) and all(chan_eq(a, b, env) for a, b in zip(a1, a2))
-            case (Fail(x1), Fail(x2)) | (Close(x1), Close(x2)) | (Nil(x1), Nil(x2)):
-                return chan_eq(x1, x2, env)
-            case Wait(x1, b1), Wait(x2, b2):
-                return chan_eq(x1, x2, env) and go(b1, b2, env)
-            case Fork(x1, y1, pb1, c1), Fork(x2, y2, pb2, c2):
-                return (chan_eq(x1, x2, env)
-                        and go(pb1, pb2, {**env, y1: y2})
-                        and go(c1, c2, env))
-            case Join(x1, y1, b1), Join(x2, y2, b2):
-                return chan_eq(x1, x2, env) and go(b1, b2, {**env, y1: y2})
-            case Select(x1, t1, b1), Select(x2, t2, b2):
-                return t1 == t2 and chan_eq(x1, x2, env) and go(b1, b2, env)
-            case Case(x1, l1, r1), Case(x2, l2, r2):
-                return chan_eq(x1, x2, env) and go(l1, l2, env) and go(r1, r2, env)
-            case Server(x1, y1, a1, i1), Server(x2, y2, a2, i2):
-                return (chan_eq(x1, x2, env)
-                        and go(a1, a2, {**env, y1: y2})
-                        and go(i1, i2, env))
-            case Cons(x1, y1, c1, t1), Cons(x2, y2, c2, t2):
-                return (chan_eq(x1, x2, env)
-                        and go(c1, c2, {**env, y1: y2})
-                        and go(t1, t2, env))
-            case Cut(x1, an1, l1, r1), Cut(x2, an2, l2, r2):
-                env2 = {**env, x1: x2}
-                return an1 == an2 and go(l1, l2, env2) and go(r1, r2, env2)
-        return False
+        if t is Call:
+            return (p.name == q.name and len(p.args) == len(q.args)
+                    and all(chan_eq(a, b, env) for a, b in zip(p.args, q.args)))
+        row = BINDING[t]
+        a, b = row.fields(p), row.fields(q)
+        if any(a[i] != b[i] for i in row.scalars):
+            return False
+        if row.subject is not None and not chan_eq(a[row.subject], b[row.subject], env):
+            return False
+        inner = env if row.binder is None else {**env, a[row.binder]: b[row.binder]}
+        return (all(go(a[i], b[i], inner) for i in row.inside)
+                and all(go(a[i], b[i], env) for i in row.outside))
 
     return go(p, q, {})
 
@@ -404,15 +393,3 @@ def channels(p: Process) -> int:
     if isinstance(p, Cut):
         return 1 + channels(p.left) + channels(p.right)
     return 0
-
-
-def subject(p: Process) -> ChannelName | None:
-    """The channel a guard acts on; None for cuts and invocations."""
-    match p:
-        case Fail(x) | Close(x) | Nil(x):
-            return x
-        case Wait(x, _) | Join(x, _, _) | Select(x, _, _) | Case(x, _, _):
-            return x
-        case Fork(x, _, _, _) | Server(x, _, _, _) | Cons(x, _, _, _):
-            return x
-    return None

@@ -2,24 +2,22 @@
 schedulers, state-space exploration, and termination verdicts.
 
 Redexes live at a cut whose two sides expose dual actions on the cut
-channel.  Exposure rewrites lazily: invocations are unfolded only while they
-block discovery, guards are pulled out through enclosing cuts (and, in the
-full semantics, through pool heads), mirroring the pre-congruence moves that
-justify each step.  Both semantics use one unfolding rule,
-`process.unfold_head`: an invocation is unfolded exactly when its unguarded
-unfolding terminates (`call_depth` is not None); one whose unguarded
-unfolding diverges is stuck, and so is an invocation of a name the program
-does not define, while the rest of the state may still step.  The
-deterministic fragment drops every pool rule, so clients connect strictly in
-queue order; its scheduler takes the first deterministic step, from the same
-lazily unfolded states that exploration reaches.  In the full
-semantics, connecting either of two clients with equal canonical keys gives
-one canonical state (symmetry reduction), so exploration canonicalizes one
-reduct per such class.  A step record builds its rearrangement and its
-reduct only on first access, so exploration builds one reduct per class and
-a random run only the drawn step's.  The reduction graph buckets its states
-by the C-level hash of their canonical keys and confirms a hit by
-canonical-term equality.
+channel.  One walk down the spine of a state (its cuts and, in the full
+semantics, its pool heads) finds every step: each subterm returns the
+guards it exposes, keyed by subject, and each cut pairs the two guards on
+its channel.  Pulling a guard out through enclosing cuts and pool heads
+mirrors the pre-congruence moves that justify the step.  The walk unfolds
+an invocation only where it meets one, by the one unfolding rule,
+`process.unfold_head`: an invocation unfolds exactly when its unguarded
+unfolding terminates; one that diverges, or names no definition, is stuck
+while the rest of the state may step.  The deterministic fragment drops
+every pool rule, so clients connect in queue order, and its scheduler takes
+the first step.  In the full semantics, connecting either of two clients
+with equal canonical keys gives one canonical state (symmetry reduction).
+A step record builds its rearrangement and reduct on first access, so
+exploration builds one reduct per such class and a random run only the
+drawn step's.  The reduction graph buckets its states by the C-level hash
+of their canonical keys and confirms a hit by canonical-term equality.
 """
 
 from __future__ import annotations
@@ -57,31 +55,12 @@ class RedexInfo:
         return f"{self.kind}@{self.channel}[{loc}]"
 
 
-def _find_guard(p: Process, x: ChannelName, defs: Program, pool_ok: bool
-                ) -> tuple[Process, Callable[[Process], Process]] | None:
-    """Locate the unguarded x-guard in p, with a rebuild closure for its context."""
-    p = unfold_head(p, defs)
-    s = subject(p)
-    if s == x:
-        return p, lambda h: h
-    if isinstance(p, Cut):
-        got = _find_guard(p.left, x, defs, pool_ok)
-        if got is not None:
-            g, rb = got
-            return g, lambda h: Cut(p.chan, p.anno, rb(h), p.right)
-        got = _find_guard(p.right, x, defs, pool_ok)
-        if got is not None:
-            g, rb = got
-            return g, lambda h: Cut(p.chan, p.anno, p.left, rb(h))
-        return None
-    if pool_ok and isinstance(p, Cons):
-        # scope extrusion across a pool head requires x not to occur in it
-        if x != p.chan and x not in (free_names(p.client) - {p.session}):
-            got = _find_guard(p.pool, x, defs, pool_ok)
-            if got is not None:
-                g, rb = got
-                return g, lambda h: Cons(p.chan, p.session, p.client, rb(h))
-    return None
+# an exposed guard, and the closure that rebuilds its exposing term around a replacement
+_Guard = tuple[Process, Callable[[Process], Process]]
+
+
+def _hole(h: Process) -> Process:
+    return h
 
 
 def _pool_cells(g: Process, x: ChannelName, defs: Program
@@ -95,13 +74,6 @@ def _pool_cells(g: Process, x: ChannelName, defs: Program
             node = node.pool
         else:
             return cells, node
-
-
-def _rebuild_pool(x: ChannelName, cells: list[tuple[ChannelName, Process]], end: Process) -> Process:
-    out = end
-    for y, body in reversed(cells):
-        out = Cons(x, y, body, out)
-    return out
 
 
 class Step:
@@ -130,16 +102,12 @@ class Step:
         return self._around(self._core())
 
 
-def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
-                  ctx: Callable[[Process], Process], out: list[Step]) -> None:
-    """Append the steps at cut, whose enclosing context is ctx, to out."""
-    x = cut.chan
-    lg = _find_guard(cut.left, x, defs, pool_ok)
-    rg = _find_guard(cut.right, x, defs, pool_ok)
-    if lg is None or rg is None:
-        return
+def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Guard, defs: Program,
+                  pool_ok: bool, path: tuple[str, ...], ctx: Callable[[Process], Process],
+                  out: list[Step]) -> None:
+    """Append to out the steps at the cut on x (typed left_type) whose sides
+    expose the x-guards lg and rg, and whose enclosing context is ctx."""
     (g1, rb1), (g2, rb2) = lg, rg
-    left_type = cut.anno
 
     def around(core: Process) -> Process:
         return ctx(rb1(rb2(core)))
@@ -177,7 +145,10 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
         cells, end = _pool_cells(gp, x, defs)
 
         def rest(i: int) -> Process:
-            return _rebuild_pool(x, cells[:i] + cells[i + 1:], end)
+            out = end
+            for y, body in reversed(cells[:i] + cells[i + 1:]):
+                out = Cons(x, y, body, out)
+            return out
 
         def exposed(i: int) -> Cut:
             """The exposed cut, with cell i at the pool's head if there are cells."""
@@ -216,21 +187,35 @@ def _sync_redexes(cut: Cut, defs: Program, pool_ok: bool, path: tuple[str, ...],
 
 
 def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
-          ctx: Callable[[Process], Process], out: list[Step]) -> None:
-    """Append to out every step below p, whose enclosing context is ctx."""
+          ctx: Callable[[Process], Process], out: list[Step]) -> dict[ChannelName, _Guard]:
+    """Append to out every step below p, whose enclosing context is ctx, in
+    preorder, and return the guards p exposes.  A cut unfolds each side once;
+    the context of a step below one side keeps the other side as it was."""
     p = unfold_head(p, defs)
     if isinstance(p, Cut):
-        # each side is unfolded once, for the steps at p and below it; the
-        # context of a step below one side keeps the other side as it was
-        sides = Cut(p.chan, p.anno, unfold_head(p.left, defs), unfold_head(p.right, defs))
-        _sync_redexes(sides, defs, pool_ok, path, ctx, out)
-        _walk(sides.left, defs, pool_ok, path + ("L",),
-              lambda q: ctx(Cut(p.chan, p.anno, q, p.right)), out)
-        _walk(sides.right, defs, pool_ok, path + ("R",),
-              lambda q: ctx(Cut(p.chan, p.anno, p.left, q)), out)
-    elif pool_ok and isinstance(p, Cons):
-        _walk(p.pool, defs, pool_ok, path + ("T",),
-              lambda q: ctx(Cons(p.chan, p.session, p.client, q)), out)
+        x, anno = p.chan, p.anno
+        at = len(out)
+        lg = _walk(unfold_head(p.left, defs), defs, pool_ok, path + ("L",),
+                   lambda q: ctx(Cut(x, anno, q, p.right)), out)
+        rg = _walk(unfold_head(p.right, defs), defs, pool_ok, path + ("R",),
+                   lambda q: ctx(Cut(x, anno, p.left, q)), out)
+        if x in lg and x in rg:
+            own: list[Step] = []
+            _sync_redexes(x, anno, lg[x], rg[x], defs, pool_ok, path, ctx, own)
+            out[at:at] = own
+        guards = {s: (g, lambda h, rb=rb: Cut(x, anno, p.left, rb(h))) for s, (g, rb) in rg.items()}
+        guards.update({s: (g, lambda h, rb=rb: Cut(x, anno, rb(h), p.right)) for s, (g, rb) in lg.items()})
+        return guards
+    s = subject(p)
+    guards = {} if s is None else {s: (p, _hole)}
+    if pool_ok and isinstance(p, Cons):
+        tail = _walk(p.pool, defs, pool_ok, path + ("T",),
+                     lambda q: ctx(Cons(p.chan, p.session, p.client, q)), out)
+        if any(t != s for t in tail):
+            head = free_names(p.client) - {p.session}
+            guards.update({t: (g, lambda h, rb=rb: Cons(p.chan, p.session, p.client, rb(h)))
+                           for t, (g, rb) in tail.items() if t != s and t not in head})
+    return guards
 
 
 def enabled_steps(p: Process, defs: Program, deterministic: bool = False) -> list[Step]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 
 from . import types as ty
@@ -34,7 +35,7 @@ from .cycles import closure_check
 from .printer import pretty_type
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
-    Nil, Process, Program, Select, Server, SourceSpan, Wait, free_names,
+    Nil, Process, Program, Select, Server, SourceSpan, Wait, _free_names,
     instantiate,
 )
 
@@ -181,6 +182,8 @@ class _Checker:
         self.prog = prog
         self.nodes: dict[int, DerivNode] = {}
         self.ids = itertools.count()
+        # free names, computed once per subterm (by identity); every term checked outlives the check
+        self.free = partial(_free_names, memo={})
 
     def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
         nid = next(self.ids)
@@ -207,7 +210,7 @@ class _Checker:
                 rule = "cut"
                 if x in ctx:
                     raise _err("scope", "cut", f"cut rebinds channel {x.name} already in context", p.span)
-                left, right = split_context(ctx, free_names(first), free_names(second), p.span)
+                left, right = split_context(ctx, self.free(first), self.free(second), p.span)
                 premises = ((first, {**left, x: anno}, left), (second, {**right, x: ty.dual(anno)}, right))
             case Close() | Nil():
                 if rest:
@@ -220,7 +223,7 @@ class _Checker:
                 premises = ((body, {**rest, y: t.left, x: t.right}, ctx),)
             case Fork(_, y, first, second) | Cons(_, y, first, second):
                 a, b = (t.left, t.right) if rule == "tensor" else (t.inner, t)
-                left, right = split_context(rest, free_names(first) - {y}, free_names(second), p.span, rule)
+                left, right = split_context(rest, self.free(first) - {y}, self.free(second), p.span, rule)
                 right = {**right, x: b}
                 premises = ((first, {**left, y: a}, left), (second, right, right))
             case Select(_, tag, body):
@@ -241,11 +244,11 @@ class _Checker:
 
 def check(p: Process, ctx: TypeContext, prog: Program) -> Derivation:
     """Typecheck p against ctx; raises TypeCheckError on failure."""
-    missing = free_names(p) - set(ctx)
+    checker = _Checker(prog)
+    missing = checker.free(p) - set(ctx)
     if missing:
         names = sorted(c.name for c in missing)
         raise _err("scope", "judgment", f"free channel(s) {names} missing from the context", p.span)
-    checker = _Checker(prog)
     root = checker.check(p, dict(ctx), {})
     return Derivation(checker.nodes, root)
 

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and per-call work leaves no reference cycles behind for the cycle collector."""
+"""Source hygiene: no module of the package imports a name it never uses or
+defines a private module-level name nothing uses, and per-call work leaves
+no reference cycles behind for the cycle collector."""
 
 import ast
 import gc
@@ -43,6 +44,45 @@ def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Callable, Iterator\n"
                      "__all__ = ['Iterator']\nprint(os.sep)\n")
     assert unused_imports(tree) == ["Callable (line 2)"]
+
+
+def unused_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """The private (single-underscore) module-level names of trees that no
+    module of trees reads, as `module.name`."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_no_unused_private_names():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert unused_private_names(trees) == []
+
+
+def test_scan_flags_an_unused_private_name():
+    trees = {"a": ast.parse("_used = 1\n_unused: int = 2\ndef _helper(): return _used\n"),
+             "b": ast.parse("from a import _helper\n__all__ = []\n")}
+    assert unused_private_names(trees) == ["a._unused"]
 
 
 def cyclic_garbage(fn) -> list:

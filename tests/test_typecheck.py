@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from csll import process, typecheck
 from csll import types as ty
 from csll.cli import main
 from csll.parser import parse_program
@@ -14,7 +15,7 @@ from csll.typecheck import (
     split_context, validity_check,
 )
 
-from .conftest import load_corpus
+from .conftest import load_corpus, lock_text
 
 
 def test_split_context_assigns_by_use():
@@ -218,3 +219,28 @@ def test_alternating_loops_invalid_though_each_loop_passes():
     assert (dv.verdict, pv.verdict) == ("invalid", "invalid")
     assert dv.reason.startswith("composite cycle") and pv.reason.startswith("composite cycle")
     assert len(set(dv.witness)) < len(dv.witness)
+
+
+def free_name_computations(monkeypatch, n: int) -> int:
+    """How many subterms' free-name sets checking lock_n computes."""
+    prog = parse_program(lock_text(n))
+    computed = 0
+    inner = process._free_names
+
+    def counting(p, memo):
+        nonlocal computed
+        computed += id(p) not in memo
+        return inner(p, memo)
+
+    with monkeypatch.context() as m:
+        m.setattr(process, "_free_names", counting)
+        m.setattr(typecheck, "_free_names", counting)
+        assert check_program(prog).accepted
+    return computed
+
+
+def test_checker_computes_free_names_linearly(monkeypatch):
+    """Each subterm's free names are computed once per check, so doubling
+    the pool about doubles the work (the count grew 4x when every cut and
+    pool head recomputed the names of the whole pool below it)."""
+    assert free_name_computations(monkeypatch, 400) <= 2.5 * free_name_computations(monkeypatch, 200)
