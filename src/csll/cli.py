@@ -184,6 +184,17 @@ def cmd_gen_link(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bound(text: str) -> int:
+    """The value of a --max-* option: an integer that is not negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="csll", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -200,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--scheduler", choices=("det", "random"), default="det")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=_bound, default=1000)
     common(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("explore", help="explore the reduction graph of main")
     p.add_argument("file")
-    p.add_argument("--max-states", type=int, default=100_000)
-    p.add_argument("--max-depth", type=int, default=10_000)
+    p.add_argument("--max-states", type=_bound, default=100_000)
+    p.add_argument("--max-depth", type=_bound, default=10_000)
     common(p, fmt=("text", "json", "dot"))
     p.set_defaults(fn=cmd_explore)
 

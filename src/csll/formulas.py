@@ -1,89 +1,48 @@
 """Fixed-point linear-logic formulas, addresses, and formula occurrences.
 
-Formulas are closed in every sequent; the subformula order is syntactic
-containment.  An occurrence pairs a formula with an address: an atomic
-address (with a polarity bit for duals) followed by a word over {i,l,r}
-recording unfoldings and left/right descents.
+Formulas are the session-type connectives of `csll.types` (the MALL
+constants and connectives) plus variables and the fixed points `Mu`/`Nu`:
+the formulas of muMALL.  Formulas are closed in every sequent; the
+subformula order is syntactic containment.  An occurrence pairs a formula
+with an address: an atomic address (with a polarity bit for duals) followed
+by a word over {i,l,r} recording unfoldings and left/right descents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable
 
 from . import types as ty
 
-
-class MuFormula:
-    __match_args__ = ()
+# the MALL constants and connectives are the session-type classes
+One, Bot, Top, Zero, Tensor, Par, Plus, With = (
+    ty.One, ty.Bot, ty.Top, ty.Zero, ty.Tensor, ty.Par, ty.Plus, ty.With)
+F_ONE, F_BOT, F_TOP, F_ZERO = ty.ONE, ty.BOT, ty.TOP, ty.ZERO
 
 
 @dataclass(frozen=True)
-class Var(MuFormula):
+class Var:
     name: str
 
 
 @dataclass(frozen=True)
-class One(MuFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class Bot(MuFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class Top(MuFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class Zero(MuFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class Par(MuFormula):
-    left: MuFormula
-    right: MuFormula
-
-
-@dataclass(frozen=True)
-class Tensor(MuFormula):
-    left: MuFormula
-    right: MuFormula
-
-
-@dataclass(frozen=True)
-class With(MuFormula):
-    left: MuFormula
-    right: MuFormula
-
-
-@dataclass(frozen=True)
-class Plus(MuFormula):
-    left: MuFormula
-    right: MuFormula
-
-
-@dataclass(frozen=True)
-class Mu(MuFormula):
+class Mu:
     var: str
     body: MuFormula
 
 
 @dataclass(frozen=True)
-class Nu(MuFormula):
+class Nu:
     var: str
     body: MuFormula
 
 
-F_ONE = One()
-F_BOT = Bot()
-F_TOP = Top()
-F_ZERO = Zero()
+MuFormula = ty.SessionType | Var | Mu | Nu
+
+# the one spelling formulas do not share with the surface syntax of types
+_RENDERED_OPS = {Tensor: "(x)", Par: "(par)", With: "(&)", Plus: "(+)"}
 
 
 def dual_formula(phi: MuFormula) -> MuFormula:
@@ -92,27 +51,9 @@ def dual_formula(phi: MuFormula) -> MuFormula:
     match phi:
         case Var(_):
             return phi
-        case One():
-            return F_BOT
-        case Bot():
-            return F_ONE
-        case Top():
-            return F_ZERO
-        case Zero():
-            return F_TOP
-        case Par(l, r):
-            return Tensor(dual_formula(l), dual_formula(r))
-        case Tensor(l, r):
-            return Par(dual_formula(l), dual_formula(r))
-        case With(l, r):
-            return Plus(dual_formula(l), dual_formula(r))
-        case Plus(l, r):
-            return With(dual_formula(l), dual_formula(r))
-        case Mu(x, b):
-            return Nu(x, dual_formula(b))
-        case Nu(x, b):
-            return Mu(x, dual_formula(b))
-    raise TypeError(f"not a formula: {phi!r}")
+        case Mu(x, b) | Nu(x, b):
+            return (Nu if isinstance(phi, Mu) else Mu)(x, dual_formula(b))
+    return ty._DUAL[type(phi)](*map(dual_formula, ty.children(phi)))
 
 
 def subst(phi: MuFormula, var: str, repl: MuFormula) -> MuFormula:
@@ -120,56 +61,31 @@ def subst(phi: MuFormula, var: str, repl: MuFormula) -> MuFormula:
     match phi:
         case Var(x):
             return repl if x == var else phi
-        case Par(l, r):
-            return Par(subst(l, var, repl), subst(r, var, repl))
-        case Tensor(l, r):
-            return Tensor(subst(l, var, repl), subst(r, var, repl))
-        case With(l, r):
-            return With(subst(l, var, repl), subst(r, var, repl))
-        case Plus(l, r):
-            return Plus(subst(l, var, repl), subst(r, var, repl))
-        case Mu(x, b):
-            return phi if x == var else Mu(x, subst(b, var, repl))
-        case Nu(x, b):
-            return phi if x == var else Nu(x, subst(b, var, repl))
-    return phi
+        case Mu(x, b) | Nu(x, b):
+            return phi if x == var else type(phi)(x, subst(b, var, repl))
+    return type(phi)(*(subst(c, var, repl) for c in ty.children(phi)))
 
 
+@cache
 def encode_type(t: ty.SessionType) -> MuFormula:
     """Session types as formulas: client pools are least fixed points (a list
     of clients), servers the dual greatest fixed points; the rest is
     one-to-one."""
     match t:
-        case ty.One():
-            return F_ONE
-        case ty.Bot():
-            return F_BOT
-        case ty.Top():
-            return F_TOP
-        case ty.Zero():
-            return F_ZERO
-        case ty.Tensor(l, r):
-            return Tensor(encode_type(l), encode_type(r))
-        case ty.Par(l, r):
-            return Par(encode_type(l), encode_type(r))
-        case ty.Plus(l, r):
-            return Plus(encode_type(l), encode_type(r))
-        case ty.With(l, r):
-            return With(encode_type(l), encode_type(r))
         case ty.Client(inner):
             return Mu("X", Plus(F_ONE, Tensor(encode_type(inner), Var("X"))))
         case ty.Server(inner):
             return Nu("X", With(F_BOT, Par(encode_type(inner), Var("X"))))
-    raise TypeError(f"not a session type: {t!r}")
+    return type(t)(*map(encode_type, ty.children(t)))
 
 
 def formula_children(phi: MuFormula) -> tuple[MuFormula, ...]:
     match phi:
-        case Par(l, r) | Tensor(l, r) | With(l, r) | Plus(l, r):
-            return (l, r)
+        case Var(_):
+            return ()
         case Mu(_, b) | Nu(_, b):
             return (b,)
-    return ()
+    return ty.children(phi)
 
 
 @lru_cache(maxsize=None)
@@ -197,27 +113,13 @@ def render_formula(phi: MuFormula) -> str:
     match phi:
         case Var(x):
             return x
-        case One():
-            return "1"
-        case Bot():
-            return "bot"
-        case Top():
-            return "top"
-        case Zero():
-            return "0"
-        case Par(l, r):
-            return f"({render_formula(l)} (par) {render_formula(r)})"
-        case Tensor(l, r):
-            return f"({render_formula(l)} (x) {render_formula(r)})"
-        case With(l, r):
-            return f"({render_formula(l)} (&) {render_formula(r)})"
-        case Plus(l, r):
-            return f"({render_formula(l)} (+) {render_formula(r)})"
-        case Mu(x, b):
-            return f"mu {x}. {render_formula(b)}"
-        case Nu(x, b):
-            return f"nu {x}. {render_formula(b)}"
-    raise TypeError(f"not a formula: {phi!r}")
+        case Mu(x, b) | Nu(x, b):
+            return f"{type(phi).__name__.lower()} {x}. {render_formula(b)}"
+    kids = ty.children(phi)
+    if not kids:
+        return ty._SYNTAX[type(phi)][0]
+    left, right = map(render_formula, kids)
+    return f"({left} {_RENDERED_OPS[type(phi)]} {right})"
 
 
 # --- addresses and occurrences ------------------------------------------------
@@ -266,11 +168,6 @@ def occ_step(occ: Occurrence) -> tuple[Occurrence, ...]:
     to their components, fixed points to their unfolding (reflexivity is the
     thread's business, not ours)."""
     phi, alpha = occ.formula, occ.address
-    match phi:
-        case Par(l, r) | Tensor(l, r) | With(l, r) | Plus(l, r):
-            return (Occurrence(l, alpha.child("l")), Occurrence(r, alpha.child("r")))
-        case Mu(x, b):
-            return (Occurrence(subst(b, x, phi), alpha.child("i")),)
-        case Nu(x, b):
-            return (Occurrence(subst(b, x, phi), alpha.child("i")),)
-    return ()
+    if isinstance(phi, (Mu, Nu)):
+        return (Occurrence(subst(phi.body, phi.var, phi), alpha.child("i")),)
+    return tuple(Occurrence(c, alpha.child(step)) for step, c in zip("lr", formula_children(phi)))

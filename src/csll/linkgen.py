@@ -15,29 +15,13 @@ from .process import (
 )
 
 
+# the surface words that are not identifiers, spelled out
+_SPELLED = {"1": "one", "0": "zero", "*": "ten", "+": "plus", "&": "with"}
+
+
 def mangle(t: ty.SessionType) -> str:
-    match t:
-        case ty.One():
-            return "one"
-        case ty.Bot():
-            return "bot"
-        case ty.Zero():
-            return "zero"
-        case ty.Top():
-            return "top"
-        case ty.Tensor(l, r):
-            return f"ten_{mangle(l)}_{mangle(r)}"
-        case ty.Par(l, r):
-            return f"par_{mangle(l)}_{mangle(r)}"
-        case ty.Plus(l, r):
-            return f"plus_{mangle(l)}_{mangle(r)}"
-        case ty.With(l, r):
-            return f"with_{mangle(l)}_{mangle(r)}"
-        case ty.Server(inner):
-            return f"srv_{mangle(inner)}"
-        case ty.Client(inner):
-            return f"cli_{mangle(inner)}"
-    raise TypeError(f"not a session type: {t!r}")
+    word = ty._SYNTAX[type(t)][0]
+    return "_".join((_SPELLED.get(word, word), *map(mangle, ty.children(t))))
 
 
 def link_name(t: ty.SessionType) -> str:

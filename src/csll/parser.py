@@ -20,6 +20,7 @@ Grammar sketch (`--` starts a line comment):
     mult     ::= prefix (('*'|'par') mult)?; prefix ::= ('srv'|'cli') prefix | atom
     atom     ::= '1' | '0' | 'bot' | 'top' | '(' type ')'
 
+The words of types and their precedence levels are `types._SYNTAX`'s.
 Binary type operators are right-associative; different operators at the same
 precedence level must be parenthesized.  Binders are resolved to channels
 with fresh unique ids during parsing; unbound channel references are
@@ -29,7 +30,6 @@ rejected here, linearity is the typechecker's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import types as ty
 from .process import (
@@ -37,11 +37,15 @@ from .process import (
     Nil, Process, Program, Select, Server, SourceSpan, Wait, fresh,
 )
 
+# type words and operators by text, and the binary ones by precedence level
+_TYPE_WORDS = {word: (ctor, level) for ctor, (word, level) in ty._SYNTAX.items()}
+_BINARY = {level: {w: c for w, (c, lv) in _TYPE_WORDS.items() if lv == level}
+           for level in (ty._ADD, ty._MULT)}
+
 KEYWORDS = {
     "def", "main", "close", "wait", "fail", "send", "recv", "case", "server",
-    "idle", "client", "done", "new", "in1", "in2", "srv", "cli", "par",
-    "bot", "top",
-}
+    "idle", "client", "done", "new", "in1", "in2",
+} | {word for word in _TYPE_WORDS if word.isalpha()}
 
 _LEAVES = {"close": Close, "fail": Fail, "done": Nil}
 
@@ -49,6 +53,7 @@ _SYMBOLS = {
     "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
     ":": "COLON", ";": "SEMI", ",": "COMMA", "|": "PIPE", ".": "DOT",
     "=": "EQUALS", "+": "PLUS", "&": "AMP", "*": "STAR",
+    "1": "ONE", "0": "ZERO",  # type constants; identifiers may not start with a digit
 }
 
 
@@ -96,12 +101,6 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
         span = SourceSpan(filename, line, col)
         if ch in _SYMBOLS:
             toks.append(Token(_SYMBOLS[ch], ch, span))
-            i += 1
-            col += 1
-            continue
-        if ch == "1" or ch == "0":
-            # type constants; identifiers may not start with a digit
-            toks.append(Token("ONE" if ch == "1" else "ZERO", ch, span))
             i += 1
             col += 1
             continue
@@ -163,22 +162,20 @@ class _Parser:
     # types ------------------------------------------------------------
 
     def type_expr(self) -> ty.SessionType:
-        return self._additive()
+        return self._binary(ty._ADD)
 
-    def _additive(self) -> ty.SessionType:
-        return self._chain(self._multiplicative, {"+": ty.Plus, "&": ty.With})
-
-    def _multiplicative(self) -> ty.SessionType:
-        return self._chain(self._prefix, {"*": ty.Tensor, "par": ty.Par})
-
-    def _chain(self, operand: Callable[[], ty.SessionType], ctors: dict[str, type]) -> ty.SessionType:
-        """A right-associative chain of operands joined by one operator of
-        ctors (keyed by token text); mixing two of them needs parentheses."""
-        parts = [operand()]
+    def _binary(self, level: int) -> ty.SessionType:
+        """A right-associative chain of operands, which bind tighter than
+        `level`, joined by one operator of `level`; mixing two operators of a
+        level needs parentheses."""
+        if level not in _BINARY:
+            return self._prefix()
+        ctors = _BINARY[level]
+        parts = [self._binary(level + 1)]
         op = self.peek().text
         while op in ctors and self.peek().text == op:
             self.next()
-            parts.append(operand())
+            parts.append(self._binary(level + 1))
         bad = self.peek()
         if bad.text in ctors:
             raise ParseError(f"mixing {' and '.join(repr(o) for o in ctors)} needs parentheses", bad.span)
@@ -188,33 +185,16 @@ class _Parser:
         return out
 
     def _prefix(self) -> ty.SessionType:
-        if self.at_keyword("srv"):
-            self.next()
-            return ty.Server(self._prefix())
-        if self.at_keyword("cli"):
-            self.next()
-            return ty.Client(self._prefix())
-        return self._atom()
-
-    def _atom(self) -> ty.SessionType:
         tok = self.peek()
-        if tok.kind == "ONE":
-            self.next()
-            return ty.ONE
-        if tok.kind == "ZERO":
-            self.next()
-            return ty.ZERO
-        if self.at_keyword("bot"):
-            self.next()
-            return ty.BOT
-        if self.at_keyword("top"):
-            self.next()
-            return ty.TOP
         if tok.kind == "LPAREN":
             self.next()
             inner = self.type_expr()
             self.expect("RPAREN")
             return inner
+        ctor, level = _TYPE_WORDS.get(tok.text, (None, 0))
+        if level >= ty._PREFIX:  # a prefix or an atom
+            self.next()
+            return ctor(self._prefix()) if level == ty._PREFIX else ctor()
         raise ParseError(f"expected a type, found {tok.text or 'end of input'!r}", tok.span)
 
     # processes ----------------------------------------------------------

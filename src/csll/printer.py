@@ -9,49 +9,22 @@ from .process import (
     Nil, Process, Program, Select, Server, Wait, free_names,
 )
 
-_ADD, _MULT, _PREFIX, _ATOM = 1, 2, 3, 4
-
-_BIN = {ty.Plus: ("+", _ADD), ty.With: ("&", _ADD), ty.Tensor: ("*", _MULT), ty.Par: ("par", _MULT)}
-
-
-def _type_level(t: ty.SessionType) -> int:
-    if type(t) in _BIN:
-        return _BIN[type(t)][1]
-    if isinstance(t, (ty.Server, ty.Client)):
-        return _PREFIX
-    return _ATOM
-
-
 def pretty_type(t: ty.SessionType) -> str:
-    match t:
-        case ty.One():
-            return "1"
-        case ty.Bot():
-            return "bot"
-        case ty.Zero():
-            return "0"
-        case ty.Top():
-            return "top"
-        case ty.Server(inner):
-            return "srv " + _wrap_type(inner, _PREFIX, None)
-        case ty.Client(inner):
-            return "cli " + _wrap_type(inner, _PREFIX, None)
-    op, level = _BIN[type(t)]
-    left = _wrap_type(t.left, level + 1, None)
-    right = _wrap_type(t.right, level, op)
-    return f"{left} {op} {right}"
+    """Words and precedence levels are `types._SYNTAX`'s.  A binary operand
+    is parenthesised unless it is a right operand that binds tighter than its
+    operator or repeats it (operators chain to the right)."""
+    word, level = ty._SYNTAX[type(t)]
+    kids = ty.children(t)
+    if len(kids) < 2:
+        return " ".join((word, *map(_wrap_type, kids)))
+    left, right = kids
+    return f"{_wrap_type(left)} {word} {_wrap_type(right, level, word)}"
 
 
-def _wrap_type(t: ty.SessionType, min_level: int, same_op: str | None) -> str:
-    level = _type_level(t)
-    if level > min_level:
+def _wrap_type(t: ty.SessionType, level: int = ty._ATOM, word: str = "") -> str:
+    t_word, t_level = ty._SYNTAX[type(t)]
+    if len(ty.children(t)) < 2 or t_level > level or t_word == word:
         return pretty_type(t)
-    if level == min_level:
-        # right operand of a right-associative chain: same operator only
-        if type(t) in _BIN and _BIN[type(t)][0] == same_op:
-            return pretty_type(t)
-        if type(t) not in _BIN:
-            return pretty_type(t)
     return "(" + pretty_type(t) + ")"
 
 

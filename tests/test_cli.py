@@ -194,6 +194,26 @@ def test_run_budget_exhaustion(capsys):
     assert "step budget exhausted" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--max-steps", "-3"),
+    ("explore", "--max-states", "-1"),
+    ("explore", "--max-depth", "-1"),
+])
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    command, option, value = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(CORPUS / "lock.csll"), option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must not be negative, got {value}" in capsys.readouterr().err
+
+
+def test_zero_bounds_are_allowed(capsys):
+    code, out = run_cli(capsys, "run", str(CORPUS / "lock.csll"), "--max-steps", "0")
+    assert code == 4 and out.startswith("step budget exhausted at:")
+    code, out = run_cli(capsys, "explore", str(CORPUS / "lock.csll"), "--max-states", "0")
+    assert code == 0 and out.startswith("states: ")
+
+
 def test_run_random_seeds_vary(capsys):
     finals = set()
     for seed in range(8):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 from hypothesis import given
 
 from csll import types as ty
@@ -32,3 +35,18 @@ def test_subtypes_and_depth():
     subs = list(ty.subtypes(t))
     assert t in subs and ty.BOT in subs and len(subs) == 4
     assert ty.depth(t) == 3
+
+
+def test_trees_of_one_shape_hash_apart():
+    atoms = (ty.ONE, ty.BOT, ty.TOP, ty.ZERO)
+    binary = [ctor(a, b) for ctor in (ty.Tensor, ty.Par, ty.Plus, ty.With) for a in atoms for b in atoms]
+    assert len({hash(t) for t in atoms}) == 4
+    assert len({hash(t) for t in binary}) == 64
+    assert hash(ty.Server(ty.ONE)) != hash(ty.Client(ty.ONE))
+
+
+def test_copies_are_equal_and_hash_alike():
+    t = parse_type("srv (bot par 1) + cli 0")
+    h = hash(t)
+    for c in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert c == t and hash(c) == h
