@@ -1,0 +1,200 @@
+#!/usr/bin/env python3
+"""Check that two revisions behave byte-identically on a fixed input sweep.
+
+Usage: python scripts/identity_sweep.py --against REV
+
+REV is checked out into a temporary `git worktree`; the sweep's digest
+function then runs once against REV's `src/` and once against this tree's,
+each in a fresh interpreter under PYTHONHASHSEED=0.  Every artefact whose
+sha256 differs is printed, and the exit status is 1 if any differ.
+
+Inputs: the corpus, lock_1..8, six cas mixes, chain_1..8, gen_program seeds
+0-299 and 1000-1199, and every one-token mutant (deletion, duplication, swap
+with the next token) of the corpus and of the printed gen_program 0-119.
+The channel-id counter is reset before each input, so ids drawn by one input
+do not shift the next.
+
+Artefacts: parse results (the program's repr, with channel ids) and parse
+errors, `pretty_program`, check reports with their derivations, encoded
+proofs with their validity, bounded `explore` JSON with the fair-termination
+verdict, and det and seeded random traces.  Mutants contribute their parse
+artefacts only.
+"""
+
+import argparse
+import hashlib
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Iterator
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))  # the input builders of tests/ and bench/
+
+MAX_STATES = 400
+MAX_STEPS = 300
+
+
+def inputs(small: bool = False) -> Iterator[tuple[str, str | int]]:
+    """(label, program text or gen_program seed); small takes a slice."""
+    from bench.workloads import chain_text
+    from tests.conftest import CORPUS, CORPUS_FILES, cas_text, lock_text
+    for name in CORPUS_FILES:
+        yield name, (CORPUS / name).read_text(encoding="utf-8")
+    for n in range(1, 3 if small else 9):
+        yield f"lock_{n}", lock_text(n)
+    mixes = (["TF"], ["FT"], ["TF", "FT"], ["FT", "TF"], ["TF", "FT"] * 2, ["FT", "TF"] * 3)
+    for kinds in mixes[:1] if small else mixes:
+        yield f"cas_{''.join(kinds)}", cas_text(kinds)
+    for k in range(1, 3 if small else 9):
+        yield f"chain_{k}", chain_text(k)
+    yield from ((f"gen_{s}", s) for s in (range(0, 6) if small
+                                          else itertools.chain(range(300), range(1000, 1200))))
+
+
+def mutant_inputs(small: bool = False) -> Iterator[tuple[str, str]]:
+    from csll.gen import gen_program
+    from csll.printer import pretty_program
+    from tests.conftest import CORPUS, CORPUS_FILES
+    from tests.test_parse_golden import token_mutants
+    texts = [(name, (CORPUS / name).read_text(encoding="utf-8")) for name in CORPUS_FILES]
+    for seed in range(2 if small else 120):
+        _reset_ids()
+        texts.append((f"gen_{seed}", pretty_program(gen_program(seed))))
+    for name, text in texts[-3:] if small else texts:
+        for label, mutant in token_mutants(text):
+            yield f"{name} {label}", mutant
+
+
+def _reset_ids() -> None:
+    from csll import process
+    process._uid_counter = itertools.count(1)
+
+
+def _derivation(d) -> list:
+    return [[n.nid, n.rule, repr(n.subject), n.tag, repr(n.judgment.context),
+             [[e.target, e.back, repr(e.down)] for e in n.premises]]
+            for _, n in sorted(d.nodes.items())] + [d.root]
+
+
+def _validity(v) -> list | None:
+    return None if v is None else [v.verdict, v.reason, v.witness]
+
+
+def _parsed(label: str, text: str) -> Iterator[tuple[str, object]]:
+    from csll.parser import CsllError, parse_program
+    from csll.printer import pretty_program
+    try:
+        prog = parse_program(text, label)
+    except CsllError as e:
+        yield f"{label} parse", [type(e).__name__, e.message, str(e.span), e.span.length]
+        return
+    yield f"{label} parse", repr(prog)
+    yield f"{label} pretty", pretty_program(prog)
+    return prog
+
+
+def _guarded(fn) -> object:
+    """fn(), or the class and message of the exception it raises."""
+    try:
+        return fn()
+    except Exception as e:  # an artefact too: both sides must fail alike
+        return [type(e).__name__, str(e)]
+
+
+def program_artefacts(label: str, source: str | int) -> Iterator[tuple[str, object]]:
+    from csll.gen import gen_program
+    from csll.printer import pretty_process, pretty_program
+    from csll.proofs import encode_derivation, proof_to_json_dict, proof_validity
+    from csll.runtime import check_fair_termination, run
+    from csll.typecheck import check_program
+    _reset_ids()
+    if isinstance(source, int):
+        prog = gen_program(source)
+        yield f"{label} gen", repr(prog)
+        yield f"{label} pretty", pretty_program(prog)
+    else:
+        prog = yield from _parsed(label, source)
+        if prog is None:
+            return
+    report = check_program(prog)
+    for r in report.defs:
+        yield f"{label} check {r.name}", [r.well_typed, [str(d) for d in r.diagnostics],
+                                          _validity(r.validity)]
+        if r.derivation is not None:
+            yield f"{label} derivation {r.name}", _derivation(r.derivation)
+            g = encode_derivation(r.derivation).graph
+            yield f"{label} proof {r.name}", [proof_to_json_dict(g), _validity(proof_validity(g))]
+    if prog.main is None:
+        return
+    main = prog.main
+
+    def explored():
+        ft = check_fair_termination(main.body, prog, max_states=MAX_STATES, max_depth=MAX_STATES)
+        return [ft.graph.to_json_dict(), ft.verdict]
+    yield f"{label} explore", _guarded(explored)
+    for scheduler, seed in (("det", 0), ("random", 1), ("random", 2)):
+        def trace():
+            t = run(main.body, dict(main.params), prog, scheduler=scheduler, seed=seed,
+                    max_steps=MAX_STEPS)
+            return [[s.line() for s in t.steps], pretty_process(t.final), repr(t.final),
+                    t.terminated, t.truncated]
+        yield f"{label} {scheduler}:{seed}", _guarded(trace)
+
+
+def artefacts(small: bool = False) -> Iterator[tuple[str, object]]:
+    for label, source in inputs(small):
+        yield from program_artefacts(label, source)
+    for label, text in mutant_inputs(small):
+        _reset_ids()
+        yield from _parsed(label, text)
+
+
+def digests(small: bool = False) -> dict[str, str]:
+    """The sha256 of every artefact's JSON, by artefact label."""
+    return {label: hashlib.sha256(json.dumps(value, default=repr).encode()).hexdigest()
+            for label, value in artefacts(small)}
+
+
+def _side(src: Path) -> dict[str, str]:
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, __file__, "--digest"], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return dict(line.split("\t") for line in out.splitlines())
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    group = ap.add_mutually_exclusive_group(required=True)
+    group.add_argument("--against", metavar="REV", help="revision to compare this tree with")
+    group.add_argument("--digest", action="store_true",
+                       help="print the artefact digests of the csll on PYTHONPATH")
+    args = ap.parse_args()
+    if args.digest:
+        for label, sha in digests().items():
+            print(f"{label}\t{sha}")
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "rev"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "-q", str(tree),
+                        args.against], check=True)
+        try:
+            theirs = _side(tree / "src")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+    ours = _side(ROOT / "src")
+    differ = sorted(label for label in theirs.keys() | ours.keys()
+                    if theirs.get(label) != ours.get(label))
+    for label in differ:
+        print(f"differs: {label}")
+    print(f"{len(ours)} artefacts, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

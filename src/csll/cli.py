@@ -1,9 +1,9 @@
 """Command-line driver: check, run, explore, export-proof, gen-link.
 
-Exit codes: 0 success; 1 syntax/scope/type error or unreadable input; 2
-validity failure (or refused proof export); 4 step budget exhausted; 5
-internal error (the derivation and proof validity checkers disagree); 6 the
-input nests too deeply to process.
+Exit codes: 0 success; 1 syntax/scope/type error (run and explore check the
+whole program first) or unreadable input; 2 validity failure (or refused
+proof export); 4 step budget exhausted; 5 internal error (the derivation and
+proof validity checkers disagree); 6 the input nests too deeply to process.
 """
 
 from __future__ import annotations
@@ -80,16 +80,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     return worst
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    prog = _load(args.file)
+def _runnable(prog: Program) -> bool:
+    """Whether prog has a main and is well typed; if not, why goes to stderr."""
     if prog.main is None:
         print("error: no main in program", file=sys.stderr)
-        return 1
+        return False
     report = check_program(prog)
-    if not report.well_typed:
-        for r in report.defs:
-            for d in r.diagnostics:
-                print(str(d), file=sys.stderr)
+    for r in report.defs:
+        for d in r.diagnostics:
+            print(str(d), file=sys.stderr)
+    return report.well_typed
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    prog = _load(args.file)
+    if not _runnable(prog):
         return 1
     trace = run(prog.main.body, dict(prog.main.params), prog,
                 scheduler=args.scheduler, seed=args.seed, max_steps=args.max_steps)
@@ -111,8 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     prog = _load(args.file)
-    if prog.main is None:
-        print("error: no main in program", file=sys.stderr)
+    if not _runnable(prog):
         return 1
     ft = check_fair_termination(prog.main.body, prog,
                                 max_states=args.max_states, max_depth=args.max_depth)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import types as ty
 from .process import (
@@ -33,10 +33,30 @@ def _ms(types: tuple[ty.SessionType, ...]) -> tuple[ty.SessionType, ...]:
 
 @dataclass(frozen=True)
 class _Move:
-    kind: str          # close done fail wait join select case fork cons
+    kind: type         # the process the move builds: Close, Nil, Fail or a _RULES one
     index: int = 0     # position of the acted-on type in the sorted multiset
-    tag: int = 0       # select branch
+    alt: int = 0       # which of the rule's alternatives (a select's tag - 1)
     mask: tuple[int, ...] = ()  # positions sent to the first premise of a split
+
+
+class _Rule(NamedTuple):
+    """The typing rule of a connective, read backwards."""
+
+    move: type    # the process it builds: subject, [binder | tag], one body per premise
+    split: bool   # whether the premises split the rest of the context between them
+    # per alternative, its premises as (binder type, subject type): positions
+    # in (*children, the type itself), None where the premise lacks the channel
+    alts: tuple[tuple[tuple[int | None, int | None], ...], ...]
+
+
+_RULES = {
+    ty.Bot: _Rule(Wait, False, (((None, None),),)),
+    ty.Par: _Rule(Join, False, (((0, 1),),)),
+    ty.Plus: _Rule(Select, False, (((None, 0),), ((None, 1),))),
+    ty.With: _Rule(Case, False, (((None, 0), (None, 1)),)),
+    ty.Tensor: _Rule(Fork, True, (((0, None), (None, 1)),)),
+    ty.Client: _Rule(Cons, True, (((0, None), (None, -1)),)),
+}
 
 
 class Oracle:
@@ -57,7 +77,7 @@ class Oracle:
         self.memo[key] = None  # in-progress: treat self-dependency as failure
         # a fail on the first top closes any context, whatever else it holds
         top = next((i for i, t in enumerate(ms) if isinstance(t, ty.Top)), None)
-        move = _Move("fail", top) if top is not None else next(self.moves(ms), None)
+        move = _Move(Fail, top) if top is not None else next(self.moves(ms), None)
         self.memo[key] = move
         return move
 
@@ -66,35 +86,24 @@ class Oracle:
         all completable, in a fixed order (it decides the generated programs);
         the oracle is asked lazily, so the first move costs only its own checks."""
         if len(ms) == 1 and isinstance(ms[0], ty.One):
-            yield _Move("close")
+            yield _Move(Close)
         if len(ms) == 1 and isinstance(ms[0], ty.Client):
-            yield _Move("done")
-        rest_of = lambda i: ms[:i] + ms[i + 1:]
+            yield _Move(Nil)
         for i, t in enumerate(ms):
-            match t:
-                case ty.Top():
-                    yield _Move("fail", i)
-                case ty.Bot():
-                    if self.completable(rest_of(i)):
-                        yield _Move("wait", i)
-                case ty.Par(l, r):
-                    if self.completable(rest_of(i) + (l, r)):
-                        yield _Move("join", i)
-                case ty.Plus(l, r):
-                    for tag, side in ((1, l), (2, r)):
-                        if self.completable(rest_of(i) + (side,)):
-                            yield _Move("select", i, tag=tag)
-                case ty.With(l, r):
-                    if self.completable(rest_of(i) + (l,)) and self.completable(rest_of(i) + (r,)):
-                        yield _Move("case", i)
-                case ty.Tensor(l, r):
-                    mask = self._split(rest_of(i), (l,), (r,))
+            if isinstance(t, ty.Top):
+                yield _Move(Fail, i)
+            rule = _RULES.get(type(t))
+            if rule is None:
+                continue
+            rest, kids = ms[:i] + ms[i + 1:], (*ty.children(t), t)
+            for alt, premises in enumerate(rule.alts):
+                extras = [tuple(kids[k] for k in p if k is not None) for p in premises]
+                if rule.split:
+                    mask = self._split(rest, *extras)
                     if mask is not None:
-                        yield _Move("fork", i, mask=mask)
-                case ty.Client(inner):
-                    mask = self._split(rest_of(i), (inner,), (t,))
-                    if mask is not None:
-                        yield _Move("cons", i, mask=mask)
+                        yield _Move(rule.move, i, alt, mask)
+                elif all(self.completable(rest + extra) for extra in extras):
+                    yield _Move(rule.move, i, alt)
 
     def _split(self, rest: tuple[ty.SessionType, ...], extra_a: tuple, extra_b: tuple
                ) -> tuple[int, ...] | None:
@@ -163,7 +172,7 @@ class ProcessGen:
             assert w is not None, f"uncompletable context: {ms}"
             moves = [w]
         move = self.rng.choice(moves)
-        return self._apply(move, chans, ms, ctx, fuel - 1)
+        return self._apply(move, chans, ms, fuel - 1)
 
     def _try_cut(self, ctx: dict[ChannelName, ty.SessionType], fuel: int) -> Process | None:
         rng = self.rng
@@ -183,44 +192,27 @@ class ProcessGen:
         return Cut(x, anno, lp, rp)
 
     def _apply(self, m: _Move, chans: list[ChannelName], ms: tuple[ty.SessionType, ...],
-               ctx: dict[ChannelName, ty.SessionType], fuel: int) -> Process:
-        if m.kind == "close":
-            return Close(chans[0])
-        if m.kind == "done":
-            return Nil(chans[0])
+               fuel: int) -> Process:
         c, t = chans[m.index], ms[m.index]
-        rest_c = chans[:m.index] + chans[m.index + 1:]
-        rest_t = ms[:m.index] + ms[m.index + 1:]
-        rest_ctx = dict(zip(rest_c, rest_t))
-        if m.kind == "fail":
-            return Fail(c)
-        if m.kind == "wait":
-            return Wait(c, self.generate(rest_ctx, fuel))
-        if m.kind == "join":
-            y = self._fresh()
-            return Join(c, y, self.generate({**rest_ctx, y: t.left, c: t.right}, fuel))
-        if m.kind == "select":
-            side = t.left if m.tag == 1 else t.right
-            return Select(c, m.tag, self.generate({**rest_ctx, c: side}, fuel))
-        if m.kind == "case":
-            return Case(c,
-                        self.generate({**rest_ctx, c: t.left}, fuel),
-                        self.generate({**rest_ctx, c: t.right}, fuel))
-        if m.kind == "fork":
-            y = self._fresh()
-            a_ctx = {rest_c[i]: rest_t[i] for i in m.mask}
-            b_ctx = {rest_c[i]: rest_t[i] for i in range(len(rest_c)) if i not in m.mask}
-            return Fork(c, y,
-                        self.generate({**a_ctx, y: t.left}, fuel),
-                        self.generate({**b_ctx, c: t.right}, fuel))
-        if m.kind == "cons":
-            y = self._fresh()
-            a_ctx = {rest_c[i]: rest_t[i] for i in m.mask}
-            b_ctx = {rest_c[i]: rest_t[i] for i in range(len(rest_c)) if i not in m.mask}
-            return Cons(c, y,
-                        self.generate({**a_ctx, y: t.inner}, fuel),
-                        self.generate({**b_ctx, c: t}, fuel))
-        raise AssertionError(f"unknown move {m.kind}")
+        if m.kind in (Close, Nil, Fail):
+            return m.kind(c)
+        rule = _RULES[type(t)]
+        premises = rule.alts[m.alt]
+        rest = list(zip(chans[:m.index] + chans[m.index + 1:], ms[:m.index] + ms[m.index + 1:]))
+        kids = (*ty.children(t), t)
+        y = self._fresh() if any(b is not None for b, _ in premises) else None
+        bodies = []
+        for k, (binder, subj) in enumerate(premises):
+            # a split sends the masked part of the rest to the first premise
+            ctx = dict(rest if not rule.split
+                       else [kv for j, kv in enumerate(rest) if (j in m.mask) == (k == 0)])
+            if binder is not None:
+                ctx[y] = kids[binder]
+            if subj is not None:
+                ctx[c] = kids[subj]
+            bodies.append(self.generate(ctx, fuel))
+        head = (y,) if y is not None else (m.alt + 1,) if len(rule.alts) > 1 else ()
+        return rule.move(c, *head, *bodies)
 
 
 def gen_finite_main(seed: int, fuel: int = 7) -> Program:

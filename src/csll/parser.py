@@ -6,20 +6,17 @@ Grammar sketch (`--` starts a line comment):
     def      ::= 'def' NAME '(' params ')' '=' process
     main     ::= 'main' '(' params ')' '=' process
     params   ::= [NAME ':' type (',' NAME ':' type)*]
-    process  ::= 'close' NAME | 'wait' NAME ';' process | 'fail' NAME
-               | 'send' NAME '(' NAME ')' '{' process '}' ';' process
-               | 'recv' NAME '(' NAME ')' ';' process
+    process  ::= a `FORMS` row, e.g. 'send' NAME '(' NAME ')' '{' process '}' ';' process
                | NAME '.' ('in1'|'in2') ';' process
-               | 'case' NAME '{' 'in1' ':' process ';' 'in2' ':' process '}'
-               | 'server' NAME '(' NAME ')' '{' process '}' 'idle' '{' process '}'
-               | 'client' NAME '(' NAME ')' '{' process '}' ';' process
-               | 'done' NAME
-               | 'new' NAME ':' type '{' process '|' process '}'
                | NAME '(' [NAME (',' NAME)*] ')'
     type     ::= additive; additive ::= mult (('+'|'&') additive)?
     mult     ::= prefix (('*'|'par') mult)?; prefix ::= ('srv'|'cli') prefix | atom
     atom     ::= '1' | '0' | 'bot' | 'top' | '(' type ')'
 
+Each keyword construct is one `FORMS` row: its surface text, with the
+constructor's fields marked `$`.  Which field is the subject, which the
+binder and which subterms lie in the binder's scope is `process.BINDING`'s;
+the one remaining field, a cut's annotation, is a type.
 The words of types and their precedence levels are `types._SYNTAX`'s.
 Binary type operators are right-associative; different operators at the same
 precedence level must be parenthesized.  Binders are resolved to channels
@@ -29,12 +26,13 @@ rejected here, linearity is the typechecker's job.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import types as ty
 from .process import (
-    Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
-    Nil, Process, Program, Select, Server, SourceSpan, Wait, fresh,
+    BINDING, Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork,
+    Join, Nil, Process, Program, Select, Server, SourceSpan, Wait, fresh,
 )
 
 # type words and operators by text, and the binary ones by precedence level
@@ -42,12 +40,19 @@ _TYPE_WORDS = {word: (ctor, level) for ctor, (word, level) in ty._SYNTAX.items()
 _BINARY = {level: {w: c for w, (c, lv) in _TYPE_WORDS.items() if lv == level}
            for level in (ty._ADD, ty._MULT)}
 
-KEYWORDS = {
-    "def", "main", "close", "wait", "fail", "send", "recv", "case", "server",
-    "idle", "client", "done", "new", "in1", "in2",
-} | {word for word in _TYPE_WORDS if word.isalpha()}
-
-_LEAVES = {"close": Close, "fail": Fail, "done": Nil}
+# every keyword construct as its surface text, its fields marked `$`
+FORMS: dict[type, str] = {
+    Close: "close $chan",
+    Fail: "fail $chan",
+    Nil: "done $chan",
+    Wait: "wait $chan; $body",
+    Fork: "send $chan($payload){$payload_body}; $cont",
+    Join: "recv $chan($payload); $body",
+    Case: "case $chan{in1: $left; in2: $right}",
+    Server: "server $chan($session){$accept} idle {$idle}",
+    Cons: "client $chan($session){$client}; $pool",
+    Cut: "new $chan : $anno {$left | $right}",
+}
 
 _SYMBOLS = {
     "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
@@ -55,6 +60,32 @@ _SYMBOLS = {
     "=": "EQUALS", "+": "PLUS", "&": "AMP", "*": "STAR",
     "1": "ONE", "0": "ZERO",  # type constants; identifiers may not start with a digit
 }
+
+# a FORMS row as (field, "") for a `$` field and ("", text) for a literal
+_LEXEME = re.compile(r"\$(\w+)|(\w+|\S)")
+
+KEYWORDS = ({"def", "main"}
+            | {text for row in FORMS.values() for _, text in _LEXEME.findall(row)
+               if text and text not in _SYMBOLS}
+            | {word for word in _TYPE_WORDS if word.isalpha()})
+
+
+def _steps(ctor: type, row: str) -> tuple[tuple[str, object], ...]:
+    """The parse of a FORMS row after its leading word, as (role, argument)
+    steps: ("token", (kind, text)) for a literal, else (role, field) with
+    the role of the field in `BINDING` (subject, binder, inside, outside),
+    or "type" for the field `BINDING` does not name."""
+    b = BINDING[ctor]
+    fields = ctor.__match_args__
+    role = {fields[i]: "inside" for i in b.inside} | {fields[i]: "outside" for i in b.outside}
+    role |= {fields[i]: r for r, i in (("subject", b.subject), ("binder", b.binder)) if i is not None}
+    return tuple((role.get(field, "type"), field) if field
+                 else ("token", (_SYMBOLS[text], None) if text in _SYMBOLS else ("KEYWORD", text))
+                 for field, text in _LEXEME.findall(row)[1:])
+
+
+# each form by its leading word, with its parse steps
+_FORMS = {row.split()[0]: (ctor, _steps(ctor, row)) for ctor, row in FORMS.items()}
 
 
 class CsllError(Exception):
@@ -147,12 +178,6 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "KEYWORD" and tok.text == word
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if not self.at_keyword(word):
-            raise ParseError(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.next()
-
     def ident(self, what: str = "name") -> Token:
         tok = self.peek()
         if tok.kind != "IDENT":
@@ -205,93 +230,39 @@ class _Parser:
             raise ScopeError(f"unbound channel {tok.text!r}", tok.span)
         return env[tok.text]
 
-    def binder(self) -> str:
-        """'(' NAME ')': the name a construct binds."""
-        self.expect("LPAREN")
-        name = self.ident("channel name").text
-        self.expect("RPAREN")
-        return name
-
-    def block(self, env: dict[str, ChannelName]) -> Process:
-        self.expect("LBRACE")
-        body = self.process(env)
-        self.expect("RBRACE")
-        return body
-
     def process(self, env: dict[str, ChannelName]) -> Process:
         tok = self.peek()
         span = tok.span
         if tok.kind == "KEYWORD":
-            word = tok.text
-            if word in _LEAVES:
-                self.next()
-                return _LEAVES[word](self.chan_ref(env), span=span)
-            if word == "wait":
-                self.next()
-                x = self.chan_ref(env)
-                self.expect("SEMI")
-                return Wait(x, self.process(env), span=span)
-            if word in ("send", "client"):
-                self.next()
-                x = self.chan_ref(env)
-                name = self.binder()
-                y = fresh(name)
-                body = self.block({**env, name: y})
-                self.expect("SEMI")
-                return (Fork if word == "send" else Cons)(x, y, body, self.process(env), span=span)
-            if word == "recv":
-                self.next()
-                x = self.chan_ref(env)
-                name = self.binder()
-                self.expect("SEMI")
-                y = fresh(name)
-                return Join(x, y, self.process({**env, name: y}), span=span)
-            if word == "case":
-                self.next()
-                x = self.chan_ref(env)
-                self.expect("LBRACE")
-                self.expect_keyword("in1")
-                self.expect("COLON")
-                left = self.process(env)
-                self.expect("SEMI")
-                self.expect_keyword("in2")
-                self.expect("COLON")
-                right = self.process(env)
-                self.expect("RBRACE")
-                return Case(x, left, right, span=span)
-            if word == "server":
-                self.next()
-                x = self.chan_ref(env)
-                name = self.binder()
-                y = fresh(name)
-                accept = self.block({**env, name: y})
-                self.expect_keyword("idle")
-                return Server(x, y, accept, self.block(env), span=span)
-            if word == "new":
-                self.next()
-                xtok = self.ident("channel name")
-                self.expect("COLON")
-                anno = self.type_expr()
-                x = fresh(xtok.text)
-                env2 = {**env, xtok.text: x}
-                self.expect("LBRACE")
-                left = self.process(env2)
-                self.expect("PIPE")
-                right = self.process(env2)
-                self.expect("RBRACE")
-                return Cut(x, anno, left, right, span=span)
-            raise ParseError(f"unexpected keyword {word!r}", span)
+            if tok.text not in _FORMS:
+                raise ParseError(f"unexpected keyword {tok.text!r}", span)
+            self.next()
+            ctor, steps = _FORMS[tok.text]
+            vals: dict[str, object] = {}
+            inner = env  # the binder's scope
+            for role, arg in steps:
+                if role == "token":
+                    self.expect(*arg)
+                elif role == "subject":
+                    vals[arg] = self.chan_ref(env)
+                elif role == "binder":
+                    name = self.ident("channel name").text
+                    vals[arg] = y = fresh(name)
+                    inner = {**env, name: y}
+                elif role == "type":
+                    vals[arg] = self.type_expr()
+                else:
+                    vals[arg] = self.process(inner if role == "inside" else env)
+            return ctor(**vals, span=span)
         if tok.kind == "IDENT":
             if self.peek(1).kind == "DOT":
                 x = self.chan_ref(env)
                 self.expect("DOT")
-                tag_tok = self.peek()
-                if not (self.at_keyword("in1") or self.at_keyword("in2")):
+                tag_tok = self.next()
+                if tag_tok.text not in ("in1", "in2"):  # only keywords are spelt so
                     raise ParseError("expected 'in1' or 'in2' after '.'", tag_tok.span)
-                self.next()
-                tag = 1 if tag_tok.text == "in1" else 2
                 self.expect("SEMI")
-                return Select(x, tag, self.process(env), span=span)
+                return Select(x, int(tag_tok.text[2]), self.process(env), span=span)
             if self.peek(1).kind == "LPAREN":
                 name = self.next().text
                 self.expect("LPAREN")

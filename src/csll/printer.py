@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import types as ty
-from .parser import _LEAVES, KEYWORDS
+from .parser import FORMS, KEYWORDS
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
     Nil, Process, Program, Select, Server, Wait, free_names,
@@ -62,7 +62,7 @@ class _Namer:
 
 _INLINE_LIMIT = 44
 
-_LEAF_WORDS = {ctor: word for word, ctor in _LEAVES.items()}
+_WORDS = {ctor: row.split()[0] for ctor, row in FORMS.items()}
 
 
 def pretty_process(p: Process, namer: _Namer | None = None, indent: int = 0) -> str:
@@ -84,7 +84,7 @@ def _render(p: Process, n: _Namer, indent: int) -> str:
         case Call(name, args):
             return f"{name}({', '.join(n.of(a) for a in args)})"
         case Close(x) | Fail(x) | Nil(x):
-            return f"{_LEAF_WORDS[type(p)]} {n.of(x)}"
+            return f"{_WORDS[type(p)]} {n.of(x)}"
         case Wait(x, body):
             return f"wait {n.of(x)}; " + _render(body, n, indent)
         case Select(x, tag, body):
@@ -100,8 +100,7 @@ def _render(p: Process, n: _Namer, indent: int) -> str:
             yd = n.bind(y)
             block = _block(_render(body, n, indent), indent)
             n.pop()
-            word = "send" if isinstance(p, Fork) else "client"
-            return f"{word} {n.of(x)}({yd}){block}; " + _render(rest, n, indent)
+            return f"{_WORDS[type(p)]} {n.of(x)}({yd}){block}; " + _render(rest, n, indent)
         case Case(x, l, r):
             pad = "  " * (indent + 1)
             left = _render(l, n, indent + 1)

@@ -118,8 +118,9 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
         out.append(Step(RedexInfo(kind, x.name, path, client_index),
                         orbit if orbit is not None else object(), around, cut, core))
 
-    def close_wait(gc: Close, gw: Wait) -> None:
-        add("r-close", lambda: gw.body)
+    def close_wait(gc: Close, gw: Wait, close_type: ty.SessionType) -> None:
+        if isinstance(close_type, ty.One):
+            add("r-close", lambda: gw.body)
 
     def comm(gf: Fork, gj: Join, fork_type: ty.SessionType) -> None:
         if not isinstance(fork_type, ty.Tensor):
@@ -177,7 +178,7 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
     for a, b, a_type, a_is_left in pairs:
         match a, b:
             case Close(), Wait():
-                close_wait(a, b)
+                close_wait(a, b, a_type)
             case Fork(), Join():
                 comm(a, b, a_type)
             case Select(), Case():

@@ -238,6 +238,16 @@ def test_explore_omega(capsys):
     assert "not-fairly-terminating" in out
 
 
+def test_explore_refuses_an_ill_typed_main(tmp_path, capsys):
+    # the cut's left side closes x, which it holds at 1 * 1, not at 1
+    path = tmp_path / "ill.csll"
+    path.write_text("main(z: 1) = new x : 1 * 1 { close x | wait x; close z }\n")
+    assert main(["explore", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}:1:") and "close" in captured.err
+
+
 def test_explore_keeps_a_free_channel_named_like_a_binder(tmp_path):
     # in a fresh interpreter the parameter c gets the first channel id, the
     # id the canonical form's second binder used to get

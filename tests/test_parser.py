@@ -1,12 +1,14 @@
+import re
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from csll import types as ty
-from csll.parser import ParseError, ScopeError, parse_program, parse_type
+from csll.parser import FORMS, KEYWORDS, ParseError, ScopeError, parse_program, parse_type, tokenize
 from csll.printer import pretty_process, pretty_program, pretty_type
 from csll.process import (
-    Call, Cons, Cut, Definition, Program, Server, Wait, alpha_equal,
+    BINDING, Call, Close, Cons, Cut, Definition, Program, Server, Wait, alpha_equal,
     free_names, fresh,
 )
 
@@ -34,6 +36,30 @@ def test_parse_two_client_system():
     pool = body.left
     assert isinstance(pool, Cons) and isinstance(pool.pool, Cons)
     assert isinstance(body.right, Call)
+
+
+@pytest.mark.parametrize("ctor", list(FORMS), ids=lambda c: c.__name__)
+def test_printer_spells_each_form_as_its_row(ctor):
+    # subject x, binder y, subterms `close y` inside the binder's scope and
+    # `close z` outside it, and the type 1 for the field BINDING leaves over
+    row = BINDING[ctor]
+    x, y, z = fresh("x"), fresh("y"), fresh("z")
+    vals, shown = [], {}
+    for i, field in enumerate(ctor.__match_args__):
+        v, text = ((x, "x") if i == row.subject else (y, "y") if i == row.binder
+                   else (Close(y), "close y") if i in row.inside
+                   else (Close(z), "close z") if i in row.outside else (ty.ONE, "1"))
+        vals.append(v)
+        shown[field] = text
+    expected = re.sub(r"\$(\w+)", lambda m: shown[m[1]], FORMS[ctor])
+    assert ([t.text for t in tokenize(pretty_process(ctor(*vals)))]
+            == [t.text for t in tokenize(expected)])
+
+
+def test_keywords():
+    assert KEYWORDS == {
+        "def", "main", "close", "wait", "fail", "send", "recv", "case", "server",
+        "idle", "client", "done", "new", "in1", "in2", "srv", "cli", "bot", "top", "par"}
 
 
 def test_scope_error_unbound():

@@ -28,6 +28,12 @@ def test_step_close():
     assert steps[0][1] == canonical_form(Close(z))
 
 
+def test_close_needs_a_cut_typed_one():
+    x, z = fresh("x"), fresh("z")
+    for anno in (ty.Tensor(ty.ONE, ty.ONE), ty.BOT):
+        assert enabled_steps(Cut(x, anno, Close(x), Wait(x, Close(z))), EMPTY) == []
+
+
 def test_step_done():
     x, z, y = fresh("x"), fresh("z"), fresh("y")
     p = Cut(x, ty.Client(ty.ONE), Nil(x), Server(x, y, Close(z), Close(z)))
