@@ -9,7 +9,8 @@ each in a fresh interpreter under PYTHONHASHSEED=0.  Every artefact whose
 sha256 differs is printed, and the exit status is 1 if any differ.
 
 Inputs: the corpus, lock_1..8, six cas mixes, chain_1..8, gen_program seeds
-0-299 and 1000-1199, and every one-token mutant (deletion, duplication, swap
+0-299 and 1000-1199, the 300 forwarder families of the benchmark's
+fuzz_small workload, and every one-token mutant (deletion, duplication, swap
 with the next token) of the corpus and of the printed gen_program 0-119.
 The channel-id counter is reset before each input, so ids drawn by one input
 do not shift the next.
@@ -17,8 +18,11 @@ do not shift the next.
 Artefacts: parse results (the program's repr, with channel ids) and parse
 errors, `pretty_program`, check reports with their derivations, encoded
 proofs with their validity, bounded `explore` JSON with the fair-termination
-verdict, and det and seeded random traces.  Mutants contribute their parse
-artefacts only.
+verdict, the full and deterministic step records of every explored state
+(as `tests/golden/steps.json` records them), and det and seeded random
+traces.  A forwarder family contributes its program, check reports,
+derivations and proofs; a mutant its parse artefacts and, if it parses, its
+check reports.
 """
 
 import argparse
@@ -70,6 +74,13 @@ def mutant_inputs(small: bool = False) -> Iterator[tuple[str, str]]:
             yield f"{name} {label}", mutant
 
 
+def link_inputs(small: bool = False) -> Iterator[tuple[str, str]]:
+    """(label, type text) of the forwarder families."""
+    from tests.conftest import link_types
+    for i, text in enumerate(link_types(3 if small else 300)):
+        yield f"link_{i}", text
+
+
 def _reset_ids() -> None:
     from csll import process
     process._uid_counter = itertools.count(1)
@@ -106,12 +117,25 @@ def _guarded(fn) -> object:
         return [type(e).__name__, str(e)]
 
 
+def _checked(label: str, prog, proofs: bool = True) -> Iterator[tuple[str, object]]:
+    """The check report of every definition and, with proofs, its derivation
+    and encoded proof."""
+    from csll.proofs import encode_derivation, proof_to_json_dict, proof_validity
+    from csll.typecheck import check_program
+    for r in check_program(prog).defs:
+        yield f"{label} check {r.name}", [r.well_typed, [str(d) for d in r.diagnostics],
+                                          _validity(r.validity)]
+        if proofs and r.derivation is not None:
+            yield f"{label} derivation {r.name}", _derivation(r.derivation)
+            g = encode_derivation(r.derivation).graph
+            yield f"{label} proof {r.name}", [proof_to_json_dict(g), _validity(proof_validity(g))]
+
+
 def program_artefacts(label: str, source: str | int) -> Iterator[tuple[str, object]]:
     from csll.gen import gen_program
     from csll.printer import pretty_process, pretty_program
-    from csll.proofs import encode_derivation, proof_to_json_dict, proof_validity
     from csll.runtime import check_fair_termination, run
-    from csll.typecheck import check_program
+    from tests.test_steps_golden import step_records
     _reset_ids()
     if isinstance(source, int):
         prog = gen_program(source)
@@ -121,22 +145,18 @@ def program_artefacts(label: str, source: str | int) -> Iterator[tuple[str, obje
         prog = yield from _parsed(label, source)
         if prog is None:
             return
-    report = check_program(prog)
-    for r in report.defs:
-        yield f"{label} check {r.name}", [r.well_typed, [str(d) for d in r.diagnostics],
-                                          _validity(r.validity)]
-        if r.derivation is not None:
-            yield f"{label} derivation {r.name}", _derivation(r.derivation)
-            g = encode_derivation(r.derivation).graph
-            yield f"{label} proof {r.name}", [proof_to_json_dict(g), _validity(proof_validity(g))]
+    yield from _checked(label, prog)
     if prog.main is None:
         return
     main = prog.main
-
-    def explored():
+    try:
         ft = check_fair_termination(main.body, prog, max_states=MAX_STATES, max_depth=MAX_STATES)
-        return [ft.graph.to_json_dict(), ft.verdict]
-    yield f"{label} explore", _guarded(explored)
+    except Exception as e:  # an artefact too: both sides must fail alike
+        yield f"{label} explore", [type(e).__name__, str(e)]
+    else:
+        yield f"{label} explore", [ft.graph.to_json_dict(), ft.verdict]
+        yield f"{label} steps", _guarded(lambda: [[step_records(s, prog, det) for det in (False, True)]
+                                                  for s in ft.graph.states])
     for scheduler, seed in (("det", 0), ("random", 1), ("random", 2)):
         def trace():
             t = run(main.body, dict(main.params), prog, scheduler=scheduler, seed=seed,
@@ -147,11 +167,20 @@ def program_artefacts(label: str, source: str | int) -> Iterator[tuple[str, obje
 
 
 def artefacts(small: bool = False) -> Iterator[tuple[str, object]]:
+    from csll.linkgen import gen_link
+    from csll.parser import parse_type
     for label, source in inputs(small):
         yield from program_artefacts(label, source)
+    for label, text in link_inputs(small):
+        _reset_ids()
+        prog = gen_link(parse_type(text))
+        yield f"{label} gen-link", repr(prog)
+        yield from _checked(label, prog)
     for label, text in mutant_inputs(small):
         _reset_ids()
-        yield from _parsed(label, text)
+        prog = yield from _parsed(label, text)
+        if prog is not None:
+            yield from _checked(label, prog, proofs=False)
 
 
 def digests(small: bool = False) -> dict[str, str]:

@@ -11,7 +11,7 @@ by a word over {i,l,r} recording unfoldings and left/right descents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from typing import Iterable
 
 from . import types as ty
@@ -88,7 +88,6 @@ def formula_children(phi: MuFormula) -> tuple[MuFormula, ...]:
     return ty.children(phi)
 
 
-@lru_cache(maxsize=None)
 def subformula_leq(phi: MuFormula, psi: MuFormula) -> bool:
     """phi occurs as a subtree of psi (reflexive)."""
     if phi == psi:

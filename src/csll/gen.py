@@ -1,8 +1,8 @@
 """Seeded random generation of well-typed programs.
 
-Generation is goal-directed over the typing rules: a move is only taken
-when a completability oracle confirms every premise context can still be
-finished.  While fuel lasts, moves are sampled; once it runs out, the
+Generation is goal-directed over the typing rules, read backwards from
+`typecheck.GUARDS`: a move is only taken when a completability oracle
+confirms every premise context can still be finished.  While fuel lasts, moves are sampled; once it runs out, the
 oracle's memoized witness moves drive the context to completion, so
 generation always terminates.
 
@@ -16,13 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from . import types as ty
 from .process import (
-    Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
-    Nil, Process, Program, Select, Server, Wait, fresh,
+    Call, ChannelName, Close, Cons, Cut, Definition, Fail, Nil, Process,
+    Program, Server, Wait, fresh,
 )
+from .typecheck import GUARDS
 
 _FRESH_NAMES = "uvwstpq"
 
@@ -33,30 +34,16 @@ def _ms(types: tuple[ty.SessionType, ...]) -> tuple[ty.SessionType, ...]:
 
 @dataclass(frozen=True)
 class _Move:
-    kind: type         # the process the move builds: Close, Nil, Fail or a _RULES one
+    kind: type         # the guard the move builds
     index: int = 0     # position of the acted-on type in the sorted multiset
     alt: int = 0       # which of the rule's alternatives (a select's tag - 1)
     mask: tuple[int, ...] = ()  # positions sent to the first premise of a split
 
 
-class _Rule(NamedTuple):
-    """The typing rule of a connective, read backwards."""
-
-    move: type    # the process it builds: subject, [binder | tag], one body per premise
-    split: bool   # whether the premises split the rest of the context between them
-    # per alternative, its premises as (binder type, subject type): positions
-    # in (*children, the type itself), None where the premise lacks the channel
-    alts: tuple[tuple[tuple[int | None, int | None], ...], ...]
-
-
-_RULES = {
-    ty.Bot: _Rule(Wait, False, (((None, None),),)),
-    ty.Par: _Rule(Join, False, (((0, 1),),)),
-    ty.Plus: _Rule(Select, False, (((None, 0),), ((None, 1),))),
-    ty.With: _Rule(Case, False, (((None, 0), (None, 1)),)),
-    ty.Tensor: _Rule(Fork, True, (((0, None), (None, 1)),)),
-    ty.Client: _Rule(Cons, True, (((0, None), (None, -1)),)),
-}
+# connective -> (guard, `GUARDS` row) of the rules read backwards; not the
+# server's, whose accept premise keeps its own type and so never bottoms out
+_BACKWARDS = {row.connective: (guard, row) for guard, row in GUARDS.items()
+              if row.alts != ((),) and guard is not Server}
 
 
 class Oracle:
@@ -92,18 +79,18 @@ class Oracle:
         for i, t in enumerate(ms):
             if isinstance(t, ty.Top):
                 yield _Move(Fail, i)
-            rule = _RULES.get(type(t))
-            if rule is None:
+            guard, row = _BACKWARDS.get(type(t), (None, None))
+            if row is None:
                 continue
             rest, kids = ms[:i] + ms[i + 1:], (*ty.children(t), t)
-            for alt, premises in enumerate(rule.alts):
+            for alt, premises in enumerate(row.alts):
                 extras = [tuple(kids[k] for k in p if k is not None) for p in premises]
-                if rule.split:
+                if row.split:
                     mask = self._split(rest, *extras)
                     if mask is not None:
-                        yield _Move(rule.move, i, alt, mask)
+                        yield _Move(guard, i, alt, mask)
                 elif all(self.completable(rest + extra) for extra in extras):
-                    yield _Move(rule.move, i, alt)
+                    yield _Move(guard, i, alt)
 
     def _split(self, rest: tuple[ty.SessionType, ...], extra_a: tuple, extra_b: tuple
                ) -> tuple[int, ...] | None:
@@ -157,7 +144,7 @@ class ProcessGen:
 
     def generate(self, ctx: dict[ChannelName, ty.SessionType], fuel: int) -> Process:
         """A random process well typed in ctx (which must be completable)."""
-        ms_items = sorted(ctx.items(), key=lambda kv: (ty.type_key(kv[1]), kv[0].name, kv[0].uid))
+        ms_items = sorted(ctx.items(), key=lambda kv: (ty.type_key(kv[1]), kv[0]))
         ms = tuple(t for _, t in ms_items)
         chans = [c for c, _ in ms_items]
         if fuel > 0:
@@ -196,37 +183,37 @@ class ProcessGen:
         c, t = chans[m.index], ms[m.index]
         if m.kind in (Close, Nil, Fail):
             return m.kind(c)
-        rule = _RULES[type(t)]
-        premises = rule.alts[m.alt]
+        row = GUARDS[m.kind]
+        premises = row.alts[m.alt]
         rest = list(zip(chans[:m.index] + chans[m.index + 1:], ms[:m.index] + ms[m.index + 1:]))
         kids = (*ty.children(t), t)
         y = self._fresh() if any(b is not None for b, _ in premises) else None
         bodies = []
         for k, (binder, subj) in enumerate(premises):
             # a split sends the masked part of the rest to the first premise
-            ctx = dict(rest if not rule.split
+            ctx = dict(rest if not row.split
                        else [kv for j, kv in enumerate(rest) if (j in m.mask) == (k == 0)])
             if binder is not None:
                 ctx[y] = kids[binder]
             if subj is not None:
                 ctx[c] = kids[subj]
             bodies.append(self.generate(ctx, fuel))
-        head = (y,) if y is not None else (m.alt + 1,) if len(rule.alts) > 1 else ()
-        return rule.move(c, *head, *bodies)
+        head = (y,) if y is not None else (m.alt + 1,) if len(row.alts) > 1 else ()
+        return m.kind(c, *head, *bodies)
 
 
-def gen_finite_main(seed: int, fuel: int = 7) -> Program:
+def gen_finite_main(seed: int) -> Program:
     """A definition-free program whose main is well typed at a single 1-channel."""
     rng = random.Random(seed)
     g = ProcessGen(rng)
     z = fresh("z")
-    body = g.generate({z: ty.ONE}, fuel)
+    body = g.generate({z: ty.ONE}, 7)
     return Program({}, Definition("main", ((z, ty.ONE),), body))
 
 
-def gen_server_main(seed: int, fuel: int = 5, max_clients: int = 3) -> Program:
+def gen_server_main(seed: int) -> Program:
     """A racy client/server program: a recursive server draining a pool of
-    generated finite clients, reporting completion on z."""
+    one to three generated finite clients, reporting completion on z."""
     rng = random.Random(seed)
     oracle = Oracle()
     g = ProcessGen(rng, oracle)
@@ -238,16 +225,16 @@ def gen_server_main(seed: int, fuel: int = 5, max_clients: int = 3) -> Program:
 
     x, z = fresh("x"), fresh("z")
     y, w = fresh("y"), fresh("w")
-    handler_body = g.generate({y: ty.dual(proto), w: ty.ONE}, fuel)
+    handler_body = g.generate({y: ty.dual(proto), w: ty.ONE}, 5)
     accept = Cut(w, ty.ONE, handler_body, Wait(w, Call("Srv", (x, z))))
     srv = Definition("Srv", ((x, srv_type), (z, ty.ONE)),
                      Server(x, y, accept, Close(z)))
 
     xm, zm = fresh("x"), fresh("z")
     pool: Process = Nil(xm)
-    for _ in range(rng.randint(1, max_clients)):
+    for _ in range(rng.randint(1, 3)):
         yc = fresh("y")
-        pool = Cons(xm, yc, g.generate({yc: proto}, fuel), pool)
+        pool = Cons(xm, yc, g.generate({yc: proto}, 5), pool)
     main_body = Cut(xm, ty.Client(proto), pool, Call("Srv", (xm, zm)))
     main = Definition("main", ((zm, ty.ONE),), main_body)
     return Program({"Srv": srv}, main)

@@ -31,13 +31,9 @@ def _wrap_type(t: ty.SessionType, level: int = ty._ATOM, word: str = "") -> str:
 class _Namer:
     """Scope-aware display names; disambiguates clashes with numeric suffixes."""
 
-    def __init__(self, reserved: set[str] | None = None):
+    def __init__(self):
         self.display: dict[ChannelName, str] = {}
-        self.taken: list[set[str]] = [set(KEYWORDS) | (reserved or set())]
-
-    def seed(self, chans: list[ChannelName]) -> None:
-        for c in sorted(chans, key=lambda c: (c.name, c.uid)):
-            self.bind(c)
+        self.taken: list[set[str]] = [set(KEYWORDS)]
 
     def bind(self, c: ChannelName) -> str:
         base = c.name if (c.name and not c.name[0].isdigit()) else "c"
@@ -65,11 +61,11 @@ _INLINE_LIMIT = 44
 _WORDS = {ctor: row.split()[0] for ctor, row in FORMS.items()}
 
 
-def pretty_process(p: Process, namer: _Namer | None = None, indent: int = 0) -> str:
-    if namer is None:
-        namer = _Namer()
-        namer.seed(sorted(free_names(p), key=lambda c: (c.name, c.uid)))
-    return _render(p, namer, indent)
+def pretty_process(p: Process) -> str:
+    namer = _Namer()
+    for c in sorted(free_names(p)):
+        namer.bind(c)
+    return _render(p, namer, 0)
 
 
 def _block(body: str, indent: int) -> str:

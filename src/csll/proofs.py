@@ -8,9 +8,10 @@ with an address re-rooting map; an invocation chain closing on itself
 becomes a degenerate `loop` node.  Its `premise` gives a premise the
 parent's addresses, overridden by those the rule introduces, and a stream
 of fresh atomic addresses: an injective stream is split between independent
-premises and shared between mutually exclusive ones.  `emit` states each
-one-node rule once; `gadget` expands a shared channel into three rules
-(fixed point, additive, then axiom or multiplicative), matching its list
+premises and shared between mutually exclusive ones.  `premises` reads a
+guard's premises from its `typecheck.GUARDS` row, so `emit` states only the
+cut by hand; `gadget` expands a shared channel into three rules (fixed
+point, additive, then axiom or multiplicative), matching its list
 interpretation.
 
 Thread validity: a thread follows occurrence successors (descent at the
@@ -40,8 +41,8 @@ from . import formulas as mf
 from . import types as ty
 from .cycles import closure_check
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
-from .process import ChannelName
-from .typecheck import Derivation, DerivNode, ValidityReport, _closure_report, check
+from .process import BINDING, ChannelName
+from .typecheck import GUARDS, Derivation, DerivNode, ValidityReport, _closure_report, check
 
 
 # --- streams of atomic addresses ---------------------------------------------
@@ -132,7 +133,7 @@ def initial_assignment(ctx: dict[ChannelName, ty.SessionType]
                        ) -> tuple[dict[ChannelName, Address], AddressStream]:
     """Give every context channel its own atomic address, returning the rest
     of the stream."""
-    sigma = {c: Address(i, False) for i, c in enumerate(sorted(ctx, key=lambda c: (c.name, c.uid)))}
+    sigma = {c: Address(i, False) for i, c in enumerate(sorted(ctx))}
     return sigma, address_stream(len(sigma))
 
 
@@ -201,43 +202,44 @@ class _Encoder:
                  for c, _ in self.d.nodes[target].judgment.context}
         return self.edge(target, child, rho)
 
+    def premises(self, node: DerivNode, sigma: dict[ChannelName, Address], rho: AddressStream,
+                 a: Address) -> tuple[ProofEdge, ...]:
+        """The edges to a guard node's premises, read from its `GUARDS` row:
+        a premise's binder or subject goes to a's left child for component 0
+        of the connective and to its right child otherwise.  The premises of
+        a split row take the even and odd halves of rho; the others share it."""
+        p = node.judgment.process
+        row, binding = GUARDS[type(p)], BINDING[type(p)]
+        y = None if binding.binder is None else binding.fields(p)[binding.binder]
+        streams = (rho.even(), rho.odd()) if row.split else (rho, rho)
+        edges = []
+        for i, (b, s) in enumerate(row.alts[(node.tag or 1) - 1]):
+            over = {}
+            if b is not None:
+                over[y] = a.child("l" if b == 0 else "r")
+            if s is not None:
+                over[node.subject] = a.child("l" if s == 0 else "r")
+            edges.append(self.premise(node, i, sigma, streams[i], over))
+        return tuple(edges)
+
     def emit(self, node: DerivNode, sigma: dict[ChannelName, Address], rho: AddressStream,
              pid: int) -> None:
         self.mapping[node.nid] = pid
-        p = node.judgment.process
         x = node.subject
-        side = cut_pair = None
-        prem = self.premise
+        cut_pair = None
         match node.rule:
-            case "one" | "top":
-                edges = ()
-            case "bot":
-                edges = (prem(node, 0, sigma, rho),)
-            case "par":
-                a = sigma[x]
-                edges = (prem(node, 0, sigma, rho, {p.payload: a.child("l"), x: a.child("r")}),)
-            case "tensor":
-                a = sigma[x]
-                edges = (prem(node, 0, sigma, rho.even(), {p.payload: a.child("l")}),
-                         prem(node, 1, sigma, rho.odd(), {x: a.child("r")}))
-            case "plus":
-                side = p.tag
-                edges = (prem(node, 0, sigma, rho, {x: sigma[x].child("l" if side == 1 else "r")}),)
-            case "with":
-                a = sigma[x]
-                edges = (prem(node, 0, sigma, rho, {x: a.child("l")}),
-                         prem(node, 1, sigma, rho, {x: a.child("r")}))
             case "cut":
+                c = node.judgment.process.chan
                 cut_pair = (Address(rho.head(), False), Address(rho.head(), True))
                 rest = rho.tail()
-                edges = (prem(node, 0, sigma, rest.even(), {p.chan: cut_pair[0]}),
-                         prem(node, 1, sigma, rest.odd(), {p.chan: cut_pair[1]}))
+                edges = (self.premise(node, 0, sigma, rest.even(), {c: cut_pair[0]}),
+                         self.premise(node, 1, sigma, rest.odd(), {c: cut_pair[1]}))
             case "done" | "client" | "server":
                 return self.gadget(node, sigma, rho, pid)
-            case rule:
-                raise AssertionError(f"unexpected derivation rule {rule!r}")
+            case _:
+                edges = self.premises(node, sigma, rho, sigma[x]) if node.premises else ()
         self.g.add(ProofNode(pid, node.rule, _mkseq(*_occs(sigma, node.judgment.context)), edges,
-                             None if x is None else sigma[x], side, cut_pair))
+                             None if x is None else sigma[x], node.tag, cut_pair))
 
     def gadget(self, node: DerivNode, sigma: dict[ChannelName, Address], rho: AddressStream,
                pid: int) -> None:
@@ -250,21 +252,19 @@ class _Encoder:
         left, right = occ_step(unfolded)
         a = right.address
         ids = [pid] + [self.g.new_id() for _ in range(3 if node.rule == "server" else 2)]
-        prem = self.premise
         match node.rule:
             case "done":
                 rules = [("mu", top, (ProofEdge(ids[1]),), None),
                          ("plus", unfolded, (ProofEdge(ids[2]),), 1),
                          ("one", left, (), None)]
             case "client":
-                edges = (prem(node, 0, sigma, rho.even(), {p.session: a.child("l")}),
-                         prem(node, 1, sigma, rho.odd(), {x: a.child("r")}))
+                edges = self.premises(node, sigma, rho, a)
                 rules = [("mu", top, (ProofEdge(ids[1]),), None),
                          ("plus", unfolded, (ProofEdge(ids[2]),), 2),
                          ("tensor", right, edges, None)]
             case _:  # server: the idle branch drops x and shares the stream with accept
-                idle = prem(node, 1, sigma, rho)
-                accept = prem(node, 0, sigma, rho, {x: a.child("r"), p.session: a.child("l")})
+                idle = self.premise(node, 1, sigma, rho)
+                accept = self.premise(node, 0, sigma, rho, {x: a.child("r"), p.session: a.child("l")})
                 rules = [("nu", top, (ProofEdge(ids[1]),), None),
                          ("with", unfolded, (ProofEdge(ids[2]), ProofEdge(ids[3])), None),
                          ("bot", left, (idle,), None),

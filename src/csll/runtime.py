@@ -5,7 +5,8 @@ Redexes live at a cut whose two sides expose dual actions on the cut
 channel.  One walk down the spine of a state (its cuts and, in the full
 semantics, its pool heads) finds every step: each subterm returns the
 guards it exposes, keyed by subject, and each cut pairs the two guards on
-its channel.  Pulling a guard out through enclosing cuts and pool heads
+its channel when it types one at that guard's `typecheck.GUARDS` connective
+and the other's connective is the dual.  Pulling a guard out through enclosing cuts and pool heads
 mirrors the pre-congruence moves that justify the step.  The walk unfolds
 an invocation only where it meets one, by the one unfolding rule,
 `process.unfold_head`: an invocation unfolds exactly when its unguarded
@@ -32,11 +33,11 @@ from typing import Callable, Iterator
 from . import types as ty
 from .canon import canonical_form, canonical_hashed, cell_key
 from .process import (
-    Case, ChannelName, Close, Cons, Cut, Fork, Join, Nil, Process, Program,
-    Select, Server, Wait, call_depth, free_names, fresh, rename, subject,
-    unfold_head,
+    ChannelName, Close, Cons, Cut, Nil, Process, Program, Server, call_depth,
+    free_names, fresh, rename, subject, unfold_head,
 )
 from .printer import pretty_process
+from .typecheck import GUARDS
 
 
 class NoRedexError(Exception):
@@ -118,31 +119,7 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
         out.append(Step(RedexInfo(kind, x.name, path, client_index),
                         orbit if orbit is not None else object(), around, cut, core))
 
-    def close_wait(gc: Close, gw: Wait, close_type: ty.SessionType) -> None:
-        if isinstance(close_type, ty.One):
-            add("r-close", lambda: gw.body)
-
-    def comm(gf: Fork, gj: Join, fork_type: ty.SessionType) -> None:
-        if not isinstance(fork_type, ty.Tensor):
-            return
-
-        def core() -> Process:
-            c = fresh(gf.payload.name)
-            payload = rename(gf.payload_body, {gf.payload: c})
-            jbody = rename(gj.body, {gj.payload: c})
-            return Cut(c, fork_type.left, payload, Cut(x, fork_type.right, gf.cont, jbody))
-        add("r-comm", core)
-
-    def case_sel(gs: Select, gc: Case, sel_type: ty.SessionType) -> None:
-        if not isinstance(sel_type, ty.Plus):
-            return
-        branch = gc.left if gs.tag == 1 else gc.right
-        chosen = sel_type.left if gs.tag == 1 else sel_type.right
-        add("r-case", lambda: Cut(x, chosen, gs.body, branch))
-
-    def pool_server(gp: Process, gs: Server, client_type: ty.SessionType, pool_is_left: bool) -> None:
-        if not isinstance(client_type, ty.Client):
-            return
+    def pool_server(gp: Process, gs: Server, client_type: ty.Client, pool_is_left: bool) -> None:
         cells, end = _pool_cells(gp, x, defs)
 
         def rest(i: int) -> Process:
@@ -174,18 +151,30 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
             add("r-connect", partial(connect, i), partial(exposed, i),
                 orbits.setdefault(cell_key(body, y), object()), i)
 
-    pairs = ((g1, g2, left_type, True), (g2, g1, ty.dual(left_type), False))
-    for a, b, a_type, a_is_left in pairs:
-        match a, b:
-            case Close(), Wait():
-                close_wait(a, b, a_type)
-            case Fork(), Join():
-                comm(a, b, a_type)
-            case Select(), Case():
-                case_sel(a, b, a_type)
-            case (Cons(), Server()) | (Nil(), Server()):
-                pool_server(a, b, a_type, a_is_left)
-
+    # two guards of dual connectives pair when the cut types the positive
+    # one at its connective, which names the rule
+    c1, c2 = GUARDS[type(g1)].connective, GUARDS[type(g2)].connective
+    if ty._DUAL[c1] is not c2:
+        return
+    a_is_left = c1 in ty._NEGATIVE
+    a, b, a_type, conn = (g1, g2, left_type, c1) if a_is_left else (g2, g1, ty.dual(left_type), c2)
+    if not isinstance(a_type, conn):
+        return
+    match conn:
+        case ty.One:
+            add("r-close", lambda: b.body)
+        case ty.Tensor:
+            def comm() -> Process:
+                c = fresh(a.payload.name)
+                payload = rename(a.payload_body, {a.payload: c})
+                jbody = rename(b.body, {b.payload: c})
+                return Cut(c, a_type.left, payload, Cut(x, a_type.right, a.cont, jbody))
+            add("r-comm", comm)
+        case ty.Plus:
+            chosen, branch = (a_type.left, b.left) if a.tag == 1 else (a_type.right, b.right)
+            add("r-case", lambda: Cut(x, chosen, a.body, branch))
+        case ty.Client:
+            pool_server(a, b, a_type, a_is_left)
 
 def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
           ctx: Callable[[Process], Process], out: list[Step]) -> dict[ChannelName, _Guard]:

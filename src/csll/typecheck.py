@@ -1,16 +1,17 @@
 """Linear typechecker building finite cyclic derivations, plus the validity check.
 
-The typing rules are applied syntax-directedly, and each is stated once.
-The guard constructs (every action on a channel) share one row format in
-`_GUARDS`: the rule, the constructor the subject's type must have, and how a
-mismatch message names it; `_subject_type` applies the row before dispatch.
-Each case of `_Checker.check` then only lists its premises as (process,
-context, channels it keeps), and one loop checks them in order, allocating
-node ids in preorder and giving each tree edge the identity lineage on the
-kept channels.  Invocations recurse into the definition body (renamed to the
-call's arguments); when the same definition is already being checked on the
-current ancestor path, a back edge with the argument correspondence is
-emitted instead, which keeps every derivation finite.
+The typing rules are applied syntax-directedly.  Each guard construct's
+rule is one `GUARDS` row: its name, the subject's connective, how a mismatch
+names it, whether the premises split the rest of the context, and each
+premise's binder and subject types; the generator, the proof encoder and the
+reducer read the rows too.  `_Checker.check` lists each case's premises as
+(process, context) pairs, the reference a test pins to the table, and checks
+them in order, allocating node ids in preorder; a tree edge's lineage is the
+identity on the channels both contexts hold.  Invocations recurse into the
+definition body (renamed to the call's arguments); when the same definition
+is already being checked on the current ancestor path, a back edge with the
+argument correspondence is emitted instead, which keeps every derivation
+finite.
 
 Validity rules out derivations whose infinite unfoldings contain a branch
 that stops witnessing a server on one fixed channel.  A thread is a channel
@@ -29,6 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import types as ty
 from .cycles import closure_check
@@ -72,7 +74,7 @@ class Judgment:
 
 
 def _ctx_tuple(ctx: TypeContext) -> tuple[tuple[ChannelName, ty.SessionType], ...]:
-    return tuple(sorted(ctx.items(), key=lambda kv: (kv[0].name, kv[0].uid)))
+    return tuple(sorted(ctx.items()))
 
 
 @dataclass(frozen=True)
@@ -120,38 +122,46 @@ def split_context(ctx: TypeContext, fn_left: frozenset[ChannelName], fn_right: f
     return left, right
 
 
-# One row per guard construct: its rule, the type constructor its subject
-# must have, and how a type-mismatch message names that constructor.
-_GUARDS: dict[type, tuple[str, type, str]] = {
-    Close: ("one", ty.One, "1 (close)"),
-    Fail: ("top", ty.Top, "top (fail)"),
-    Nil: ("done", ty.Client, "a client pool"),
-    Wait: ("bot", ty.Bot, "bot (wait)"),
-    Join: ("par", ty.Par, "an input pair (recv)"),
-    Fork: ("tensor", ty.Tensor, "an output pair (send)"),
-    Select: ("plus", ty.Plus, "a selection (.in1/.in2)"),
-    Case: ("with", ty.With, "a branch (case)"),
-    Server: ("server", ty.Server, "a server"),
-    Cons: ("client", ty.Client, "a client pool"),
+class Guard(NamedTuple):
+    rule: str
+    connective: type  # the constructor the subject's type must have
+    shown: str        # how a type-mismatch message names that constructor
+    split: bool = False  # whether the premises split the rest of the context
+    # per alternative, its premises as (binder type, subject type): positions
+    # in (*children, the type itself), None where the premise lacks the channel
+    alts: tuple[tuple[tuple[int | None, int | None], ...], ...] = ((),)
+
+
+# Each guard construct's typing rule, once (see the module docstring).
+GUARDS: dict[type, Guard] = {
+    Close: Guard("one", ty.One, "1 (close)"),
+    Fail: Guard("top", ty.Top, "top (fail)"),
+    Nil: Guard("done", ty.Client, "a client pool"),
+    Wait: Guard("bot", ty.Bot, "bot (wait)", False, (((None, None),),)),
+    Join: Guard("par", ty.Par, "an input pair (recv)", False, (((0, 1),),)),
+    Fork: Guard("tensor", ty.Tensor, "an output pair (send)", True, (((0, None), (None, 1)),)),
+    Select: Guard("plus", ty.Plus, "a selection (.in1/.in2)", False, (((None, 0),), ((None, 1),))),
+    Case: Guard("with", ty.With, "a branch (case)", False, (((None, 0), (None, 1)),)),
+    Server: Guard("server", ty.Server, "a server", False, (((0, -1), (None, None)),)),
+    Cons: Guard("client", ty.Client, "a client pool", True, (((0, None), (None, -1)),)),
 }
 
 _UID = attrgetter("uid")
 
 
-def _subject_type(p: Process, ctx: TypeContext, row: tuple[str, type, str]) -> ty.SessionType:
-    """The type of p's subject, which must be in ctx and have row's constructor."""
-    rule, ctor, shown = row
-    x = p.chan
+def _subject_type(p: Process, ctx: TypeContext, row: Guard) -> ty.SessionType:
+    """The type of p's subject, which must be in ctx and have row's connective."""
+    rule, x = row.rule, p.chan
     if x not in ctx:
         raise _err("scope", rule, f"channel {x.name} is not in the context", p.span)
     t = ctx[x]
-    if isinstance(t, ctor):
+    if isinstance(t, row.connective):
         return t
     if isinstance(t, ty.Zero):
         raise _err("zero-subject", rule,
                    f"channel {x.name} has the empty type 0; no action can introduce it", p.span)
     raise _err("type-mismatch", rule,
-               f"channel {x.name} has type {pretty_type(t)} but is used as {shown}", p.span)
+               f"channel {x.name} has type {pretty_type(t)} but is used as {row.shown}", p.span)
 
 
 def _callee(p: Call, ctx: TypeContext, prog: Program) -> Definition:
@@ -189,11 +199,10 @@ class _Checker:
         nid = next(self.ids)
         tag = None
         edges: list[DerivEdge] = []
-        # (process, context, channels whose lineage continues into it)
-        premises: tuple[tuple[Process, TypeContext, TypeContext], ...] = ()
-        row = _GUARDS.get(type(p))
+        premises: tuple[tuple[Process, TypeContext], ...] = ()  # (process, context)
+        row = GUARDS.get(type(p))
         if row is not None:
-            rule, x = row[0], p.chan
+            rule, x = row.rule, p.chan
             t = _subject_type(p, ctx, row)
             rest = {c: v for c, v in ctx.items() if c != x}
         match p:
@@ -204,39 +213,39 @@ class _Checker:
                     anc_id, anc_args = path[name]
                     edges.append(DerivEdge(anc_id, True, tuple(zip(args, anc_args))))
                 else:
-                    premises = ((instantiate(defn, args), dict(ctx), ctx),)
+                    premises = ((instantiate(defn, args), dict(ctx)),)
                     path = {**path, name: (nid, args)}
             case Cut(x, anno, first, second):
                 rule = "cut"
                 if x in ctx:
                     raise _err("scope", "cut", f"cut rebinds channel {x.name} already in context", p.span)
                 left, right = split_context(ctx, self.free(first), self.free(second), p.span)
-                premises = ((first, {**left, x: anno}, left), (second, {**right, x: ty.dual(anno)}, right))
+                premises = ((first, {**left, x: anno}), (second, {**right, x: ty.dual(anno)}))
             case Close() | Nil():
                 if rest:
                     raise _err("linearity", rule, f"unused channel(s) {sorted(c.name for c in rest)}", p.span)
             case Fail():  # the top rule absorbs any context
                 pass
             case Wait(_, body):
-                premises = ((body, rest, rest),)
+                premises = ((body, rest),)
             case Join(_, y, body):
-                premises = ((body, {**rest, y: t.left, x: t.right}, ctx),)
+                premises = ((body, {**rest, y: t.left, x: t.right}),)
             case Fork(_, y, first, second) | Cons(_, y, first, second):
                 a, b = (t.left, t.right) if rule == "tensor" else (t.inner, t)
                 left, right = split_context(rest, self.free(first) - {y}, self.free(second), p.span, rule)
-                right = {**right, x: b}
-                premises = ((first, {**left, y: a}, left), (second, right, right))
+                premises = ((first, {**left, y: a}), (second, {**right, x: b}))
             case Select(_, tag, body):
-                premises = ((body, {**ctx, x: t.left if tag == 1 else t.right}, ctx),)
+                premises = ((body, {**ctx, x: t.left if tag == 1 else t.right}),)
             case Case(_, first, second):
-                premises = ((first, {**ctx, x: t.left}, ctx), (second, {**ctx, x: t.right}, ctx))
+                premises = ((first, {**ctx, x: t.left}), (second, {**ctx, x: t.right}))
             case Server(_, y, accept, idle):
-                premises = ((accept, {**ctx, y: t.inner}, ctx), (idle, rest, rest))
+                premises = ((accept, {**ctx, y: t.inner}), (idle, rest))
             case _:
                 raise _err("type-mismatch", "?", f"cannot type {type(p).__name__}", p.span)
-        for q, q_ctx, kept in premises:
+        for q, q_ctx in premises:
+            # a channel's lineage continues into the premise when both contexts hold it
             edges.append(DerivEdge(self.check(q, q_ctx, path), False,
-                                   tuple((c, c) for c in sorted(kept, key=_UID))))
+                                   tuple((c, c) for c in sorted(ctx.keys() & q_ctx.keys(), key=_UID))))
         self.nodes[nid] = DerivNode(nid, Judgment(p, _ctx_tuple(ctx)), rule, tuple(edges),
                                     x if row else None, tag)
         return nid

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,11 @@ def cas_text(kinds: list[str]) -> str:
     clients = "; ".join(f"client x(y{i}) {{ Client{k}(y{i}) }}" for i, k in enumerate(kinds))
     return (f"{defs}\nmain(z: 1 + 1) =\n"
             f"  new x : cli ((1 + 1) + (1 + 1)) {{ {clients}; done x | CasTrue(x, z) }}\n")
+
+
+def link_types(n: int = 300) -> list[str]:
+    """The type texts of the benchmark's forwarder families (fuzz_small's
+    `link_*` items), first n of them, in order."""
+    from bench.workloads import type_text
+    rng = random.Random("fuzz_small:link-types")
+    return [type_text(rng, rng.choice((3, 4))) for _ in range(n)]

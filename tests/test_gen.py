@@ -15,6 +15,11 @@ def test_oracle_base_cases():
     assert orc.completable((ty.TOP, ty.ZERO))
 
 
+def test_oracle_does_not_read_the_server_rule_backwards():
+    # its accept premise keeps srv 1 and adds 1, so reading it backwards never bottoms out
+    assert not Oracle().completable((ty.Server(ty.ONE),))
+
+
 def test_oracle_dead_ends():
     # joining only produces more dead negatives
     t = ty.Par(ty.BOT, ty.BOT)

@@ -5,7 +5,9 @@ import pytest
 from csll import process, typecheck
 from csll import types as ty
 from csll.cli import main
-from csll.parser import parse_program
+from csll.gen import gen_program
+from csll.linkgen import gen_link
+from csll.parser import parse_program, parse_type
 from csll.process import (
     Call, Close, Cut, Definition, Program, Wait, free_names, fresh,
 )
@@ -15,7 +17,7 @@ from csll.typecheck import (
     split_context, validity_check,
 )
 
-from .conftest import load_corpus, lock_text
+from .conftest import CORPUS_FILES, link_types, load_corpus, lock_text
 
 
 def test_split_context_assigns_by_use():
@@ -244,3 +246,63 @@ def test_checker_computes_free_names_linearly(monkeypatch):
     the pool about doubles the work (the count grew 4x when every cut and
     pool head recomputed the names of the whole pool below it)."""
     assert free_name_computations(monkeypatch, 400) <= 2.5 * free_name_computations(monkeypatch, 200)
+
+
+def table_derivations():
+    """The derivations of the corpus, gen_program 0-99 and the benchmark's
+    forwarder families."""
+    progs = [load_corpus(name) for name in CORPUS_FILES] + [gen_program(s) for s in range(100)]
+    progs += [gen_link(parse_type(text)) for text in link_types()]
+    for prog in progs:
+        for r in check_program(prog).defs:
+            if r.derivation is not None:
+                yield r.derivation
+
+
+def test_checker_premises_follow_the_guard_table():
+    """At every guard node, the premises are those of its `GUARDS` row: their
+    number, and the binder and subject types of each.  Every other channel
+    of a premise is the parent's at the parent's type; a split row's
+    premises divide the rest of the context, the others each keep all of it."""
+    rules = set()
+    for d in table_derivations():
+        for node in d.nodes.values():
+            p = node.judgment.process
+            row = typecheck.GUARDS.get(type(p))
+            if row is None:
+                continue
+            rules.add(node.rule)
+            ctx, x = dict(node.judgment.context), node.subject
+            binding = process.BINDING[type(p)]
+            y = None if binding.binder is None else binding.fields(p)[binding.binder]
+            kids = (*ty.children(ctx[x]), ctx[x])
+            rest = {c: t for c, t in ctx.items() if c != x}
+            alt = row.alts[(node.tag or 1) - 1]
+            assert len(node.premises) == len(alt), node.rule
+            others = []
+            for e, premise in zip(node.premises, alt):
+                assert not e.back
+                q = dict(d.node(e.target).judgment.context)
+                for c, k in zip((y, x), premise):
+                    assert (c in q and q[c] == kids[k]) if k is not None else c not in q, node.rule
+                others.append({c: t for c, t in q.items() if c not in (x, y)})
+                assert others[-1].items() <= rest.items(), node.rule
+            if row.split:
+                assert not others[0].keys() & others[1].keys() and {**others[0], **others[1]} == rest
+            else:
+                assert all(o == rest for o in others), node.rule
+    assert rules == {row.rule for row in typecheck.GUARDS.values()}
+
+
+@pytest.mark.parametrize("text, channel", [
+    # below a selection the retyped subject keeps its place, ahead of w
+    ("main(x: 1 + 1, w: bot) = x.in1; new u : 1 { wait w; close x | wait u; wait w; close x }", "x"),
+    # below recv the retyped subject moves after the binder, behind w
+    ("main(x: bot par 1, w: bot) = recv x(y); new u : 1 { wait w; wait y; close x"
+     " | wait u; wait w; close x }", "w"),
+])
+def test_a_split_names_the_first_misused_channel_in_context_order(text, channel):
+    (r,) = check_program(parse_program(text)).defs
+    (diag,) = r.diagnostics
+    assert (diag.kind, diag.rule) == ("linearity", "cut")
+    assert diag.message == f"channel {channel} is used by both sides"
