@@ -61,6 +61,8 @@ _SYMBOLS = {
     "1": "ONE", "0": "ZERO",  # type constants; identifiers may not start with a digit
 }
 
+_SPELLING = {kind: symbol for symbol, kind in _SYMBOLS.items()}
+
 # a FORMS row as (field, "") for a `$` field and ("", text) for a literal
 _LEXEME = re.compile(r"\$(\w+)|(\w+|\S)")
 
@@ -170,7 +172,7 @@ class _Parser:
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind.lower()
+            want = text or _SPELLING[kind]
             raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.span)
         return self.next()
 

@@ -115,6 +115,12 @@ def test_mixing_operators_needs_parentheses(text, message, column, length):
     assert (span.file, span.line, span.column, span.length) == ("<type>", 1, column, length)
 
 
+def test_a_missing_symbol_is_named_as_written():
+    with pytest.raises(ParseError) as exc:
+        parse_program("main(z: 1) = recv z(y; close y")
+    assert exc.value.message == "expected ')', found ';'"
+
+
 def test_parse_errors_carry_spans():
     with pytest.raises(ParseError) as exc:
         parse_program("def A(x: 1) = close")
