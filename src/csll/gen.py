@@ -2,9 +2,9 @@
 
 Generation is goal-directed over the typing rules, read backwards from
 `typecheck.GUARDS`: a move is only taken when a completability oracle
-confirms every premise context can still be finished.  While fuel lasts, moves are sampled; once it runs out, the
-oracle's memoized witness moves drive the context to completion, so
-generation always terminates.
+confirms every premise context can still be finished.  While fuel lasts,
+moves are sampled; once it runs out, the oracle's memoized witness moves
+drive the context to completion, so generation always terminates.
 
 Two tiers: plain finite processes (multiplicative/additive fragment), and
 client/server systems wrapping a recursive one-connection-at-a-time server

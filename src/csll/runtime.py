@@ -5,13 +5,13 @@ Redexes live at a cut whose two sides expose dual actions on the cut
 channel.  One walk down the spine of a state (its cuts and, in the full
 semantics, its pool heads) finds every step: each subterm returns the
 guards it exposes, keyed by subject, and each cut pairs the two guards on
-its channel when it types one at that guard's `typecheck.GUARDS` connective
-and the other's connective is the dual.  Pulling a guard out through enclosing cuts and pool heads
-mirrors the pre-congruence moves that justify the step.  The walk unfolds
-an invocation only where it meets one, by the one unfolding rule,
-`process.unfold_head`: an invocation unfolds exactly when its unguarded
-unfolding terminates; one that diverges, or names no definition, is stuck
-while the rest of the state may step.  The deterministic fragment drops
+its channel when their `typecheck.GUARDS` connectives are dual and the cut
+types the positive one at its connective.  Pulling a guard out through
+enclosing cuts and pool heads mirrors the pre-congruence moves that justify
+the step.  The walk unfolds an invocation only where it meets one, by the
+one unfolding rule, `process.unfold_head`: an invocation unfolds exactly
+when its unguarded unfolding terminates; one that diverges, or names no
+definition, is stuck while the rest of the state may step.  The deterministic fragment drops
 every pool rule, so clients connect in queue order, and its scheduler takes
 the first step.  In the full semantics, connecting either of two clients
 with equal canonical keys gives one canonical state (symmetry reduction).
@@ -175,6 +175,7 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
             add("r-case", lambda: Cut(x, chosen, a.body, branch))
         case ty.Client:
             pool_server(a, b, a_type, a_is_left)
+
 
 def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
           ctx: Callable[[Process], Process], out: list[Step]) -> dict[ChannelName, _Guard]:

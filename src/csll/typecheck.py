@@ -132,7 +132,7 @@ class Guard(NamedTuple):
     alts: tuple[tuple[tuple[int | None, int | None], ...], ...] = ((),)
 
 
-# Each guard construct's typing rule, once (see the module docstring).
+# Each guard construct's typing rule once, read by the checker, gen, proofs and runtime.
 GUARDS: dict[type, Guard] = {
     Close: Guard("one", ty.One, "1 (close)"),
     Fail: Guard("top", ty.Top, "top (fail)"),
