@@ -11,18 +11,22 @@ sha256 differs is printed, and the exit status is 1 if any differ.
 Inputs: the corpus, lock_1..8, six cas mixes, chain_1..8, gen_program seeds
 0-299 and 1000-1199, the 300 forwarder families of the benchmark's
 fuzz_small workload, and every one-token mutant (deletion, duplication, swap
-with the next token) of the corpus and of the printed gen_program 0-119.
-The channel-id counter is reset before each input, so ids drawn by one input
-do not shift the next.
+with the next token) of the corpus, of the printed gen_program 0-119 and of
+the checker's diagnostic snippets (`tests/test_checker_golden.py`), and the
+snippets themselves with the programs built there for diagnostics the parser
+would reject.  The channel-id counter is reset before each input, so ids
+drawn by one input do not shift the next.
 
 Artefacts: parse results (the program's repr, with channel ids) and parse
 errors, `pretty_program`, check reports with their derivations, encoded
 proofs with their validity, bounded `explore` JSON with the fair-termination
-verdict, the full and deterministic step records of every explored state
-(as `tests/golden/steps.json` records them), and det and seeded random
-traces.  A forwarder family contributes its program, check reports,
-derivations and proofs; a mutant its parse artefacts and, if it parses, its
-check reports.
+verdict and the repr of every explored state, the full and deterministic
+step records of every explored state (as `tests/golden/steps.json` records
+them), and det and seeded random traces with the repr of every state they
+visit.  The reprs show binder ids, which printed states do not: the printer
+picks display names by scope.  A forwarder family contributes its program,
+check reports, derivations and proofs; a snippet or a mutant its parse
+artefacts (a built program its repr) and, if it parses, its check reports.
 """
 
 import argparse
@@ -69,9 +73,17 @@ def mutant_inputs(small: bool = False) -> Iterator[tuple[str, str]]:
     for seed in range(2 if small else 120):
         _reset_ids()
         texts.append((f"gen_{seed}", pretty_program(gen_program(seed))))
-    for name, text in texts[-3:] if small else texts:
+    snippets = list(snippet_inputs())
+    for name, text in texts[-3:] + snippets[:2] if small else texts + snippets:
         for label, mutant in token_mutants(text):
             yield f"{name} {label}", mutant
+
+
+def snippet_inputs() -> Iterator[tuple[str, str]]:
+    """(label, program text) of the checker's diagnostic snippets."""
+    from tests.test_checker_golden import SNIPPETS
+    for name, text in SNIPPETS.items():
+        yield f"snippet {name}", text
 
 
 def link_inputs(small: bool = False) -> Iterator[tuple[str, str]]:
@@ -154,7 +166,8 @@ def program_artefacts(label: str, source: str | int) -> Iterator[tuple[str, obje
     except Exception as e:  # an artefact too: both sides must fail alike
         yield f"{label} explore", [type(e).__name__, str(e)]
     else:
-        yield f"{label} explore", [ft.graph.to_json_dict(), ft.verdict]
+        yield f"{label} explore", [ft.graph.to_json_dict(), ft.verdict,
+                                   [repr(s) for s in ft.graph.states]]
         yield f"{label} steps", _guarded(lambda: [[step_records(s, prog, det) for det in (False, True)]
                                                   for s in ft.graph.states])
     for scheduler, seed in (("det", 0), ("random", 1), ("random", 2)):
@@ -162,13 +175,14 @@ def program_artefacts(label: str, source: str | int) -> Iterator[tuple[str, obje
             t = run(main.body, dict(main.params), prog, scheduler=scheduler, seed=seed,
                     max_steps=MAX_STEPS)
             return [[s.line() for s in t.steps], pretty_process(t.final), repr(t.final),
-                    t.terminated, t.truncated]
+                    t.terminated, t.truncated, [repr(s) for s in t.states]]
         yield f"{label} {scheduler}:{seed}", _guarded(trace)
 
 
 def artefacts(small: bool = False) -> Iterator[tuple[str, object]]:
     from csll.linkgen import gen_link
     from csll.parser import parse_type
+    from tests.test_checker_golden import built_programs
     for label, source in inputs(small):
         yield from program_artefacts(label, source)
     for label, text in link_inputs(small):
@@ -176,7 +190,11 @@ def artefacts(small: bool = False) -> Iterator[tuple[str, object]]:
         prog = gen_link(parse_type(text))
         yield f"{label} gen-link", repr(prog)
         yield from _checked(label, prog)
-    for label, text in mutant_inputs(small):
+    _reset_ids()
+    for name, prog in built_programs().items():
+        yield f"built {name} repr", repr(prog)
+        yield from _checked(f"built {name}", prog, proofs=False)
+    for label, text in itertools.chain(snippet_inputs(), mutant_inputs(small)):
         _reset_ids()
         prog = yield from _parsed(label, text)
         if prog is not None:

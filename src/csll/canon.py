@@ -1,16 +1,18 @@
 """Canonical forms for processes.
 
-Two rewrites are applied.  One bottom-up pass orders commutative siblings
-(cut sides, clients within a pool on the same channel) by a structural key
-that is invariant under renaming of bound channels; each node's key is built
-from the keys of its already-sorted children, so every subterm is keyed
-once; apart from cuts, pools and invocations a node's key follows its row
-of `process.BINDING`.  Bound channels are then renamed in traversal order by
-`process.rename`, with binder ids -1, -2, ...: parsed and fresh channels have
-positive ids, so no free channel is captured.  The result is a
-deterministic, idempotent normal form used as state identity during
-exploration.  Invocations are never unfolded here and cut nests are not
-reassociated, so the quotient is coarser than full structural
+Canonicalisation makes two passes.  The key pass (`_sort`) builds no term:
+it orders commutative siblings (cut sides, clients within a pool on the same
+channel) by a structural key that is invariant under renaming of bound
+channels, and returns that key with a plan of its decisions.  Each node's
+key is made from its children's keys, so every subterm is keyed once; apart
+from cuts, pools and invocations a node's key follows its row of
+`process.BINDING`.  The build pass (`_build`) then follows the plan and
+builds each node of the result once, naming the binders in traversal order
+(the binder, then its scope, then the rest) with ids -1, -2, ...: parsed and
+fresh channels have positive ids, so no free channel is captured.  The
+result is a deterministic, idempotent normal form used as state identity
+during exploration.  Invocations are never unfolded here and cut nests are
+not reassociated, so the quotient is coarser than full structural
 pre-congruence; exploration over-approximates accordingly.
 """
 
@@ -18,70 +20,122 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from typing import Iterator
 
-from .process import BINDING, Call, ChannelName, Cons, Cut, Process, rename
+from .process import BINDING, Call, ChannelName, Cons, Cut, Process
 from .types import dual, type_key
 
 
-def _sort(p: Process, env: dict[ChannelName, int], depth: int) -> tuple[Process, tuple]:
-    """p with its commutative siblings ordered, and the structural key of the
-    result: bound channels appear as binder levels, free ones by identity.
-    A parent's key is built from its children's keys."""
+def _sort(p: Process, env: dict[ChannelName, int], depth: int) -> tuple[tuple, object]:
+    """The structural key of p with its commutative siblings ordered (bound
+    channels appear as binder levels, free ones by identity), and the plan
+    that `_build` follows.  The plan runs parallel to the term: a cut's is
+    its swap flag and the plans of the sides in their new order, a pool
+    chain's its cells in key order (key, plan, cell) and the end with its
+    plan, any other node's its children's plans in `BINDING` order."""
 
     def ck(c: ChannelName) -> tuple:
         level = env.get(c)
         return ("f", c.name, c.uid) if level is None else ("b", level)
 
-    match p:
-        case Cut(x, anno, l, r):
-            env2 = {**env, x: depth}
-            ls, lk = _sort(l, env2, depth + 1)
-            rs, rk = _sort(r, env2, depth + 1)
-            if rk < lk:
-                # the annotation types the left side, so commuting dualizes it
-                ls, lk, rs, rk, anno = rs, rk, ls, lk, dual(anno)
-            return Cut(x, anno, ls, rs, span=p.span), ("cut", type_key(anno), lk, rk)
-        case Cons(x, _, _, _):
-            cells: list[tuple[tuple, ChannelName, Process]] = []
-            node: Process = p
-            while isinstance(node, Cons) and node.chan == x:
-                body, key = _sort(node.client, {**env, node.session: depth}, depth + 1)
-                cells.append((key, node.session, body))
-                node = node.pool
-            out, key = _sort(node, env, depth)
-            cells.sort(key=lambda cell: cell[0])
-            for ckey, y, body in reversed(cells):
-                out = Cons(x, y, body, out, span=p.span)
-                key = ("cons", ck(x), ckey, key)
-            return out, key
-        case Call(name, args):
-            return p, ("call", name, tuple(ck(a) for a in args))
-    # name, subject and scalars, then the keys inside and outside the binder's scope
     t = type(p)
+    if t is Cut:
+        env2 = {**env, p.chan: depth}
+        lk, lp = _sort(p.left, env2, depth + 1)
+        rk, rp = _sort(p.right, env2, depth + 1)
+        if rk < lk:
+            # the annotation types the left side, so commuting dualizes it
+            return ("cut", type_key(dual(p.anno)), rk, lk), (True, rp, lp)
+        return ("cut", type_key(p.anno), lk, rk), (False, lp, rp)
+    if t is Cons:
+        x = p.chan
+        cells: list[tuple[tuple, object, Cons]] = []
+        node: Process = p
+        while type(node) is Cons and node.chan == x:
+            cells.append((*_sort(node.client, {**env, node.session: depth}, depth + 1), node))
+            node = node.pool
+        key, end = _sort(node, env, depth)
+        cells.sort(key=lambda cell: cell[0])
+        for ckey, _, _ in reversed(cells):
+            key = ("cons", ck(x), ckey, key)
+        return key, (cells, node, end)
+    if t is Call:
+        return ("call", p.name, tuple(ck(a) for a in p.args)), ()
+    # name, subject and scalars, then the keys inside and outside the binder's scope
     row = BINDING[t]
     vals = row.fields(p)
     key = [_NAMES[t], ck(vals[row.subject]), *(vals[i] for i in row.scalars)]
     if not (row.inside or row.outside):
-        return p, tuple(key)
-    vals = list(vals)
+        return tuple(key), ()
+    plans = []
     inner = env if row.binder is None else {**env, vals[row.binder]: depth}
     for i in row.inside:
-        vals[i], k = _sort(vals[i], inner, depth + 1)
+        k, plan = _sort(vals[i], inner, depth + 1)
         key.append(k)
+        plans.append(plan)
     for i in row.outside:
-        vals[i], k = _sort(vals[i], env, depth)
+        k, plan = _sort(vals[i], env, depth)
         key.append(k)
-    return t(*vals, span=p.span), tuple(key)
+        plans.append(plan)
+    return tuple(key), plans
 
 
 _NAMES = {t: t.__name__.lower() for t in BINDING}
+
+
+def _build(p: Process, plan, scope: dict[ChannelName, ChannelName | None],
+           ids: Iterator[int]) -> Process:
+    """p built once along plan, each binder named `_binder(k)` in traversal
+    order and each free channel renamed by scope.  A binder's entry in scope
+    is set on entering its scope and restored on leaving it (None: unmapped)."""
+    t = type(p)
+    if t is Call:
+        return Call(p.name, tuple([scope.get(a) or a for a in p.args]), span=p.span)
+    if t is Cut:
+        swap, lp, rp = plan
+        l, r, anno = (p.right, p.left, dual(p.anno)) if swap else (p.left, p.right, p.anno)
+        b = p.chan
+        old = scope.get(b)
+        x = scope[b] = _binder(next(ids))
+        l, r = _build(l, lp, scope, ids), _build(r, rp, scope, ids)
+        scope[b] = old
+        return Cut(x, anno, l, r, span=p.span)
+    if t is Cons:
+        cells, end, end_plan = plan
+        x = scope.get(p.chan) or p.chan
+        built = []
+        for _, sub, cell in cells:
+            b = cell.session
+            old = scope.get(b)
+            y = scope[b] = _binder(next(ids))
+            built.append((cell.span, y, _build(cell.client, sub, scope, ids)))
+            scope[b] = old
+        out = _build(end, end_plan, scope, ids)
+        for span, y, body in reversed(built):
+            out = Cons(x, y, body, out, span=span)
+        return out
+    row = BINDING[t]
+    vals = list(row.fields(p))
+    subs = iter(plan)
+    if row.binder is not None:
+        b = vals[row.binder]
+        old = scope.get(b)
+        vals[row.binder] = scope[b] = _binder(next(ids))
+        for i in row.inside:
+            vals[i] = _build(vals[i], next(subs), scope, ids)
+        scope[b] = old
+    x = vals[row.subject]
+    vals[row.subject] = scope.get(x) or x
+    for i in row.outside:
+        vals[i] = _build(vals[i], next(subs), scope, ids)
+    return t(*vals, span=p.span)
 
 
 def cell_key(client: Process, session: ChannelName) -> tuple:
     """Structural key of a pool client with its session bound.  Clients of
     one pool with equal keys are interchangeable: connecting either one gives
     the same canonical reduct."""
-    return _sort(client, {session: 0}, 1)[1]
+    return _sort(client, {session: 0}, 1)[0]
 
 
 def canonical_form(p: Process) -> Process:
@@ -92,9 +146,8 @@ def canonical_hashed(p: Process) -> tuple[Process, int]:
     """The canonical form of p and the hash of its structural key, which
     canonical forms share with every term they are the form of, so equal
     forms have equal hashes.  The key is a tuple, hashed in C."""
-    sorted_p, key = _sort(p, {}, 0)
-    ids = itertools.count(1)
-    return rename(sorted_p, {}, refresh=lambda _: _binder(next(ids))), hash(key)
+    key, plan = _sort(p, {}, 0)
+    return _build(p, plan, {}, itertools.count(1)), hash(key)
 
 
 @cache

@@ -29,28 +29,27 @@ def _wrap_type(t: ty.SessionType, level: int = ty._ATOM, word: str = "") -> str:
 
 
 class _Namer:
-    """Scope-aware display names; disambiguates clashes with numeric suffixes."""
+    """Scope-aware display names; disambiguates clashes with numeric suffixes.
+    `taken` holds the keywords and every display name in scope."""
 
     def __init__(self):
         self.display: dict[ChannelName, str] = {}
-        self.taken: list[set[str]] = [set(KEYWORDS)]
+        self.taken: set[str] = set(KEYWORDS)
 
     def bind(self, c: ChannelName) -> str:
         base = c.name if (c.name and not c.name[0].isdigit()) else "c"
         name = base
         k = 1
-        while any(name in frame for frame in self.taken):
+        while name in self.taken:
             k += 1
             name = f"{base}{k}"
-        self.taken[-1].add(name)
+        self.taken.add(name)
         self.display[c] = name
         return name
 
-    def push(self) -> None:
-        self.taken.append(set())
-
-    def pop(self) -> None:
-        self.taken.pop()
+    def unbind(self, name: str) -> None:
+        """Ends the scope of the binder displayed as name."""
+        self.taken.remove(name)
 
     def of(self, c: ChannelName) -> str:
         return self.display.get(c, c.name or "c")
@@ -86,16 +85,14 @@ def _render(p: Process, n: _Namer, indent: int) -> str:
         case Select(x, tag, body):
             return f"{n.of(x)}.in{tag}; " + _render(body, n, indent)
         case Join(x, y, body):
-            n.push()
             yd = n.bind(y)
             out = f"recv {n.of(x)}({yd}); " + _render(body, n, indent)
-            n.pop()
+            n.unbind(yd)
             return out
         case Fork(x, y, body, rest) | Cons(x, y, body, rest):
-            n.push()
             yd = n.bind(y)
             block = _block(_render(body, n, indent), indent)
-            n.pop()
+            n.unbind(yd)
             return f"{_WORDS[type(p)]} {n.of(x)}({yd}){block}; " + _render(rest, n, indent)
         case Case(x, l, r):
             pad = "  " * (indent + 1)
@@ -107,20 +104,18 @@ def _render(p: Process, n: _Namer, indent: int) -> str:
             return (f"case {n.of(x)} {{\n{pad}in1: {left} ;\n{pad}in2: {right}\n"
                     + "  " * indent + "}")
         case Server(x, y, acc, idle):
-            n.push()
             yd = n.bind(y)
             accept = _render(acc, n, indent + 1)
-            n.pop()
+            n.unbind(yd)
             idle_s = _render(idle, n, indent + 1)
             return (f"server {n.of(x)}({yd}) " + _block(accept, indent)
                     + " idle " + _block(idle_s, indent))
         case Cut(x, anno, l, r):
-            n.push()
             xd = n.bind(x)
             pad = "  " * (indent + 1)
             left = _render(l, n, indent + 1)
             right = _render(r, n, indent + 1)
-            n.pop()
+            n.unbind(xd)
             head = f"new {xd} : {pretty_type(anno)} "
             one_line = head + "{ " + left + " | " + right + " }"
             if "\n" not in one_line and len(one_line) <= 2 * _INLINE_LIMIT:

@@ -4,7 +4,7 @@ Channels carry a unique id so that binder instances stay distinct under
 rewriting.  The binding structure of every constructor is stated once, in
 `BINDING`: the field of its subject, the channel it binds, and which
 subterms lie inside and outside that binder's scope.  Free names, subjects,
-alpha-equality, renaming (and `canon`'s canonical keys) all read that table
+alpha-equality, renaming (and `canon`'s keys and builds) all read that table
 rather than restating it per constructor.
 """
 
@@ -246,26 +246,19 @@ def subject(p: Process) -> ChannelName | None:
 
 
 def rename(p: Process, mapping: dict[ChannelName, ChannelName], *,
-           refresh: bool | Callable[[ChannelName], ChannelName] = False) -> Process:
+           refresh: bool = False) -> Process:
     """Capture-avoiding renaming of free channels.
 
     With refresh=True every binder gets a fresh unique id, which keeps binder
-    ids distinct when a definition body is inlined more than once.  A
-    function passed as refresh names every binder instead, in traversal order
-    (binder before its scope, left before right).
+    ids distinct when a definition body is inlined more than once.
 
     One scope map serves the whole traversal: a binder's entry is set on
     entering its scope and the entry it shadowed is restored on leaving it.
     """
-    namer = refresh if callable(refresh) else _fresh_like if refresh else None
-    return _rename(p, dict(mapping), namer)
+    return _rename(p, dict(mapping), refresh)
 
 
-def _fresh_like(b: ChannelName) -> ChannelName:
-    return fresh(b.name)
-
-
-def _rename(p: Process, m: dict, namer: Callable[[ChannelName], ChannelName] | None) -> Process:
+def _rename(p: Process, m: dict, refresh: bool) -> Process:
     """p renamed by m: first its binder and the subterms in the binder's scope
     (the entry of m that the binder shadows is restored on leaving the
     scope), then its subject and the subterms outside the scope."""
@@ -276,12 +269,12 @@ def _rename(p: Process, m: dict, namer: Callable[[ChannelName], ChannelName] | N
     if row.binder is not None:
         b = vals[row.binder]
         old = m.pop(b, None)
-        # without a namer b keeps its name unless it would capture the image
+        # without refresh b keeps its name unless it would capture the image
         # of a free channel
-        if namer is not None or b in m.values():
-            vals[row.binder] = m[b] = (namer or _fresh_like)(b)
+        if refresh or b in m.values():
+            vals[row.binder] = m[b] = fresh(b.name)
         for i in row.inside:
-            vals[i] = _rename(vals[i], m, namer)
+            vals[i] = _rename(vals[i], m, refresh)
         if old is None:
             m.pop(b, None)
         else:
@@ -290,7 +283,7 @@ def _rename(p: Process, m: dict, namer: Callable[[ChannelName], ChannelName] | N
         x = vals[row.subject]
         vals[row.subject] = m.get(x, x)
     for i in row.outside:
-        vals[i] = _rename(vals[i], m, namer)
+        vals[i] = _rename(vals[i], m, refresh)
     return type(p)(*vals, span=p.span)
 
 

@@ -1,0 +1,121 @@
+"""Properties of canonical forms on every explored state and every reduct (in
+both semantics) of the corpus, lock_1..8, six cas mixes and gen_program
+0-99; one pinned printed form; the source spans of canonical pool cells."""
+
+import pytest
+
+from csll import types as ty
+from csll.canon import _binder, canonical_form, canonical_hashed
+from csll.gen import gen_program
+from csll.parser import parse_program
+from csll.printer import pretty_process, pretty_program
+from csll.process import (
+    BINDING, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil, Program, Wait,
+    alpha_equal, fresh, rename,
+)
+from csll.runtime import enabled_steps, explore
+from csll.typecheck import check
+
+from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
+
+MIXES = (["TF"], ["FT"], ["TF", "FT"], ["FT", "TF"], ["TF", "FT"] * 2, ["FT", "TF"] * 3)
+
+
+def _programs():
+    for name in CORPUS_FILES:
+        yield name, load_corpus(name)
+    for n in range(1, 9):
+        yield f"lock_{n}", parse_program(lock_text(n))
+    for kinds in MIXES:
+        yield f"cas_{''.join(kinds)}", parse_program(cas_text(kinds))
+    for seed in range(100):
+        yield f"gen_{seed}", gen_program(seed)
+
+
+@pytest.fixture(scope="module")
+def explored() -> list[tuple[str, Program, list, list]]:
+    """(label, program, explored states, states and reducts) per program."""
+    out = []
+    for label, prog in _programs():
+        g = explore(prog.main.body, prog, max_states=400, max_depth=400)
+        terms = list(g.states)
+        for s in g.states:
+            for det in (False, True):
+                terms.extend(st.reduct for st in enabled_steps(s, prog, det))
+        out.append((label, prog, g.states, terms))
+    return out
+
+
+def binders(p) -> list[ChannelName]:
+    """The binders of p in traversal order: a binder, then its scope, then the rest."""
+    row = BINDING[type(p)]
+    vals = row.fields(p)
+    out = [] if row.binder is None else [vals[row.binder]]
+    for i in row.inside + row.outside:
+        out += binders(vals[i])
+    return out
+
+
+def test_binders_are_numbered_in_traversal_order(explored):
+    for label, _, _, terms in explored:
+        for p in terms:
+            bs = binders(canonical_form(p))
+            assert bs == [_binder(k) for k in range(1, len(bs) + 1)], (label, p)
+
+
+def test_canonicalisation_is_idempotent(explored):
+    for label, _, _, terms in explored:
+        for p in terms:
+            c, h = canonical_hashed(p)
+            assert canonical_hashed(c) == (c, h), (label, p)
+
+
+def test_canonical_form_ignores_binder_ids(explored):
+    for label, _, _, terms in explored:
+        for p in terms:
+            assert canonical_hashed(rename(p, {}, refresh=True)) == canonical_hashed(p), (label, p)
+
+
+def test_canonical_states_type_and_round_trip(explored):
+    # an explored state is a canonical form: it types in main's context, and
+    # printing and parsing it back gives an alpha-variant (the states of one
+    # program are printed as definitions of one program, parsed once)
+    for label, prog, states, _ in explored:
+        params = prog.main.params
+        named = {f"State{i}": Definition(f"State{i}", params, c) for i, c in enumerate(states)}
+        assert not named.keys() & prog.defs.keys()
+        again = parse_program(pretty_program(Program({**prog.defs, **named}))).defs
+        for name, d in named.items():
+            check(d.body, dict(params), prog)
+            back = again[name]
+            assert alpha_equal(d.body, back.body, dict(zip(d.param_names, back.param_names))), \
+                (label, name, pretty_process(d.body))
+
+
+def test_pinned_form_where_a_free_c2_meets_binders_named_c():
+    # a free channel displayed c2; binders named c nest inside one cut side
+    # and reuse their display names in sibling scopes
+    f, x, y, u, v, w, a = (fresh(n) for n in ("c2", "x", "y", "u", "v", "w", "a"))
+    left = Join(f, y, Fork(y, u, Close(u), Wait(x, Close(f))))
+    right = Cons(a, v, Close(v), Cons(a, w, Wait(w, Close(x)), Nil(a)))
+    c = canonical_form(Cut(x, ty.ONE, left, right))
+    assert pretty_process(c) == (
+        "new c : bot {\n"
+        "  client a(c3){ close c3 }; client a(c3){ wait c3; close c }; done a\n"
+        "  | recv c2(c3); send c3(c4){ close c4 }; wait c; close c2\n"
+        "}")
+
+
+def test_pool_cells_keep_their_own_spans():
+    p = parse_program(lock_text(3), "lock_3.csll").main.body
+
+    def spans(q):
+        q = q.left if type(q.left) is Cons else q.right
+        out = []
+        while type(q) is Cons:
+            out.append(str(q.span))
+            q = q.pool
+        return sorted(out)
+
+    assert spans(canonical_form(p)) == spans(p) == [
+        "lock_3.csll:3:30", "lock_3.csll:3:57", "lock_3.csll:3:84"]
