@@ -9,7 +9,9 @@ from cuts, pools and invocations a node's key follows its row of
 `process.BINDING`.  The build pass (`_build`) then follows the plan and
 builds each node of the result once, naming the binders in traversal order
 (the binder, then its scope, then the rest) with ids -1, -2, ...: parsed and
-fresh channels have positive ids, so no free channel is captured.  The
+fresh channels have positive ids, so no free channel is captured.  Each
+pass keeps one scope map for the whole traversal: a binder's entry is set
+on entering its scope and restored on leaving it.  The
 result is a deterministic, idempotent normal form used as state identity
 during exploration.  Invocations are never unfolded here and cut nests are
 not reassociated, so the quotient is coarser than full structural
@@ -20,29 +22,28 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from operator import itemgetter
 from typing import Iterator
 
 from .process import BINDING, Call, ChannelName, Cons, Cut, Process
 from .types import dual, type_key
 
 
-def _sort(p: Process, env: dict[ChannelName, int], depth: int) -> tuple[tuple, object]:
+def _sort(p: Process, env: dict[ChannelName, int | None], depth: int) -> tuple[tuple, object]:
     """The structural key of p with its commutative siblings ordered (bound
     channels appear as binder levels, free ones by identity), and the plan
     that `_build` follows.  The plan runs parallel to the term: a cut's is
     its swap flag and the plans of the sides in their new order, a pool
     chain's its cells in key order (key, plan, cell) and the end with its
-    plan, any other node's its children's plans in `BINDING` order."""
-
-    def ck(c: ChannelName) -> tuple:
-        level = env.get(c)
-        return ("f", c.name, c.uid) if level is None else ("b", level)
-
+    plan, any other node's its children's plans in `BINDING` order.  env
+    maps a channel to its binder's level (None: free)."""
     t = type(p)
     if t is Cut:
-        env2 = {**env, p.chan: depth}
-        lk, lp = _sort(p.left, env2, depth + 1)
-        rk, rp = _sort(p.right, env2, depth + 1)
+        b = p.chan
+        old, env[b] = env.get(b), depth
+        lk, lp = _sort(p.left, env, depth + 1)
+        rk, rp = _sort(p.right, env, depth + 1)
+        env[b] = old
         if rk < lk:
             # the annotation types the left side, so commuting dualizes it
             return ("cut", type_key(dual(p.anno)), rk, lk), (True, rp, lp)
@@ -52,32 +53,43 @@ def _sort(p: Process, env: dict[ChannelName, int], depth: int) -> tuple[tuple, o
         cells: list[tuple[tuple, object, Cons]] = []
         node: Process = p
         while type(node) is Cons and node.chan == x:
-            cells.append((*_sort(node.client, {**env, node.session: depth}, depth + 1), node))
+            b = node.session
+            old, env[b] = env.get(b), depth
+            cells.append((*_sort(node.client, env, depth + 1), node))
+            env[b] = old
             node = node.pool
         key, end = _sort(node, env, depth)
-        cells.sort(key=lambda cell: cell[0])
+        cells.sort(key=itemgetter(0))
         for ckey, _, _ in reversed(cells):
-            key = ("cons", ck(x), ckey, key)
+            key = ("cons", _ck(x, env), ckey, key)
         return key, (cells, node, end)
     if t is Call:
-        return ("call", p.name, tuple(ck(a) for a in p.args)), ()
+        return ("call", p.name, tuple([_ck(a, env) for a in p.args])), ()
     # name, subject and scalars, then the keys inside and outside the binder's scope
-    row = BINDING[t]
-    vals = row.fields(p)
-    key = [_NAMES[t], ck(vals[row.subject]), *(vals[i] for i in row.scalars)]
-    if not (row.inside or row.outside):
+    fields, subj, binder, inside, outside, scalars = BINDING[t]
+    vals = fields(p)
+    key = [_NAMES[t], _ck(vals[subj], env), *(vals[i] for i in scalars)]
+    if not (inside or outside):
         return tuple(key), ()
     plans = []
-    inner = env if row.binder is None else {**env, vals[row.binder]: depth}
-    for i in row.inside:
-        k, plan = _sort(vals[i], inner, depth + 1)
-        key.append(k)
-        plans.append(plan)
-    for i in row.outside:
+    if binder is not None:
+        b = vals[binder]
+        old, env[b] = env.get(b), depth
+        for i in inside:
+            k, plan = _sort(vals[i], env, depth + 1)
+            key.append(k)
+            plans.append(plan)
+        env[b] = old
+    for i in outside:
         k, plan = _sort(vals[i], env, depth)
         key.append(k)
         plans.append(plan)
     return tuple(key), plans
+
+
+def _ck(c: ChannelName, env: dict[ChannelName, int | None]) -> tuple:
+    level = env.get(c)
+    return ("f", c.name, c.uid) if level is None else ("b", level)
 
 
 _NAMES = {t: t.__name__.lower() for t in BINDING}
@@ -114,19 +126,19 @@ def _build(p: Process, plan, scope: dict[ChannelName, ChannelName | None],
         for span, y, body in reversed(built):
             out = Cons(x, y, body, out, span=span)
         return out
-    row = BINDING[t]
-    vals = list(row.fields(p))
+    fields, subj, binder, inside, outside, _ = BINDING[t]
+    vals = list(fields(p))
     subs = iter(plan)
-    if row.binder is not None:
-        b = vals[row.binder]
+    if binder is not None:
+        b = vals[binder]
         old = scope.get(b)
-        vals[row.binder] = scope[b] = _binder(next(ids))
-        for i in row.inside:
+        vals[binder] = scope[b] = _binder(next(ids))
+        for i in inside:
             vals[i] = _build(vals[i], next(subs), scope, ids)
         scope[b] = old
-    x = vals[row.subject]
-    vals[row.subject] = scope.get(x) or x
-    for i in row.outside:
+    x = vals[subj]
+    vals[subj] = scope.get(x) or x
+    for i in outside:
         vals[i] = _build(vals[i], next(subs), scope, ids)
     return t(*vals, span=p.span)
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 from . import types as ty
 from .parser import FORMS, KEYWORDS
 from .process import (
-    Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
-    Nil, Process, Program, Select, Server, Wait, free_names,
+    BINDING, Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork,
+    Join, Nil, Process, Program, Select, Server, Wait, free_names,
 )
 
 def pretty_type(t: ty.SessionType) -> str:
@@ -64,7 +64,7 @@ def pretty_process(p: Process) -> str:
     namer = _Namer()
     for c in sorted(free_names(p)):
         namer.bind(c)
-    return _render(p, namer, 0)
+    return _RENDER[type(p)](p, namer, 0)
 
 
 def _block(body: str, indent: int) -> str:
@@ -74,55 +74,75 @@ def _block(body: str, indent: int) -> str:
     return "{\n" + pad + body + "\n" + "  " * indent + "}"
 
 
-def _render(p: Process, n: _Namer, indent: int) -> str:
-    match p:
-        case Call(name, args):
-            return f"{name}({', '.join(n.of(a) for a in args)})"
-        case Close(x) | Fail(x) | Nil(x):
-            return f"{_WORDS[type(p)]} {n.of(x)}"
-        case Wait(x, body):
-            return f"wait {n.of(x)}; " + _render(body, n, indent)
-        case Select(x, tag, body):
-            return f"{n.of(x)}.in{tag}; " + _render(body, n, indent)
-        case Join(x, y, body):
-            yd = n.bind(y)
-            out = f"recv {n.of(x)}({yd}); " + _render(body, n, indent)
-            n.unbind(yd)
-            return out
-        case Fork(x, y, body, rest) | Cons(x, y, body, rest):
-            yd = n.bind(y)
-            block = _block(_render(body, n, indent), indent)
-            n.unbind(yd)
-            return f"{_WORDS[type(p)]} {n.of(x)}({yd}){block}; " + _render(rest, n, indent)
-        case Case(x, l, r):
-            pad = "  " * (indent + 1)
-            left = _render(l, n, indent + 1)
-            right = _render(r, n, indent + 1)
-            one_line = f"case {n.of(x)} {{ in1: {left} ; in2: {right} }}"
-            if "\n" not in one_line and len(one_line) <= 2 * _INLINE_LIMIT:
-                return one_line
-            return (f"case {n.of(x)} {{\n{pad}in1: {left} ;\n{pad}in2: {right}\n"
-                    + "  " * indent + "}")
-        case Server(x, y, acc, idle):
-            yd = n.bind(y)
-            accept = _render(acc, n, indent + 1)
-            n.unbind(yd)
-            idle_s = _render(idle, n, indent + 1)
-            return (f"server {n.of(x)}({yd}) " + _block(accept, indent)
-                    + " idle " + _block(idle_s, indent))
-        case Cut(x, anno, l, r):
-            xd = n.bind(x)
-            pad = "  " * (indent + 1)
-            left = _render(l, n, indent + 1)
-            right = _render(r, n, indent + 1)
-            n.unbind(xd)
-            head = f"new {xd} : {pretty_type(anno)} "
-            one_line = head + "{ " + left + " | " + right + " }"
-            if "\n" not in one_line and len(one_line) <= 2 * _INLINE_LIMIT:
-                return one_line
-            return (head + "{\n" + pad + left + "\n" + pad + "| " + right + "\n"
-                    + "  " * indent + "}")
-    raise TypeError(f"not a process: {p!r}")
+def _call(p: Call, n: _Namer, indent: int) -> str:
+    return f"{p.name}({', '.join(map(n.of, p.args))})"
+
+
+def _end(p: Close | Fail | Nil, n: _Namer, indent: int) -> str:
+    return f"{_WORDS[type(p)]} {n.of(p.chan)}"
+
+
+def _wait(p: Wait, n: _Namer, indent: int) -> str:
+    return f"wait {n.of(p.chan)}; " + _RENDER[type(p.body)](p.body, n, indent)
+
+
+def _select(p: Select, n: _Namer, indent: int) -> str:
+    return f"{n.of(p.chan)}.in{p.tag}; " + _RENDER[type(p.body)](p.body, n, indent)
+
+
+def _join(p: Join, n: _Namer, indent: int) -> str:
+    yd = n.bind(p.payload)
+    out = f"recv {n.of(p.chan)}({yd}); " + _RENDER[type(p.body)](p.body, n, indent)
+    n.unbind(yd)
+    return out
+
+
+def _send(p: Fork | Cons, n: _Namer, indent: int) -> str:
+    x, y, body, rest = BINDING[type(p)].fields(p)
+    yd = n.bind(y)
+    block = _block(_RENDER[type(body)](body, n, indent), indent)
+    n.unbind(yd)
+    return f"{_WORDS[type(p)]} {n.of(x)}({yd}){block}; " + _RENDER[type(rest)](rest, n, indent)
+
+
+def _case(p: Case, n: _Namer, indent: int) -> str:
+    left = _RENDER[type(p.left)](p.left, n, indent + 1)
+    right = _RENDER[type(p.right)](p.right, n, indent + 1)
+    one_line = f"case {n.of(p.chan)} {{ in1: {left} ; in2: {right} }}"
+    if "\n" not in one_line and len(one_line) <= 2 * _INLINE_LIMIT:
+        return one_line
+    pad = "  " * (indent + 1)
+    return (f"case {n.of(p.chan)} {{\n{pad}in1: {left} ;\n{pad}in2: {right}\n"
+            + "  " * indent + "}")
+
+
+def _server(p: Server, n: _Namer, indent: int) -> str:
+    yd = n.bind(p.session)
+    accept = _RENDER[type(p.accept)](p.accept, n, indent + 1)
+    n.unbind(yd)
+    idle = _RENDER[type(p.idle)](p.idle, n, indent + 1)
+    return (f"server {n.of(p.chan)}({yd}) " + _block(accept, indent)
+            + " idle " + _block(idle, indent))
+
+
+def _cut(p: Cut, n: _Namer, indent: int) -> str:
+    xd = n.bind(p.chan)
+    left = _RENDER[type(p.left)](p.left, n, indent + 1)
+    right = _RENDER[type(p.right)](p.right, n, indent + 1)
+    n.unbind(xd)
+    head = f"new {xd} : {pretty_type(p.anno)} "
+    one_line = head + "{ " + left + " | " + right + " }"
+    if "\n" not in one_line and len(one_line) <= 2 * _INLINE_LIMIT:
+        return one_line
+    pad = "  " * (indent + 1)
+    return (head + "{\n" + pad + left + "\n" + pad + "| " + right + "\n"
+            + "  " * indent + "}")
+
+
+# The render function of each constructor.  Each renders its subterms through
+# `_RENDER` itself, so a node costs one frame.
+_RENDER = {Call: _call, Close: _end, Fail: _end, Nil: _end, Wait: _wait, Select: _select,
+           Join: _join, Fork: _send, Cons: _send, Case: _case, Server: _server, Cut: _cut}
 
 
 def pretty_definition(d: Definition, keyword: str = "def") -> str:
@@ -131,7 +151,7 @@ def pretty_definition(d: Definition, keyword: str = "def") -> str:
         namer.bind(c)
     params = ", ".join(f"{namer.of(c)}: {pretty_type(t)}" for c, t in d.params)
     head = f"main({params})" if keyword == "main" else f"def {d.name}({params})"
-    return f"{head} = " + _render(d.body, namer, 1)
+    return f"{head} = " + _RENDER[type(d.body)](d.body, namer, 1)
 
 
 def pretty_program(prog: Program) -> str:

@@ -217,7 +217,31 @@ BINDING: dict[type, Binding] = {t: _binding(t, *row) for t, row in {
 
 
 def free_names(p: Process) -> frozenset[ChannelName]:
-    return _free_names(p, {})
+    """The channels free in p, found in one walk that keeps one set of found
+    names and the number of open scopes of each binder (`_free_names` keeps
+    each subterm's set instead, for a caller that asks about many subterms)."""
+    found: set[ChannelName] = set()
+    _free(p, found, {})
+    return frozenset(found)
+
+
+def _free(p: Process, found: set[ChannelName], bound: dict[ChannelName, int]) -> None:
+    """Add to found the channels free in p that no scope in bound encloses."""
+    if type(p) is Call:
+        found.update(a for a in p.args if not bound.get(a))
+        return
+    fields, subj, binder, inside, outside, _ = BINDING[type(p)]
+    vals = fields(p)
+    if subj is not None and not bound.get(x := vals[subj]):
+        found.add(x)
+    if binder is not None:
+        b = vals[binder]
+        bound[b] = bound.get(b, 0) + 1
+        for i in inside:
+            _free(vals[i], found, bound)
+        bound[b] -= 1
+    for i in outside:
+        _free(vals[i], found, bound)
 
 
 def _free_names(p: Process, memo: dict[int, frozenset[ChannelName]]) -> frozenset[ChannelName]:

@@ -251,7 +251,12 @@ def is_close_normal(p: Process, defs: Program) -> bool:
 
 
 def _digest(canonical: Process) -> str:
-    return hashlib.sha256(pretty_process(canonical).encode()).hexdigest()[:12]
+    return _text_digest(pretty_process(canonical))
+
+
+def _text_digest(text: str) -> str:
+    """The hash of a state printed as text."""
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -344,9 +349,9 @@ class ReductionGraph:
     def to_json_dict(self) -> dict:
         normals = self.normal_forms()
         return {
-            "states": [{"id": i, "term": pretty_process(s), "hash": _digest(s),
+            "states": [{"id": i, "term": t, "hash": _text_digest(t),
                         "normal": i in normals, "expanded": i in self.expanded}
-                       for i, s in enumerate(self.states)],
+                       for i, t in enumerate(map(pretty_process, self.states))],
             "edges": [{"from": src, "rule": info.kind, "channel": info.channel, "to": tgt}
                       for src, outs in sorted(self.edges.items()) for info, tgt in outs],
             "partial": self.partial,

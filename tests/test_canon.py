@@ -1,6 +1,10 @@
 """Properties of canonical forms on every explored state and every reduct (in
 both semantics) of the corpus, lock_1..8, six cas mixes and gen_program
-0-99; one pinned printed form; the source spans of canonical pool cells."""
+0-99, and of free names on the same terms; binders that reuse a free
+channel; one pinned printed form; the source spans of canonical pool cells;
+printing and keying of deep terms at the default recursion limit."""
+
+import sys
 
 import pytest
 
@@ -10,8 +14,8 @@ from csll.gen import gen_program
 from csll.parser import parse_program
 from csll.printer import pretty_process, pretty_program
 from csll.process import (
-    BINDING, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil, Program, Wait,
-    alpha_equal, fresh, rename,
+    BINDING, Case, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil, Program,
+    Server, Wait, _free_names, alpha_equal, free_names, fresh, rename,
 )
 from csll.runtime import enabled_steps, explore
 from csll.typecheck import check
@@ -76,6 +80,12 @@ def test_canonical_form_ignores_binder_ids(explored):
             assert canonical_hashed(rename(p, {}, refresh=True)) == canonical_hashed(p), (label, p)
 
 
+def test_free_names_agree_with_the_checkers_walk(explored):
+    for label, _, _, terms in explored:
+        for p in terms:
+            assert free_names(p) == _free_names(p, {}), (label, p)
+
+
 def test_canonical_states_type_and_round_trip(explored):
     # an explored state is a canonical form: it types in main's context, and
     # printing and parsing it back gives an alpha-variant (the states of one
@@ -90,6 +100,21 @@ def test_canonical_states_type_and_round_trip(explored):
             back = again[name]
             assert alpha_equal(d.body, back.body, dict(zip(d.param_names, back.param_names))), \
                 (label, name, pretty_process(d.body))
+
+
+def test_a_binder_that_reuses_a_free_channel_binds_only_its_scope():
+    # each pair differs only in the name of a binder: in the first term the
+    # binder is y, which is also free outside the binder's scope
+    a, b, w, y = (fresh(n) for n in "abwy")
+
+    def terms(binder):
+        return [Fork(a, binder, Close(binder), Close(y)),
+                Server(a, binder, Close(binder), Wait(y, Nil(a))),
+                Cons(a, binder, Close(binder), Wait(y, Nil(a))),
+                Case(a, Cut(binder, ty.ONE, Close(binder), Wait(binder, Close(b))), Close(y))]
+
+    for p, q in zip(terms(y), terms(w)):
+        assert canonical_hashed(p) == canonical_hashed(q), p
 
 
 def test_pinned_form_where_a_free_c2_meets_binders_named_c():
@@ -119,3 +144,24 @@ def test_pool_cells_keep_their_own_spans():
 
     assert spans(canonical_form(p)) == spans(p) == [
         "lock_3.csll:3:30", "lock_3.csll:3:57", "lock_3.csll:3:84"]
+
+
+def test_deep_terms_print_and_canonicalise_at_the_default_limit():
+    # printing, free names, keying and building take one frame per node, so
+    # an 800-cell pool and an 800-long wait chain fit under the default
+    # limit of 1000 frames; a second frame per node would not
+    x, z = fresh("x"), fresh("z")
+    pool, chain = Nil(x), Close(z)
+    for _ in range(800):
+        y = fresh("y")
+        pool = Cons(x, y, Close(y), pool)
+        chain = Wait(fresh("w"), chain)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for p, free in ((pool, 1), (chain, 801)):
+            c, _ = canonical_hashed(p)
+            assert len(free_names(p)) == len(free_names(c)) == free
+            assert pretty_process(p).count(";") == pretty_process(c).count(";") == 800
+    finally:
+        sys.setrecursionlimit(limit)

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from csll.canon import canonical_hashed
 from csll.parser import parse_type
-from csll.printer import pretty_type
+from csll.printer import pretty_process, pretty_type
+from csll.process import free_names
 from csll.proofs import encode_derivation
+from csll.runtime import run
 from csll.typecheck import definition_derivation
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "csll"
@@ -109,3 +112,14 @@ def test_printing_and_encoding_leave_no_cycles(lock, cas):
     for prog, name in ((lock, "Lock"), (cas, "CasTrue")):
         d = definition_derivation(prog.defs[name], prog)
         assert cyclic_garbage(lambda: encode_derivation(d)) == []
+
+
+def test_printing_keying_and_running_leave_no_cycles(lock, cas):
+    for prog in (lock, cas):
+        p, ctx = prog.main.body, dict(prog.main.params)
+        states = run(p, ctx, prog).states
+        assert cyclic_garbage(lambda: [free_names(s) for s in (p, *states)]) == []
+        assert cyclic_garbage(lambda: [pretty_process(s) for s in (p, *states)]) == []
+        assert cyclic_garbage(lambda: [canonical_hashed(s) for s in (p, *states)]) == []
+        assert cyclic_garbage(lambda: run(p, ctx, prog)) == []
+        assert cyclic_garbage(lambda: run(p, ctx, prog, "random", seed=1)) == []

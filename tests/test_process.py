@@ -3,8 +3,8 @@ from hypothesis import given
 from csll import types as ty
 from csll.canon import canonical_form
 from csll.process import (
-    Call, ChannelName, Close, Cons, Cut, Definition, Fork, Nil,
-    Program, Server, Wait, alpha_equal, call_depth, channels, free_names,
+    Call, Case, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil,
+    Program, Server, Wait, _free_names, alpha_equal, call_depth, channels, free_names,
     fresh, rename, threads, unfold,
 )
 
@@ -16,6 +16,34 @@ def test_free_names_basics():
     assert free_names(Close(x)) == {x}
     assert free_names(Fork(x, y, Close(y), Close(x))) == {x}
     assert free_names(Cons(x, y, Close(y), Nil(x))) == {x}
+
+
+def test_free_names_under_shadowing():
+    a, b, x, y, z = (fresh(n) for n in "abxyz")
+    cases = [
+        # a binder with the same name as its subject binds only inside its scope
+        (Join(x, x, Close(x)), {x}),
+        (Join(x, x, Wait(x, Close(z))), {x, z}),
+        # one binder reused in sibling scopes, and nested in its own scope:
+        # leaving the inner scope leaves y bound by the outer one
+        (Case(a, Join(a, y, Close(y)), Join(a, y, Wait(y, Close(b)))), {a, b}),
+        (Fork(a, y, Fork(y, y, Close(y), Close(y)), Close(a)), {a}),
+        (Fork(a, y, Close(y), Cons(b, y, Close(y), Close(y))), {a, b, y}),
+        # free on one cut side and re-bound on the other, in either order
+        (Cut(x, ty.ONE, Wait(z, Close(x)), Join(x, z, Close(z))), {z}),
+        (Cut(x, ty.ONE, Join(x, z, Close(z)), Wait(z, Close(x))), {z}),
+        # invocation arguments under a binder
+        (Join(a, y, Call("F", (y, b, y))), {a, b}),
+        (Cut(x, ty.ONE, Call("F", (x, z)), Server(x, y, Call("G", (y, x)), Call("H", (x, y)))),
+         {z, y}),
+    ]
+    for p, expected in cases:
+        assert free_names(p) == _free_names(p, {}) == expected, p
+
+
+@given(processes())
+def test_free_names_agree_with_the_memoised_walk(p):
+    assert free_names(p) == _free_names(p, {})
 
 
 def test_rename_simple_and_identity():
