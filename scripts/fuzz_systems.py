@@ -3,7 +3,9 @@
 
 For each seed: the program must be accepted by the checker, every reachable
 state must either be a terminal close or have a deterministic redex, every
-reduct must re-typecheck, and the unfolded thread/channel counts must obey
+reduct must re-typecheck, every deterministic step must be matched by its
+number of principal cut reductions of the encoded proof
+(`proofs.simulate_step`), and the unfolded thread/channel counts must obey
 the strict inequality the deadlock-freedom argument rests on.
 
 Usage: python scripts/fuzz_systems.py [-n COUNT] [--seed-base N]
@@ -18,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from csll.gen import gen_program
 from csll.process import channels, threads, unfold
+from csll.proofs import PRINCIPAL_STEPS, simulate_step
 from csll.runtime import enabled_steps, explore, is_close_normal
 from csll.typecheck import check, check_program
 
@@ -29,7 +32,7 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.monotonic()
-    states = edges = 0
+    states = edges = steps = 0
     for seed in range(args.seed_base, args.seed_base + args.n):
         prog = gen_program(seed)
         rep = check_program(prog)
@@ -39,8 +42,14 @@ def main() -> int:
         assert not g.partial, f"seed {seed}: exploration truncated"
         for sid, state in enumerate(g.states):
             states += 1
+            det = enabled_steps(state, prog, deterministic=True)
             if not is_close_normal(state, prog):
-                assert enabled_steps(state, prog, deterministic=True), f"seed {seed}: stuck state {sid}"
+                assert det, f"seed {seed}: stuck state {sid}"
+            for st in det:
+                rep = simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
+                assert rep.matched and rep.steps == PRINCIPAL_STEPS[st.info.kind], \
+                    f"seed {seed}: state {sid}, {st.info}: {rep.detail}"
+                steps += 1
             u = unfold(state, prog)
             assert threads(u) > channels(u), f"seed {seed}: counting lemma failed"
         for sid in g.expanded:
@@ -48,7 +57,8 @@ def main() -> int:
                 edges += 1
                 check(g.states[tid], ctx, prog)
     dt = time.monotonic() - t0
-    print(f"{args.n} programs, {states} states, {edges} re-checked reducts: all OK in {dt:.1f}s")
+    print(f"{args.n} programs, {states} states, {edges} re-checked reducts, "
+          f"{steps} simulated steps: all OK in {dt:.1f}s")
     return 0
 
 

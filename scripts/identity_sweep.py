@@ -19,14 +19,17 @@ drawn by one input do not shift the next.
 
 Artefacts: parse results (the program's repr, with channel ids) and parse
 errors, `pretty_program`, check reports with their derivations, encoded
-proofs with their validity, bounded `explore` JSON with the fair-termination
-verdict and the repr of every explored state, the full and deterministic
-step records of every explored state (as `tests/golden/steps.json` records
-them), and det and seeded random traces with the repr of every state they
-visit.  The reprs show binder ids, which printed states do not: the printer
-picks display names by scope.  A forwarder family contributes its program,
-check reports, derivations and proofs; a snippet or a mutant its parse
-artefacts (a built program its repr) and, if it parses, its check reports.
+proofs with their validity, their recurring greatest-fixed-point thread
+(`nu_thread_witness`) and their DOT rendering with that thread highlighted,
+bounded `explore` JSON with the fair-termination verdict and the repr of
+every explored state, the full and deterministic step records of every
+explored state (as `tests/golden/steps.json` records them), det and seeded
+random traces with the repr of every state they visit, and the
+correspondence report (`simulate_step`) of every step of the det trace.  The
+reprs show binder ids, which printed states do not: the printer picks
+display names by scope.  A forwarder family contributes its program, check
+reports, derivations and proofs; a snippet or a mutant its parse artefacts
+(a built program its repr) and, if it parses, its check reports.
 """
 
 import argparse
@@ -132,7 +135,9 @@ def _guarded(fn) -> object:
 def _checked(label: str, prog, proofs: bool = True) -> Iterator[tuple[str, object]]:
     """The check report of every definition and, with proofs, its derivation
     and encoded proof."""
-    from csll.proofs import encode_derivation, proof_to_json_dict, proof_validity
+    from csll.proofs import (
+        encode_derivation, nu_thread_witness, proof_to_dot, proof_to_json_dict, proof_validity,
+    )
     from csll.typecheck import check_program
     for r in check_program(prog).defs:
         yield f"{label} check {r.name}", [r.well_typed, [str(d) for d in r.diagnostics],
@@ -141,6 +146,25 @@ def _checked(label: str, prog, proofs: bool = True) -> Iterator[tuple[str, objec
             yield f"{label} derivation {r.name}", _derivation(r.derivation)
             g = encode_derivation(r.derivation).graph
             yield f"{label} proof {r.name}", [proof_to_json_dict(g), _validity(proof_validity(g))]
+            thread = nu_thread_witness(g)
+            yield f"{label} thread {r.name}", [[nid, a.render()] for nid, a in thread]
+            yield f"{label} dot {r.name}", proof_to_dot(g, highlight=thread)
+
+
+def _correspondence(prog) -> list:
+    """The correspondence report of every step of the det trace of main."""
+    from csll.proofs import simulate_step
+    from csll.runtime import enabled_steps
+    ctx, cur, reports = dict(prog.main.params), prog.main.body, []
+    for _ in range(MAX_STEPS):
+        enabled = enabled_steps(cur, prog, deterministic=True)
+        if not enabled:
+            break
+        st = enabled[0]
+        rep = simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
+        reports.append([rep.kind, rep.steps, rep.matched, rep.detail])
+        cur = st.reduct
+    return reports
 
 
 def program_artefacts(label: str, source: str | int) -> Iterator[tuple[str, object]]:
@@ -177,6 +201,7 @@ def program_artefacts(label: str, source: str | int) -> Iterator[tuple[str, obje
             return [[s.line() for s in t.steps], pretty_process(t.final), repr(t.final),
                     t.terminated, t.truncated, [repr(s) for s in t.states]]
         yield f"{label} {scheduler}:{seed}", _guarded(trace)
+    yield f"{label} correspondence", _guarded(lambda: _correspondence(prog))
 
 
 def artefacts(small: bool = False) -> Iterator[tuple[str, object]]:

@@ -2,21 +2,25 @@
 
 Both validity conditions of csll have one shape: every infinite path through
 a finite graph must carry a thread that progresses infinitely often.  The
-caller describes the graph through `out_edges(n)`, which yields
-`(target, back, arcs)` for every premise edge of node `n`; an arc
-`(src_slot, tgt_slot, progressing)` says that a thread at `src_slot` of `n`
-continues at `tgt_slot` of `target`.  Non-back edges form a tree below the
-root and back edges point at ancestors, as in cyclic derivations and proofs.
+caller describes the graph through two callables: `out_edges(n)` lists
+`(target, back)` for every premise edge of node `n`, and `arcs(n, i)` the
+arcs along its premise edge `i`; an arc `(src_slot, tgt_slot, progressing)`
+says that a thread at `src_slot` of `n` continues at `tgt_slot` of the
+edge's target.  Non-back edges form a tree below the root and back edges
+point at ancestors, as in cyclic derivations and proofs.
 
-The targets of back edges are the heads, and every cycle passes through one.
-The tree paths between heads are summarised once as size-change graphs: sets
-of arcs between slots, an arc progressing when some step along the path
-progressed.  Closing these graphs under composition decides the condition
-exactly (Lee, Jones & Ben-Amram, POPL 2001; for cyclic proofs Brotherston &
-Simpson, JLC 2011): every infinite path carries a progressing thread if and
-only if every idempotent loop graph `G;G = G` at a head has a progressing
-self-arc.  The closure is explored shortest walk first, so every element
-keeps a shortest walk that realises it.
+The targets of back edges are the heads, and every cycle passes through one,
+so only the edges below a head carry threads that matter: `arcs` is asked
+for those edges alone, once each, and an acyclic graph costs one walk of
+`out_edges`.  The tree paths between heads are summarised once as
+size-change graphs: sets of arcs between slots, an arc progressing when
+some step along the path progressed.  Closing these graphs under
+composition decides the condition exactly (Lee, Jones & Ben-Amram, POPL
+2001; for cyclic proofs Brotherston & Simpson, JLC 2011): every infinite
+path carries a progressing thread if and only if every idempotent loop
+graph `G;G = G` at a head has a progressing self-arc.  The closure is
+explored shortest walk first, so every element keeps a shortest walk that
+realises it.
 """
 
 from __future__ import annotations
@@ -60,17 +64,17 @@ class Closure:
     thread: list[tuple[int, Slot]] = field(default_factory=list)
 
 
-def closure_check(root: int, out_edges: Callable[[int], Iterable[tuple[int, bool, Iterable[Arc]]]]
-                  ) -> Closure:
+def closure_check(root: int, out_edges: Callable[[int], Iterable[tuple[int, bool]]],
+                  arcs: Callable[[int, int], Iterable[Arc]]) -> Closure:
     """Decide the trace condition of the module docstring for the graph below `root`."""
-    edges: dict[int, list[tuple[int, bool, tuple[Arc, ...]]]] = {}
+    edges: dict[int, list[tuple[int, bool]]] = {}
     parent: dict[int, Step] = {}
     depth = {root: 0}
     order = [root]  # preorder: parents before children
     heads: set[int] = set()
     for n in order:
-        edges[n] = [(t, back, tuple(arcs)) for t, back, arcs in out_edges(n)]
-        for i, (t, back, _) in enumerate(edges[n]):
+        edges[n] = out = list(out_edges(n))
+        for i, (t, back) in enumerate(out):
             if back:
                 heads.add(t)
             else:
@@ -82,6 +86,7 @@ def closure_check(root: int, out_edges: Callable[[int], Iterable[tuple[int, bool
     # path from head h to the next head, entered by a tree or a back edge
     segments: dict[int, list[tuple[int, int, Graph, Step]]] = {h: [] for h in heads}
     below: dict[int, tuple[int, Graph | None]] = {}  # node -> (head above it, graph from there)
+    step_arcs: dict[Step, tuple[Arc, ...]] = {}  # the arcs of every edge below a head
     for n in order:
         head, g = below.pop(n, (None, None))
         if n in heads:
@@ -90,8 +95,9 @@ def closure_check(root: int, out_edges: Callable[[int], Iterable[tuple[int, bool
             head, g = n, None
         if head is None:
             continue
-        for i, (t, back, arcs) in enumerate(edges[n]):
-            g2 = _graph(arcs) if g is None else _compose(g, arcs)
+        for i, (t, back) in enumerate(edges[n]):
+            a = step_arcs[n, i] = tuple(arcs(n, i))
+            g2 = _graph(a) if g is None else _compose(g, a)
             if back:
                 segments[head].append((depth[n] - depth[head] + 1, t, g2, (n, i)))
             else:
@@ -128,7 +134,7 @@ def closure_check(root: int, out_edges: Callable[[int], Iterable[tuple[int, bool
                 if result.counterexample is None:
                     result.counterexample = [n for n, _ in walk(key)]
             elif not result.thread:
-                result.thread = _thread(edges, walk(key), loops)
+                result.thread = _thread(step_arcs, walk(key), loops)
         for s in segments[b]:
             nkey = (a, s[1], _compose(g, s[2]))
             if nkey not in seen:
@@ -136,17 +142,16 @@ def closure_check(root: int, out_edges: Callable[[int], Iterable[tuple[int, bool
     return result
 
 
-def _thread(edges: dict[int, list[tuple[int, bool, tuple[Arc, ...]]]], steps: list[Step],
+def _thread(step_arcs: dict[Step, tuple[Arc, ...]], steps: list[Step],
             loops: set[Slot]) -> list[tuple[int, Slot]]:
     """A thread around the closed walk that returns to its start slot and
     progresses on the way; `loops` are the slots whose self-arc guarantees it."""
-    n, i = steps[0]
-    slot = next(s for s, _, _ in edges[n][i][2] if s in loops)
+    slot = next(s for s, _, _ in step_arcs[steps[0]] if s in loops)
     layers: list[dict[tuple[Slot, bool], tuple[Slot, bool] | None]] = [{(slot, False): None}]
-    for n, i in steps:
+    for step in steps:
         layer: dict[tuple[Slot, bool], tuple[Slot, bool] | None] = {}
         for s, done in layers[-1]:
-            for a, b, p in edges[n][i][2]:
+            for a, b, p in step_arcs[step]:
                 if a == s:
                     layer.setdefault((b, done or p), (s, done))
         layers.append(layer)

@@ -11,7 +11,8 @@ by a word over {i,l,r} recording unfoldings and left/right descents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
+from operator import is_
 from typing import Iterable
 
 from . import types as ty
@@ -27,14 +28,25 @@ class Var:
     name: str
 
 
+class _FixedPoint:
+    """Shared by `Mu` and `Nu`: the unfolding, built on first use and kept,
+    so every occurrence of one fixed point steps to the same formula.  The
+    unfolding contains the fixed point itself; `encode_type` keeps every
+    fixed point it builds, so that cycle costs nothing extra there."""
+
+    @cached_property
+    def unfolding(self) -> MuFormula:
+        return subst(self.body, self.var, self)
+
+
 @dataclass(frozen=True)
-class Mu:
+class Mu(_FixedPoint):
     var: str
     body: MuFormula
 
 
 @dataclass(frozen=True)
-class Nu:
+class Nu(_FixedPoint):
     var: str
     body: MuFormula
 
@@ -57,13 +69,19 @@ def dual_formula(phi: MuFormula) -> MuFormula:
 
 
 def subst(phi: MuFormula, var: str, repl: MuFormula) -> MuFormula:
-    """phi[repl/var]; substitution stops at a rebinding of var."""
+    """phi[repl/var]; substitution stops at a rebinding of var.  A subformula
+    without a free var is returned as it is, not copied."""
     match phi:
         case Var(x):
             return repl if x == var else phi
         case Mu(x, b) | Nu(x, b):
-            return phi if x == var else type(phi)(x, subst(b, var, repl))
-    return type(phi)(*(subst(c, var, repl) for c in ty.children(phi)))
+            if x == var:
+                return phi
+            new = subst(b, var, repl)
+            return phi if new is b else type(phi)(x, new)
+    kids = ty.children(phi)
+    new_kids = tuple(subst(c, var, repl) for c in kids)
+    return phi if all(map(is_, new_kids, kids)) else type(phi)(*new_kids)
 
 
 @cache
@@ -168,5 +186,5 @@ def occ_step(occ: Occurrence) -> tuple[Occurrence, ...]:
     thread's business, not ours)."""
     phi, alpha = occ.formula, occ.address
     if isinstance(phi, (Mu, Nu)):
-        return (Occurrence(subst(phi.body, phi.var, phi), alpha.child("i")),)
+        return (Occurrence(phi.unfolding, alpha.child("i")),)
     return tuple(Occurrence(c, alpha.child(step)) for step, c in zip("lr", formula_children(phi)))

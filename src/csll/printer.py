@@ -30,11 +30,14 @@ def _wrap_type(t: ty.SessionType, level: int = ty._ATOM, word: str = "") -> str:
 
 class _Namer:
     """Scope-aware display names; disambiguates clashes with numeric suffixes.
-    `taken` holds the keywords and every display name in scope."""
+    `taken` holds the keywords and every display name in scope.  A binder may
+    reuse a channel that is displayed outside its scope; `hidden` keeps,
+    innermost last, each such channel with the name its scope hides."""
 
     def __init__(self):
         self.display: dict[ChannelName, str] = {}
         self.taken: set[str] = set(KEYWORDS)
+        self.hidden: list[tuple[ChannelName, str]] = []
 
     def bind(self, c: ChannelName) -> str:
         base = c.name if (c.name and not c.name[0].isdigit()) else "c"
@@ -44,12 +47,17 @@ class _Namer:
             k += 1
             name = f"{base}{k}"
         self.taken.add(name)
+        if c in self.display:
+            self.hidden.append((c, self.display[c]))
         self.display[c] = name
         return name
 
-    def unbind(self, name: str) -> None:
-        """Ends the scope of the binder displayed as name."""
+    def unbind(self, c: ChannelName, name: str) -> None:
+        """Ends the scope of c's binder, displayed as name.  Scopes nest, so
+        the innermost hidden entry is c's exactly when this binder hid one."""
         self.taken.remove(name)
+        if self.hidden and self.hidden[-1][0] == c:
+            self.display[c] = self.hidden.pop()[1]
 
     def of(self, c: ChannelName) -> str:
         return self.display.get(c, c.name or "c")
@@ -91,9 +99,10 @@ def _select(p: Select, n: _Namer, indent: int) -> str:
 
 
 def _join(p: Join, n: _Namer, indent: int) -> str:
+    head = f"recv {n.of(p.chan)}("  # the subject is named outside the payload's scope
     yd = n.bind(p.payload)
-    out = f"recv {n.of(p.chan)}({yd}); " + _RENDER[type(p.body)](p.body, n, indent)
-    n.unbind(yd)
+    out = f"{head}{yd}); " + _RENDER[type(p.body)](p.body, n, indent)
+    n.unbind(p.payload, yd)
     return out
 
 
@@ -101,7 +110,7 @@ def _send(p: Fork | Cons, n: _Namer, indent: int) -> str:
     x, y, body, rest = BINDING[type(p)].fields(p)
     yd = n.bind(y)
     block = _block(_RENDER[type(body)](body, n, indent), indent)
-    n.unbind(yd)
+    n.unbind(y, yd)
     return f"{_WORDS[type(p)]} {n.of(x)}({yd}){block}; " + _RENDER[type(rest)](rest, n, indent)
 
 
@@ -119,7 +128,7 @@ def _case(p: Case, n: _Namer, indent: int) -> str:
 def _server(p: Server, n: _Namer, indent: int) -> str:
     yd = n.bind(p.session)
     accept = _RENDER[type(p.accept)](p.accept, n, indent + 1)
-    n.unbind(yd)
+    n.unbind(p.session, yd)
     idle = _RENDER[type(p.idle)](p.idle, n, indent + 1)
     return (f"server {n.of(p.chan)}({yd}) " + _block(accept, indent)
             + " idle " + _block(idle, indent))
@@ -129,7 +138,7 @@ def _cut(p: Cut, n: _Namer, indent: int) -> str:
     xd = n.bind(p.chan)
     left = _RENDER[type(p.left)](p.left, n, indent + 1)
     right = _RENDER[type(p.right)](p.right, n, indent + 1)
-    n.unbind(xd)
+    n.unbind(p.chan, xd)
     head = f"new {xd} : {pretty_type(p.anno)} "
     one_line = head + "{ " + left + " | " + right + " }"
     if "\n" not in one_line and len(one_line) <= 2 * _INLINE_LIMIT:

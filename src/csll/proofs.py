@@ -12,14 +12,20 @@ premises and shared between mutually exclusive ones.  `premises` reads a
 guard's premises from its `typecheck.GUARDS` row, so `emit` states only the
 cut by hand; `gadget` expands a shared channel into three rules (fixed
 point, additive, then axiom or multiplicative), matching its list
-interpretation.
+interpretation.  A channel keeps its type and address until a rule acts on
+it, so the encoder's assignment maps each channel to its occurrence and
+hands it down unchanged: a node builds occurrences only for the channels
+its rule introduces, and a shared channel occurrence unfolds once.
 
 Thread validity: a thread follows occurrence successors (descent at the
 principal occurrence, carry elsewhere, the address map across back edges),
 and it progresses where its occurrence is the principal formula of a `nu`
 rule.  The proof is valid exactly when every infinite path carries a thread
 that progresses infinitely often, decided by the same size-change closure as
-derivation validity (`cycles.closure_check`).  Encoded formulas have
+derivation validity (`cycles.closure_check`).  `_thread_graph` gives the
+closure the premise edges and, per edge, the occurrence arcs; the closure
+asks for arcs only below a back-edge target, so an acyclic proof never
+computes a successor.  Encoded formulas have
 fixed-point bodies closed but for their own variable, so a thread that
 unfolds a greatest fixed point infinitely often has a greatest fixed point
 as its least recurring formula; a thread that merely carries one unchanged
@@ -28,13 +34,14 @@ does not progress.
 Principal reduction (`principal_reduce_at`) states the key cases as one
 fold over (child steps, positive premises, negative premise), listed in
 `_KEY_CASES`: one/bot is the empty fold, tensor/par folds "lr", plus/with
-the chosen side and mu/nu "i".
+the chosen side and mu/nu "i".  `simulate_step` checks one process step
+against its proof image: the reduced proof must be bisimilar to the
+reduct's encoding, compared one node signature (`_signature`) at a time.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import formulas as mf
@@ -120,20 +127,30 @@ class ProofGraph:
         return self.nodes[nid]
 
 
+def _address_order(o: Occurrence) -> tuple[int, bool, str]:
+    return o.address.atom, o.address.bar, o.address.word
+
+
 def _mkseq(*occs: Occurrence) -> tuple[Occurrence, ...]:
-    out = tuple(sorted(occs, key=lambda o: (o.address.atom, o.address.bar, o.address.word)))
-    for i, a in enumerate(out):
-        for b in out[i + 1:]:
-            if not mf.disjoint(a.address, b.address):
-                raise AssertionError(f"overlapping addresses in sequent: {a.address} vs {b.address}")
+    """The occurrences in address order, which must be pairwise disjoint.  In
+    that order the words extending an address follow it directly, so two
+    addresses overlap exactly when some adjacent pair does."""
+    out = tuple(sorted(occs, key=_address_order))
+    for a, b in zip(out, out[1:]):
+        if mf.prefix_leq(a.address, b.address):
+            raise AssertionError(f"overlapping addresses in sequent: {a.address} vs {b.address}")
     return out
 
 
-def initial_assignment(ctx: dict[ChannelName, ty.SessionType]
-                       ) -> tuple[dict[ChannelName, Address], AddressStream]:
+# each channel of a judgment's context with its occurrence: its type as a
+# formula, at its address
+Assignment = dict[ChannelName, Occurrence]
+
+
+def initial_assignment(ctx: dict[ChannelName, ty.SessionType]) -> tuple[Assignment, AddressStream]:
     """Give every context channel its own atomic address, returning the rest
     of the stream."""
-    sigma = {c: Address(i, False) for i, c in enumerate(sorted(ctx))}
+    sigma = {c: Occurrence(encode_type(ctx[c]), Address(i, False)) for i, c in enumerate(sorted(ctx))}
     return sigma, address_stream(len(sigma))
 
 
@@ -143,25 +160,24 @@ class EncodedProof:
     deriv_to_proof: dict[int, int]
 
 
-def _occs(sigma: dict[ChannelName, Address], context: tuple[tuple[ChannelName, ty.SessionType], ...],
-          *skip: ChannelName) -> list[Occurrence]:
-    return [Occurrence(encode_type(t), sigma[c]) for c, t in context if c not in skip]
-
-
 class _Encoder:
     """One encoding pass over a derivation.  `calls` records, for every call
     node that a back edge targets, the proof node standing for it and its
     address assignment: back edges target ancestors only, and each ancestor
-    is entered once, before the back edges below it."""
+    is entered once, before the back edges below it.  A channel keeps its
+    type and address down the tree until a rule acts on it, so the
+    assignment hands its occurrence down unchanged; `gadgets` holds the
+    three rule occurrences of each shared channel occurrence."""
 
     def __init__(self, d: Derivation):
         self.d = d
         self.g = ProofGraph()
         self.mapping: dict[int, int] = {}
-        self.calls: dict[int, tuple[int, dict[ChannelName, Address]] | None] = dict.fromkeys(
+        self.calls: dict[int, tuple[int, Assignment] | None] = dict.fromkeys(
             e.target for n in d.nodes.values() for e in n.premises if e.back)
+        self.gadgets: dict[Occurrence, tuple[Occurrence, Occurrence, Occurrence]] = {}
 
-    def edge(self, nid: int, sigma: dict[ChannelName, Address], rho: AddressStream) -> ProofEdge:
+    def edge(self, nid: int, sigma: Assignment, rho: AddressStream) -> ProofEdge:
         """The edge to the encoding of derivation node nid: invocation chains
         are erased, and one closing on itself becomes a degenerate `loop`."""
         node = self.d.nodes[nid]
@@ -171,12 +187,12 @@ class _Encoder:
             e = node.premises[0]
             if e.back:
                 anc_pid, anc_sigma = self.calls[e.target]
-                corr = tuple(sorted(((sigma[s], anc_sigma[t]) for s, t in e.down),
+                corr = tuple(sorted(((sigma[s].address, anc_sigma[t].address) for s, t in e.down),
                                     key=lambda st: (st[0].atom, st[0].bar, st[0].word)))
                 if pid is None:
                     return ProofEdge(anc_pid, True, corr)
-                self.g.add(ProofNode(pid, "loop", _mkseq(*_occs(sigma, node.judgment.context)),
-                                     (ProofEdge(anc_pid, True, corr),)))
+                seq = _mkseq(*(sigma[c] for c, _ in node.judgment.context))
+                self.g.add(ProofNode(pid, "loop", seq, (ProofEdge(anc_pid, True, corr),)))
                 self.mapping.update(dict.fromkeys(pending, pid))
                 return ProofEdge(pid, False)
             if pid is None:
@@ -192,17 +208,18 @@ class _Encoder:
         self.emit(node, sigma, rho, pid)
         return ProofEdge(pid, False)
 
-    def premise(self, node: DerivNode, i: int, sigma: dict[ChannelName, Address], rho: AddressStream,
+    def premise(self, node: DerivNode, i: int, sigma: Assignment, rho: AddressStream,
                 introduced: dict[ChannelName, Address] | None = None) -> ProofEdge:
-        """The edge to premise i, whose channels keep the parent's addresses
-        unless the rule introduces them, encoded from stream rho."""
+        """The edge to premise i, whose channels keep the parent's occurrences
+        unless the rule introduces them at the given addresses, encoded from
+        stream rho."""
         target = node.premises[i].target
         over = introduced or {}
-        child = {c: over[c] if c in over else sigma[c]
-                 for c, _ in self.d.nodes[target].judgment.context}
+        child = {c: Occurrence(encode_type(t), over[c]) if c in over else sigma[c]
+                 for c, t in self.d.nodes[target].judgment.context}
         return self.edge(target, child, rho)
 
-    def premises(self, node: DerivNode, sigma: dict[ChannelName, Address], rho: AddressStream,
+    def premises(self, node: DerivNode, sigma: Assignment, rho: AddressStream,
                  a: Address) -> tuple[ProofEdge, ...]:
         """The edges to a guard node's premises, read from its `GUARDS` row:
         a premise's binder or subject goes to a's left child for component 0
@@ -222,8 +239,7 @@ class _Encoder:
             edges.append(self.premise(node, i, sigma, streams[i], over))
         return tuple(edges)
 
-    def emit(self, node: DerivNode, sigma: dict[ChannelName, Address], rho: AddressStream,
-             pid: int) -> None:
+    def emit(self, node: DerivNode, sigma: Assignment, rho: AddressStream, pid: int) -> None:
         self.mapping[node.nid] = pid
         x = node.subject
         cut_pair = None
@@ -237,19 +253,21 @@ class _Encoder:
             case "done" | "client" | "server":
                 return self.gadget(node, sigma, rho, pid)
             case _:
-                edges = self.premises(node, sigma, rho, sigma[x]) if node.premises else ()
-        self.g.add(ProofNode(pid, node.rule, _mkseq(*_occs(sigma, node.judgment.context)), edges,
-                             None if x is None else sigma[x], node.tag, cut_pair))
+                edges = self.premises(node, sigma, rho, sigma[x].address) if node.premises else ()
+        seq = _mkseq(*(sigma[c] for c, _ in node.judgment.context))
+        self.g.add(ProofNode(pid, node.rule, seq, edges, None if x is None else sigma[x].address,
+                             node.tag, cut_pair))
 
-    def gadget(self, node: DerivNode, sigma: dict[ChannelName, Address], rho: AddressStream,
-               pid: int) -> None:
+    def gadget(self, node: DerivNode, sigma: Assignment, rho: AddressStream, pid: int) -> None:
         """A shared channel's three rules: fixed point, additive, then axiom
         (`done`) or multiplicative (`client`, and a server's two branches)."""
         x = node.subject
         p = node.judgment.process
-        top = Occurrence(encode_type(next(t for c, t in node.judgment.context if c == x)), sigma[x])
-        (unfolded,) = occ_step(top)
-        left, right = occ_step(unfolded)
+        top = sigma[x]
+        if top not in self.gadgets:
+            (unfolded,) = occ_step(top)
+            self.gadgets[top] = (unfolded, *occ_step(unfolded))
+        unfolded, left, right = self.gadgets[top]
         a = right.address
         ids = [pid] + [self.g.new_id() for _ in range(3 if node.rule == "server" else 2)]
         match node.rule:
@@ -269,7 +287,7 @@ class _Encoder:
                          ("with", unfolded, (ProofEdge(ids[2]), ProofEdge(ids[3])), None),
                          ("bot", left, (idle,), None),
                          ("par", right, (accept,), None)]
-        rest = _occs(sigma, node.judgment.context, x)
+        rest = [sigma[c] for c, _ in node.judgment.context if c != x]
         for nid, (rule, occ, edges, side) in zip(ids, rules):
             self.g.add(ProofNode(nid, rule, _mkseq(occ, *rest), edges, occ.address, side))
 
@@ -305,20 +323,24 @@ def _succ_addresses(g: ProofGraph, node: ProofNode, edge: ProofEdge) -> list[tup
     return out
 
 
-def _thread_edges(g: ProofGraph):
-    """Occurrence successors as closure arcs; an arc progresses where its
-    source is the principal occurrence of a greatest fixed point."""
-    def out_edges(nid: int):
+def _thread_graph(g: ProofGraph):
+    """The proof graph as `closure_check` reads it: premise edges, and
+    occurrence successors as arcs; an arc progresses where its source is the
+    principal occurrence of a greatest fixed point."""
+    def out_edges(nid: int) -> list[tuple[int, bool]]:
+        return [(e.target, e.back) for e in g.node(nid).premises]
+
+    def arcs(nid: int, i: int) -> list[tuple[Address, Address, bool]]:
         node = g.node(nid)
-        for e in node.premises:
-            yield e.target, e.back, [(a, nxt, node.rule == "nu" and a == node.principal)
-                                     for a, nxt in _succ_addresses(g, node, e)]
-    return out_edges
+        nu = node.rule == "nu"
+        return [(a, nxt, nu and a == node.principal)
+                for a, nxt in _succ_addresses(g, node, node.premises[i])]
+    return out_edges, arcs
 
 
 def proof_validity(g: ProofGraph) -> ValidityReport:
     """Thread-based counterpart of the derivation validity check."""
-    return _closure_report(g.root, _thread_edges(g),
+    return _closure_report(g.root, *_thread_graph(g),
                            "every cycle supports a recurring greatest-fixed-point thread",
                            "cycle admits no recurring greatest-fixed-point thread",
                            "composite cycle admits no recurring greatest-fixed-point thread")
@@ -327,7 +349,7 @@ def proof_validity(g: ProofGraph) -> ValidityReport:
 def nu_thread_witness(g: ProofGraph) -> list[tuple[int, Address]]:
     """Node/address pairs of one recurring greatest-fixed-point thread, for
     rendering; empty when none exists."""
-    return closure_check(g.root, _thread_edges(g)).thread
+    return closure_check(g.root, *_thread_graph(g)).thread
 
 
 # --- principal reduction ------------------------------------------------------
@@ -397,6 +419,17 @@ def principal_reduce_at(g: ProofGraph, cut_id: int) -> tuple[ProofGraph, int]:
 PRINCIPAL_STEPS = {"r-close": 1, "r-comm": 1, "r-case": 1, "r-done": 3, "r-connect": 3}
 
 
+def _signature(n: ProofNode) -> tuple:
+    """What `proof_bisimilar` compares at a node: rule, chosen side, principal
+    formula, premise count and the multiset of sequent formulas (a plain
+    dict, which compares in C)."""
+    counts: dict[MuFormula, int] = {}
+    for o in n.sequent:
+        counts[o.formula] = counts.get(o.formula, 0) + 1
+    principal = None if n.principal is None else n.occurrence_at(n.principal).formula
+    return n.rule, n.side, principal, len(n.premises), counts
+
+
 def proof_bisimilar(g1: ProofGraph, g2: ProofGraph) -> bool:
     """Do the two graphs present the same infinite proof tree?
 
@@ -404,27 +437,17 @@ def proof_bisimilar(g1: ProofGraph, g2: ProofGraph) -> bool:
     are re-rooted across back edges, so they are ignored) and premise order,
     following back edges transparently; regular presentations that differ
     only by loop unrolling compare equal."""
-    def principal_formula(g: ProofGraph, n: ProofNode) -> MuFormula | None:
-        return n.occurrence_at(n.principal).formula if n.principal is not None else None
-
     seen: set[tuple[int, int]] = set()
     stack = [(g1.root, g2.root)]
     while stack:
-        a, b = stack.pop()
-        if (a, b) in seen:
+        pair = stack.pop()
+        if pair in seen:
             continue
-        seen.add((a, b))
-        na, nb = g1.node(a), g2.node(b)
-        if na.rule != nb.rule or na.side != nb.side:
+        seen.add(pair)
+        na, nb = g1.node(pair[0]), g2.node(pair[1])
+        if _signature(na) != _signature(nb):
             return False
-        if Counter(o.formula for o in na.sequent) != Counter(o.formula for o in nb.sequent):
-            return False
-        if principal_formula(g1, na) != principal_formula(g2, nb):
-            return False
-        if len(na.premises) != len(nb.premises):
-            return False
-        for ea, eb in zip(na.premises, nb.premises):
-            stack.append((ea.target, eb.target))
+        stack.extend((ea.target, eb.target) for ea, eb in zip(na.premises, nb.premises))
     return True
 
 

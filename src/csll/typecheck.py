@@ -276,10 +276,11 @@ class ValidityReport:
         return self.verdict == "valid"
 
 
-def _closure_report(root: int, out_edges, valid: str, cycle: str, composite: str) -> ValidityReport:
+def _closure_report(root: int, out_edges, arcs, valid: str, cycle: str, composite: str
+                    ) -> ValidityReport:
     """`cycles.closure_check`'s verdict as a report: valid, or invalid with a
     shortest witness walk that is either a simple or a composite cycle."""
-    walk = closure_check(root, out_edges).counterexample
+    walk = closure_check(root, out_edges, arcs).counterexample
     if walk is None:
         return ValidityReport("valid", valid)
     return ValidityReport("invalid", cycle if len(set(walk)) == len(walk) else composite, walk)
@@ -288,13 +289,15 @@ def _closure_report(root: int, out_edges, valid: str, cycle: str, composite: str
 def validity_check(d: Derivation) -> ValidityReport:
     """Decide the criterion of the module docstring: a thread is a channel
     lineage, and it progresses at a server whose subject it is."""
-    def out_edges(nid: int):
-        node = d.node(nid)
-        for e in node.premises:
-            yield e.target, e.back, [(s, t, node.rule == "server" and s == node.subject)
-                                     for s, t in e.down]
+    def out_edges(nid: int) -> list[tuple[int, bool]]:
+        return [(e.target, e.back) for e in d.node(nid).premises]
 
-    return _closure_report(d.root, out_edges,
+    def arcs(nid: int, i: int) -> list[tuple[ChannelName, ChannelName, bool]]:
+        node = d.node(nid)
+        server = node.rule == "server"
+        return [(s, t, server and s == node.subject) for s, t in node.premises[i].down]
+
+    return _closure_report(d.root, out_edges, arcs,
                            "every cycle recurs through a server on a fixed channel",
                            "cycle with no server whose subject channel recurs",
                            "composite cycle with no recurring server channel")

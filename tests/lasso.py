@@ -79,6 +79,18 @@ def lasso_passes(edges: dict, walk: list[tuple[int, int]]) -> bool:
     return any(p and reaches(v, u) for u, out in succ.items() for v, p in out)
 
 
+def thread_passes(edges: dict, thread: list[tuple]) -> bool:
+    """Is thread, as (node, slot) pairs, a closed thread along edges that
+    progresses somewhere on the way round?"""
+    progress = []
+    for (n, a), (m, b) in zip(thread, thread[1:] + thread[:1]):
+        found = [p for t, _, arcs in edges[n] if t == m for s, u, p in arcs if (s, u) == (a, b)]
+        if not found:
+            return False
+        progress += found
+    return any(progress)
+
+
 def agrees(edges: dict, verdict: str, witness: list[int] | None) -> bool:
     """A valid verdict passes every short lasso; an invalid one names a
     walk whose lasso fails."""

@@ -8,8 +8,8 @@ from csll import types as ty
 from csll.parser import FORMS, KEYWORDS, ParseError, ScopeError, parse_program, parse_type, tokenize
 from csll.printer import pretty_process, pretty_program, pretty_type
 from csll.process import (
-    BINDING, Call, Close, Cons, Cut, Definition, Program, Server, Wait, alpha_equal,
-    free_names, fresh,
+    BINDING, Call, Case, Close, Cons, Cut, Definition, Fork, Join, Nil, Program, Server, Wait,
+    alpha_equal, free_names, fresh, rename,
 )
 
 from .conftest import CORPUS_FILES, load_corpus
@@ -170,6 +170,55 @@ def test_random_process_round_trip(p):
     text = pretty_program(prog)
     again = parse_program(text, "<pretty>")
     assert _programs_alpha_equal(prog, again), text
+
+
+def _round_trips(p) -> bool:
+    """p printed as the body of a main whose parameters are its free
+    channels parses back alpha-equal."""
+    params = tuple((c, ty.ONE) for c in sorted(free_names(p)))
+    prog = Program({}, Definition("main", params, p))
+    return _programs_alpha_equal(prog, parse_program(pretty_program(prog), "<pretty>"))
+
+
+def test_a_binder_that_reuses_a_free_channel_prints_apart_from_it():
+    # the free y is printed as y both after the binder's scope and as the
+    # subject of the recv that binds it
+    a, b, y = fresh("a"), fresh("b"), fresh("y")
+    assert pretty_process(Fork(a, y, Close(y), Close(y))) == "send a(y2){ close y2 }; close y"
+    assert pretty_process(Join(y, y, Close(y))) == "recv y(y2); close y2"
+    terms = [Fork(a, y, Close(y), Close(y)), Join(y, y, Close(y)),
+             Fork(a, y, Fork(y, y, Close(y), Close(y)), Close(y)),
+             Cons(a, y, Close(y), Wait(y, Nil(a))), Server(a, y, Close(y), Wait(y, Nil(a))),
+             Case(a, Cut(y, ty.ONE, Close(y), Wait(y, Close(b))), Close(y))]
+    for t in terms:
+        assert _round_trips(t), pretty_process(t)
+
+
+def _reuse_free_channels(p, free: list):
+    """An alpha-variant of p in which every binder is renamed, where it can
+    be, to the first channel of free that its scope does not mention."""
+    binding = BINDING[type(p)]
+    fields = list(binding.fields(p))
+    for i in binding.inside + binding.outside:
+        fields[i] = _reuse_free_channels(fields[i], free)
+    if binding.binder is not None:
+        y = fields[binding.binder]
+        in_scope = set().union(*(free_names(fields[i]) for i in binding.inside))
+        spare = [c for c in free if c not in in_scope]
+        if spare:
+            for i in binding.inside:
+                fields[i] = rename(fields[i], {y: spare[0]})
+            fields[binding.binder] = spare[0]
+    return type(p)(*fields)
+
+
+@settings(max_examples=60)
+@given(processes())
+def test_binders_reusing_free_channels_round_trip(p):
+    q = _reuse_free_channels(p, sorted(free_names(p)))
+    assert free_names(q) == free_names(p)
+    assert alpha_equal(q, p, {c: c for c in free_names(p)})
+    assert _round_trips(q), pretty_process(q)
 
 
 @settings(max_examples=120)

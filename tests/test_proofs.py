@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from csll import formulas as mf
 from csll import types as ty
-from csll.formulas import Address
+from csll.cycles import closure_check
+from csll.formulas import Address, Occurrence
 from csll.process import Call, Close, Cut, Nil, Program, Wait, fresh
 from csll.proofs import (
-    NotPrincipalError, PRINCIPAL_STEPS, address_stream,
+    NotPrincipalError, PRINCIPAL_STEPS, ProofGraph, _mkseq, _thread_graph, address_stream,
     encode_derivation, nu_thread_witness, principal_reduce_at,
     proof_bisimilar, proof_to_dot, proof_to_json_dict,
     proof_validity, simulate_step,
@@ -135,8 +139,10 @@ def _validity_inputs(corpus):
 
 
 def test_proof_validity_agrees_with_derivation_checker(lock, omega, omega_server, cas, comm):
-    # both verdicts are also held against the brute-force lasso oracle
-    verdicts = set()
+    # both verdicts are also held against the brute-force lasso oracle; the
+    # closure given every edge's arcs up front reaches the proof's witness
+    # and thread, and the thread is a closed progressing thread of the oracle
+    verdicts, threads = set(), 0
     for label, prog in _validity_inputs((lock, omega, omega_server, cas, comm)):
         for defn in prog.all_definitions():
             d = definition_derivation(defn, prog)
@@ -145,9 +151,48 @@ def test_proof_validity_agrees_with_derivation_checker(lock, omega, omega_server
             pv = proof_validity(g)
             assert dv.verdict == pv.verdict, (label, defn.name)
             assert lasso.agrees(lasso.derivation_edges(d), dv.verdict, dv.witness), (label, defn.name)
-            assert lasso.agrees(lasso.proof_edges(g), pv.verdict, pv.witness), (label, defn.name)
+            edges = lasso.proof_edges(g)
+            assert lasso.agrees(edges, pv.verdict, pv.witness), (label, defn.name)
+            eager = closure_check(g.root, lambda n: [(t, back) for t, back, _ in edges[n]],
+                                  lambda n, i: edges[n][i][2])
+            thread = nu_thread_witness(g)
+            assert (pv.witness, thread) == (eager.counterexample, eager.thread), (label, defn.name)
+            assert not thread or lasso.thread_passes(edges, thread), (label, defn.name)
             verdicts.add(dv.verdict)
-    assert verdicts == {"valid", "invalid"}
+            threads += bool(thread)
+    assert verdicts == {"valid", "invalid"} and threads > 10
+
+
+def test_arcs_are_asked_for_only_below_a_cycle_head(lock):
+    from csll.parser import parse_program
+    from bench.workloads import chain_text
+
+    def counted(g):
+        out_edges, arcs = _thread_graph(g)
+        calls = []
+        return out_edges, lambda n, i: calls.append((n, i)) or arcs(n, i), calls
+
+    for k in (1, 4, 8):
+        prog = parse_program(chain_text(k), f"<chain_{k}>")
+        for defn in prog.all_definitions():
+            g = encode_derivation(definition_derivation(defn, prog)).graph
+            assert not any(e.back for n in g.nodes.values() for e in n.premises)
+            out_edges, arcs, calls = counted(g)
+            assert closure_check(g.root, out_edges, arcs).counterexample is None
+            assert calls == [], (k, defn.name)
+    # on a cyclic proof each edge below a head is asked for once
+    g = encode_derivation(check(lock.main.body, dict(lock.main.params), lock)).graph
+    out_edges, arcs, calls = counted(g)
+    closure_check(g.root, out_edges, arcs)
+    heads = {e.target for n in g.nodes.values() for e in n.premises if e.back}
+    below = set()
+    stack = list(heads)
+    while stack:
+        n = stack.pop()
+        below.add(n)
+        stack.extend(e.target for e in g.node(n).premises if not e.back)
+    assert calls and len(calls) == len(set(calls))
+    assert {n for n, _ in calls} == {n for n in below if g.node(n).premises}
 
 
 def test_invalid_proof_has_witness(omega):
@@ -273,6 +318,59 @@ def test_bisimilar_distinguishes_different_proofs(lock, cas):
     assert not proof_bisimilar(g1, g2)
 
 
+def _side_formula_changed(n) -> tuple[Occurrence, ...]:
+    """n's sequent with the formula of its first non-principal occurrence replaced."""
+    i = next(i for i, o in enumerate(n.sequent) if o.address != n.principal)
+    o = n.sequent[i]
+    other = ty.TOP if o.formula != ty.TOP else ty.ZERO
+    return n.sequent[:i] + (dataclasses.replace(o, formula=other),) + n.sequent[i + 1:]
+
+
+# one attribute that `proof_bisimilar` compares: the first node of an encoded
+# main that the predicate picks, and the change that alters only that attribute
+_NODE_CHANGES = {
+    "rule": ("lock", lambda n: n.rule == "par", lambda n: {"rule": "tensor"}),
+    "plus side": ("cas", lambda n: n.rule == "plus", lambda n: {"side": 3 - n.side}),
+    "principal formula": (
+        "cas", lambda n: n.principal is not None and len({o.formula for o in n.sequent}) > 1,
+        lambda n: {"principal": next(o.address for o in n.sequent
+                                     if o.formula != n.occurrence_at(n.principal).formula)}),
+    "sequent formulas": ("lock", lambda n: len(n.sequent) > 1,
+                         lambda n: {"sequent": _side_formula_changed(n)}),
+    "premise count": ("cas", lambda n: len(n.premises) == 2,
+                      lambda n: {"premises": n.premises[:1]}),
+}
+
+
+@pytest.mark.parametrize("attribute", sorted(_NODE_CHANGES))
+def test_bisimilar_compares_each_attribute(attribute, lock, cas):
+    name, pick, change = _NODE_CHANGES[attribute]
+    prog = {"lock": lock, "cas": cas}[name]
+    g = encode_derivation(check(prog.main.body, dict(prog.main.params), prog)).graph
+    node = next(n for _, n in sorted(g.nodes.items()) if pick(n))
+    changed = dataclasses.replace(node, **change(node))
+    assert changed != node
+    h = ProofGraph(dict(g.nodes), g.root)
+    h.nodes[node.nid] = changed
+    assert proof_bisimilar(g, ProofGraph(dict(g.nodes), g.root))
+    assert not proof_bisimilar(g, h) and not proof_bisimilar(h, g)
+
+
+_addresses = st.builds(Address, st.integers(0, 1), st.booleans(), st.text("ilr", max_size=2))
+
+
+@given(st.lists(_addresses, max_size=6))
+def test_mkseq_rejects_exactly_the_overlapping_sequents(addresses):
+    occs = [Occurrence(ty.ONE, a) for a in addresses]
+    overlap = any(not mf.disjoint(a, b) for a, b in itertools.combinations(addresses, 2))
+    if overlap:
+        with pytest.raises(AssertionError, match="overlapping addresses"):
+            _mkseq(*occs)
+    else:
+        rendered = sorted(a.render() for a in addresses)
+        assert sorted(o.address.render() for o in _mkseq(*occs)) == rendered
+
+
 # --- exports ----------------------------------------------------------------------
 
 
@@ -318,7 +416,8 @@ def test_thread_checker_sharper_on_carried_server_occurrence():
 
 
 def test_correspondence_on_generated_systems():
-    # beyond the corpus: random well-typed systems, all five redex kinds
+    # beyond the corpus: every det step of every reachable state of random
+    # well-typed systems, all five redex kinds
     from csll.gen import gen_program
     from csll.typecheck import check
 
@@ -327,8 +426,9 @@ def test_correspondence_on_generated_systems():
     for seed in range(60):
         prog = gen_program(seed)
         ctx = dict(prog.main.params)
-        g = explore(prog.main.body, prog, max_states=30, max_depth=30)
-        for sid in sorted(g.expanded)[:6]:
+        g = explore(prog.main.body, prog)
+        assert not g.partial
+        for sid in sorted(g.expanded):
             for st in enabled_steps(g.states[sid], prog, deterministic=True):
                 check(st.exposed, ctx, prog)  # the rearrangement stays typed
                 rep = simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
@@ -336,5 +436,16 @@ def test_correspondence_on_generated_systems():
                 assert rep.steps == PRINCIPAL_STEPS[st.info.kind]
                 kinds.add(st.info.kind)
                 checked += 1
-    assert checked > 100
-    assert {"r-close", "r-comm", "r-case"} <= kinds
+    assert checked > 300
+    assert kinds == set(PRINCIPAL_STEPS)
+
+
+def test_a_step_paired_with_another_steps_reduct_is_unmatched(lock, cas):
+    for prog in (lock, cas):
+        ctx = dict(prog.main.params)
+        first = enabled_steps(prog.main.body, prog, deterministic=True)[0]
+        second = enabled_steps(first.reduct, prog, deterministic=True)[0]
+        for reduct, matched in ((first.reduct, True), (second.reduct, False)):
+            rep = simulate_step(first.exposed, first.cut, reduct, ctx, prog, first.info.kind)
+            assert rep.matched == matched
+        assert rep.detail == "reduced proof differs from reduct's encoding"
