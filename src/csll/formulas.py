@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import is_
-from typing import Iterable
 
 from . import types as ty
 
@@ -104,26 +103,6 @@ def formula_children(phi: MuFormula) -> tuple[MuFormula, ...]:
         case Mu(_, b) | Nu(_, b):
             return (b,)
     return ty.children(phi)
-
-
-def subformula_leq(phi: MuFormula, psi: MuFormula) -> bool:
-    """phi occurs as a subtree of psi (reflexive)."""
-    if phi == psi:
-        return True
-    return any(subformula_leq(phi, c) for c in formula_children(psi))
-
-
-def min_formula(formulas: Iterable[MuFormula]) -> MuFormula | None:
-    """The subformula-least element, if one exists."""
-    items = list(formulas)
-    for cand in items:
-        if all(subformula_leq(cand, other) for other in items):
-            return cand
-    return None
-
-
-def is_nu(phi: MuFormula) -> bool:
-    return isinstance(phi, Nu)
 
 
 def render_formula(phi: MuFormula) -> str:

@@ -118,20 +118,6 @@ def random_type(rng: random.Random, depth: int = 2) -> ty.SessionType:
     return ctor(random_type(rng, depth - 1), random_type(rng, depth - 1))
 
 
-def random_any_type(rng: random.Random, depth: int = 3) -> ty.SessionType:
-    """Arbitrary type tree over the full grammar (for structural properties)."""
-    if depth <= 1:
-        return rng.choice((ty.ONE, ty.BOT, ty.TOP, ty.ZERO))
-    c = rng.randrange(10)
-    if c < 4:
-        return rng.choice((ty.ONE, ty.BOT, ty.TOP, ty.ZERO))
-    if c < 6:
-        ctor = rng.choice((ty.Server, ty.Client))
-        return ctor(random_any_type(rng, depth - 1))
-    ctor = rng.choice((ty.Tensor, ty.Par, ty.Plus, ty.With))
-    return ctor(random_any_type(rng, depth - 1), random_any_type(rng, depth - 1))
-
-
 class ProcessGen:
     def __init__(self, rng: random.Random, oracle: Oracle | None = None):
         self.rng = rng

@@ -1,4 +1,5 @@
-"""Pretty-printer; parse(pretty(v)) is alpha-equivalent to v."""
+"""Pretty-printer for types, processes, definitions and programs; parsing
+the printed text gives back the term up to renaming of bound channels."""
 
 from __future__ import annotations
 
@@ -168,15 +169,3 @@ def pretty_program(prog: Program) -> str:
     if prog.main is not None:
         chunks.append(pretty_definition(prog.main, keyword="main"))
     return "\n\n".join(chunks) + "\n"
-
-
-def pretty(v) -> str:
-    if isinstance(v, ty.SessionType):
-        return pretty_type(v)
-    if isinstance(v, Process):
-        return pretty_process(v)
-    if isinstance(v, Program):
-        return pretty_program(v)
-    if isinstance(v, Definition):
-        return pretty_definition(v)
-    raise TypeError(f"cannot pretty-print {type(v).__name__}")

@@ -4,8 +4,8 @@ Channels carry a unique id so that binder instances stay distinct under
 rewriting.  The binding structure of every constructor is stated once, in
 `BINDING`: the field of its subject, the channel it binds, and which
 subterms lie inside and outside that binder's scope.  Free names, subjects,
-alpha-equality, renaming (and `canon`'s keys and builds) all read that table
-rather than restating it per constructor.
+renaming (and `canon`'s keys and builds) all read that table rather than
+restating it per constructor.
 """
 
 from __future__ import annotations
@@ -317,41 +317,6 @@ def instantiate(defn: Definition, args: tuple[ChannelName, ...]) -> Process:
         raise ValueError(f"{defn.name} expects {len(defn.params)} arguments, got {len(args)}")
     mapping = dict(zip(defn.param_names, args))
     return rename(defn.body, mapping, refresh=True)
-
-
-def alpha_equal(p: Process, q: Process, free_map: dict[ChannelName, ChannelName] | None = None) -> bool:
-    """Structural equality up to renaming of bound channels.
-
-    Free channels must correspond via free_map; by default they are matched
-    by display name, which is what the pretty-printer/parser round trip
-    preserves.
-    """
-
-    def chan_eq(a: ChannelName, b: ChannelName, env: dict[ChannelName, ChannelName]) -> bool:
-        if a in env:
-            return env[a] == b
-        if free_map is not None:
-            return free_map.get(a, a) == b
-        return a.name == b.name
-
-    def go(p: Process, q: Process, env: dict[ChannelName, ChannelName]) -> bool:
-        t = type(p)
-        if t is not type(q):
-            return False
-        if t is Call:
-            return (p.name == q.name and len(p.args) == len(q.args)
-                    and all(chan_eq(a, b, env) for a, b in zip(p.args, q.args)))
-        row = BINDING[t]
-        a, b = row.fields(p), row.fields(q)
-        if any(a[i] != b[i] for i in row.scalars):
-            return False
-        if row.subject is not None and not chan_eq(a[row.subject], b[row.subject], env):
-            return False
-        inner = env if row.binder is None else {**env, a[row.binder]: b[row.binder]}
-        return (all(go(a[i], b[i], inner) for i in row.inside)
-                and all(go(a[i], b[i], env) for i in row.outside))
-
-    return go(p, q, {})
 
 
 def call_depth(p: Process, prog: Program) -> int | None:

@@ -359,15 +359,6 @@ class NotPrincipalError(Exception):
     pass
 
 
-def _retarget(g: ProofGraph, old: int, new: int) -> None:
-    for nid, node in list(g.nodes.items()):
-        if any(e.target == old for e in node.premises):
-            g.nodes[nid] = replace(node, premises=tuple(replace(e, target=new) if e.target == old else e
-                                                        for e in node.premises))
-    if g.root == old:
-        g.root = new
-
-
 # (positive rule, negative rule, chosen side): the child steps that the cut
 # formula pair takes, one new cut each, innermost last
 _KEY_CASES = {("one", "bot", None): "", ("tensor", "par", None): "lr", ("mu", "nu", None): "i",
@@ -375,8 +366,9 @@ _KEY_CASES = {("one", "bot", None): "", ("tensor", "par", None): "lr", ("mu", "n
 
 
 def principal_reduce_at(g: ProofGraph, cut_id: int) -> tuple[ProofGraph, int]:
-    """One principal cut-reduction step at the given cut node; returns the new
-    graph and the node standing where the cut stood.
+    """One principal cut-reduction step at the given cut node, in place: the
+    result is written under the cut's own id, so every edge into the cut now
+    leads to it.  Returns the graph and that id.
 
     Every key case is one fold over (child steps, positive premises, negative
     premise): from the right, each positive premise is cut against what the
@@ -409,8 +401,8 @@ def principal_reduce_at(g: ProofGraph, cut_id: int) -> tuple[ProofGraph, int]:
         seq = _mkseq(*(o for o in g.node(e.target).sequent if o.address != pair[0]),
                      *(o for o in g.node(neg.target).sequent if o.address != pair[1]))
         neg = ProofEdge(g.add(ProofNode(g.new_id(), "cut", seq, (e, neg), cut_pair=pair)))
-    _retarget(g, cut_id, neg.target)
-    return g, neg.target
+    g.nodes[cut_id] = replace(g.node(neg.target), nid=cut_id)
+    return g, cut_id
 
 
 # --- process-step / proof-step correspondence ---------------------------------

@@ -40,10 +40,6 @@ from .printer import pretty_process
 from .typecheck import GUARDS
 
 
-class NoRedexError(Exception):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class RedexInfo:
     kind: str                 # r-close | r-comm | r-case | r-done | r-connect
@@ -233,18 +229,6 @@ def step_det(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
     return [(st.info, canonical_form(st.reduct)) for st in enabled_steps(p, defs, deterministic=True)]
 
 
-def find_redex(p: Process, defs: Program) -> tuple[RedexInfo, Process]:
-    """The deterministic scheduler's next step: the first step of
-    `enabled_steps(p, defs, deterministic=True)`.
-
-    Raises NoRedexError when p is in normal form.
-    """
-    steps = enabled_steps(p, defs, deterministic=True)
-    if not steps:
-        raise NoRedexError(f"no deterministic redex in: {pretty_process(p)}")
-    return steps[0].info, steps[0].reduct
-
-
 def is_close_normal(p: Process, defs: Program) -> bool:
     """True when p unfolds to a bare close (the terminal shape at a 1-typed context)."""
     return isinstance(unfold_head(p, defs), Close)
@@ -423,21 +407,6 @@ def is_weakly_terminating(sid: int, g: ReductionGraph) -> str:
                 seen.add(t)
                 queue.append(t)
     return "unknown" if hit_unexpanded else "no"
-
-
-def weakly_terminating_state_count(trace: Trace, defs: Program,
-                                   max_states: int = 2000, max_depth: int = 2000) -> int:
-    """Post-hoc fairness accounting for a recorded run: the number of its
-    states that are weakly terminating.  A fair run contains only finitely
-    many, so an infinite run approximated by a truncated trace whose count
-    stopped growing is fair-so-far.
-
-    Every state is answered from one graph, explored from the trace's first
-    state, and the bounds apply to that graph: a state outside it, or whose
-    normal forms lie beyond it, is not counted."""
-    g = explore(trace.states[0], defs, max_states=max_states, max_depth=max_depth)
-    yes = _backward_closure(_predecessors(g), g.normal_forms())
-    return sum(g.find(state) in yes for state in trace.states)
 
 
 @dataclass

@@ -46,15 +46,14 @@ TypeContext = dict[ChannelName, ty.SessionType]
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error"
-    kind: str      # "type-mismatch" | "linearity" | "arity" | "zero-subject" | "scope"
+    kind: str  # "type-mismatch" | "linearity" | "arity" | "zero-subject" | "scope"
     rule: str
     message: str
     span: SourceSpan | None = None
 
     def __str__(self) -> str:
         where = f"{self.span}: " if self.span else ""
-        return f"{where}{self.severity}[{self.kind}/{self.rule}]: {self.message}"
+        return f"{where}error[{self.kind}/{self.rule}]: {self.message}"
 
 
 class TypeCheckError(Exception):
@@ -64,7 +63,7 @@ class TypeCheckError(Exception):
 
 
 def _err(kind: str, rule: str, message: str, span: SourceSpan | None) -> TypeCheckError:
-    return TypeCheckError(Diagnostic("error", kind, rule, message, span))
+    return TypeCheckError(Diagnostic(kind, rule, message, span))
 
 
 @dataclass(frozen=True)

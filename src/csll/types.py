@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
 
 
 class SessionType:
@@ -134,23 +133,7 @@ def dual(t: SessionType) -> SessionType:
     return _DUAL[type(t)](*map(dual, children(t)))
 
 
-def is_positive(t: SessionType) -> bool:
-    """Positive types describe outputs (close, send, select, client pools)."""
-    return type(t) in _NEGATIVE
-
-
 @cache
 def type_key(t: SessionType) -> tuple:
     """A sort key for types: the constructor names of the tree, in pre-order."""
     return (type(t).__name__,) + tuple(map(type_key, children(t)))
-
-
-def subtypes(t: SessionType) -> Iterator[SessionType]:
-    """All subtrees of t, including t itself (pre-order)."""
-    yield t
-    for c in children(t):
-        yield from subtypes(c)
-
-
-def depth(t: SessionType) -> int:
-    return 1 + max(map(depth, children(t)), default=0)

@@ -12,7 +12,7 @@ from csll import formulas as mf
 from csll import types as ty
 from csll.canon import canonical_form
 from csll.formulas import Address, Occurrence, occ_step
-from csll.gen import gen_program, random_any_type
+from csll.gen import gen_program
 from csll.linkgen import gen_link
 from csll.printer import pretty_process
 from csll.process import channels, threads, unfold
@@ -25,6 +25,7 @@ from csll.runtime import (
 from csll.typecheck import check, check_program, definition_derivation, validity_check
 
 from .conftest import load_corpus
+from .oracles import depth, is_nu, min_formula, random_any_type, subformula_leq
 
 
 def _ok(n: int, message: str) -> None:
@@ -60,7 +61,7 @@ def test_criterion_1_corpus_verdicts():
     rng = random.Random(2024)
     while checked < 76 + 4 + 250:
         t = random_any_type(rng, depth=rng.choice((3, 4)))
-        if ty.depth(t) > 4:
+        if depth(t) > 4:
             continue
         assert check_program(gen_link(t)).accepted, t
         checked += 1
@@ -191,17 +192,17 @@ def test_criterion_8_micro_examples():
     t.append(occ_step(t[-1])[0])
     assert [o.formula for o in t] == [phi_mu, mf.Plus(phi_mu, mf.F_ONE), phi_mu]
     inf = {phi_mu, mf.Plus(phi_mu, mf.F_ONE)}
-    assert mf.min_formula(inf) == phi_mu and not mf.is_nu(phi_mu)
+    assert min_formula(inf) == phi_mu and not is_nu(phi_mu)
 
     phi = mf.Nu("X", mf.Mu("Y", mf.Plus(mf.Var("X"), mf.Var("Y"))))
     psi = mf.Mu("Y", mf.Plus(phi, mf.Var("Y")))
     t1_inf = {phi, psi, mf.Plus(phi, psi)}
-    assert mf.min_formula(t1_inf) == phi and mf.is_nu(phi)
+    assert min_formula(t1_inf) == phi and is_nu(phi)
     t2_inf = {psi, mf.Plus(phi, psi)}
-    assert mf.min_formula(t2_inf) == psi and not mf.is_nu(psi)
+    assert min_formula(t2_inf) == psi and not is_nu(psi)
 
-    assert mf.subformula_leq(phi, psi)
-    assert not mf.subformula_leq(psi, phi)
+    assert subformula_leq(phi, psi)
+    assert not subformula_leq(psi, phi)
     _ok(8, "worked fixed-point thread examples and subformula facts reproduced")
 
 

@@ -15,12 +15,13 @@ from csll.parser import parse_program
 from csll.printer import pretty_process, pretty_program
 from csll.process import (
     BINDING, Case, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil, Program,
-    Server, Wait, _free_names, alpha_equal, free_names, fresh, rename,
+    Server, Wait, _free_names, free_names, fresh, rename,
 )
 from csll.runtime import enabled_steps, explore
 from csll.typecheck import check
 
 from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
+from .oracles import alpha_equal
 
 MIXES = (["TF"], ["FT"], ["TF", "FT"], ["FT", "TF"], ["TF", "FT"] * 2, ["FT", "TF"] * 3)
 

@@ -6,8 +6,8 @@ import hypothesis.strategies as st
 from csll import formulas as mf
 from csll import types as ty
 from csll.formulas import Address, Occurrence, occ_step
-from csll.gen import random_any_type
 
+from .oracles import is_nu, min_formula, random_any_type, subformula_leq
 from .strategies import session_types
 
 
@@ -62,17 +62,17 @@ def _phi_psi():
 
 def test_subformula_example_holds():
     phi, psi = _phi_psi()
-    assert mf.subformula_leq(phi, psi)
+    assert subformula_leq(phi, psi)
 
 
 def test_subformula_example_converse_fails():
     phi, psi = _phi_psi()
-    assert not mf.subformula_leq(psi, phi)
+    assert not subformula_leq(psi, phi)
 
 
 def test_subformula_reflexive():
     phi, _ = _phi_psi()
-    assert mf.subformula_leq(phi, phi)
+    assert subformula_leq(phi, phi)
 
 
 # --- addresses and descent ------------------------------------------------------
@@ -107,9 +107,9 @@ def test_occ_step_worked_example():
 def test_mu_thread_is_not_nu_thread():
     phi = mf.Mu("X", mf.Plus(mf.Var("X"), mf.F_ONE))
     inf_often = {phi, mf.Plus(phi, mf.F_ONE)}
-    m = mf.min_formula(inf_often)
+    m = min_formula(inf_often)
     assert m == phi
-    assert not mf.is_nu(m)
+    assert not is_nu(m)
 
 
 def test_t1_is_nu_thread():
@@ -117,9 +117,9 @@ def test_t1_is_nu_thread():
     psi = mf.Mu("Y", mf.Plus(phi, mf.Var("Y")))
     # thread looping back to phi: phi, psi, phi + psi, phi, ...
     inf_often = {phi, psi, mf.Plus(phi, psi)}
-    m = mf.min_formula(inf_often)
+    m = min_formula(inf_often)
     assert m == phi
-    assert mf.is_nu(m)
+    assert is_nu(m)
 
 
 def test_t2_is_not_nu_thread():
@@ -127,9 +127,9 @@ def test_t2_is_not_nu_thread():
     psi = mf.Mu("Y", mf.Plus(phi, mf.Var("Y")))
     # thread looping inside psi: psi, phi + psi, psi, ...
     inf_often = {psi, mf.Plus(phi, psi)}
-    m = mf.min_formula(inf_often)
+    m = min_formula(inf_often)
     assert m == psi
-    assert not mf.is_nu(m)
+    assert not is_nu(m)
 
 
 def test_threads_follow_descent():
@@ -156,4 +156,4 @@ def test_render_formula_ascii():
 def test_min_formula_of_singleton(n):
     rng = random.Random(n)
     phi = mf.encode_type(random_any_type(rng, 3))
-    assert mf.min_formula([phi]) == phi
+    assert min_formula([phi]) == phi

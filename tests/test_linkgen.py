@@ -1,12 +1,13 @@
 import random
 
 from csll import types as ty
-from csll.gen import random_any_type
 from csll.linkgen import gen_link, link_name
 from csll.parser import parse_program
 from csll.printer import pretty_program
 from csll.process import Call, Fail, Server, Wait
 from csll.typecheck import check_program
+
+from .oracles import random_any_type
 
 
 def test_link_bot_shape():

@@ -9,10 +9,11 @@ from csll.parser import FORMS, KEYWORDS, ParseError, ScopeError, parse_program, 
 from csll.printer import pretty_process, pretty_program, pretty_type
 from csll.process import (
     BINDING, Call, Case, Close, Cons, Cut, Definition, Fork, Join, Nil, Program, Server, Wait,
-    alpha_equal, free_names, fresh, rename,
+    free_names, fresh, rename,
 )
 
 from .conftest import CORPUS_FILES, load_corpus
+from .oracles import alpha_equal
 from .strategies import processes, session_types
 
 
@@ -232,11 +233,3 @@ def test_parse_errors_stay_inside_input(s):
         assert 1 <= e.span.line <= len(lines)
         assert e.span.column >= 1
         assert e.span.column <= len(lines[e.span.line - 1]) + 1
-
-
-def test_pretty_dispatcher(lock):
-    from csll.printer import pretty
-    assert pretty(ty.ONE) == "1"
-    assert pretty(lock.defs["Lock"].body).startswith("server")
-    assert "def Lock" in pretty(lock)
-    assert pretty(lock.defs["Lock"]).startswith("def Lock(")

@@ -4,10 +4,11 @@ from csll import types as ty
 from csll.canon import canonical_form
 from csll.process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil,
-    Program, Server, Wait, _free_names, alpha_equal, call_depth, channels, free_names,
+    Program, Server, Wait, _free_names, call_depth, channels, free_names,
     fresh, rename, threads, unfold,
 )
 
+from .oracles import alpha_equal
 from .strategies import processes
 
 

@@ -20,6 +20,7 @@ from csll.runtime import enabled_steps, explore
 from csll.typecheck import check, definition_derivation, validity_check
 
 from . import lasso
+from .oracles import is_nu, min_formula
 
 EMPTY = Program({})
 
@@ -207,9 +208,9 @@ def test_nu_thread_witness_on_lock(lock):
     witness = nu_thread_witness(g)
     assert witness
     formulas = [g.node(nid).occurrence_at(addr).formula for nid, addr in witness]
-    m = mf.min_formula(set(formulas))
+    m = min_formula(set(formulas))
     assert m == mf.encode_type(ty.Server(ty.BOT))
-    assert mf.is_nu(m)
+    assert is_nu(m)
     # the recurring set is the fixed point, its unfolding, and the par part
     assert {mf.render_formula(f) for f in formulas} == {
         "nu X. (bot (&) (bot (par) X))",
@@ -225,7 +226,7 @@ def test_min_inf_often_defined_on_witnesses(cas):
         w = nu_thread_witness(g)
         if w:
             formulas = {g.node(nid).occurrence_at(a).formula for nid, a in w}
-            assert mf.min_formula(formulas) is not None
+            assert min_formula(formulas) is not None
 
 
 def test_no_nu_witness_in_omega(omega):
@@ -246,6 +247,25 @@ def test_principal_reduce_close_erases_cut():
     assert root.rule == "one"  # what remains is the proof of close z
     fresh_enc = encode_derivation(check(Close(z), {z: ty.ONE}, EMPTY)).graph
     assert proof_bisimilar(g2, fresh_enc)
+
+
+def test_principal_reduce_writes_the_result_under_the_cut_id():
+    # the inner close-cut is the outer cut's right premise
+    x, y, z = fresh("x"), fresh("y"), fresh("z")
+    inner = Cut(x, ty.ONE, Close(x), Wait(x, Wait(y, Close(z))))
+    d = check(Cut(y, ty.ONE, Close(y), inner), {z: ty.ONE}, EMPTY)
+    enc = encode_derivation(d)
+    cut_id = enc.deriv_to_proof[next(n for n, dn in d.nodes.items() if dn.judgment.process is inner)]
+    g = enc.graph
+    assert cut_id != g.root
+    premises = {nid: n.premises for nid, n in g.nodes.items()}
+    bot_premise = g.node(g.node(cut_id).premises[1].target).premises[0].target
+    g2, nid = principal_reduce_at(g, cut_id)
+    # one/bot leaves the bot rule's premise, the proof of `wait y; close z`
+    assert nid == cut_id
+    assert g2.node(cut_id) == dataclasses.replace(g2.node(bot_premise), nid=cut_id)
+    assert {n: premises[n] for n in premises if n != cut_id} == \
+        {n: g2.node(n).premises for n in premises if n != cut_id}
 
 
 def test_principal_reduce_requires_principal_premises(lock):

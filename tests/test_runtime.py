@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings
 
 from csll import types as ty
@@ -13,7 +12,7 @@ from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
 from .strategies import processes
 from csll.parser import parse_program
 from csll.runtime import (
-    NoRedexError, check_fair_termination, enabled_steps, explore, find_redex,
+    check_fair_termination, enabled_steps, explore,
     is_close_normal, is_weakly_terminating, run, step_all, step_det,
 )
 
@@ -76,7 +75,7 @@ def test_step_det_on_normal_form():
 
 
 def test_find_redex_on_lock(lock):
-    info, _ = find_redex(lock.main.body, lock)
+    info = enabled_steps(lock.main.body, lock, deterministic=True)[0].info
     assert info.kind == "r-connect"
     assert info.client_index == 0
 
@@ -84,16 +83,15 @@ def test_find_redex_on_lock(lock):
 def test_find_redex_close_and_counts():
     x, z = fresh("x"), fresh("z")
     p = Cut(x, ty.ONE, Close(x), Wait(x, Close(z)))
-    info, reduct = find_redex(p, EMPTY)
-    assert info.kind == "r-close"
-    assert reduct == Close(z)
+    st = enabled_steps(p, EMPTY, deterministic=True)[0]
+    assert st.info.kind == "r-close"
+    assert st.reduct == Close(z)
     assert threads(p) == 2 and channels(p) == 1
     assert threads(p) > channels(p)
 
 
 def test_find_redex_rejects_normal_form():
-    with pytest.raises(NoRedexError):
-        find_redex(Close(fresh("x")), EMPTY)
+    assert not enabled_steps(Close(fresh("x")), EMPTY, deterministic=True)
 
 
 def test_run_det_lock_terminates(lock):
@@ -229,8 +227,7 @@ def test_unguarded_call_cycle_is_stuck_not_crashing(tmp_path, capsys):
              (loop, loop.main.body)]
     for prog, p in cases:
         assert step_all(p, prog) == [] and step_det(p, prog) == []
-        with pytest.raises(NoRedexError):
-            find_redex(p, prog)
+        assert not enabled_steps(p, prog, deterministic=True)
         for scheduler in ("det", "random"):
             tr = run(p, {}, prog, scheduler=scheduler, seed=0, max_steps=10)
             assert tr.terminated and tr.steps == []
@@ -286,8 +283,7 @@ def test_undefined_name_is_opaque_in_both_semantics():
     assert call_depth(p, prog) == 2
     assert unfold(p, prog) == Cut(y, ty.ONE, Call("U", (y,)), Wait(y, Close(z)))
     assert step_all(p, prog) == [] and step_det(p, prog) == []
-    with pytest.raises(NoRedexError):
-        find_redex(p, prog)
+    assert not enabled_steps(p, prog, deterministic=True)
     for scheduler in ("det", "random"):
         tr = run(p, {}, prog, scheduler=scheduler, seed=0)
         assert tr.terminated and tr.steps == []
@@ -316,7 +312,7 @@ def test_det_run_steps_past_a_divergent_invocation():
                          "main(z: 1) = new y : 1 { B(y) | new w : 1 { close w | wait w; wait y; close z } }\n")
     p = prog.main.body
     assert [str(info) for info, _ in step_det(p, prog)] == ["r-close@w[R]"]
-    assert str(find_redex(p, prog)[0]) == "r-close@w[R]"
+    assert str(enabled_steps(p, prog, deterministic=True)[0].info) == "r-close@w[R]"
     for scheduler in ("det", "random"):
         tr = run(p, {}, prog, scheduler=scheduler, seed=0)
         assert [str(s.info) for s in tr.steps] == ["r-close@w[R]"] and tr.terminated
@@ -330,20 +326,6 @@ def test_step_all_total_on_arbitrary_terms(p):
     for _, q in step_all(p, EMPTY):
         canonical_form(q)
     step_det(p, EMPTY)
-
-
-def test_post_hoc_fairness_accounting(lock, omega):
-    from csll.runtime import weakly_terminating_state_count
-
-    tr = run(lock.main.body, dict(lock.main.params), lock, scheduler="det")
-    # a terminating system's run passes only weakly terminating states
-    assert weakly_terminating_state_count(tr, lock) == len(tr.states)
-
-    tr2 = run(omega.main.body, {}, omega, scheduler="random", seed=1, max_steps=30)
-    assert tr2.truncated
-    # no state of the divergent system terminates, so the infinite run this
-    # trace approximates is fair (finitely many weakly terminating states)
-    assert weakly_terminating_state_count(tr2, omega) == 0
 
 
 def _graph_programs() -> list[tuple[str, Program]]:
