@@ -8,17 +8,21 @@ guards it exposes, keyed by subject, and each cut pairs the two guards on
 its channel when their `typecheck.GUARDS` connectives are dual and the cut
 types the positive one at its connective.  Pulling a guard out through
 enclosing cuts and pool heads mirrors the pre-congruence moves that justify
-the step.  The walk unfolds an invocation only where it meets one, by the
-one unfolding rule, `process.unfold_head`: an invocation unfolds exactly
-when its unguarded unfolding terminates; one that diverges, or names no
-definition, is stuck while the rest of the state may step.  The deterministic fragment drops
-every pool rule, so clients connect in queue order, and its scheduler takes
-the first step.  In the full semantics, connecting either of two clients
-with equal canonical keys gives one canonical state (symmetry reduction).
-A step record builds its rearrangement and reduct on first access, so
-exploration builds one reduct per such class and a random run only the
-drawn step's.  The reduction graph buckets its states by the C-level hash
-of their canonical keys and confirms a hit by canonical-term equality.
+the step.  A state's sibling scopes may reuse a binder name, as canonical
+forms do: a step nests the right guard's cuts inside the left's, so when
+both bind one name the right guard is taken from a copy of its side with
+fresh binders.  The walk unfolds an invocation only where it meets one, by
+the one unfolding rule, `process.unfold_head`: an invocation unfolds
+exactly when its unguarded unfolding terminates; one that diverges, or
+names no definition, is stuck while the rest of the state may step.  The
+deterministic fragment drops every pool rule, so clients connect in queue
+order, and its scheduler takes the first step.  In the full semantics,
+connecting either of two clients with equal canonical keys gives one
+canonical state (symmetry reduction).  A step record builds its
+rearrangement and reduct on first access, so exploration builds one reduct
+per such class and a random run only the drawn step's.  The reduction
+graph buckets its states by the C-level hash of their canonical keys and
+confirms a hit by canonical-term equality.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ class RedexInfo:
         return f"{self.kind}@{self.channel}[{loc}]"
 
 
-# an exposed guard, and the closure that rebuilds its exposing term around a replacement
-_Guard = tuple[Process, Callable[[Process], Process]]
+# an exposed guard, the closure that rebuilds its exposing term around a
+# replacement, and the binders of the cuts that term puts around it
+_Guard = tuple[Process, Callable[[Process], Process], tuple[ChannelName, ...]]
 
 
 def _hole(h: Process) -> Process:
@@ -104,7 +109,7 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
                   out: list[Step]) -> None:
     """Append to out the steps at the cut on x (typed left_type) whose sides
     expose the x-guards lg and rg, and whose enclosing context is ctx."""
-    (g1, rb1), (g2, rb2) = lg, rg
+    (g1, rb1, _), (g2, rb2, _) = lg, rg
 
     def around(core: Process) -> Process:
         return ctx(rb1(rb2(core)))
@@ -152,7 +157,7 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
     c1, c2 = GUARDS[type(g1)].connective, GUARDS[type(g2)].connective
     if ty._DUAL[c1] is not c2:
         return
-    a_is_left = c1 in ty._NEGATIVE
+    a_is_left = c1 in ty._POSITIVE
     a, b, a_type, conn = (g1, g2, left_type, c1) if a_is_left else (g2, g1, ty.dual(left_type), c2)
     if not isinstance(a_type, conn):
         return
@@ -182,31 +187,38 @@ def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
     if isinstance(p, Cut):
         x, anno = p.chan, p.anno
         at = len(out)
-        lg = _walk(unfold_head(p.left, defs), defs, pool_ok, path + ("L",),
-                   lambda q: ctx(Cut(x, anno, q, p.right)), out)
-        rg = _walk(unfold_head(p.right, defs), defs, pool_ok, path + ("R",),
-                   lambda q: ctx(Cut(x, anno, p.left, q)), out)
+        lg = _walk(p.left, defs, pool_ok, path + ("L",), lambda q: ctx(Cut(x, anno, q, p.right)), out)
+        rg = _walk(p.right, defs, pool_ok, path + ("R",), lambda q: ctx(Cut(x, anno, p.left, q)), out)
         if x in lg and x in rg:
+            right = rg[x]
+            if not set(lg[x][2]).isdisjoint(right[2]):
+                # a step nests the right guard's cuts inside the left's, so
+                # a binder of both would capture the left's channel: pair
+                # with the right side's guard in a copy with fresh binders
+                right = _walk(rename(p.right, {}, refresh=True), defs, pool_ok, (), _hole, [])[x]
             own: list[Step] = []
-            _sync_redexes(x, anno, lg[x], rg[x], defs, pool_ok, path, ctx, own)
+            _sync_redexes(x, anno, lg[x], right, defs, pool_ok, path, ctx, own)
             out[at:at] = own
-        guards = {s: (g, lambda h, rb=rb: Cut(x, anno, p.left, rb(h))) for s, (g, rb) in rg.items()}
-        guards.update({s: (g, lambda h, rb=rb: Cut(x, anno, rb(h), p.right)) for s, (g, rb) in lg.items()})
+        guards = {s: (g, lambda h, rb=rb: Cut(x, anno, p.left, rb(h)), (x, *bs))
+                  for s, (g, rb, bs) in rg.items()}
+        guards.update({s: (g, lambda h, rb=rb: Cut(x, anno, rb(h), p.right), (x, *bs))
+                       for s, (g, rb, bs) in lg.items()})
         return guards
     s = subject(p)
-    guards = {} if s is None else {s: (p, _hole)}
+    guards = {} if s is None else {s: (p, _hole, ())}
     if pool_ok and isinstance(p, Cons):
         tail = _walk(p.pool, defs, pool_ok, path + ("T",),
                      lambda q: ctx(Cons(p.chan, p.session, p.client, q)), out)
         if any(t != s for t in tail):
             head = free_names(p.client) - {p.session}
-            guards.update({t: (g, lambda h, rb=rb: Cons(p.chan, p.session, p.client, rb(h)))
-                           for t, (g, rb) in tail.items() if t != s and t not in head})
+            guards.update({t: (g, lambda h, rb=rb: Cons(p.chan, p.session, p.client, rb(h)), bs)
+                           for t, (g, rb, bs) in tail.items() if t != s and t not in head})
     return guards
 
 
 def enabled_steps(p: Process, defs: Program, deterministic: bool = False) -> list[Step]:
-    """Full step records including the exposed rearrangement, uncanonicalized."""
+    """Full step records including the exposed rearrangement, uncanonicalized.
+    p's binders need not be distinct: sibling scopes may reuse a name."""
     out: list[Step] = []
     _walk(p, defs, not deterministic, (), lambda q: q, out)
     return out

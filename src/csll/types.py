@@ -114,8 +114,8 @@ _CONNECTIVES = (
     (Tensor, "*", Par, "par", _MULT),
     (Plus, "+", With, "&", _ADD),
 )
-_NEGATIVE = {pos: neg for pos, _, neg, _, _ in _CONNECTIVES}
-_DUAL = {**_NEGATIVE, **{neg: pos for pos, neg in _NEGATIVE.items()}}
+_POSITIVE = {pos: neg for pos, _, neg, _, _ in _CONNECTIVES}
+_DUAL = {**_POSITIVE, **{neg: pos for pos, neg in _POSITIVE.items()}}
 # connective -> (surface word, precedence level)
 _SYNTAX = {ctor: (word, level) for pos, pos_word, neg, neg_word, level in _CONNECTIVES
            for ctor, word in ((pos, pos_word), (neg, neg_word))}

@@ -51,21 +51,24 @@ def explored() -> list[tuple[str, Program, list, list]]:
     return out
 
 
-def binders(p) -> list[ChannelName]:
-    """The binders of p in traversal order: a binder, then its scope, then the rest."""
+def binders(p, depth: int = 1) -> list[tuple[int, ChannelName]]:
+    """The binders of p with their depths (the number of binders whose scope
+    encloses a binder, itself included), a binder before its scope."""
     row = BINDING[type(p)]
     vals = row.fields(p)
-    out = [] if row.binder is None else [vals[row.binder]]
-    for i in row.inside + row.outside:
-        out += binders(vals[i])
+    out = [] if row.binder is None else [(depth, vals[row.binder])]
+    for i in row.inside:
+        out += binders(vals[i], depth + 1)
+    for i in row.outside:
+        out += binders(vals[i], depth)
     return out
 
 
-def test_binders_are_numbered_in_traversal_order(explored):
+def test_binders_are_named_by_depth(explored):
     for label, _, _, terms in explored:
         for p in terms:
             bs = binders(canonical_form(p))
-            assert bs == [_binder(k) for k in range(1, len(bs) + 1)], (label, p)
+            assert all(b == _binder(d) for d, b in bs), (label, p)
 
 
 def test_canonicalisation_is_idempotent(explored):

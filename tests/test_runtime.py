@@ -5,10 +5,12 @@ from csll.canon import canonical_form
 from csll.gen import gen_program
 from csll.printer import pretty_process
 from csll.process import (
-    Call, Close, Cons, Cut, Nil, Process, Program, Server, Wait, channels,
-    fresh, threads, unfold,
+    Call, ChannelName, Close, Cons, Cut, Fork, Join, Nil, Process, Program, Server, Wait,
+    channels, fresh, rename, threads, unfold,
 )
+from csll.typecheck import check
 from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
+from .oracles import alpha_equal
 from .strategies import processes
 from csll.parser import parse_program
 from csll.runtime import (
@@ -469,3 +471,37 @@ def test_state_lookup_is_exact_under_hash_collisions(monkeypatch, cas):
         g = explore(prog.main.body, prog)
         assert g.to_json_dict() == doc and len(g.collisions) == len(g.states) - 1
         assert all(g.find(state) == sid for sid, state in enumerate(g.states))
+
+
+def test_sibling_scopes_that_reuse_a_binder_step_without_capture():
+    # both sides of the cut on x bind the same c around their x-guard, as a
+    # canonical form names the binders of sibling scopes; the reduct nests
+    # the right side's cut on c inside the left's, around the left's use of c
+    c = ChannelName("c", -2)
+    x, y, u, z = (fresh(n) for n in "xyuz")
+    p = Cut(x, ty.Tensor(ty.ONE, ty.ONE),
+            Cut(c, ty.BOT, Fork(x, y, Close(y), Wait(c, Close(x))), Close(c)),
+            Cut(c, ty.BOT, Join(x, u, Wait(u, Wait(x, Wait(c, Close(z))))), Close(c)))
+    for det in (False, True):
+        steps = enabled_steps(p, EMPTY, deterministic=det)
+        fresh_steps = enabled_steps(rename(p, {}, refresh=True), EMPTY, deterministic=det)
+        assert [st.info for st in steps] == [st.info for st in fresh_steps] != []
+        for st, ref in zip(steps, fresh_steps):
+            assert alpha_equal(st.reduct, ref.reduct), pretty_process(st.reduct)
+            check(st.reduct, {z: ty.ONE}, EMPTY)
+
+
+def test_explored_states_step_as_their_refreshed_copies():
+    # explored states are canonical forms, whose sibling scopes share binder
+    # names; a copy with every binder fresh has the same canonical reducts
+    steps = 0
+    for seed in [*range(300), *range(1000, 1200)]:
+        prog = gen_program(seed)
+        for state in explore(prog.main.body, prog, max_states=500, max_depth=500).states:
+            copy = rename(state, {}, refresh=True)
+            for det in (False, True):
+                got = [(st.info, canonical_form(st.reduct)) for st in enabled_steps(state, prog, det)]
+                assert got == [(st.info, canonical_form(st.reduct))
+                               for st in enabled_steps(copy, prog, det)], (seed, pretty_process(state))
+                steps += len(got)
+    assert steps > 6000
