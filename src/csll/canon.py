@@ -69,7 +69,7 @@ def _canon(p: Process, env: dict[ChannelName, int | None], depth: int) -> tuple[
                 Call(p.name, tuple([a for _, a in args]), span=p.span))
     # name, subject and scalars, then the keys inside and outside the binder's scope
     fields, subj, binder, inside, outside, scalars = BINDING[t]
-    vals = list(fields(p))
+    *vals, span = fields(p)
     sk, vals[subj] = _named(vals[subj], env)
     key = [_NAMES[t], sk, *(vals[i] for i in scalars)]
     if binder is not None:
@@ -83,7 +83,7 @@ def _canon(p: Process, env: dict[ChannelName, int | None], depth: int) -> tuple[
     for i in outside:
         k, vals[i] = _canon(vals[i], env, depth)
         key.append(k)
-    return tuple(key), t(*vals, span=p.span)
+    return tuple(key), t(*vals, span=span)
 
 
 def _named(c: ChannelName, env: dict[ChannelName, int | None]) -> tuple[tuple, ChannelName]:

@@ -246,10 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CsllError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:  # names its file: missing, a directory, unreadable
+    except (CsllError, OSError) as e:  # an OSError names its file: missing, a directory, unreadable
         print(f"error: {e}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as e:

@@ -2,17 +2,18 @@
 
 Both validity conditions of csll have one shape: every infinite path through
 a finite graph must carry a thread that progresses infinitely often.  The
-caller describes the graph through two callables: `out_edges(n)` lists
-`(target, back)` for every premise edge of node `n`, and `arcs(n, i)` the
-arcs along its premise edge `i`; an arc `(src_slot, tgt_slot, progressing)`
-says that a thread at `src_slot` of `n` continues at `tgt_slot` of the
-edge's target.  Non-back edges form a tree below the root and back edges
-point at ancestors, as in cyclic derivations and proofs.
+graph is a typing derivation or a proof graph, read directly: its `root`,
+and for every node `n` the premise edges `nodes[n].premises`, each with a
+`target` and a `back` flag.  The callable `arcs(n, i)` lists the arcs along
+premise edge `i` of `n`; an arc `(src_slot, tgt_slot, progressing)` says
+that a thread at `src_slot` of `n` continues at `tgt_slot` of the edge's
+target.  Non-back edges form a tree below the root and back edges point at
+ancestors, as in cyclic derivations and proofs.
 
 The targets of back edges are the heads, and every cycle passes through one,
 so only the edges below a head carry threads that matter: `arcs` is asked
 for those edges alone, once each, and an acyclic graph costs one walk of
-`out_edges`.  The tree paths between heads are summarised once as
+its premise edges.  The tree paths between heads are summarised once as
 size-change graphs: sets of arcs between slots, an arc progressing when
 some step along the path progressed.  Closing these graphs under
 composition decides the condition exactly (Lee, Jones & Ben-Amram, POPL
@@ -64,23 +65,21 @@ class Closure:
     thread: list[tuple[int, Slot]] = field(default_factory=list)
 
 
-def closure_check(root: int, out_edges: Callable[[int], Iterable[tuple[int, bool]]],
-                  arcs: Callable[[int, int], Iterable[Arc]]) -> Closure:
-    """Decide the trace condition of the module docstring for the graph below `root`."""
-    edges: dict[int, list[tuple[int, bool]]] = {}
+def closure_check(graph, arcs: Callable[[int, int], Iterable[Arc]]) -> Closure:
+    """Decide the trace condition of the module docstring for the graph below its root."""
+    nodes = graph.nodes
     parent: dict[int, Step] = {}
-    depth = {root: 0}
-    order = [root]  # preorder: parents before children
+    depth = {graph.root: 0}
+    order = [graph.root]  # preorder: parents before children
     heads: set[int] = set()
     for n in order:
-        edges[n] = out = list(out_edges(n))
-        for i, (t, back) in enumerate(out):
-            if back:
-                heads.add(t)
+        for i, e in enumerate(nodes[n].premises):
+            if e.back:
+                heads.add(e.target)
             else:
-                parent[t] = (n, i)
-                depth[t] = depth[n] + 1
-                order.append(t)
+                parent[e.target] = (n, i)
+                depth[e.target] = depth[n] + 1
+                order.append(e.target)
 
     # segments[h]: one (walk length, next head, graph, last step) per tree
     # path from head h to the next head, entered by a tree or a back edge
@@ -95,13 +94,13 @@ def closure_check(root: int, out_edges: Callable[[int], Iterable[tuple[int, bool
             head, g = n, None
         if head is None:
             continue
-        for i, (t, back) in enumerate(edges[n]):
+        for i, e in enumerate(nodes[n].premises):
             a = step_arcs[n, i] = tuple(arcs(n, i))
             g2 = _graph(a) if g is None else _compose(g, a)
-            if back:
-                segments[head].append((depth[n] - depth[head] + 1, t, g2, (n, i)))
+            if e.back:
+                segments[head].append((depth[n] - depth[head] + 1, e.target, g2, (n, i)))
             else:
-                below[t] = (head, g2)
+                below[e.target] = (head, g2)
 
     seen: dict[tuple, tuple] = {}  # (head, head, graph) -> (previous element, last segment)
 

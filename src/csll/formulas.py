@@ -56,17 +56,6 @@ MuFormula = ty.SessionType | Var | Mu | Nu
 _RENDERED_OPS = {Tensor: "(x)", Par: "(par)", With: "(&)", Plus: "(+)"}
 
 
-def dual_formula(phi: MuFormula) -> MuFormula:
-    """Involution; propositional variables are self-dual (formulas are closed
-    when dualized, so this is harmless)."""
-    match phi:
-        case Var(_):
-            return phi
-        case Mu(x, b) | Nu(x, b):
-            return (Nu if isinstance(phi, Mu) else Mu)(x, dual_formula(b))
-    return ty._DUAL[type(phi)](*map(dual_formula, ty.children(phi)))
-
-
 def subst(phi: MuFormula, var: str, repl: MuFormula) -> MuFormula:
     """phi[repl/var]; substitution stops at a rebinding of var.  A subformula
     without a free var is returned as it is, not copied."""
@@ -127,9 +116,6 @@ class Address:
     bar: bool
     word: str = ""
 
-    def dual(self) -> Address:
-        return Address(self.atom, not self.bar, self.word)
-
     def child(self, step: str) -> Address:
         assert step in ("i", "l", "r")
         return Address(self.atom, self.bar, self.word + step)
@@ -144,10 +130,6 @@ class Address:
 
 def prefix_leq(a: Address, b: Address) -> bool:
     return a.atom == b.atom and a.bar == b.bar and b.word.startswith(a.word)
-
-
-def disjoint(a: Address, b: Address) -> bool:
-    return not prefix_leq(a, b) and not prefix_leq(b, a)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def _join(p: Join, n: _Namer, indent: int) -> str:
 
 
 def _send(p: Fork | Cons, n: _Namer, indent: int) -> str:
-    x, y, body, rest = BINDING[type(p)].fields(p)
+    x, y, body, rest, _ = BINDING[type(p)].fields(p)
     yd = n.bind(y)
     block = _block(_RENDER[type(body)](body, n, indent), indent)
     n.unbind(y, yd)

@@ -151,10 +151,6 @@ class Definition:
     def param_names(self) -> tuple[ChannelName, ...]:
         return tuple(c for c, _ in self.params)
 
-    @property
-    def param_types(self) -> tuple[SessionType, ...]:
-        return tuple(t for _, t in self.params)
-
 
 @dataclass
 class Program:
@@ -179,7 +175,7 @@ class Program:
 class Binding(NamedTuple):
     """A `BINDING` row as field positions; scalars are the fields it does not name."""
 
-    fields: Callable[[Process], tuple]  # all fields, in constructor order
+    fields: Callable[[Process], tuple]  # all fields in constructor order, then the span
     subject: int | None
     binder: int | None
     inside: tuple[int, ...]
@@ -192,8 +188,7 @@ def _binding(t: type, subject: str | None, binder: str | None,
     order = t.__match_args__
     at = {f: i for i, f in enumerate(order)}
     named = {subject, binder, *inside, *outside}
-    fields = attrgetter(*order) if len(order) > 1 else lambda p: (getattr(p, order[0]),)
-    return Binding(fields, at.get(subject), at.get(binder), tuple(at[f] for f in inside),
+    return Binding(attrgetter(*order, "span"), at.get(subject), at.get(binder), tuple(at[f] for f in inside),
                    tuple(at[f] for f in outside), tuple(i for f, i in at.items() if f not in named))
 
 
@@ -289,7 +284,7 @@ def _rename(p: Process, m: dict, refresh: bool) -> Process:
     if type(p) is Call:
         return Call(p.name, tuple([m.get(a, a) for a in p.args]), span=p.span)
     row = BINDING[type(p)]
-    vals = list(row.fields(p))
+    *vals, span = row.fields(p)
     if row.binder is not None:
         b = vals[row.binder]
         old = m.pop(b, None)
@@ -308,7 +303,7 @@ def _rename(p: Process, m: dict, refresh: bool) -> Process:
         vals[row.subject] = m.get(x, x)
     for i in row.outside:
         vals[i] = _rename(vals[i], m, refresh)
-    return type(p)(*vals, span=p.span)
+    return type(p)(*vals, span=span)
 
 
 def instantiate(defn: Definition, args: tuple[ChannelName, ...]) -> Process:

@@ -22,10 +22,10 @@ principal occurrence, carry elsewhere, the address map across back edges),
 and it progresses where its occurrence is the principal formula of a `nu`
 rule.  The proof is valid exactly when every infinite path carries a thread
 that progresses infinitely often, decided by the same size-change closure as
-derivation validity (`cycles.closure_check`).  `_thread_graph` gives the
-closure the premise edges and, per edge, the occurrence arcs; the closure
-asks for arcs only below a back-edge target, so an acyclic proof never
-computes a successor.  Encoded formulas have
+derivation validity (`cycles.closure_check`).  The closure reads the proof
+graph's premise edges itself, and `_thread_arcs` gives it the occurrence
+arcs of an edge; it asks for arcs only below a back-edge target, so an
+acyclic proof never computes a successor.  Encoded formulas have
 fixed-point bodies closed but for their own variable, so a thread that
 unfolds a greatest fixed point infinitely often has a greatest fixed point
 as its least recurring formula; a thread that merely carries one unchanged
@@ -75,9 +75,6 @@ class AddressStream:
     def odd(self) -> AddressStream:
         return AddressStream(self.offset + self.step, 2 * self.step)
 
-    def at(self, n: int) -> int:
-        return self.offset + n * self.step
-
 
 def address_stream(start: int = 0) -> AddressStream:
     return AddressStream(start, 1)
@@ -122,9 +119,6 @@ class ProofGraph:
     def add(self, node: ProofNode) -> int:
         self.nodes[node.nid] = node
         return node.nid
-
-    def node(self, nid: int) -> ProofNode:
-        return self.nodes[nid]
 
 
 def _address_order(o: Occurrence) -> tuple[int, bool, str]:
@@ -313,7 +307,7 @@ def _succ_addresses(g: ProofGraph, node: ProofNode, edge: ProofEdge) -> list[tup
     if edge.back:
         corr = dict(edge.corr)
         return [(o.address, corr[o.address]) for o in node.sequent if o.address in corr]
-    child_addrs = {o.address for o in g.node(edge.target).sequent}
+    child_addrs = {o.address for o in g.nodes[edge.target].sequent}
     out = []
     for o in node.sequent:
         if o.address == node.principal:
@@ -323,24 +317,21 @@ def _succ_addresses(g: ProofGraph, node: ProofNode, edge: ProofEdge) -> list[tup
     return out
 
 
-def _thread_graph(g: ProofGraph):
-    """The proof graph as `closure_check` reads it: premise edges, and
-    occurrence successors as arcs; an arc progresses where its source is the
-    principal occurrence of a greatest fixed point."""
-    def out_edges(nid: int) -> list[tuple[int, bool]]:
-        return [(e.target, e.back) for e in g.node(nid).premises]
-
+def _thread_arcs(g: ProofGraph):
+    """`closure_check`'s arcs on g: the occurrence successors along premise
+    edge i of node nid, an arc progressing where its source is the principal
+    occurrence of a greatest fixed point."""
     def arcs(nid: int, i: int) -> list[tuple[Address, Address, bool]]:
-        node = g.node(nid)
+        node = g.nodes[nid]
         nu = node.rule == "nu"
         return [(a, nxt, nu and a == node.principal)
                 for a, nxt in _succ_addresses(g, node, node.premises[i])]
-    return out_edges, arcs
+    return arcs
 
 
 def proof_validity(g: ProofGraph) -> ValidityReport:
     """Thread-based counterpart of the derivation validity check."""
-    return _closure_report(g.root, *_thread_graph(g),
+    return _closure_report(g, _thread_arcs(g),
                            "every cycle supports a recurring greatest-fixed-point thread",
                            "cycle admits no recurring greatest-fixed-point thread",
                            "composite cycle admits no recurring greatest-fixed-point thread")
@@ -349,7 +340,7 @@ def proof_validity(g: ProofGraph) -> ValidityReport:
 def nu_thread_witness(g: ProofGraph) -> list[tuple[int, Address]]:
     """Node/address pairs of one recurring greatest-fixed-point thread, for
     rendering; empty when none exists."""
-    return closure_check(g.root, *_thread_graph(g)).thread
+    return closure_check(g, _thread_arcs(g)).thread
 
 
 # --- principal reduction ------------------------------------------------------
@@ -375,13 +366,13 @@ def principal_reduce_at(g: ProofGraph, cut_id: int) -> tuple[ProofGraph, int]:
     fold has built so far, starting from the negative rule's premise (the
     chosen branch of a `with`).  one/bot is the empty fold, which leaves the
     `bot` premise itself."""
-    node = g.node(cut_id)
+    node = g.nodes[cut_id]
     if node.rule != "cut" or node.cut_pair is None:
         raise NotPrincipalError(f"node {cut_id} is not a cut")
     e1, e2 = node.premises
     if e1.back or e2.back:
         raise NotPrincipalError("cut premise is a back edge; cannot reduce here")
-    n1, n2 = g.node(e1.target), g.node(e2.target)
+    n1, n2 = g.nodes[e1.target], g.nodes[e2.target]
     a_pos, a_neg = node.cut_pair
     # orient positive rule first
     if n1.rule in ("bot", "par", "with", "nu") or n2.rule in ("one", "tensor", "plus", "mu"):
@@ -398,10 +389,10 @@ def principal_reduce_at(g: ProofGraph, cut_id: int) -> tuple[ProofGraph, int]:
         raise NotPrincipalError("premise behind a back edge")
     for step, e in zip(reversed(steps), reversed(pos)):
         pair = (a_pos.child(step), a_neg.child(step))
-        seq = _mkseq(*(o for o in g.node(e.target).sequent if o.address != pair[0]),
-                     *(o for o in g.node(neg.target).sequent if o.address != pair[1]))
+        seq = _mkseq(*(o for o in g.nodes[e.target].sequent if o.address != pair[0]),
+                     *(o for o in g.nodes[neg.target].sequent if o.address != pair[1]))
         neg = ProofEdge(g.add(ProofNode(g.new_id(), "cut", seq, (e, neg), cut_pair=pair)))
-    g.nodes[cut_id] = replace(g.node(neg.target), nid=cut_id)
+    g.nodes[cut_id] = replace(g.nodes[neg.target], nid=cut_id)
     return g, cut_id
 
 
@@ -436,7 +427,7 @@ def proof_bisimilar(g1: ProofGraph, g2: ProofGraph) -> bool:
         if pair in seen:
             continue
         seen.add(pair)
-        na, nb = g1.node(pair[0]), g2.node(pair[1])
+        na, nb = g1.nodes[pair[0]], g2.nodes[pair[1]]
         if _signature(na) != _signature(nb):
             return False
         stack.extend((ea.target, eb.target) for ea, eb in zip(na.premises, nb.premises))

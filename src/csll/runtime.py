@@ -32,7 +32,7 @@ import random as _random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import types as ty
 from .canon import canonical_form, canonical_hashed, cell_key
@@ -311,10 +311,6 @@ class ReductionGraph:
     partial: bool = False
     root: int = 0
 
-    def find(self, p: Process) -> int | None:
-        """The id of the state that is p's canonical form, if the graph has one."""
-        return self._find(*canonical_hashed(p))
-
     def _find(self, q: Process, h: int) -> int | None:
         sid = self.buckets.get(h)
         while sid is not None and self.states[sid] != q:
@@ -337,10 +333,6 @@ class ReductionGraph:
     def normal_forms(self) -> set[int]:
         """The expanded states without a step, except those in `diverging`."""
         return {sid for sid in self.expanded if not self.edges[sid]} - self.diverging
-
-    def successors(self, sid: int) -> Iterator[int]:
-        for _, t in self.edges[sid]:
-            yield t
 
     def to_json_dict(self) -> dict:
         normals = self.normal_forms()
@@ -414,7 +406,7 @@ def is_weakly_terminating(sid: int, g: ReductionGraph) -> str:
         if cur not in g.expanded:
             hit_unexpanded = True
             continue
-        for t in g.successors(cur):
+        for _, t in g.edges[cur]:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)

@@ -10,6 +10,8 @@ from csll.process import Program
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_FILES = ["lock.csll", "omega.csll", "omega_server.csll", "cas.csll", "comm.csll"]
+# two definitions that invoke each other unguarded: no derivation of them is valid
+LOOP_TEXT = "def A(x: 1) = B(x)\ndef B(x: 1) = A(x)\nmain(z: 1) = A(z)\n"
 
 
 def load_corpus(name: str) -> Program:

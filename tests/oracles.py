@@ -9,9 +9,11 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
+from csll import runtime
 from csll import types as ty
-from csll.formulas import MuFormula, Nu, formula_children
-from csll.process import BINDING, Call, ChannelName, Process
+from csll.formulas import Address, Mu, MuFormula, Nu, Var, formula_children, prefix_leq
+from csll.process import BINDING, Call, ChannelName, Definition, Process
+from csll.proofs import AddressStream
 
 
 def alpha_equal(p: Process, q: Process, free_map: dict[ChannelName, ChannelName] | None = None) -> bool:
@@ -90,3 +92,33 @@ def random_any_type(rng: random.Random, depth: int = 3) -> ty.SessionType:
         return ctor(random_any_type(rng, depth - 1))
     ctor = rng.choice((ty.Tensor, ty.Par, ty.Plus, ty.With))
     return ctor(random_any_type(rng, depth - 1), random_any_type(rng, depth - 1))
+
+
+def dual_formula(phi: MuFormula) -> MuFormula:
+    """Involution; propositional variables are self-dual (formulas are closed
+    when dualized, so this is harmless)."""
+    match phi:
+        case Var(_):
+            return phi
+        case Mu(x, b) | Nu(x, b):
+            return (Nu if isinstance(phi, Mu) else Mu)(x, dual_formula(b))
+    return ty._DUAL[type(phi)](*map(dual_formula, ty.children(phi)))
+
+
+def disjoint(a: Address, b: Address) -> bool:
+    return not prefix_leq(a, b) and not prefix_leq(b, a)
+
+
+def stream_at(s: AddressStream, n: int) -> int:
+    """The n-th address of the stream s."""
+    return s.offset + n * s.step
+
+
+def param_types(defn: Definition) -> tuple[ty.SessionType, ...]:
+    return tuple(t for _, t in defn.params)
+
+
+def find_state(g: runtime.ReductionGraph, p: Process) -> int | None:
+    """The id of the state that is p's canonical form, if g has one, hashed
+    as `runtime` hashes the states it adds."""
+    return g._find(*runtime.canonical_hashed(p))

@@ -25,7 +25,7 @@ from csll.runtime import (
 from csll.typecheck import check, check_program, definition_derivation, validity_check
 
 from .conftest import load_corpus
-from .oracles import depth, is_nu, min_formula, random_any_type, subformula_leq
+from .oracles import depth, dual_formula, is_nu, min_formula, random_any_type, subformula_leq
 
 
 def _ok(n: int, message: str) -> None:
@@ -78,7 +78,7 @@ def test_criterion_2_encoding_fidelity():
     rng = random.Random(99)
     for _ in range(1000):
         t = random_any_type(rng, depth=4)
-        assert mf.encode_type(ty.dual(t)) == mf.dual_formula(mf.encode_type(t))
+        assert mf.encode_type(ty.dual(t)) == dual_formula(mf.encode_type(t))
     _ok(2, "coexponential encodings exact; encode/dual commute on 1000 random types")
 
 

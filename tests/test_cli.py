@@ -10,7 +10,7 @@ import pytest
 from csll.cli import main
 from csll.parser import parse_program
 
-from .conftest import CORPUS, CORPUS_FILES, lock_text
+from .conftest import CORPUS, CORPUS_FILES, LOOP_TEXT, lock_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -87,6 +87,13 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
 def test_check_exit_codes(capsys, name, expected):
     code, _ = run_cli(capsys, "check", str(CORPUS / name))
     assert code == expected
+
+
+def test_check_rejects_definitions_that_only_invoke_each_other(tmp_path, capsys):
+    path = tmp_path / "loop.csll"
+    path.write_text(LOOP_TEXT, encoding="utf-8")
+    code, out = run_cli(capsys, "check", str(path))
+    assert code == 2 and out.count(": invalid (") == 3
 
 
 def test_check_reports_witness_cycle(capsys):

@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses or
-defines a private module-level name nothing uses, and per-call work leaves
-no reference cycles behind for the cycle collector."""
+"""Source hygiene: no module of the package imports a name it never uses,
+defines a private module-level name nothing uses, or defines a public
+function or class that only the tests read, and per-call work leaves no
+reference cycles behind for the cycle collector."""
 
 import ast
 import gc
@@ -16,7 +17,8 @@ from csll.proofs import encode_derivation
 from csll.runtime import run
 from csll.typecheck import definition_derivation
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "csll"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "csll"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -64,28 +66,67 @@ def unused_private_names(trees: dict[str, ast.Module]) -> list[str]:
                 continue
             defined += [(module, name) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-    read = set()
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
-            elif isinstance(n, ast.ImportFrom):
-                read.update(alias.name for alias in n.names)
+    read = set().union(*map(names_read, trees.values()))
     return [f"{module}.{name}" for module, name in defined if name not in read]
 
 
+def names_read(node: ast.AST) -> set[str]:
+    """The names node reads: loaded names, attributes, names imported from a
+    module, and the entries of an `__all__`."""
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                               for t in n.targets):
+            read.update(e.value for e in ast.walk(n.value)
+                        if isinstance(e, ast.Constant) and isinstance(e.value, str))
+    return read
+
+
+def unread_public_names(trees: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """The public module-level functions and classes of trees that nothing
+    reads, as `module.name`: no top-level statement of trees but their own
+    definition, and no module of readers."""
+    outside = set().union(*map(names_read, readers))
+    statements = [(module, node, names_read(node))
+                  for module, tree in trees.items() for node in tree.body]
+    return [f"{module}.{node.name}" for module, node, _ in statements
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in outside
+            and not any(node.name in read for _, other, read in statements if other is not node)]
+
+
+def _parsed(paths) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(paths)}
+
+
 def test_no_unused_private_names():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in sorted(SRC.glob("*.py"))}
-    assert unused_private_names(trees) == []
+    assert unused_private_names(_parsed(SRC.glob("*.py"))) == []
+
+
+def test_no_public_name_only_the_tests_read():
+    readers = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+               for folder in ("scripts", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
+    assert unread_public_names(_parsed(SRC.glob("*.py")), readers) == []
 
 
 def test_scan_flags_an_unused_private_name():
     trees = {"a": ast.parse("_used = 1\n_unused: int = 2\ndef _helper(): return _used\n"),
              "b": ast.parse("from a import _helper\n__all__ = []\n")}
     assert unused_private_names(trees) == ["a._unused"]
+
+
+def test_scan_flags_a_public_name_only_its_own_body_reads():
+    trees = {"a": ast.parse("def f(n): return f(n - 1)\ndef g(): return h()\ndef h(): pass\n"
+                            "class C: pass\nclass D:\n    def m(self): return D()\n"),
+             "b": ast.parse("__all__ = ['C']\n")}
+    readers = [ast.parse("from a import g\n")]
+    assert unread_public_names(trees, readers) == ["a.f", "a.D"]
 
 
 def cyclic_garbage(fn) -> list:

@@ -7,20 +7,20 @@ from csll.printer import pretty_program
 from csll.process import Call, Fail, Server, Wait
 from csll.typecheck import check_program
 
-from .oracles import random_any_type
+from .oracles import param_types, random_any_type
 
 
 def test_link_bot_shape():
     prog = gen_link(ty.BOT)
     d = prog.defs[link_name(ty.BOT)]
-    assert d.param_types == (ty.BOT, ty.ONE)
+    assert param_types(d) == (ty.BOT, ty.ONE)
     assert isinstance(d.body, Wait)
 
 
 def test_link_top_shape():
     prog = gen_link(ty.TOP)
     d = prog.defs[link_name(ty.TOP)]
-    assert d.param_types == (ty.TOP, ty.ZERO)
+    assert param_types(d) == (ty.TOP, ty.ZERO)
     assert isinstance(d.body, Fail)
     assert check_program(prog).accepted
 

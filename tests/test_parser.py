@@ -13,7 +13,7 @@ from csll.process import (
 )
 
 from .conftest import CORPUS_FILES, load_corpus
-from .oracles import alpha_equal
+from .oracles import alpha_equal, param_types
 from .strategies import processes, session_types
 
 
@@ -21,7 +21,7 @@ def test_parse_lock_definition():
     prog = parse_program(
         "def Lock(x: srv bot, z: 1) = server x(y) { wait y; Lock(x, z) } idle { close z }")
     d = prog.defs["Lock"]
-    assert d.param_types == (ty.Server(ty.BOT), ty.ONE)
+    assert param_types(d) == (ty.Server(ty.BOT), ty.ONE)
     assert isinstance(d.body, Server)
     assert isinstance(d.body.accept, Wait)
     assert d.body.accept.body == Call("Lock", d.param_names)
@@ -73,6 +73,17 @@ def test_scope_error_unbound():
 def test_duplicate_definition_rejected():
     with pytest.raises(ScopeError):
         parse_program("def A(x: 1) = close x\ndef A(x: 1) = close x")
+
+
+@pytest.mark.parametrize("text, error, shown", [
+    ("main(z: 1, z: 1) = close z", ScopeError, "t.csll:1:12: duplicate parameter 'z'"),
+    ("main(z: 1) = close z\nmain(z: 1) = close z", ScopeError, "t.csll:2:1: duplicate main"),
+    ("main(z: 1) = idle z", ParseError, "t.csll:1:14: unexpected keyword 'idle'"),
+])
+def test_parser_diagnostics_name_their_position(text, error, shown):
+    with pytest.raises(error) as exc:
+        parse_program(text, "t.csll")
+    assert str(exc.value) == shown
 
 
 def test_arity_mismatch_rejected():
@@ -144,7 +155,7 @@ def _programs_alpha_equal(p1: Program, p2: Program) -> bool:
         return False
 
     def defs_match(d1: Definition, d2: Definition) -> bool:
-        if d1.param_types != d2.param_types:
+        if param_types(d1) != param_types(d2):
             return False
         fm = dict(zip(d1.param_names, d2.param_names))
         return alpha_equal(d1.body, d2.body, fm)
@@ -199,7 +210,7 @@ def _reuse_free_channels(p, free: list):
     """An alpha-variant of p in which every binder is renamed, where it can
     be, to the first channel of free that its scope does not mention."""
     binding = BINDING[type(p)]
-    fields = list(binding.fields(p))
+    *fields, _ = binding.fields(p)
     for i in binding.inside + binding.outside:
         fields[i] = _reuse_free_channels(fields[i], free)
     if binding.binder is not None:

@@ -9,9 +9,10 @@ from csll import formulas as mf
 from csll import types as ty
 from csll.cycles import closure_check
 from csll.formulas import Address, Occurrence
+from csll.parser import parse_program
 from csll.process import Call, Close, Cut, Nil, Program, Wait, fresh
 from csll.proofs import (
-    NotPrincipalError, PRINCIPAL_STEPS, ProofGraph, _mkseq, _thread_graph, address_stream,
+    NotPrincipalError, PRINCIPAL_STEPS, ProofGraph, _mkseq, _thread_arcs, address_stream,
     encode_derivation, nu_thread_witness, principal_reduce_at,
     proof_bisimilar, proof_to_dot, proof_to_json_dict,
     proof_validity, simulate_step,
@@ -20,7 +21,8 @@ from csll.runtime import enabled_steps, explore
 from csll.typecheck import check, definition_derivation, validity_check
 
 from . import lasso
-from .oracles import is_nu, min_formula
+from .conftest import LOOP_TEXT
+from .oracles import disjoint, is_nu, min_formula, stream_at
 
 EMPTY = Program({})
 
@@ -30,21 +32,21 @@ EMPTY = Program({})
 
 def test_stream_head_tail():
     s = address_stream()
-    assert [s.at(i) for i in range(5)] == [0, 1, 2, 3, 4]
-    assert s.tail().tail().head() == s.at(2)
+    assert [stream_at(s, i) for i in range(5)] == [0, 1, 2, 3, 4]
+    assert s.tail().tail().head() == stream_at(s, 2)
 
 
 def test_stream_even_odd_disjoint():
     s = address_stream()
-    evens = {s.even().at(i) for i in range(20)}
-    odds = {s.odd().at(i) for i in range(20)}
+    evens = {stream_at(s.even(), i) for i in range(20)}
+    odds = {stream_at(s.odd(), i) for i in range(20)}
     assert not evens & odds
 
 
 def test_stream_injectivity_through_splits():
     s = address_stream()
     parts = [s.even().even(), s.even().odd(), s.odd().even(), s.odd().odd()]
-    seen = [p.at(i) for p in parts for i in range(10)]
+    seen = [stream_at(p, i) for p in parts for i in range(10)]
     assert len(seen) == len(set(seen))
 
 
@@ -60,13 +62,13 @@ def test_encode_done_gadget():
     d = check(Nil(x), {x: ty.Client(ty.ONE)}, EMPTY)
     g = encode_derivation(d).graph
     assert len(g.nodes) == 3
-    mu = g.node(g.root)
+    mu = g.nodes[g.root]
     assert mu.rule == "mu"
     alpha = mu.sequent[0].address
-    plus = g.node(mu.premises[0].target)
+    plus = g.nodes[mu.premises[0].target]
     assert plus.rule == "plus" and plus.side == 1
     assert plus.sequent[0].address == alpha.child("i")
-    one = g.node(plus.premises[0].target)
+    one = g.nodes[plus.premises[0].target]
     assert one.rule == "one"
     assert one.sequent[0].address == alpha.child("i").child("l")
 
@@ -74,12 +76,12 @@ def test_encode_done_gadget():
 def test_encode_server_gadget(lock):
     d = definition_derivation(lock.defs["Lock"], lock)
     g = encode_derivation(d).graph
-    nu = g.node(g.root)
+    nu = g.nodes[g.root]
     assert nu.rule == "nu"
-    with_ = g.node(nu.premises[0].target)
+    with_ = g.nodes[nu.premises[0].target]
     assert with_.rule == "with"
-    bot_side = g.node(with_.premises[0].target)
-    par_side = g.node(with_.premises[1].target)
+    bot_side = g.nodes[with_.premises[0].target]
+    par_side = g.nodes[with_.premises[1].target]
     assert bot_side.rule == "bot" and par_side.rule == "par"
     alpha = nu.principal
     assert bot_side.principal == alpha.child("i").child("l")
@@ -91,7 +93,7 @@ def test_encoded_lock_addresses_disjoint_and_cut_atoms_dual(lock):
     g = encode_derivation(d).graph
     for n in g.nodes.values():
         for a, b in itertools.combinations([o.address for o in n.sequent], 2):
-            assert mf.disjoint(a, b), (n.nid, a, b)
+            assert disjoint(a, b), (n.nid, a, b)
         if n.rule == "cut":
             a, b = n.cut_pair
             assert a.atom == b.atom and a.bar != b.bar
@@ -102,7 +104,7 @@ def test_atoms_never_reused_across_cuts(cas):
     g = encode_derivation(d).graph
     cut_atoms = [n.cut_pair[0].atom for n in g.nodes.values() if n.rule == "cut"]
     assert len(cut_atoms) == len(set(cut_atoms))
-    root_atoms = {o.address.atom for o in g.node(g.root).sequent}
+    root_atoms = {o.address.atom for o in g.nodes[g.root].sequent}
     assert not root_atoms & set(cut_atoms)
 
 
@@ -154,8 +156,7 @@ def test_proof_validity_agrees_with_derivation_checker(lock, omega, omega_server
             assert lasso.agrees(lasso.derivation_edges(d), dv.verdict, dv.witness), (label, defn.name)
             edges = lasso.proof_edges(g)
             assert lasso.agrees(edges, pv.verdict, pv.witness), (label, defn.name)
-            eager = closure_check(g.root, lambda n: [(t, back) for t, back, _ in edges[n]],
-                                  lambda n, i: edges[n][i][2])
+            eager = closure_check(g, lambda n, i: edges[n][i][2])
             thread = nu_thread_witness(g)
             assert (pv.witness, thread) == (eager.counterexample, eager.thread), (label, defn.name)
             assert not thread or lasso.thread_passes(edges, thread), (label, defn.name)
@@ -169,31 +170,42 @@ def test_arcs_are_asked_for_only_below_a_cycle_head(lock):
     from bench.workloads import chain_text
 
     def counted(g):
-        out_edges, arcs = _thread_graph(g)
-        calls = []
-        return out_edges, lambda n, i: calls.append((n, i)) or arcs(n, i), calls
+        arcs, calls = _thread_arcs(g), []
+        return lambda n, i: calls.append((n, i)) or arcs(n, i), calls
 
     for k in (1, 4, 8):
         prog = parse_program(chain_text(k), f"<chain_{k}>")
         for defn in prog.all_definitions():
             g = encode_derivation(definition_derivation(defn, prog)).graph
             assert not any(e.back for n in g.nodes.values() for e in n.premises)
-            out_edges, arcs, calls = counted(g)
-            assert closure_check(g.root, out_edges, arcs).counterexample is None
+            arcs, calls = counted(g)
+            assert closure_check(g, arcs).counterexample is None
             assert calls == [], (k, defn.name)
     # on a cyclic proof each edge below a head is asked for once
     g = encode_derivation(check(lock.main.body, dict(lock.main.params), lock)).graph
-    out_edges, arcs, calls = counted(g)
-    closure_check(g.root, out_edges, arcs)
+    arcs, calls = counted(g)
+    closure_check(g, arcs)
     heads = {e.target for n in g.nodes.values() for e in n.premises if e.back}
     below = set()
     stack = list(heads)
     while stack:
         n = stack.pop()
         below.add(n)
-        stack.extend(e.target for e in g.node(n).premises if not e.back)
+        stack.extend(e.target for e in g.nodes[n].premises if not e.back)
     assert calls and len(calls) == len(set(calls))
-    assert {n for n, _ in calls} == {n for n in below if g.node(n).premises}
+    assert {n for n, _ in calls} == {n for n in below if g.nodes[n].premises}
+
+
+def test_an_invocation_chain_closing_on_itself_encodes_as_one_loop_node():
+    prog = parse_program(LOOP_TEXT, "t.csll")
+    for defn in prog.all_definitions():
+        d = definition_derivation(defn, prog)
+        assert not validity_check(d).is_valid, defn.name
+        assert not proof_validity(encode_derivation(d).graph).is_valid, defn.name
+    g = encode_derivation(definition_derivation(prog.defs["A"], prog)).graph
+    (node,) = g.nodes.values()
+    assert node.nid == g.root and node.rule == "loop"
+    assert [(e.target, e.back) for e in node.premises] == [(g.root, True)]
 
 
 def test_invalid_proof_has_witness(omega):
@@ -207,7 +219,7 @@ def test_nu_thread_witness_on_lock(lock):
     g = encode_derivation(d).graph
     witness = nu_thread_witness(g)
     assert witness
-    formulas = [g.node(nid).occurrence_at(addr).formula for nid, addr in witness]
+    formulas = [g.nodes[nid].occurrence_at(addr).formula for nid, addr in witness]
     m = min_formula(set(formulas))
     assert m == mf.encode_type(ty.Server(ty.BOT))
     assert is_nu(m)
@@ -225,7 +237,7 @@ def test_min_inf_often_defined_on_witnesses(cas):
         g = encode_derivation(d).graph
         w = nu_thread_witness(g)
         if w:
-            formulas = {g.node(nid).occurrence_at(a).formula for nid, a in w}
+            formulas = {g.nodes[nid].occurrence_at(a).formula for nid, a in w}
             assert min_formula(formulas) is not None
 
 
@@ -243,7 +255,7 @@ def test_principal_reduce_close_erases_cut():
     d = check(p, {z: ty.ONE}, EMPTY)
     g = encode_derivation(d).graph
     g2, _ = principal_reduce_at(g, g.root)
-    root = g2.node(g2.root)
+    root = g2.nodes[g2.root]
     assert root.rule == "one"  # what remains is the proof of close z
     fresh_enc = encode_derivation(check(Close(z), {z: ty.ONE}, EMPTY)).graph
     assert proof_bisimilar(g2, fresh_enc)
@@ -259,13 +271,13 @@ def test_principal_reduce_writes_the_result_under_the_cut_id():
     g = enc.graph
     assert cut_id != g.root
     premises = {nid: n.premises for nid, n in g.nodes.items()}
-    bot_premise = g.node(g.node(cut_id).premises[1].target).premises[0].target
+    bot_premise = g.nodes[g.nodes[cut_id].premises[1].target].premises[0].target
     g2, nid = principal_reduce_at(g, cut_id)
     # one/bot leaves the bot rule's premise, the proof of `wait y; close z`
     assert nid == cut_id
-    assert g2.node(cut_id) == dataclasses.replace(g2.node(bot_premise), nid=cut_id)
+    assert g2.nodes[cut_id] == dataclasses.replace(g2.nodes[bot_premise], nid=cut_id)
     assert {n: premises[n] for n in premises if n != cut_id} == \
-        {n: g2.node(n).premises for n in premises if n != cut_id}
+        {n: g2.nodes[n].premises for n in premises if n != cut_id}
 
 
 def test_principal_reduce_requires_principal_premises(lock):
@@ -311,6 +323,21 @@ def test_done_corresponds_to_three_steps(lock):
     assert st.info.kind == "r-done"
     rep = simulate_step(st.exposed, st.cut, st.reduct, {z: ty.ONE}, lock, st.info.kind)
     assert rep.matched and rep.steps == 3
+
+
+def test_simulate_step_reports_a_missing_cut_and_a_failed_reduction(comm):
+    st = enabled_steps(comm.main.body, comm, deterministic=True)[0]
+    assert st.info.kind == "r-comm"
+    ctx = dict(comm.main.params)
+    c = st.cut
+    equal = Cut(c.chan, c.anno, c.left, c.right, span=c.span)
+    assert equal == c and equal is not c  # the redex cut is found by identity
+    rep = simulate_step(st.exposed, equal, st.reduct, ctx, comm, st.info.kind)
+    assert dataclasses.astuple(rep) == ("r-comm", 0, False, "redex cut not found in derivation")
+    rep = simulate_step(st.exposed, st.cut, st.reduct, ctx, comm, "r-connect")
+    assert not rep.matched
+    assert rep.detail == ("principal reduction failed: "
+                          "cut occurrences are not principal in both premises (one/cut)")
 
 
 def test_correspondence_on_all_corpus_det_edges(lock, cas, omega, omega_server, comm):
@@ -382,7 +409,7 @@ _addresses = st.builds(Address, st.integers(0, 1), st.booleans(), st.text("ilr",
 @given(st.lists(_addresses, max_size=6))
 def test_mkseq_rejects_exactly_the_overlapping_sequents(addresses):
     occs = [Occurrence(ty.ONE, a) for a in addresses]
-    overlap = any(not mf.disjoint(a, b) for a, b in itertools.combinations(addresses, 2))
+    overlap = any(not disjoint(a, b) for a, b in itertools.combinations(addresses, 2))
     if overlap:
         with pytest.raises(AssertionError, match="overlapping addresses"):
             _mkseq(*occs)
@@ -409,7 +436,7 @@ def test_proof_json_schema_fields(lock):
 def test_proof_root_sequent_of_lock(lock):
     d = definition_derivation(lock.defs["Lock"], lock)
     g = encode_derivation(d).graph
-    seq = {(mf.render_formula(o.formula), o.address.render()) for o in g.node(g.root).sequent}
+    seq = {(mf.render_formula(o.formula), o.address.render()) for o in g.nodes[g.root].sequent}
     assert seq == {("nu X. (bot (&) (bot (par) X))", "a0"), ("1", "a1")}
 
 

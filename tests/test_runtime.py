@@ -10,7 +10,7 @@ from csll.process import (
 )
 from csll.typecheck import check
 from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
-from .oracles import alpha_equal
+from .oracles import alpha_equal, find_state
 from .strategies import processes
 from csll.parser import parse_program
 from csll.runtime import (
@@ -304,7 +304,7 @@ def test_det_run_states_are_graph_states():
         g = explore(prog.main.body, prog, max_states=500)
         assert not g.partial, name
         tr = run(prog.main.body, {}, prog, scheduler="det", max_steps=100)
-        assert all(g.find(state) is not None for state in tr.states), name
+        assert all(find_state(g, state) is not None for state in tr.states), name
     assert [s.line() for s in tr.steps] == ["0, r-close, b, c8528cd2ff44", "1, r-close, a, d317002044d6"]
 
 
@@ -470,7 +470,7 @@ def test_state_lookup_is_exact_under_hash_collisions(monkeypatch, cas):
     for prog, doc in zip(progs, expected):
         g = explore(prog.main.body, prog)
         assert g.to_json_dict() == doc and len(g.collisions) == len(g.states) - 1
-        assert all(g.find(state) == sid for sid, state in enumerate(g.states))
+        assert all(find_state(g, state) == sid for sid, state in enumerate(g.states))
 
 
 def test_sibling_scopes_that_reuse_a_binder_step_without_capture():

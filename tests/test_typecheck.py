@@ -44,7 +44,7 @@ def test_check_close_single_axiom():
     x = fresh("x")
     d = check(Close(x), {x: ty.ONE}, Program({}))
     assert len(d.nodes) == 1
-    assert d.node(d.root).rule == "one"
+    assert d.nodes[d.root].rule == "one"
 
 
 def test_check_wait_against_positive_type_fails():
@@ -80,7 +80,7 @@ def test_derivation_regularity_bound(cas):
         for n in d.nodes.values():
             for e in n.premises:
                 if e.back:
-                    proc = d.node(n.nid).judgment.process
+                    proc = d.nodes[n.nid].judgment.process
                     call_targets.setdefault(proc.name, set()).add(e.target)
         for name, targets in call_targets.items():
             assert len(targets) == 1, (defn.name, name)
@@ -110,7 +110,7 @@ def test_invalid_witness_has_no_server(omega):
     v = validity_check(d)
     assert v.verdict == "invalid"
     assert v.witness
-    assert all(d.node(nid).rule != "server" for nid in v.witness)
+    assert all(d.nodes[nid].rule != "server" for nid in v.witness)
 
 
 def test_omega_server_invalid_through_idle_cycle(omega_server):
@@ -119,7 +119,7 @@ def test_omega_server_invalid_through_idle_cycle(omega_server):
     assert v.verdict == "invalid"
     # the refuting cycle passes a server whose channel lineage is broken, or
     # no server at all; here it does contain the server node
-    rules = [d.node(nid).rule for nid in v.witness]
+    rules = [d.nodes[nid].rule for nid in v.witness]
     assert "server" in rules and "cut" in rules
 
 
@@ -282,7 +282,7 @@ def test_checker_premises_follow_the_guard_table():
             others = []
             for e, premise in zip(node.premises, alt):
                 assert not e.back
-                q = dict(d.node(e.target).judgment.context)
+                q = dict(d.nodes[e.target].judgment.context)
                 for c, k in zip((y, x), premise):
                     assert (c in q and q[c] == kids[k]) if k is not None else c not in q, node.rule
                 others.append({c: t for c, t in q.items() if c not in (x, y)})

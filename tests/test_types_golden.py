@@ -14,10 +14,12 @@ import json
 from pathlib import Path
 
 from csll import types as ty
-from csll.formulas import dual_formula, encode_type, render_formula
+from csll.formulas import encode_type, render_formula
 from csll.linkgen import gen_link, link_name
 from csll.parser import ParseError, parse_type
 from csll.printer import pretty_program, pretty_type
+
+from .oracles import dual_formula
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "types.json"
 
