@@ -5,8 +5,9 @@ For each seed: the program must be accepted by the checker, every reachable
 state must either be a terminal close or have a deterministic redex, every
 reduct must re-typecheck, every deterministic step must be matched by its
 number of principal cut reductions of the encoded proof
-(`proofs.simulate_step`), and the unfolded thread/channel counts must obey
-the strict inequality the deadlock-freedom argument rests on.
+(`proofs.simulate_step`) and reported as by the from-scratch reference
+(`tests/oracles.simulate_step`), and the unfolded thread/channel counts must
+obey the strict inequality the deadlock-freedom argument rests on.
 
 Usage: python scripts/fuzz_systems.py [-n COUNT] [--seed-base N]
 """
@@ -16,13 +17,16 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # the reference of tests/oracles.py
 
 from csll.gen import gen_program
 from csll.process import channels, threads, unfold
 from csll.proofs import PRINCIPAL_STEPS, simulate_step
 from csll.runtime import enabled_steps, explore, is_close_normal
 from csll.typecheck import check, check_program
+from tests.oracles import simulate_step as reference_step
 
 
 def main() -> int:
@@ -46,9 +50,11 @@ def main() -> int:
             if not is_close_normal(state, prog):
                 assert det, f"seed {seed}: stuck state {sid}"
             for st in det:
-                rep = simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
+                step = (st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
+                rep = simulate_step(*step)
                 assert rep.matched and rep.steps == PRINCIPAL_STEPS[st.info.kind], \
                     f"seed {seed}: state {sid}, {st.info}: {rep.detail}"
+                assert rep == reference_step(*step), f"seed {seed}: state {sid}, {st.info}: {rep}"
                 steps += 1
             u = unfold(state, prog)
             assert threads(u) > channels(u), f"seed {seed}: counting lemma failed"

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 syntax/scope/type error (run and explore check the
 whole program first) or unreadable input; 2 validity failure (or refused
-proof export); 4 step budget exhausted; 5 internal error (the derivation and
+proof export); 3 run stopped at a state stuck only on a diverging
+invocation; 4 step budget exhausted; 5 internal error (the derivation and
 proof validity checkers disagree); 6 the input nests too deeply to process.
 """
 
@@ -104,14 +105,15 @@ def cmd_run(args: argparse.Namespace) -> int:
             "steps": [{"index": s.index, "rule": s.info.kind, "channel": s.info.channel,
                        "state": s.state_hash} for s in trace.steps],
             "final": pretty_process(trace.final),
-            "terminated": trace.terminated, "truncated": trace.truncated,
+            "terminated": trace.terminated, "truncated": trace.truncated, "diverging": trace.diverging,
         }, indent=2))
     else:
         for s in trace.steps:
             print(s.line())
-        status = "terminal" if trace.terminated else "step budget exhausted at"
+        status = ("terminal" if trace.terminated else "diverging" if trace.diverging
+                  else "step budget exhausted at")
         print(f"{status}: {pretty_process(trace.final)}")
-    return 4 if trace.truncated else 0
+    return 4 if trace.truncated else 3 if trace.diverging else 0
 
 
 def cmd_explore(args: argparse.Namespace) -> int:

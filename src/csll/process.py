@@ -278,13 +278,15 @@ def rename(p: Process, mapping: dict[ChannelName, ChannelName], *,
 
 
 def _rename(p: Process, m: dict, refresh: bool) -> Process:
-    """p renamed by m: first its binder and the subterms in the binder's scope
-    (the entry of m that the binder shadows is restored on leaving the
-    scope), then its subject and the subterms outside the scope."""
+    """p renamed by m: its binder and the subterms in its scope (restoring the
+    entry of m the binder shadows on leaving it), then its subject and the
+    rest.  Without refresh, a node none of whose fields changed is kept."""
     if type(p) is Call:
-        return Call(p.name, tuple([m.get(a, a) for a in p.args]), span=p.span)
+        args = tuple([m.get(a, a) for a in p.args])
+        return p if not refresh and args == p.args else Call(p.name, args, span=p.span)
     row = BINDING[type(p)]
     *vals, span = row.fields(p)
+    changed = refresh
     if row.binder is not None:
         b = vals[row.binder]
         old = m.pop(b, None)
@@ -292,18 +294,24 @@ def _rename(p: Process, m: dict, refresh: bool) -> Process:
         # of a free channel
         if refresh or b in m.values():
             vals[row.binder] = m[b] = fresh(b.name)
+            changed = True
         for i in row.inside:
-            vals[i] = _rename(vals[i], m, refresh)
+            q = _rename(vals[i], m, refresh)
+            if q is not vals[i]:
+                vals[i] = q
+                changed = True
         if old is None:
             m.pop(b, None)
         else:
             m[b] = old
-    if row.subject is not None:
-        x = vals[row.subject]
-        vals[row.subject] = m.get(x, x)
+    if row.subject is not None and (x := vals[row.subject]) in m:
+        vals[row.subject], changed = m[x], True
     for i in row.outside:
-        vals[i] = _rename(vals[i], m, refresh)
-    return type(p)(*vals, span=span)
+        q = _rename(vals[i], m, refresh)
+        if q is not vals[i]:
+            vals[i] = q
+            changed = True
+    return type(p)(*vals, span=span) if changed else p
 
 
 def instantiate(defn: Definition, args: tuple[ChannelName, ...]) -> Process:

@@ -37,6 +37,14 @@ fold over (child steps, positive premises, negative premise), listed in
 the chosen side and mu/nu "i".  `simulate_step` checks one process step
 against its proof image: the reduced proof must be bisimilar to the
 reduct's encoding, compared one node signature (`_signature`) at a time.
+
+A step rewrites one cut, so one `typecheck._SharedChecker` types the
+exposed term and the reduct, and the reduct is encoded into the exposed
+term's proof graph, where a shared derivation node keeps its proof node
+(`deriv_to_proof`) unless it is the redex cut, rewritten in place, or an
+ancestor of it.  This is sound: every occurrence formula is `encode_type` of
+its judgment's type, so a shared term-level subtree (no back edge leaves it)
+encodes alike up to addresses, and bisimulation ignores addresses.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from .cycles import closure_check
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
 from .process import BINDING, ChannelName
 from .typecheck import GUARDS, Derivation, DerivNode, ValidityReport, _closure_report, check
+from .typecheck import _SharedChecker
 
 
 # --- streams of atomic addresses ---------------------------------------------
@@ -155,25 +164,27 @@ class EncodedProof:
 
 
 class _Encoder:
-    """One encoding pass over a derivation.  `calls` records, for every call
-    node that a back edge targets, the proof node standing for it and its
-    address assignment: back edges target ancestors only, and each ancestor
-    is entered once, before the back edges below it.  A channel keeps its
-    type and address down the tree until a rule acts on it, so the
-    assignment hands its occurrence down unchanged; `gadgets` holds the
-    three rule occurrences of each shared channel occurrence."""
+    """One encoding pass over a derivation, into g, where a derivation node
+    in `reuse` already has its proof node.  `calls` records, for every call
+    node on the current path, the proof node standing for it and its address
+    assignment: back edges target ancestors only.  A channel keeps its type
+    and address down the tree until a rule acts on it, so the assignment
+    hands its occurrence down unchanged; `gadgets` holds the three rule
+    occurrences of each shared channel occurrence."""
 
-    def __init__(self, d: Derivation):
+    def __init__(self, d: Derivation, g: ProofGraph | None = None, reuse: dict[int, int] | None = None):
         self.d = d
-        self.g = ProofGraph()
+        self.g = ProofGraph() if g is None else g
+        self.reuse = reuse or {}
         self.mapping: dict[int, int] = {}
-        self.calls: dict[int, tuple[int, Assignment] | None] = dict.fromkeys(
-            e.target for n in d.nodes.values() for e in n.premises if e.back)
+        self.calls: dict[int, tuple[int, Assignment]] = {}
         self.gadgets: dict[Occurrence, tuple[Occurrence, Occurrence, Occurrence]] = {}
 
     def edge(self, nid: int, sigma: Assignment, rho: AddressStream) -> ProofEdge:
         """The edge to the encoding of derivation node nid: invocation chains
         are erased, and one closing on itself becomes a degenerate `loop`."""
+        if nid in self.reuse:
+            return ProofEdge(self.reuse[nid])
         node = self.d.nodes[nid]
         pending: list[int] = []
         pid: int | None = None
@@ -191,8 +202,7 @@ class _Encoder:
                 return ProofEdge(pid, False)
             if pid is None:
                 pid = self.g.new_id()
-            if nid in self.calls:
-                self.calls[nid] = (pid, sigma)
+            self.calls[nid] = (pid, sigma)
             pending.append(nid)
             nid = e.target
             node = self.d.nodes[nid]
@@ -200,6 +210,8 @@ class _Encoder:
             pid = self.g.new_id()
         self.mapping.update(dict.fromkeys(pending, pid))
         self.emit(node, sigma, rho, pid)
+        for c in pending:  # no back edge outside the subtree targets them
+            del self.calls[c]
         return ProofEdge(pid, False)
 
     def premise(self, node: DerivNode, i: int, sigma: Assignment, rho: AddressStream,
@@ -286,13 +298,13 @@ class _Encoder:
             self.g.add(ProofNode(nid, rule, _mkseq(occ, *rest), edges, occ.address, side))
 
 
-def encode_derivation(d: Derivation) -> EncodedProof:
-    """Encode a typing derivation into a cyclic pre-proof.
+def encode_derivation(d: Derivation, g: ProofGraph | None = None, reuse: dict | None = None) -> EncodedProof:
+    """Encode a typing derivation into a cyclic pre-proof (into g, reusing the proof nodes reuse gives).
 
     Accepts invalid derivations as well (their encodings are exactly what the
     proof-level validity check is for)."""
     sigma0, rho0 = initial_assignment(dict(d.nodes[d.root].judgment.context))
-    enc = _Encoder(d)
+    enc = _Encoder(d, g, reuse)
     enc.g.root = enc.edge(d.root, sigma0, rho0).target
     return EncodedProof(enc.g, enc.mapping)
 
@@ -424,7 +436,7 @@ def proof_bisimilar(g1: ProofGraph, g2: ProofGraph) -> bool:
     stack = [(g1.root, g2.root)]
     while stack:
         pair = stack.pop()
-        if pair in seen:
+        if pair in seen or pair[0] == pair[1] and g1.nodes is g2.nodes:  # one node, bisimilar to itself
             continue
         seen.add(pair)
         na, nb = g1.nodes[pair[0]], g2.nodes[pair[1]]
@@ -446,26 +458,25 @@ def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationR
     """Check one reduction against its proof image: encode the derivation of
     the exposed term, apply the redex kind's number of principal steps at the
     encoded cut, and compare with the encoding of the reduct's derivation."""
-    d1 = check(exposed, ctx, prog)
+    checker = _SharedChecker(prog)
+    d1 = check(exposed, ctx, prog, checker)
     enc1 = encode_derivation(d1)
-    dnid = None
+    spine: dict[int, None] = {}  # the redex cut, then its ancestors: a node comes after its premises
     for nid, n in d1.nodes.items():
-        if n.judgment.process is cut_obj:
-            dnid = nid
-            break
-    if dnid is None:
+        if (any(e.target in spine for e in n.premises) if spine else n.judgment.process is cut_obj):
+            spine[nid] = None
+    if not spine:
         return SimulationReport(kind, 0, False, "redex cut not found in derivation")
-    g1 = enc1.graph
-    cur = enc1.deriv_to_proof[dnid]
+    g1, cur = enc1.graph, enc1.deriv_to_proof[next(iter(spine))]
     n = PRINCIPAL_STEPS[kind]
     try:
         for _ in range(n):
             g1, cur = principal_reduce_at(g1, cur)
     except NotPrincipalError as e:
         return SimulationReport(kind, n, False, f"principal reduction failed: {e}")
-    d2 = check(reduct, ctx, prog)
-    g2 = encode_derivation(d2).graph
-    ok = proof_bisimilar(g1, g2)
+    d2 = check(reduct, ctx, prog, checker)
+    reuse = {nid: pid for nid, pid in enc1.deriv_to_proof.items() if nid not in spine}
+    ok = proof_bisimilar(g1, encode_derivation(d2, ProofGraph(g1.nodes, _ids=g1._ids), reuse).graph)
     return SimulationReport(kind, n, ok, "" if ok else "reduced proof differs from reduct's encoding")
 
 

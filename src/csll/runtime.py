@@ -65,17 +65,19 @@ def _hole(h: Process) -> Process:
     return h
 
 
-def _pool_cells(g: Process, x: ChannelName, defs: Program
-                ) -> tuple[list[tuple[ChannelName, Process]], Process]:
-    cells: list[tuple[ChannelName, Process]] = []
-    node = g
+def _pool_cells(g: Process, x: ChannelName, defs: Program) -> tuple[list[Cons], Process, int]:
+    """The pool g's cells on x, its end, and the position of the last invocation unfolded (0 if none)."""
+    cells: list[Cons] = []
+    node, last = g, 0
     while True:
-        node = unfold_head(node, defs)
-        if isinstance(node, Cons) and node.chan == x:
-            cells.append((node.session, node.client))
-            node = node.pool
+        head = unfold_head(node, defs)
+        if head is not node:
+            last = len(cells)
+        if isinstance(head, Cons) and head.chan == x:
+            cells.append(head)
+            node = head.pool
         else:
-            return cells, node
+            return cells, head, last
 
 
 class Step:
@@ -121,21 +123,22 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
                         orbit if orbit is not None else object(), around, cut, core))
 
     def pool_server(gp: Process, gs: Server, client_type: ty.Client, pool_is_left: bool) -> None:
-        cells, end = _pool_cells(gp, x, defs)
+        cells, end, last = _pool_cells(gp, x, defs)
 
         def rest(i: int) -> Process:
-            out = end
-            for y, body in reversed(cells[:i] + cells[i + 1:]):
-                out = Cons(x, y, body, out)
+            """The pool without cell i, keeping what stands below it."""
+            out, above = (cells[i].pool, cells[:i]) if i >= last else (end, cells[:i] + cells[i + 1:])
+            for c in reversed(above):
+                out = Cons(x, c.session, c.client, out)
             return out
 
         def exposed(i: int) -> Cut:
             """The exposed cut, with cell i at the pool's head if there are cells."""
-            pool = Cons(x, *cells[i], rest(i)) if cells else end
+            pool = Cons(x, cells[i].session, cells[i].client, rest(i)) if cells else end
             return Cut(x, left_type, pool, g2) if pool_is_left else Cut(x, left_type, g1, pool)
 
         def connect(i: int) -> Process:
-            y, body = cells[i]
+            y, body = cells[i].session, cells[i].client
             c = fresh(y.name)
             client = rename(body, {y: c})
             accept = rename(gs.accept, {gs.session: c})
@@ -144,13 +147,13 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
         if not cells:
             if isinstance(end, Nil) and end.chan == x:
                 add("r-done", lambda: gs.idle, partial(exposed, 0))
-            return
-        # symmetry reduction: clients with equal keys share one orbit
-        orbits: dict[tuple, object] = {}
-        for i in range(len(cells)) if pool_ok else range(1):
-            y, body = cells[i]
-            add("r-connect", partial(connect, i), partial(exposed, i),
-                orbits.setdefault(cell_key(body, y), object()), i)
+        elif not pool_ok:  # queue order: the head connects
+            add("r-connect", partial(connect, 0), partial(exposed, 0))
+        else:  # symmetry reduction: clients with equal keys share one orbit
+            orbits: dict[tuple, object] = {}
+            for i, c in enumerate(cells):
+                add("r-connect", partial(connect, i), partial(exposed, i),
+                    orbits.setdefault(cell_key(c.client, c.session), object()), i)
 
     # two guards of dual connectives pair when the cut types the positive
     # one at its connective, which names the rule
@@ -269,11 +272,16 @@ class TraceStep:
 class Trace:
     steps: list[TraceStep]
     final: Process
-    terminated: bool   # reached a state with no applicable redex
+    terminated: bool   # reached a normal form
     truncated: bool    # stopped because of the step budget
     scheduler: str
     seed: int | None = None
     states: list[Process] = field(default_factory=list)  # canonical, one per step
+
+    @property
+    def diverging(self) -> bool:
+        """Stuck only on a diverging invocation: not a normal form, as in `explore`."""
+        return not self.terminated and not self.truncated
 
 
 def run(p: Process, ctx: dict, defs: Program, scheduler: str = "det",
@@ -294,8 +302,8 @@ def run(p: Process, ctx: dict, defs: Program, scheduler: str = "det",
         cur = st.reduct
         states.append(canonical_form(cur))
         steps.append(TraceStep(len(steps), st.info, _digest(states[-1])))
-    terminated = not enabled
-    return Trace(steps, cur, terminated, not terminated, scheduler, seed, states=states)
+    return Trace(steps, cur, not enabled and call_depth(cur, defs) is not None, bool(enabled), scheduler,
+                 seed, states=states)
 
 
 @dataclass

@@ -247,9 +247,26 @@ class _Checker:
         return nid
 
 
-def check(p: Process, ctx: TypeContext, prog: Program) -> Derivation:
-    """Typecheck p against ctx; raises TypeCheckError on failure."""
-    checker = _Checker(prog)
+class _SharedChecker(_Checker):
+    """A checker for several terms: a term-level subterm (no back edge leaves
+    its derivation) checked before under the same context keeps its node."""
+
+    def __init__(self, prog: Program):
+        super().__init__(prog)
+        self.memo: dict[tuple[int, tuple], int] = {}  # (id(subterm), context) -> node id
+
+    def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
+        if path:
+            return super().check(p, ctx, path)
+        key = (id(p), _ctx_tuple(ctx))
+        if key not in self.memo:
+            self.memo[key] = super().check(p, ctx, path)
+        return self.memo[key]
+
+
+def check(p: Process, ctx: TypeContext, prog: Program, checker: _Checker | None = None) -> Derivation:
+    """Typecheck p against ctx (into a given checker's node store); raises TypeCheckError on failure."""
+    checker = checker or _Checker(prog)
     missing = checker.free(p) - set(ctx)
     if missing:
         names = sorted(c.name for c in missing)

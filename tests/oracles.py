@@ -13,7 +13,11 @@ from csll import runtime
 from csll import types as ty
 from csll.formulas import Address, Mu, MuFormula, Nu, Var, formula_children, prefix_leq
 from csll.process import BINDING, Call, ChannelName, Definition, Process
-from csll.proofs import AddressStream
+from csll.proofs import (
+    PRINCIPAL_STEPS, AddressStream, NotPrincipalError, SimulationReport, encode_derivation,
+    principal_reduce_at, proof_bisimilar,
+)
+from csll.typecheck import check
 
 
 def alpha_equal(p: Process, q: Process, free_map: dict[ChannelName, ChannelName] | None = None) -> bool:
@@ -122,3 +126,23 @@ def find_state(g: runtime.ReductionGraph, p: Process) -> int | None:
     """The id of the state that is p's canonical form, if g has one, hashed
     as `runtime` hashes the states it adds."""
     return g._find(*runtime.canonical_hashed(p))
+
+
+def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationReport:
+    """`proofs.simulate_step` from scratch: the exposed term and the reduct
+    each get their own derivation and their own proof graph, and the
+    bisimulation compares every node pair."""
+    d1 = check(exposed, ctx, prog)
+    enc1 = encode_derivation(d1)
+    dnid = next((nid for nid, n in d1.nodes.items() if n.judgment.process is cut_obj), None)
+    if dnid is None:
+        return SimulationReport(kind, 0, False, "redex cut not found in derivation")
+    g1, cur = enc1.graph, enc1.deriv_to_proof[dnid]
+    n = PRINCIPAL_STEPS[kind]
+    try:
+        for _ in range(n):
+            g1, cur = principal_reduce_at(g1, cur)
+    except NotPrincipalError as e:
+        return SimulationReport(kind, n, False, f"principal reduction failed: {e}")
+    ok = proof_bisimilar(g1, encode_derivation(check(reduct, ctx, prog)).graph)
+    return SimulationReport(kind, n, ok, "" if ok else "reduced proof differs from reduct's encoding")

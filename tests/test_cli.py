@@ -195,6 +195,20 @@ def test_run_det_lock(capsys):
     assert out.strip().endswith("terminal: close z")
 
 
+def test_run_stopped_on_a_diverging_invocation_exits_3(tmp_path, capsys):
+    # A(z) cannot step only because its unfolding never ends: not a normal form
+    path = tmp_path / "loop.csll"
+    path.write_text(LOOP_TEXT, encoding="utf-8")
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 3 and out == "diverging: A(z)\n"
+    code, out = run_cli(capsys, "run", "--format", "json", str(path))
+    doc = json.loads(out)
+    assert code == 3 and doc["steps"] == [] and doc["final"] == "A(z)"
+    assert (doc["terminated"], doc["truncated"], doc["diverging"]) == (False, False, True)
+    code, out = run_cli(capsys, "run", "--format", "json", str(CORPUS / "lock.csll"))
+    assert code == 0 and json.loads(out)["diverging"] is False
+
+
 def test_run_budget_exhaustion(capsys):
     code, out = run_cli(capsys, "run", str(CORPUS / "omega.csll"), "--max-steps", "50")
     assert code == 4

@@ -21,7 +21,8 @@ from csll.runtime import enabled_steps, explore
 from csll.typecheck import check, definition_derivation, validity_check
 
 from . import lasso
-from .conftest import LOOP_TEXT
+from . import oracles
+from .conftest import LOOP_TEXT, cas_text, lock_text
 from .oracles import disjoint, is_nu, min_formula, stream_at
 
 EMPTY = Program({})
@@ -496,3 +497,48 @@ def test_a_step_paired_with_another_steps_reduct_is_unmatched(lock, cas):
             rep = simulate_step(first.exposed, first.cut, reduct, ctx, prog, first.info.kind)
             assert rep.matched == matched
         assert rep.detail == "reduced proof differs from reduct's encoding"
+
+
+def _agree(st, reduct, ctx, prog) -> bool:
+    """The incremental and the from-scratch report on st paired with reduct
+    agree; returns whether they match."""
+    args = (st.exposed, st.cut, reduct, ctx, prog, st.info.kind)
+    rep = simulate_step(*args)
+    assert dataclasses.astuple(rep) == dataclasses.astuple(oracles.simulate_step(*args)), \
+        (str(st.info), rep)
+    return rep.matched
+
+
+def test_incremental_correspondence_agrees_with_the_from_scratch_reference(
+        lock, cas, omega, omega_server, comm):
+    # every det step of the corpus, of gen_program 0-59 and of the lock_16 and
+    # cas_10 walks, paired with its own reduct, with the reduct of another
+    # step of its state (of the next det step on a walk) and with its exposed
+    # term, which shares the redex cut and its ancestors
+    from csll.gen import gen_program
+
+    systems = [(prog, 60) for prog in (lock, cas, omega, omega_server, comm)]
+    systems += [(gen_program(seed), 100_000) for seed in range(60)]
+    outcomes: dict[str, set[bool]] = {"own": set(), "other": set(), "exposed": set()}
+    for prog, bound in systems:
+        ctx = dict(prog.main.params)
+        g = explore(prog.main.body, prog, max_states=bound, max_depth=bound)
+        for sid in sorted(g.expanded):
+            others = enabled_steps(g.states[sid], prog)
+            for st in enabled_steps(g.states[sid], prog, deterministic=True):
+                outcomes["own"].add(_agree(st, st.reduct, ctx, prog))
+                other = next((o for o in reversed(others) if o.info != st.info), None)
+                if other is not None:
+                    outcomes["other"].add(_agree(st, other.reduct, ctx, prog))
+                outcomes["exposed"].add(_agree(st, st.exposed, ctx, prog))
+    for prog in (parse_program(lock_text(16)), parse_program(cas_text(["TF", "FT"] * 5))):
+        ctx, cur, prev = dict(prog.main.params), prog.main.body, None
+        while steps := enabled_steps(cur, prog, deterministic=True):
+            st = steps[0]
+            outcomes["own"].add(_agree(st, st.reduct, ctx, prog))
+            outcomes["exposed"].add(_agree(st, st.exposed, ctx, prog))
+            if prev is not None:
+                outcomes["other"].add(_agree(prev, st.reduct, ctx, prog))
+            prev, cur = st, st.reduct
+    assert outcomes["own"] == {True} and outcomes["other"] == {True, False}
+    assert False in outcomes["exposed"]

@@ -5,7 +5,7 @@ from csll.canon import canonical_form
 from csll.gen import gen_program
 from csll.printer import pretty_process
 from csll.process import (
-    Call, ChannelName, Close, Cons, Cut, Fork, Join, Nil, Process, Program, Server, Wait,
+    BINDING, Call, ChannelName, Close, Cons, Cut, Fork, Join, Nil, Process, Program, Server, Wait,
     channels, fresh, rename, threads, unfold,
 )
 from csll.typecheck import check
@@ -232,14 +232,15 @@ def test_unguarded_call_cycle_is_stuck_not_crashing(tmp_path, capsys):
         assert not enabled_steps(p, prog, deterministic=True)
         for scheduler in ("det", "random"):
             tr = run(p, {}, prog, scheduler=scheduler, seed=0, max_steps=10)
-            assert tr.terminated and tr.steps == []
+            # stuck only on a diverging invocation: no normal form, as in explore
+            assert tr.diverging and not tr.terminated and not tr.truncated and tr.steps == []
         assert len(explore(p, prog).states) == 1
     path = tmp_path / "loop.csll"
     path.write_text(LOOP_THROUGH_CUT)
     assert main(["explore", str(path)]) == 0
     assert "normal forms: 0" in capsys.readouterr().out  # L(z) diverges: no normal form
-    assert main(["run", "--scheduler", "random", str(path)]) == 0
-    assert "terminal: L(z)" in capsys.readouterr().out
+    assert main(["run", "--scheduler", "random", str(path)]) == 3
+    assert "diverging: L(z)" in capsys.readouterr().out
 
 
 def test_divergent_invocation_is_not_a_normal_form(tmp_path, capsys):
@@ -317,7 +318,8 @@ def test_det_run_steps_past_a_divergent_invocation():
     assert str(enabled_steps(p, prog, deterministic=True)[0].info) == "r-close@w[R]"
     for scheduler in ("det", "random"):
         tr = run(p, {}, prog, scheduler=scheduler, seed=0)
-        assert [str(s.info) for s in tr.steps] == ["r-close@w[R]"] and tr.terminated
+        # what is left waits on B(y), whose unfolding diverges: not a normal form
+        assert [str(s.info) for s in tr.steps] == ["r-close@w[R]"] and tr.diverging
 
 
 @settings(max_examples=80)
@@ -505,3 +507,27 @@ def test_explored_states_step_as_their_refreshed_copies():
                                for st in enabled_steps(copy, prog, det)], (seed, pretty_process(state))
                 steps += len(got)
     assert steps > 6000
+
+
+def _rebuilt(p: Process) -> Process:
+    """p with every node built anew, as steps and renamings once built them."""
+    *vals, span = BINDING[type(p)].fields(p)
+    return type(p)(*(_rebuilt(v) if isinstance(v, Process) else v for v in vals), span=span)
+
+
+def test_steps_and_renamings_keep_the_nodes_they_do_not_change():
+    prog = parse_program(lock_text(3))
+    p = prog.main.body
+    pool, lock = p.left, p.right
+    (st,) = enabled_steps(p, prog, deterministic=True)
+    # the det connect's reduct holds the state's own pool tail
+    c = st.reduct.chan
+    assert st.reduct.right.left is pool.pool
+    assert st.reduct == Cut(c, ty.ONE, Close(c), Cut(p.chan, p.anno, _rebuilt(pool.pool), Wait(c, lock)))
+    # a renaming returns every node none of whose fields it changes
+    assert rename(p, {}) is p and rename(p, {}) == _rebuilt(p)
+    z, w = lock.args[1], fresh("w")
+    q = rename(p, {z: w})
+    assert q.left is pool and q == Cut(p.chan, p.anno, _rebuilt(pool), Call("Lock", (p.chan, w)))
+    fresh_copy = rename(p, {}, refresh=True)  # refreshing builds every node anew
+    assert fresh_copy.left is not pool and alpha_equal(fresh_copy, p)
