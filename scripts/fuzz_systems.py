@@ -6,7 +6,8 @@ state must either be a terminal close or have a deterministic redex, every
 reduct must re-typecheck, every deterministic step must be matched by its
 number of principal cut reductions of the encoded proof
 (`proofs.simulate_step`) and reported as by the from-scratch reference
-(`tests/oracles.simulate_step`), and the unfolded thread/channel counts must
+(`tests/oracles.simulate_step`), on a forward pass over the states and
+again in reverse order, and the unfolded thread/channel counts must
 obey the strict inequality the deadlock-freedom argument rests on.
 
 Usage: python scripts/fuzz_systems.py [-n COUNT] [--seed-base N]
@@ -44,20 +45,24 @@ def main() -> int:
         ctx = dict(prog.main.params)
         g = explore(prog.main.body, prog, max_states=500, max_depth=500)
         assert not g.partial, f"seed {seed}: exploration truncated"
+        walked = []
         for sid, state in enumerate(g.states):
             states += 1
             det = enabled_steps(state, prog, deterministic=True)
             if not is_close_normal(state, prog):
                 assert det, f"seed {seed}: stuck state {sid}"
-            for st in det:
-                step = (st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
-                rep = simulate_step(*step)
-                assert rep.matched and rep.steps == PRINCIPAL_STEPS[st.info.kind], \
-                    f"seed {seed}: state {sid}, {st.info}: {rep.detail}"
-                assert rep == reference_step(*step), f"seed {seed}: state {sid}, {st.info}: {rep}"
-                steps += 1
+            walked += ((sid, st) for st in det)
             u = unfold(state, prog)
             assert threads(u) > channels(u), f"seed {seed}: counting lemma failed"
+        # forward, then backward: the second pass meets a session that every
+        # step of the program has warmed
+        for sid, st in walked + walked[::-1]:
+            step = (st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
+            rep = simulate_step(*step)
+            assert rep.matched and rep.steps == PRINCIPAL_STEPS[st.info.kind], \
+                f"seed {seed}: state {sid}, {st.info}: {rep.detail}"
+            assert rep == reference_step(*step), f"seed {seed}: state {sid}, {st.info}: {rep}"
+            steps += 1
         for sid in g.expanded:
             for _, tid in g.edges[sid]:
                 edges += 1

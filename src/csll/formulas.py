@@ -110,7 +110,7 @@ def render_formula(phi: MuFormula) -> str:
 # --- addresses and occurrences ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Address:
     atom: int
     bar: bool
@@ -132,7 +132,7 @@ def prefix_leq(a: Address, b: Address) -> bool:
     return a.atom == b.atom and a.bar == b.bar and b.word.startswith(a.word)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Occurrence:
     formula: MuFormula
     address: Address

@@ -38,18 +38,38 @@ the chosen side and mu/nu "i".  `simulate_step` checks one process step
 against its proof image: the reduced proof must be bisimilar to the
 reduct's encoding, compared one node signature (`_signature`) at a time.
 
-A step rewrites one cut, so one `typecheck._SharedChecker` types the
-exposed term and the reduct, and the reduct is encoded into the exposed
-term's proof graph, where a shared derivation node keeps its proof node
-(`deriv_to_proof`) unless it is the redex cut, rewritten in place, or an
-ancestor of it.  This is sound: every occurrence formula is `encode_type` of
-its judgment's type, so a shared term-level subtree (no back edge leaves it)
-encodes alike up to addresses, and bisimulation ignores addresses.
+A walk's steps share most of their terms, so `simulate_step` carries one
+session per program (`_Session`, found by the program's identity and dropped
+when the program dies): one `typecheck._SharedChecker`, whose memo spans
+every call, one proof node store, and the proof node of each derivation
+node encoded so far.  The exposed term of a step shares everything but its
+spine with the previous step's reduct, so a call checks and encodes little
+more than the spine and what the step changed.  A derivation node keeps its
+earlier proof node unless it is the redex cut or an ancestor of it, or a
+node that principal reduction reads: a premise of the cut or of a premise,
+reached through the call chain erased above it.  Those are encoded again
+under the current addresses.  This is sound: every occurrence formula is
+`encode_type` of its judgment's type, so a shared term-level subtree (no
+back edge leaves it) encodes alike up to addresses.  Bisimulation ignores
+addresses, and `principal_reduce_at` compares them only within two
+derivation levels of the cut: the principal occurrences of its premises,
+and the cut formulas it removes from their premises' sequents.  (So the
+session's graphs serve bisimulation and reduction only; a node and a reused
+premise may place a channel at different addresses, and threads are not
+followed there.)  Reduction rewrites the cut's proof node in place, so the
+spine never enters the proof map.  The cut is looked for among the nodes
+the call's check adds, in the order they are added (a node after its
+premises), and in the whole derivation when its node is older than the
+call, as on a revisited step.  Once the store holds half as much again as
+the last compaction kept, it keeps only what the last reduct's derivation
+and proof reach, and every table keyed by a term's id() or a node id is
+pruned with it.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field, replace
 
 from . import formulas as mf
@@ -58,7 +78,7 @@ from .cycles import closure_check
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
 from .process import BINDING, ChannelName
 from .typecheck import GUARDS, Derivation, DerivNode, ValidityReport, _closure_report, check
-from .typecheck import _SharedChecker
+from .typecheck import _SharedChecker, _prune
 
 
 # --- streams of atomic addresses ---------------------------------------------
@@ -92,14 +112,14 @@ def address_stream(start: int = 0) -> AddressStream:
 # --- proof graphs -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofEdge:
     target: int
     back: bool = False
     corr: tuple[tuple[Address, Address], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofNode:
     nid: int
     rule: str  # cut top bot one par tensor with plus nu mu loop
@@ -454,30 +474,131 @@ class SimulationReport:
     detail: str = ""
 
 
+class _Session:
+    """What `simulate_step` keeps of one program between calls: a checker
+    memo, one proof node store with its id counter, and each derivation
+    node's proof node.  It holds the program only during a call."""
+
+    def __init__(self):
+        self.checker = _SharedChecker(None)
+        self.store = ProofGraph()
+        self.proof_of: dict[int, int] = {}
+        # the terms checked since the last compaction, whose subterms' ids key
+        # the checker's tables: no id there is reused before the tables are pruned
+        self.held: list = []
+        self.last: tuple[int, int] | None = None  # the last reduct's derivation and proof roots
+        self.live = 0  # proof nodes the last compaction kept
+
+    def graph(self) -> ProofGraph:
+        return ProofGraph(self.store.nodes, _ids=self.store._ids)
+
+    def compact(self) -> None:
+        """Once the store holds half as much again as the last compaction
+        kept, keep only what the last reduct's derivation and proof reach."""
+        if len(self.store.nodes) <= 1.5 * self.live:
+            return
+        droot, proot = self.last or (None, None)
+        keep_d, keep_p = _reach(self.checker.nodes, droot), _reach(self.store.nodes, proot)
+        self.checker.keep(keep_d)
+        _prune(self.store.nodes, self.store.nodes.keys() - keep_p)
+        _prune(self.proof_of, [nid for nid, pid in self.proof_of.items()
+                               if nid not in keep_d or pid not in keep_p])
+        self.held.clear()
+        self.live = len(keep_p)
+
+
+def _reach(nodes: dict, root: int | None) -> set[int]:
+    """The ids of the derivation or proof nodes that root reaches."""
+    seen = set() if root is None else {root}
+    stack = list(seen)
+    while stack:
+        for e in nodes[stack.pop()].premises:
+            if e.target not in seen:
+                seen.add(e.target)
+                stack.append(e.target)
+    return seen
+
+
+_SESSIONS: dict[int, _Session] = {}  # id(program) -> its session, dropped when the program dies
+
+
+def _session(prog) -> _Session:
+    s = _SESSIONS.get(id(prog))
+    if s is None:
+        s = _SESSIONS[id(prog)] = _Session()
+        weakref.finalize(prog, _SESSIONS.pop, id(prog), None)
+    return s
+
+
+def _spine(nodes: dict[int, DerivNode], order: list[int], cut_obj) -> dict[int, None]:
+    """The node of the redex cut among order's nodes, then its ancestors
+    there, in order; a node comes after its premises in a store's order."""
+    spine: dict[int, None] = {}
+    for nid in order:
+        n = nodes[nid]
+        if (any(e.target in spine for e in n.premises) if spine else n.judgment.process is cut_obj):
+            spine[nid] = None
+    return spine
+
+
+def _read_by_reduction(nodes: dict[int, DerivNode], cut: int) -> list[int]:
+    """The derivation nodes whose proof nodes principal reduction at the cut
+    reads: its premises and theirs, each with the call chain erased above it."""
+    read, level = [], [cut]
+    for _ in range(2):
+        below = []
+        for nid in level:
+            for e in nodes[nid].premises:
+                while not e.back:
+                    read.append(e.target)
+                    n = nodes[e.target]
+                    if n.rule != "call":
+                        below.append(e.target)
+                        break
+                    e = n.premises[0]
+        level = below
+    return read
+
+
 def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationReport:
     """Check one reduction against its proof image: encode the derivation of
     the exposed term, apply the redex kind's number of principal steps at the
     encoded cut, and compare with the encoding of the reduct's derivation."""
-    checker = _SharedChecker(prog)
-    d1 = check(exposed, ctx, prog, checker)
-    enc1 = encode_derivation(d1)
-    spine: dict[int, None] = {}  # the redex cut, then its ancestors: a node comes after its premises
-    for nid, n in d1.nodes.items():
-        if (any(e.target in spine for e in n.premises) if spine else n.judgment.process is cut_obj):
-            spine[nid] = None
-    if not spine:
-        return SimulationReport(kind, 0, False, "redex cut not found in derivation")
-    g1, cur = enc1.graph, enc1.deriv_to_proof[next(iter(spine))]
-    n = PRINCIPAL_STEPS[kind]
+    s = _session(prog)
+    s.compact()
+    checker, proof_of = s.checker, s.proof_of
+    checker.prog = prog
     try:
-        for _ in range(n):
-            g1, cur = principal_reduce_at(g1, cur)
-    except NotPrincipalError as e:
-        return SimulationReport(kind, n, False, f"principal reduction failed: {e}")
-    d2 = check(reduct, ctx, prog, checker)
-    reuse = {nid: pid for nid, pid in enc1.deriv_to_proof.items() if nid not in spine}
-    ok = proof_bisimilar(g1, encode_derivation(d2, ProofGraph(g1.nodes, _ids=g1._ids), reuse).graph)
-    return SimulationReport(kind, n, ok, "" if ok else "reduced proof differs from reduct's encoding")
+        s.held += (exposed, reduct)
+        before = len(checker.nodes)
+        d1 = check(exposed, ctx, prog, checker)
+        added = list(itertools.islice(reversed(checker.nodes), len(checker.nodes) - before))[::-1]
+        spine = _spine(checker.nodes, added, cut_obj)
+        if not spine:  # the cut's node is older than this call: search the whole derivation
+            reach = _reach(checker.nodes, d1.root)
+            spine = _spine(checker.nodes, [nid for nid in checker.nodes if nid in reach], cut_obj)
+        if not spine:
+            return SimulationReport(kind, 0, False, "redex cut not found in derivation")
+        for nid in (*spine, *_read_by_reduction(checker.nodes, next(iter(spine)))):
+            proof_of.pop(nid, None)
+        enc1 = encode_derivation(d1, s.graph(), proof_of)
+        # principal reduction rewrites the cut's proof node in place, and so what the spine presents
+        proof_of.update((nid, pid) for nid, pid in enc1.deriv_to_proof.items() if nid not in spine)
+        g1, cur = enc1.graph, enc1.deriv_to_proof[next(iter(spine))]
+        n = PRINCIPAL_STEPS[kind]
+        try:
+            for _ in range(n):
+                g1, cur = principal_reduce_at(g1, cur)
+        except NotPrincipalError as e:
+            return SimulationReport(kind, n, False, f"principal reduction failed: {e}")
+        d2 = check(reduct, ctx, prog, checker)
+        enc2 = encode_derivation(d2, s.graph(), proof_of)
+        proof_of.update(enc2.deriv_to_proof)
+        s.last = d2.root, enc2.graph.root
+        ok = proof_bisimilar(g1, enc2.graph)
+        return SimulationReport(kind, n, ok, "" if ok else "reduced proof differs from reduct's encoding")
+    finally:
+        checker.prog = None
 
 
 # --- exports -------------------------------------------------------------------

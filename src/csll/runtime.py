@@ -185,7 +185,9 @@ def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
           ctx: Callable[[Process], Process], out: list[Step]) -> dict[ChannelName, _Guard]:
     """Append to out every step below p, whose enclosing context is ctx, in
     preorder, and return the guards p exposes.  A cut unfolds each side once;
-    the context of a step below one side keeps the other side as it was."""
+    the context of a step below one side keeps the other side as it was.  A
+    cut hands up no guard on its own channel, which an enclosing cut that
+    binds the same name would otherwise pair."""
     p = unfold_head(p, defs)
     if isinstance(p, Cut):
         x, anno = p.chan, p.anno
@@ -203,9 +205,9 @@ def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
             _sync_redexes(x, anno, lg[x], right, defs, pool_ok, path, ctx, own)
             out[at:at] = own
         guards = {s: (g, lambda h, rb=rb: Cut(x, anno, p.left, rb(h)), (x, *bs))
-                  for s, (g, rb, bs) in rg.items()}
+                  for s, (g, rb, bs) in rg.items() if s != x}
         guards.update({s: (g, lambda h, rb=rb: Cut(x, anno, rb(h), p.right), (x, *bs))
-                       for s, (g, rb, bs) in lg.items()})
+                       for s, (g, rb, bs) in lg.items() if s != x})
         return guards
     s = subject(p)
     guards = {} if s is None else {s: (p, _hole, ())}

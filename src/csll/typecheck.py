@@ -66,7 +66,7 @@ def _err(kind: str, rule: str, message: str, span: SourceSpan | None) -> TypeChe
     return TypeCheckError(Diagnostic(kind, rule, message, span))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Judgment:
     process: Process
     context: tuple[tuple[ChannelName, ty.SessionType], ...]
@@ -76,7 +76,7 @@ def _ctx_tuple(ctx: TypeContext) -> tuple[tuple[ChannelName, ty.SessionType], ..
     return tuple(sorted(ctx.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivEdge:
     target: int
     back: bool
@@ -87,7 +87,7 @@ class DerivEdge:
     down: tuple[tuple[ChannelName, ChannelName], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivNode:
     nid: int
     judgment: Judgment
@@ -188,7 +188,8 @@ class _Checker:
         self.prog = prog
         self.nodes: dict[int, DerivNode] = {}
         self.ids = itertools.count()
-        # free names, computed once per subterm (by identity); every term checked outlives the check
+        # free names, computed once per subterm and kept under its id(): a
+        # checker that outlives the terms it checked prunes this with its nodes
         self.free = partial(_free_names, memo={})
 
     def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
@@ -249,19 +250,42 @@ class _Checker:
 
 class _SharedChecker(_Checker):
     """A checker for several terms: a term-level subterm (no back edge leaves
-    its derivation) checked before under the same context keeps its node."""
+    its derivation) checked before under the same context keeps its node.
+    The memo knows a subterm by its identity and an invocation by its name
+    and arguments: `process.unfold_head` instantiates a body afresh wherever
+    it unfolds, and invocations alike in name, arguments and context have one
+    derivation up to the names of bound channels."""
 
     def __init__(self, prog: Program):
         super().__init__(prog)
-        self.memo: dict[tuple[int, tuple], int] = {}  # (id(subterm), context) -> node id
+        self.memo: dict[tuple, int] = {}  # (id(subterm), context) or (name, args, context) -> node id
+
+    @staticmethod
+    def key(p: Process, ctx: tuple) -> tuple:
+        return (p.name, p.args, ctx) if type(p) is Call else (id(p), ctx)
 
     def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
         if path:
             return super().check(p, ctx, path)
-        key = (id(p), _ctx_tuple(ctx))
-        if key not in self.memo:
-            self.memo[key] = super().check(p, ctx, path)
-        return self.memo[key]
+        nid = self.memo.get(self.key(p, _ctx_tuple(ctx)))
+        if nid is None:  # keyed by the node's own context tuple, which the key then shares
+            nid = super().check(p, ctx, path)
+            self.memo[self.key(p, self.nodes[nid].judgment.context)] = nid
+        return nid
+
+    def keep(self, nids: set[int]) -> None:
+        """Keep only these nodes, with the memo entries and free-name sets of
+        their terms: an id() in either table is then that of a live term."""
+        _prune(self.nodes, self.nodes.keys() - nids)
+        _prune(self.memo, [key for key, nid in self.memo.items() if nid not in nids])
+        free = self.free.keywords["memo"]
+        _prune(free, free.keys() - {id(n.judgment.process) for n in self.nodes.values()})
+
+
+def _prune(table: dict, keys) -> None:
+    """Delete these keys from table in place."""
+    for k in keys:
+        del table[k]
 
 
 def check(p: Process, ctx: TypeContext, prog: Program, checker: _Checker | None = None) -> Derivation:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 
 import hypothesis.strategies as st
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given
 
 from csll import formulas as mf
+from csll import proofs
 from csll import types as ty
 from csll.cycles import closure_check
 from csll.formulas import Address, Occurrence
 from csll.parser import parse_program
-from csll.process import Call, Close, Cut, Nil, Program, Wait, fresh
+from csll.process import Call, Close, Cut, Nil, Program, Select, Wait, fresh
 from csll.proofs import (
     NotPrincipalError, PRINCIPAL_STEPS, ProofGraph, _mkseq, _thread_arcs, address_stream,
     encode_derivation, nu_thread_witness, principal_reduce_at,
@@ -542,3 +544,98 @@ def test_incremental_correspondence_agrees_with_the_from_scratch_reference(
             prev, cur = st, st.reduct
     assert outcomes["own"] == {True} and outcomes["other"] == {True, False}
     assert False in outcomes["exposed"]
+
+
+def _det_walk(prog) -> list:
+    """The steps of prog's deterministic run from main, in order."""
+    cur, walk = prog.main.body, []
+    while det := enabled_steps(cur, prog, deterministic=True):
+        walk.append(det[0])
+        cur = det[0].reduct
+    return walk
+
+
+def test_carried_sessions_agree_with_the_from_scratch_reference():
+    # a session lives as long as its program: fresh programs, whose sessions
+    # then carry across interleaved walks, revisits, several pairings of one
+    # step and two contexts
+    progs = [parse_program(lock_text(4)), parse_program(cas_text(["TF", "FT"] * 2))]
+    walks = [_det_walk(prog) for prog in progs]
+    for pair in itertools.zip_longest(*walks):  # two programs' walks, step by step
+        for prog, st in zip(progs, pair):
+            if st is not None:
+                assert _agree(st, st.reduct, dict(prog.main.params), prog)
+    for prog, walk in zip(progs, walks):  # every step revisited, the last first
+        for st in reversed(walk):
+            assert _agree(st, st.reduct, dict(prog.main.params), prog)
+    for prog, walk in zip(progs, walks):
+        ctx = dict(prog.main.params)
+        for st, nxt in zip(walk, walk[1:]):
+            # the next step's exposed term as a reduct leaves that step's cut
+            # in the memo, so the next round finds it in an older node
+            outcomes = [_agree(st, reduct, ctx, prog) for reduct in (st.exposed, nxt.exposed, st.reduct)]
+            assert not outcomes[0] and outcomes[2]
+    x, z = fresh("x"), fresh("z")
+    p = Cut(x, ty.ONE, Close(x), Wait(x, Select(z, 1, Close(z))))
+    prog = Program({})
+    (st,) = enabled_steps(p, prog, deterministic=True)
+    for t in (ty.Plus(ty.ONE, ty.ONE), ty.Plus(ty.ONE, ty.BOT), ty.Plus(ty.ONE, ty.ONE)):
+        assert _agree(st, st.reduct, {z: t}, prog) and not _agree(st, st.exposed, {z: t}, prog)
+
+
+def _built(prog) -> tuple[int, int]:
+    """How many derivation and proof nodes prog's session has built (each
+    call takes one id of each)."""
+    s = proofs._SESSIONS[id(prog)]
+    return next(s.checker.ids), next(s.store._ids)
+
+
+def _reachable(nodes: dict, root: int) -> int:
+    seen, stack = {root}, [root]
+    while stack:
+        for e in nodes[stack.pop()].premises:
+            if e.target not in seen:
+                seen.add(e.target)
+                stack.append(e.target)
+    return len(seen)
+
+
+def test_a_walk_step_builds_as_many_nodes_at_any_pool_width():
+    # ROADMAP item 10's flatness without a clock: after the first step, the
+    # most derivation and proof nodes one step of lock_n's walk builds does
+    # not grow with n
+    most = {}
+    for n in (16, 64):
+        prog = parse_program(lock_text(n))
+        ctx, built = dict(prog.main.params), []
+        for st in _det_walk(prog):
+            assert simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind).matched
+            built.append(_built(prog))
+        most[n] = max(b[0] - a[0] + b[1] - a[1] - 2 for a, b in zip(built, built[1:]))
+    assert most[64] <= most[16]
+
+
+def test_the_session_store_stays_within_twice_the_live_proof_and_one_step():
+    prog = parse_program(lock_text(64))
+    ctx, built, live = dict(prog.main.params), [], 0
+    for st in _det_walk(prog):
+        simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
+        s = proofs._SESSIONS[id(prog)]
+        live = max(live, _reachable(s.store.nodes, s.last[1]))
+        built.append((len(s.store.nodes), _built(prog)[1]))
+    step = max(b - a - 1 for (_, a), (_, b) in zip(built, built[1:]))
+    assert max(size for size, _ in built) <= 2 * live + step
+    assert built[-1][1] > 4 * live  # what the walk built in all would not fit
+
+
+def test_a_session_is_dropped_with_its_program():
+    before = set(proofs._SESSIONS)
+    prog = parse_program(lock_text(2))
+    ctx, walk = dict(prog.main.params), _det_walk(prog)
+    for st in walk:
+        simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
+    key = id(prog)
+    assert set(proofs._SESSIONS) == before | {key}
+    del prog, walk, st
+    gc.collect()
+    assert key not in proofs._SESSIONS

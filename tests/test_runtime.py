@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 
 from csll import types as ty
@@ -199,6 +200,34 @@ def test_subject_reduction_over_corpus_graphs(lock, cas, omega, omega_server, co
         for sid in g.expanded:
             for _, tid in g.edges[sid]:
                 check(g.states[tid], ctx, prog)  # must not raise
+
+
+def test_a_cut_pairs_no_guard_of_an_inner_cut_on_its_own_name():
+    # canonical sibling scopes share binder names, and a step can nest one
+    # inside the other: on gen_program(48)'s explored state 1, r-comm@c[·]
+    # gives a reduct where an inner `new c` shadows the outer one.  Its next
+    # det step closes the inner c, not the outer c against the inner wait.
+    prog = gen_program(48)
+    ctx = dict(prog.main.params)
+    g = explore(prog.main.body, prog)
+    (st,) = (s for s in enabled_steps(g.states[1], prog, deterministic=True)
+             if str(s.info) == "r-comm@c[·]")
+    nxt = enabled_steps(st.reduct, prog, deterministic=True)[0]
+    assert str(nxt.info) == "r-close@c[LLL]"
+    check(nxt.reduct, ctx, prog)  # must not raise
+
+
+@pytest.mark.parametrize("guard_side", ["left", "right"])
+def test_a_cut_hands_up_no_guard_on_its_own_channel(guard_side):
+    # the outer `close c` has no partner: the one `wait c` it could reach
+    # belongs to an inner cut on c, on either side of that cut
+    c, y, u, z = (fresh(n) for n in "cyuz")
+    inner_wait, blocked_close = Wait(c, Close(y)), Wait(u, Close(c))
+    inner = (Cut(c, ty.BOT, inner_wait, blocked_close) if guard_side == "left"
+             else Cut(c, ty.ONE, blocked_close, inner_wait))
+    p = Cut(c, ty.ONE, Close(c), Cut(y, ty.BOT, Wait(y, Wait(c, Close(z))), inner))
+    check(p, {z: ty.ONE, u: ty.BOT}, EMPTY)
+    assert enabled_steps(p, EMPTY) == []
 
 
 def test_unfolding_during_execution_is_bounded(omega):
