@@ -20,13 +20,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT))  # the reference of tests/oracles.py
+sys.path.insert(0, str(ROOT))  # the oracles of tests/oracles.py
 
 from csll.gen import gen_program
-from csll.process import channels, threads, unfold
 from csll.proofs import PRINCIPAL_STEPS, simulate_step
 from csll.runtime import enabled_steps, explore, is_close_normal
 from csll.typecheck import check, check_program
+from tests.oracles import channels, threads, unfold
 from tests.oracles import simulate_step as reference_step
 
 

@@ -21,20 +21,23 @@ composition decides the condition exactly (Lee, Jones & Ben-Amram, POPL
 path carries a progressing thread if and only if every idempotent loop
 graph `G;G = G` at a head has a progressing self-arc.  The closure is
 explored shortest walk first, so every element keeps a shortest walk that
-realises it.
+realises it.  `closure_check` stops at the first loop without such an arc
+and returns its walk as a counterexample; `closure_thread` stops at the
+first loop with one and returns a progressing thread around its walk.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable
+from functools import partial
+from typing import Callable, Hashable, Iterable, Iterator
 
 Slot = Hashable
 Arc = tuple[Slot, Slot, bool]
 Graph = frozenset  # of arcs, at most one per (src, tgt) slot pair
 Step = tuple[int, int]  # (node, premise index)
+Walk = list[tuple[int, tuple[Arc, ...]]]  # (node, arcs of the edge taken from it) per step
 
 
 def _graph(arcs: Iterable[Arc]) -> Graph:
@@ -51,22 +54,10 @@ def _compose(g1: Iterable[Arc], g2: Iterable[Arc]) -> Graph:
     return _graph((i, k, p or q) for i, j, p in g1 for k, q in nxt.get(j, ()))
 
 
-@dataclass
-class Closure:
-    """What `closure_check` found.
-
-    `counterexample` lists the nodes of a shortest closed walk whose graph is
-    an idempotent loop without a progressing self-arc: repeated forever, the
-    walk carries no progressing thread (None when there is none).  `thread`
-    is a progressing thread, as (node, slot) pairs, around the shortest walk
-    of an idempotent loop that has such a self-arc (empty when none has)."""
-
-    counterexample: list[int] | None = None
-    thread: list[tuple[int, Slot]] = field(default_factory=list)
-
-
-def closure_check(graph, arcs: Callable[[int, int], Iterable[Arc]]) -> Closure:
-    """Decide the trace condition of the module docstring for the graph below its root."""
+def _idempotent_loops(graph, arcs: Callable[[int, int], Iterable[Arc]]
+                      ) -> Iterator[tuple[Graph, Callable[[], Walk]]]:
+    """The idempotent loop graphs `G;G = G` at heads, shortest walk first,
+    each with a function that gives a shortest closed walk realising it."""
     nodes = graph.nodes
     parent: dict[int, Step] = {}
     depth = {graph.root: 0}
@@ -104,53 +95,66 @@ def closure_check(graph, arcs: Callable[[int, int], Iterable[Arc]]) -> Closure:
 
     seen: dict[tuple, tuple] = {}  # (head, head, graph) -> (previous element, last segment)
 
-    def walk(key: tuple | None) -> list[Step]:
-        steps: list[Step] = []
+    def walk(key: tuple | None) -> Walk:
+        steps: Walk = []
         while key is not None:
             prev, (_, _, _, (n, i)) = seen[key]
             start = key[0] if prev is None else prev[1]
-            path = [(n, i)]
+            path = [(n, step_arcs[n, i])]
             while n != start:
                 n, i = parent[n]
-                path.append((n, i))
+                path.append((n, step_arcs[n, i]))
             steps[:0] = path[::-1]
             key = prev
         return steps
 
-    result = Closure()
     tie = itertools.count()
     heap = [(s[0], next(tie), a, s[1], s[2], None, s) for a, out in segments.items() for s in out]
     heapq.heapify(heap)
-    while heap and (result.counterexample is None or not result.thread):
+    while heap:
         length, _, a, b, g, prev, seg = heapq.heappop(heap)
         key = (a, b, g)
         if key in seen:
             continue
         seen[key] = (prev, seg)
         if a == b and _compose(g, g) == g:
-            loops = {i for i, j, p in g if p and i == j}
-            if not loops:
-                if result.counterexample is None:
-                    result.counterexample = [n for n, _ in walk(key)]
-            elif not result.thread:
-                result.thread = _thread(step_arcs, walk(key), loops)
+            yield g, partial(walk, key)
         for s in segments[b]:
             nkey = (a, s[1], _compose(g, s[2]))
             if nkey not in seen:
                 heapq.heappush(heap, (length + s[0], next(tie), *nkey, key, s))
-    return result
 
 
-def _thread(step_arcs: dict[Step, tuple[Arc, ...]], steps: list[Step],
-            loops: set[Slot]) -> list[tuple[int, Slot]]:
+def closure_check(graph, arcs: Callable[[int, int], Iterable[Arc]]) -> list[int] | None:
+    """Decide the trace condition of the module docstring for the graph below
+    its root: None when it holds, else the nodes of a shortest closed walk
+    whose graph is an idempotent loop without a progressing self-arc, so
+    that the walk, repeated forever, carries no progressing thread."""
+    for g, walk in _idempotent_loops(graph, arcs):
+        if not any(p and i == j for i, j, p in g):
+            return [n for n, _ in walk()]
+    return None
+
+
+def closure_thread(graph, arcs: Callable[[int, int], Iterable[Arc]]) -> list[tuple[int, Slot]]:
+    """A progressing thread, as (node, slot) pairs, around the shortest walk
+    of an idempotent loop that has a progressing self-arc; empty when none has."""
+    for g, walk in _idempotent_loops(graph, arcs):
+        loops = {i for i, j, p in g if p and i == j}
+        if loops:
+            return _thread(walk(), loops)
+    return []
+
+
+def _thread(steps: Walk, loops: set[Slot]) -> list[tuple[int, Slot]]:
     """A thread around the closed walk that returns to its start slot and
     progresses on the way; `loops` are the slots whose self-arc guarantees it."""
-    slot = next(s for s, _, _ in step_arcs[steps[0]] if s in loops)
+    slot = next(s for s, _, _ in steps[0][1] if s in loops)
     layers: list[dict[tuple[Slot, bool], tuple[Slot, bool] | None]] = [{(slot, False): None}]
-    for step in steps:
+    for _, step_arcs in steps:
         layer: dict[tuple[Slot, bool], tuple[Slot, bool] | None] = {}
         for s, done in layers[-1]:
-            for a, b, p in step_arcs[step]:
+            for a, b, p in step_arcs:
                 if a == s:
                     layer.setdefault((b, done or p), (s, done))
         layers.append(layer)

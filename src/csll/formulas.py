@@ -17,9 +17,8 @@ from operator import is_
 from . import types as ty
 
 # the MALL constants and connectives are the session-type classes
-One, Bot, Top, Zero, Tensor, Par, Plus, With = (
-    ty.One, ty.Bot, ty.Top, ty.Zero, ty.Tensor, ty.Par, ty.Plus, ty.With)
-F_ONE, F_BOT, F_TOP, F_ZERO = ty.ONE, ty.BOT, ty.TOP, ty.ZERO
+Tensor, Par, Plus, With = ty.Tensor, ty.Par, ty.Plus, ty.With
+F_ONE, F_BOT = ty.ONE, ty.BOT
 
 
 @dataclass(frozen=True)

@@ -356,25 +356,3 @@ def unfold_head(p: Process, prog: Program) -> Process:
     while isinstance(p, Call) and call_depth(p, prog):
         p = instantiate(prog.defs[p.name], p.args)
     return p
-
-
-def unfold(p: Process, prog: Program) -> Process:
-    """`unfold_head` at every position reachable through cuts only."""
-    p = unfold_head(p, prog)
-    if isinstance(p, Cut):
-        return Cut(p.chan, p.anno, unfold(p.left, prog), unfold(p.right, prog), span=p.span)
-    return p
-
-
-def threads(p: Process) -> int:
-    """Number of unguarded guards: cuts add their sides, everything else is one."""
-    if isinstance(p, Cut):
-        return threads(p.left) + threads(p.right)
-    return 1
-
-
-def channels(p: Process) -> int:
-    """Number of unguarded restrictions."""
-    if isinstance(p, Cut):
-        return 1 + channels(p.left) + channels(p.right)
-    return 0

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field, replace
 
 from . import formulas as mf
 from . import types as ty
-from .cycles import closure_check
+from .cycles import closure_thread
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
 from .process import BINDING, ChannelName
 from .typecheck import GUARDS, Derivation, DerivNode, ValidityReport, _closure_report, check
@@ -350,7 +350,7 @@ def _succ_addresses(g: ProofGraph, node: ProofNode, edge: ProofEdge) -> list[tup
 
 
 def _thread_arcs(g: ProofGraph):
-    """`closure_check`'s arcs on g: the occurrence successors along premise
+    """The closure's arcs on g: the occurrence successors along premise
     edge i of node nid, an arc progressing where its source is the principal
     occurrence of a greatest fixed point."""
     def arcs(nid: int, i: int) -> list[tuple[Address, Address, bool]]:
@@ -372,7 +372,7 @@ def proof_validity(g: ProofGraph) -> ValidityReport:
 def nu_thread_witness(g: ProofGraph) -> list[tuple[int, Address]]:
     """Node/address pairs of one recurring greatest-fixed-point thread, for
     rendering; empty when none exists."""
-    return closure_check(g, _thread_arcs(g)).thread
+    return closure_thread(g, _thread_arcs(g))
 
 
 # --- principal reduction ------------------------------------------------------
@@ -388,10 +388,10 @@ _KEY_CASES = {("one", "bot", None): "", ("tensor", "par", None): "lr", ("mu", "n
               ("plus", "with", 1): "l", ("plus", "with", 2): "r"}
 
 
-def principal_reduce_at(g: ProofGraph, cut_id: int) -> tuple[ProofGraph, int]:
+def principal_reduce_at(g: ProofGraph, cut_id: int) -> None:
     """One principal cut-reduction step at the given cut node, in place: the
     result is written under the cut's own id, so every edge into the cut now
-    leads to it.  Returns the graph and that id.
+    leads to it.
 
     Every key case is one fold over (child steps, positive premises, negative
     premise): from the right, each positive premise is cut against what the
@@ -425,7 +425,6 @@ def principal_reduce_at(g: ProofGraph, cut_id: int) -> tuple[ProofGraph, int]:
                      *(o for o in g.nodes[neg.target].sequent if o.address != pair[1]))
         neg = ProofEdge(g.add(ProofNode(g.new_id(), "cut", seq, (e, neg), cut_pair=pair)))
     g.nodes[cut_id] = replace(g.nodes[neg.target], nid=cut_id)
-    return g, cut_id
 
 
 # --- process-step / proof-step correspondence ---------------------------------
@@ -584,11 +583,11 @@ def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationR
         enc1 = encode_derivation(d1, s.graph(), proof_of)
         # principal reduction rewrites the cut's proof node in place, and so what the spine presents
         proof_of.update((nid, pid) for nid, pid in enc1.deriv_to_proof.items() if nid not in spine)
-        g1, cur = enc1.graph, enc1.deriv_to_proof[next(iter(spine))]
+        g1, cut = enc1.graph, enc1.deriv_to_proof[next(iter(spine))]
         n = PRINCIPAL_STEPS[kind]
         try:
             for _ in range(n):
-                g1, cur = principal_reduce_at(g1, cur)
+                principal_reduce_at(g1, cut)
         except NotPrincipalError as e:
             return SimulationReport(kind, n, False, f"principal reduction failed: {e}")
         d2 = check(reduct, ctx, prog, checker)

@@ -229,18 +229,6 @@ def enabled_steps(p: Process, defs: Program, deterministic: bool = False) -> lis
     return out
 
 
-def step_all(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
-    """Every one-step reduct under the full semantics, canonicalized once per orbit."""
-    forms: dict[object, Process] = {}
-    out = []
-    for st in enabled_steps(p, defs):
-        q = forms.get(st.orbit)
-        if q is None:
-            q = forms[st.orbit] = canonical_form(st.reduct)
-        out.append((st.info, q))
-    return out
-
-
 def step_det(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
     """One-step reducts with all pool rules removed (queue order only)."""
     return [(st.info, canonical_form(st.reduct)) for st in enabled_steps(p, defs, deterministic=True)]
@@ -371,7 +359,8 @@ class ReductionGraph:
 
 def explore(p: Process, defs: Program, max_states: int = 100_000,
             max_depth: int = 10_000) -> ReductionGraph:
-    """Breadth-first closure of step_all with canonical-form deduplication.
+    """Breadth-first closure of the full semantics' steps, one state per
+    canonical form.
     A state stuck only on a diverging invocation is `diverging`, not normal."""
     g = ReductionGraph()
     g.root = g.add_state(p)

@@ -316,7 +316,7 @@ class ValidityReport:
 def _closure_report(graph, arcs, valid: str, cycle: str, composite: str) -> ValidityReport:
     """`cycles.closure_check`'s verdict as a report: valid, or invalid with a
     shortest witness walk that is either a simple or a composite cycle."""
-    walk = closure_check(graph, arcs).counterexample
+    walk = closure_check(graph, arcs)
     if walk is None:
         return ValidityReport("valid", valid)
     return ValidityReport("invalid", cycle if len(set(walk)) == len(walk) else composite, walk)

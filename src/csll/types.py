@@ -98,8 +98,6 @@ class Client(SessionType):
 
 ONE = One()
 BOT = Bot()
-ZERO = Zero()
-TOP = Top()
 
 # Precedence levels of the surface syntax; higher binds tighter.  Binary
 # operators chain to the right, and two operators of one level do not mix.

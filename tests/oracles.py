@@ -1,4 +1,5 @@
-"""Test oracles: structural helpers that only the tests read.
+"""Test oracles: structural helpers that only the tests and
+`scripts/fuzz_systems.py` read.
 
 Each one states a property directly on the data structures, so the tests can
 check the package against it without the package carrying it.
@@ -11,8 +12,9 @@ from typing import Iterable
 
 from csll import runtime
 from csll import types as ty
+from csll.canon import canonical_form
 from csll.formulas import Address, Mu, MuFormula, Nu, Var, formula_children, prefix_leq
-from csll.process import BINDING, Call, ChannelName, Definition, Process
+from csll.process import BINDING, Call, ChannelName, Cut, Definition, Process, Program, unfold_head
 from csll.proofs import (
     PRINCIPAL_STEPS, AddressStream, NotPrincipalError, SimulationReport, encode_derivation,
     principal_reduce_at, proof_bisimilar,
@@ -87,10 +89,10 @@ def depth(t: ty.SessionType) -> int:
 def random_any_type(rng: random.Random, depth: int = 3) -> ty.SessionType:
     """Arbitrary type tree over the full grammar (for structural properties)."""
     if depth <= 1:
-        return rng.choice((ty.ONE, ty.BOT, ty.TOP, ty.ZERO))
+        return rng.choice((ty.ONE, ty.BOT, ty.Top(), ty.Zero()))
     c = rng.randrange(10)
     if c < 4:
-        return rng.choice((ty.ONE, ty.BOT, ty.TOP, ty.ZERO))
+        return rng.choice((ty.ONE, ty.BOT, ty.Top(), ty.Zero()))
     if c < 6:
         ctor = rng.choice((ty.Server, ty.Client))
         return ctor(random_any_type(rng, depth - 1))
@@ -122,6 +124,41 @@ def param_types(defn: Definition) -> tuple[ty.SessionType, ...]:
     return tuple(t for _, t in defn.params)
 
 
+def step_all(p: Process, defs: Program) -> list[tuple[runtime.RedexInfo, Process]]:
+    """Every one-step reduct under the full semantics, canonicalized once per
+    orbit: the (step, target) pairs of one state in `runtime.explore`."""
+    forms: dict[object, Process] = {}
+    out = []
+    for st in runtime.enabled_steps(p, defs):
+        q = forms.get(st.orbit)
+        if q is None:
+            q = forms[st.orbit] = canonical_form(st.reduct)
+        out.append((st.info, q))
+    return out
+
+
+def unfold(p: Process, prog: Program) -> Process:
+    """`unfold_head` at every position reachable through cuts only."""
+    p = unfold_head(p, prog)
+    if isinstance(p, Cut):
+        return Cut(p.chan, p.anno, unfold(p.left, prog), unfold(p.right, prog), span=p.span)
+    return p
+
+
+def threads(p: Process) -> int:
+    """Number of unguarded guards: cuts add their sides, everything else is one."""
+    if isinstance(p, Cut):
+        return threads(p.left) + threads(p.right)
+    return 1
+
+
+def channels(p: Process) -> int:
+    """Number of unguarded restrictions."""
+    if isinstance(p, Cut):
+        return 1 + channels(p.left) + channels(p.right)
+    return 0
+
+
 def find_state(g: runtime.ReductionGraph, p: Process) -> int | None:
     """The id of the state that is p's canonical form, if g has one, hashed
     as `runtime` hashes the states it adds."""
@@ -137,11 +174,11 @@ def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationR
     dnid = next((nid for nid, n in d1.nodes.items() if n.judgment.process is cut_obj), None)
     if dnid is None:
         return SimulationReport(kind, 0, False, "redex cut not found in derivation")
-    g1, cur = enc1.graph, enc1.deriv_to_proof[dnid]
+    g1, cut = enc1.graph, enc1.deriv_to_proof[dnid]
     n = PRINCIPAL_STEPS[kind]
     try:
         for _ in range(n):
-            g1, cur = principal_reduce_at(g1, cur)
+            principal_reduce_at(g1, cut)
     except NotPrincipalError as e:
         return SimulationReport(kind, n, False, f"principal reduction failed: {e}")
     ok = proof_bisimilar(g1, encode_derivation(check(reduct, ctx, prog)).graph)

@@ -10,7 +10,7 @@ from csll.process import (
     Server, Wait, fresh,
 )
 
-atoms = st.sampled_from([ty.ONE, ty.BOT, ty.TOP, ty.ZERO])
+atoms = st.sampled_from([ty.ONE, ty.BOT, ty.Top(), ty.Zero()])
 
 session_types = st.recursive(
     atoms,

@@ -15,7 +15,6 @@ from csll.formulas import Address, Occurrence, occ_step
 from csll.gen import gen_program
 from csll.linkgen import gen_link
 from csll.printer import pretty_process
-from csll.process import channels, threads, unfold
 from csll.proofs import (
     PRINCIPAL_STEPS, encode_derivation, proof_validity, simulate_step,
 )
@@ -25,7 +24,9 @@ from csll.runtime import (
 from csll.typecheck import check, check_program, definition_derivation, validity_check
 
 from .conftest import load_corpus
-from .oracles import depth, dual_formula, is_nu, min_formula, random_any_type, subformula_leq
+from .oracles import (
+    channels, depth, dual_formula, is_nu, min_formula, random_any_type, subformula_leq, threads, unfold,
+)
 
 
 def _ok(n: int, message: str) -> None:
@@ -50,7 +51,7 @@ def test_criterion_1_corpus_verdicts():
 
     # forwarder families: exhaustive at depth <= 2, seeded sample at depth 3-4
     # (the full space at depth 4 has billions of types)
-    atoms = [ty.ONE, ty.BOT, ty.TOP, ty.ZERO]
+    atoms = [ty.ONE, ty.BOT, ty.Top(), ty.Zero()]
     depth2 = [c(a) for c in (ty.Server, ty.Client) for a in atoms]
     depth2 += [c(a, b) for c in (ty.Tensor, ty.Par, ty.Plus, ty.With)
                for a in atoms for b in atoms]

@@ -12,7 +12,7 @@ def test_oracle_base_cases():
     assert not orc.completable((ty.BOT,))
     assert not orc.completable(())
     assert orc.completable((ty.BOT, ty.ONE))
-    assert orc.completable((ty.TOP, ty.ZERO))
+    assert orc.completable((ty.Top(), ty.Zero()))
 
 
 def test_oracle_does_not_read_the_server_rule_backwards():

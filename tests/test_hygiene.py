@@ -1,10 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-defines a private module-level name nothing uses, or defines a public
-function or class that only the tests read, and per-call work leaves no
-reference cycles behind for the cycle collector."""
+"""Source hygiene: no module of the package imports a name it never uses
+(an `__all__` entry is no use, so the package re-exports nothing), defines
+a private module-level name nothing uses, or defines a public module-level
+name that only the tests read, and per-call work leaves no reference cycles
+behind for the cycle collector."""
 
 import ast
 import gc
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,8 @@ from csll.typecheck import definition_derivation
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "csll"
+# the package's callers: the benchmark and the scripts
+CALLERS = sorted(path for folder in ("scripts", "bench") for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -30,12 +35,6 @@ def unused_imports(tree: ast.Module) -> list[str]:
                     continue
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in ast.walk(tree):
-        # names re-exported through __all__ count as used
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
-                                                for t in node.targets):
-            used |= {e.value for e in ast.walk(node.value)
-                     if isinstance(e, ast.Constant) and isinstance(e.value, str)}
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -48,31 +47,32 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Callable, Iterator\n"
                      "__all__ = ['Iterator']\nprint(os.sep)\n")
-    assert unused_imports(tree) == ["Callable (line 2)"]
+    assert unused_imports(tree) == ["Callable (line 2)", "Iterator (line 2)"]
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement defines: a function or
+    class, or the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
 
 
 def unused_private_names(trees: dict[str, ast.Module]) -> list[str]:
     """The private (single-underscore) module-level names of trees that no
     module of trees reads, as `module.name`."""
-    defined = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
     read = set().union(*map(names_read, trees.values()))
-    return [f"{module}.{name}" for module, name in defined if name not in read]
+    return [f"{module}.{name}" for module, tree in trees.items() for node in tree.body
+            for name in defined_names(node)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
 def names_read(node: ast.AST) -> set[str]:
-    """The names node reads: loaded names, attributes, names imported from a
-    module, and the entries of an `__all__`."""
+    """The names node reads: loaded names, attributes, and names imported
+    from a module."""
     read = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
@@ -81,24 +81,19 @@ def names_read(node: ast.AST) -> set[str]:
             read.add(n.attr)
         elif isinstance(n, ast.ImportFrom):
             read.update(alias.name for alias in n.names)
-        elif isinstance(n, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
-                                               for t in n.targets):
-            read.update(e.value for e in ast.walk(n.value)
-                        if isinstance(e, ast.Constant) and isinstance(e.value, str))
     return read
 
 
 def unread_public_names(trees: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
-    """The public module-level functions and classes of trees that nothing
-    reads, as `module.name`: no top-level statement of trees but their own
-    definition, and no module of readers."""
+    """The public module-level names of trees (functions, classes and
+    assignment targets) that nothing reads, as `module.name`: no top-level
+    statement of trees but their own definition, and no module of readers."""
     outside = set().union(*map(names_read, readers))
     statements = [(module, node, names_read(node))
                   for module, tree in trees.items() for node in tree.body]
-    return [f"{module}.{node.name}" for module, node, _ in statements
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in outside
-            and not any(node.name in read for _, other, read in statements if other is not node)]
+    return [f"{module}.{name}" for module, node, _ in statements for name in defined_names(node)
+            if not name.startswith("_") and name not in outside
+            and not any(name in read for _, other, read in statements if other is not node)]
 
 
 def _parsed(paths) -> dict[str, ast.Module]:
@@ -110,9 +105,38 @@ def test_no_unused_private_names():
 
 
 def test_no_public_name_only_the_tests_read():
-    readers = [ast.parse(path.read_text(encoding="utf-8"), str(path))
-               for folder in ("scripts", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
+    readers = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in CALLERS]
     assert unread_public_names(_parsed(SRC.glob("*.py")), readers) == []
+
+
+def unresolved_imports(tree: ast.Module) -> list[str]:
+    """The `from csll... import name` statements of tree, at any depth, whose
+    name the module does not define, as `module.name`.  The package itself
+    re-exports nothing, so `from csll import name` must name a submodule."""
+    missing = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == "csll"):
+            continue
+        for alias in node.names:
+            if node.module == "csll":
+                found = importlib.util.find_spec(f"csll.{alias.name}") is not None
+            else:
+                found = hasattr(importlib.import_module(node.module), alias.name)
+            if not found:
+                missing.append(f"{node.module}.{alias.name}")
+    return missing
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_callers_import_only_what_the_package_defines(path):
+    assert unresolved_imports(ast.parse(path.read_text(encoding="utf-8"), str(path))) == []
+
+
+def test_scan_flags_an_import_the_package_does_not_define():
+    tree = ast.parse("from csll import process, step_all\nfrom csll.runtime import run, step_all\n"
+                     "def f():\n    from csll.process import unfold, unfold_head\n")
+    assert unresolved_imports(tree) == ["csll.step_all", "csll.runtime.step_all", "csll.process.unfold"]
 
 
 def test_scan_flags_an_unused_private_name():
@@ -123,10 +147,12 @@ def test_scan_flags_an_unused_private_name():
 
 def test_scan_flags_a_public_name_only_its_own_body_reads():
     trees = {"a": ast.parse("def f(n): return f(n - 1)\ndef g(): return h()\ndef h(): pass\n"
-                            "class C: pass\nclass D:\n    def m(self): return D()\n"),
-             "b": ast.parse("__all__ = ['C']\n")}
+                            "class C: pass\nclass D:\n    def m(self): return D()\n"
+                            "X, Y = 1, 2\nZ: int = X\n"),
+             "b": ast.parse("__all__ = ['C', 'Z']\n")}
     readers = [ast.parse("from a import g\n")]
-    assert unread_public_names(trees, readers) == ["a.f", "a.D"]
+    # an `__all__` entry is no read
+    assert unread_public_names(trees, readers) == ["a.f", "a.C", "a.D", "a.Y", "a.Z"]
 
 
 def cyclic_garbage(fn) -> list:

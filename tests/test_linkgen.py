@@ -18,9 +18,9 @@ def test_link_bot_shape():
 
 
 def test_link_top_shape():
-    prog = gen_link(ty.TOP)
-    d = prog.defs[link_name(ty.TOP)]
-    assert param_types(d) == (ty.TOP, ty.ZERO)
+    prog = gen_link(ty.Top())
+    d = prog.defs[link_name(ty.Top())]
+    assert param_types(d) == (ty.Top(), ty.Zero())
     assert isinstance(d.body, Fail)
     assert check_program(prog).accepted
 
@@ -55,7 +55,7 @@ def test_generated_families_parse_back():
 
 
 def test_every_depth2_family_accepted():
-    atoms = [ty.ONE, ty.BOT, ty.TOP, ty.ZERO]
+    atoms = [ty.ONE, ty.BOT, ty.Top(), ty.Zero()]
     depth2 = [ctor(a) for ctor in (ty.Server, ty.Client) for a in atoms]
     depth2 += [ctor(a, b) for ctor in (ty.Tensor, ty.Par, ty.Plus, ty.With)
                for a in atoms for b in atoms]

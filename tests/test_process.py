@@ -4,11 +4,10 @@ from csll import types as ty
 from csll.canon import canonical_form
 from csll.process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil,
-    Program, Server, Wait, _free_names, call_depth, channels, free_names,
-    fresh, rename, threads, unfold,
+    Program, Server, Wait, _free_names, call_depth, free_names, fresh, rename,
 )
 
-from .oracles import alpha_equal
+from .oracles import alpha_equal, channels, threads, unfold
 from .strategies import processes
 
 

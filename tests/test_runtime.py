@@ -7,16 +7,16 @@ from csll.gen import gen_program
 from csll.printer import pretty_process
 from csll.process import (
     BINDING, Call, ChannelName, Close, Cons, Cut, Fork, Join, Nil, Process, Program, Server, Wait,
-    channels, fresh, rename, threads, unfold,
+    fresh, rename,
 )
 from csll.typecheck import check
 from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
-from .oracles import alpha_equal, find_state
+from .oracles import alpha_equal, channels, find_state, step_all, threads, unfold
 from .strategies import processes
 from csll.parser import parse_program
 from csll.runtime import (
     check_fair_termination, enabled_steps, explore,
-    is_close_normal, is_weakly_terminating, run, step_all, step_det,
+    is_close_normal, is_weakly_terminating, run, step_det,
 )
 
 EMPTY = Program({})

@@ -57,7 +57,7 @@ def test_check_wait_against_positive_type_fails():
 def test_check_zero_subject_diagnostic():
     x = fresh("x")
     with pytest.raises(TypeCheckError) as exc:
-        check(Close(x), {x: ty.ZERO}, Program({}))
+        check(Close(x), {x: ty.Zero()}, Program({}))
     assert exc.value.diagnostic.kind == "zero-subject"
 
 
@@ -140,7 +140,7 @@ def test_cut_annotation_checked_on_both_sides():
 
 
 def test_subject_reduction_smoke(lock):
-    from csll.runtime import step_all
+    from .oracles import step_all
     body = lock.main.body
     ctx = dict(lock.main.params)
     for _, q in step_all(body, lock):

@@ -36,7 +36,7 @@ def test_depth():
 
 
 def test_trees_of_one_shape_hash_apart():
-    atoms = (ty.ONE, ty.BOT, ty.TOP, ty.ZERO)
+    atoms = (ty.ONE, ty.BOT, ty.Top(), ty.Zero())
     binary = [ctor(a, b) for ctor in (ty.Tensor, ty.Par, ty.Plus, ty.With) for a in atoms for b in atoms]
     assert len({hash(t) for t in atoms}) == 4
     assert len({hash(t) for t in binary}) == 64

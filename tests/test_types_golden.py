@@ -23,7 +23,7 @@ from .oracles import dual_formula
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "types.json"
 
-ATOMS = (ty.ONE, ty.BOT, ty.TOP, ty.ZERO)
+ATOMS = (ty.ONE, ty.BOT, ty.Top(), ty.Zero())
 MALFORMED = ("", "srv", "cli", "par 1", "* 1", "1 1", "(1", "1 +", "bot bot", "top)")
 
 
