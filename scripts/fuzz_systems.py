@@ -2,9 +2,10 @@
 """Property sweep over randomly generated well-typed systems.
 
 For each seed: the program must be accepted by the checker, every reachable
-state must either be a terminal close or have a deterministic redex, every
-reduct must re-typecheck, every deterministic step must be matched by its
-number of principal cut reductions of the encoded proof
+state must either be a terminal close or have a deterministic redex and must
+print as its depth-named canonical form (`tests/oracles.depth_canonical`)
+does, every reduct must re-typecheck, every deterministic step must be
+matched by its number of principal cut reductions of the encoded proof
 (`proofs.simulate_step`) and reported as by the from-scratch reference
 (`tests/oracles.simulate_step`), on a forward pass over the states and
 again in reverse order, and the unfolded thread/channel counts must
@@ -23,10 +24,11 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))  # the oracles of tests/oracles.py
 
 from csll.gen import gen_program
+from csll.printer import pretty_process
 from csll.proofs import PRINCIPAL_STEPS, simulate_step
 from csll.runtime import enabled_steps, explore, is_close_normal
 from csll.typecheck import check, check_program
-from tests.oracles import channels, threads, unfold
+from tests.oracles import channels, depth_canonical, threads, unfold
 from tests.oracles import simulate_step as reference_step
 
 
@@ -48,6 +50,8 @@ def main() -> int:
         walked = []
         for sid, state in enumerate(g.states):
             states += 1
+            assert pretty_process(depth_canonical(state)[1]) == pretty_process(state), \
+                f"seed {seed}: state {sid} prints apart from its depth-named canonical form"
             det = enabled_steps(state, prog, deterministic=True)
             if not is_close_normal(state, prog):
                 assert det, f"seed {seed}: stuck state {sid}"

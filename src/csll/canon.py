@@ -1,19 +1,38 @@
 """Canonical forms for processes.
 
-Canonicalisation is one pass (`_canon`) that returns a structural key and
-the canonical form together.  It orders commutative siblings (cut sides,
-clients within a pool on the same channel) by the key, which is invariant
-under renaming of bound channels: a bound channel appears in it as the
-level of its binder, the number of binders whose scope encloses that
-binder.  Each node's key is made from its children's keys, so every
-subterm is keyed once; apart from cuts, pools and invocations a node's key
-follows its row of `process.BINDING`.  The form names each binder by its
-level alone, `_binder(level + 1)` (de Bruijn levels), so a subterm's form
-does not depend on where its siblings sort and each node is built once,
-while it is keyed.  Binder names have negative ids and parsed and fresh
-channels positive ones, so no free channel is captured; sibling scopes
-share binder names.  The pass keeps one scope map for the whole traversal:
-a binder's entry is set on entering its scope and restored on leaving it.
+A `Canonicaliser` returns a structural key and the canonical form of a term
+together.  It orders commutative siblings (cut sides, clients within a pool
+on the same channel) by the key, which is invariant under renaming of bound
+channels: a bound channel appears in it as `("b", level - depth)`, where
+level is the level of its binder (the number of binders whose scope
+encloses that binder) and depth the level of the binders at the use site.
+Where two sibling keys first differ both elements sit at one depth, so these
+relative keys order siblings as absolute levels would.  Each node's key is
+made from its children's keys; apart from cuts, pools and invocations it
+follows the node's row of `process.BINDING`.
+
+The form names each binder by its height, `_binder(h)`: h is 1 + the
+greatest binder name inside its scope, or 1 when there is none (the named
+form of locally nameless terms).  An outer binder's name exceeds every name
+inside its scope, so no free occurrence is captured; sibling scopes share
+names.  Binder names have negative ids and parsed and fresh channels
+positive ones.  A subterm's key then depends only on the offsets
+(level - depth) of its free bound channels, and its form only on their
+names.
+
+A term keyed has a record: its form, key and height, and the level and name
+of the binder of each free channel when it was keyed (none for a free
+channel no binder encloses).  A canonicaliser keeps the record of each form
+it makes, or of each term it is given (see `Canonicaliser`), on that term
+itself, in its instance dictionary as `functools.cached_property` keeps a
+value, so the record lives exactly as long as the term.  Wherever a term appears again with each
+free channel's name unchanged and its level moved by as much as the term's
+depth, its record is reused, so a term that shares most of its nodes with
+one keyed before costs what it changed.  A binder's height is read from the
+records of its scope, and a memoised walk finds it for the nodes without
+one.  Pool cells are sorted by key; a pool whose tail has a record keeps
+that tail when its new cells sort ahead of it.
+
 The result is a deterministic, idempotent normal form used as state
 identity during exploration.  Invocations are never unfolded here and cut
 nests are not reassociated, so the quotient is coarser than full structural
@@ -28,78 +47,297 @@ from operator import itemgetter
 from .process import BINDING, Call, ChannelName, Cons, Cut, Process
 from .types import dual, type_key
 
+# A record: (height, key, form, frees, by_name, depth), under _RECORD in its
+# term's instance dictionary; form is None when the term is its own form.
+# frees maps each free channel c of the source term to the (level, name) of
+# its binder when the term was keyed at depth, or to (None, c) when no
+# binder enclosed c.  A form's record shares its source's frees; by_name
+# says that the form's free channels are the names.  Records never change,
+# and a term's frees are its child's when they hold the same channels.
+_HEIGHT, _KEY, _FORM, _FREES, _BY_NAME, _DEPTH = range(6)
+_RECORD = "_canonical"
 
-def _canon(p: Process, env: dict[ChannelName, int | None], depth: int) -> tuple[tuple, Process]:
-    """The structural key of p with its commutative siblings ordered, and
-    p's canonical form, whose nodes follow the key.  env maps a channel to
-    its binder's level (None: free); depth is the level of p's binders."""
-    t = type(p)
-    if t is Cut:
-        b = p.chan
-        old, env[b] = env.get(b), depth
-        lk, lf = _canon(p.left, env, depth + 1)
-        rk, rf = _canon(p.right, env, depth + 1)
-        env[b] = old
-        x = _binder(depth + 1)
-        if rk < lk:
-            # the annotation types the left side, so commuting dualizes it
-            anno = dual(p.anno)
-            return ("cut", type_key(anno), rk, lk), Cut(x, anno, rf, lf, span=p.span)
-        return ("cut", type_key(p.anno), lk, rk), Cut(x, p.anno, lf, rf, span=p.span)
-    if t is Cons:
-        ck, x = _named(p.chan, env)
-        cells: list[tuple[tuple, Process, object]] = []
-        node: Process = p
-        while type(node) is Cons and node.chan == p.chan:
-            b = node.session
-            old, env[b] = env.get(b), depth
-            cells.append((*_canon(node.client, env, depth + 1), node.span))
+# a scope: each bound channel's binder level and canonical name
+_Env = dict[ChannelName, "tuple[int, ChannelName] | None"]
+
+# the field names of each constructor's subterms inside and outside its binder's scope
+_SUBTERMS = {t: tuple(tuple(t.__match_args__[j] for j in js) for js in (row.inside, row.outside))
+             for t, row in BINDING.items()}
+# the constructors with no subterm, whose height is 0
+_LEAVES = frozenset(t for t, parts in _SUBTERMS.items() if parts == ((), ()))
+
+
+class Canonicaliser:
+    """Canonical forms and keys.  An exploration keeps one for its whole
+    graph, which keeps the records of the forms it makes: the graph steps
+    its canonical states, so their nodes come back in the reducts.  A run
+    keeps one for its whole trace with sources=True, which keeps the records
+    of the terms it is given instead: the run steps the reducts themselves,
+    so their nodes come back in the next state.  `made` counts the records
+    it has kept."""
+
+    def __init__(self, sources: bool = False) -> None:
+        self.made = 0
+        self._sources = sources
+        # heights of the nodes without a record of the term being keyed, by id
+        self._heights: dict[int, int] = {}
+
+    def hashed(self, p: Process) -> tuple[Process, int]:
+        """The canonical form of p and the hash of its structural key, which
+        canonical forms share with every term they are the form of, so equal
+        forms have equal hashes.  The key is a tuple, hashed in C."""
+        rec = self._keyed(p)
+        return rec[_FORM] or p, hash(rec[_KEY])
+
+    def form(self, p: Process) -> Process:
+        return self._keyed(p)[_FORM] or p
+
+    def cell_key(self, client: Process, session: ChannelName) -> tuple:
+        """Structural key of a pool client with its session bound.  Clients of
+        one pool with equal keys are interchangeable: connecting either one
+        gives the same canonical reduct."""
+        rec = client.__dict__.get(_RECORD)
+        if rec is not None and _fits(rec, {session: (0, _binder(1 + rec[_HEIGHT]))}, 1):
+            return rec[_KEY]
+        return self._keyed(client, session)[_KEY]
+
+    def _keyed(self, p: Process, session: ChannelName | None = None) -> tuple:
+        """The record of p, alone or with session bound around it."""
+        self._heights.clear()  # the ids of a term keyed before may be reused
+        if session is None:
+            return self._canon(p, {}, 0)
+        return self._canon(p, {session: (0, _binder(1 + self._height(p)))}, 1)
+
+    def _height(self, p: Process) -> int:
+        """The greatest binder name inside p's form, 0 if it has no binder."""
+        t = type(p)
+        if t in _LEAVES:
+            return 0
+        rec = p.__dict__.get(_RECORD)
+        if rec is not None:
+            return rec[_HEIGHT]
+        heights = self._heights
+        h = heights.get(id(p))
+        if h is not None:
+            return h
+        if t is Cons:  # a pool tail is walked in a loop, not a frame per cell
+            cells = []
+            while type(p) is Cons and id(p) not in heights and _RECORD not in p.__dict__:
+                cells.append(p)
+                p = p.pool
+            h = self._height(p)
+            for node in reversed(cells):
+                h = heights[id(node)] = max(h, 1 + self._height(node.client))
+            return h
+        inside, outside = _SUBTERMS[t]
+        h = 0
+        for a in outside:
+            h = max(h, self._height(getattr(p, a)))
+        for a in inside:
+            h = max(h, 1 + self._height(getattr(p, a)))
+        heights[id(p)] = h
+        return h
+
+    def _canon(self, p: Process, env: _Env, depth: int) -> tuple:
+        """The record of p where env gives the binder level and name of each
+        bound channel and depth is the level of p's binders."""
+        rec = p.__dict__.get(_RECORD)
+        if rec is not None and _fits(rec, env, depth):
+            return rec
+        t = type(p)
+        if t is Cons:
+            return self._pool(p, env, depth)
+        frees: dict = {}
+        if t is Call:
+            args = [_named(a, env, depth, frees) for a in p.args]
+            names = tuple([a for _, a in args])
+            key = ("call", p.name, tuple([k for k, _ in args]))
+            h, form = 0, p if names == p.args else Call(p.name, names, span=p.span)
+        elif t is Cut:
+            b = p.chan
+            h = 1 + max(self._height(p.left), self._height(p.right))
+            x = _binder(h)
+            old, env[b] = env.get(b), (depth, x)
+            left = self._canon(p.left, env, depth + 1)
+            right = self._canon(p.right, env, depth + 1)
             env[b] = old
+            _merge(frees, left, depth + 1)
+            _merge(frees, right, depth + 1)
+            frees.pop(b, None)  # no channel named b is free around a cut on b
+            lk, lf, rk, rf = left[_KEY], left[_FORM] or p.left, right[_KEY], right[_FORM] or p.right
+            if rk < lk:
+                # the annotation types the left side, so commuting dualizes it
+                anno = dual(p.anno)
+                key, form = ("cut", type_key(anno), rk, lk), Cut(x, anno, rf, lf, span=p.span)
+            else:
+                key = ("cut", type_key(p.anno), lk, rk)
+                form = p if x == b and lf is p.left and rf is p.right else Cut(x, p.anno, lf, rf, span=p.span)
+        else:
+            # name, subject and scalars, then the keys inside and outside the binder's scope
+            fields, subj, binder, inside, outside, scalars = BINDING[t]
+            *vals, span = fields(p)
+            keys = [_NAMES[t], None]
+            if scalars:
+                keys += [vals[j] for j in scalars]
+            h = 0
+            if binder is not None:
+                b = vals[binder]
+                h = 1
+                for j in inside:
+                    h = max(h, 1 + self._height(vals[j]))
+                vals[binder] = x = _binder(h)
+                same = x == b
+                old, env[b] = env.get(b), (depth, x)
+                for j in inside:
+                    q = vals[j]
+                    rec = self._canon(q, env, depth + 1)
+                    keys.append(rec[_KEY])
+                    vals[j] = rec[_FORM] or q
+                    same = same and vals[j] is q
+                    _merge(frees, rec, depth + 1)
+                env[b] = old
+                frees.pop(b, None)
+            else:
+                same = True
+            # the subject is named outside the binder's scope
+            c = vals[subj]
+            keys[1], vals[subj] = _named(c, env, depth, frees)
+            same = same and vals[subj] == c
+            for j in outside:
+                q = vals[j]
+                rec = self._canon(q, env, depth)
+                keys.append(rec[_KEY])
+                vals[j] = rec[_FORM] or q
+                same = same and vals[j] is q
+                _merge(frees, rec, depth)
+                if rec[_HEIGHT] > h:
+                    h = rec[_HEIGHT]
+            key, form = tuple(keys), p if same else t(*vals, span=span)
+            if outside and rec[_DEPTH] == depth and not rec[_BY_NAME] and len(rec[_FREES]) == len(frees):
+                # the last child's frees hold every entry of p's: share them
+                return self._record(p, h, key, form, rec[_FREES], depth)
+        return self._record(p, h, key, form, frees, depth)
+
+    def _pool(self, p: Cons, env: _Env, depth: int) -> tuple:
+        """The record of the pool p: its cells on p's channel sorted by key.
+        The walk down the cells stops at a tail with a record that fits when
+        every cell above it sorts ahead of the tail's first cell."""
+        x = p.chan
+        frees: dict = {}
+        ck, xn = _named(x, env, depth, frees)
+        cells: list[tuple[tuple, tuple, ChannelName, Cons, int]] = []
+        node: Process = p
+        top = None  # the greatest cell key so far
+        while type(node) is Cons and node.chan == x:
+            if node is not p:
+                rec = node.__dict__.get(_RECORD)
+                if rec is not None and not top > rec[_KEY][2] and _fits(rec, env, depth):
+                    break
+            y = node.session
+            name = _binder(1 + self._height(node.client))
+            old, env[y] = env.get(y), (depth, name)
+            rec = self._canon(node.client, env, depth + 1)
+            env[y] = old
+            cells.append((rec[_KEY], rec, name, node, len(cells)))
+            if top is None or top < rec[_KEY]:
+                top = rec[_KEY]
             node = node.pool
-        key, form = _canon(node, env, depth)
+        end = self._canon(node, env, depth)
         cells.sort(key=itemgetter(0))
-        y = _binder(depth + 1)
-        for ckey, client, span in reversed(cells):
+        # the source nodes from `aligned` down hold the cells the form has
+        # there, in its order, so each has the form's pool from there for its
+        # own form
+        aligned = len(cells)
+        while aligned and cells[aligned - 1][4] == aligned - 1:
+            aligned -= 1
+        key, form, h = end[_KEY], end[_FORM] or node, end[_HEIGHT]
+        _merge(frees, end, depth)
+        below = None  # the pool's frees from cell i down, copied again only when a cell adds one
+        for i in range(len(cells) - 1, -1, -1):
+            ckey, rec, name, src, _ = cells[i]
             key = ("cons", ck, ckey, key)
-            form = Cons(x, y, client, form, span=span)
-        return key, form
-    if t is Call:
-        args = [_named(a, env) for a in p.args]
-        return (("call", p.name, tuple([k for k, _ in args])),
-                Call(p.name, tuple([a for _, a in args]), span=p.span))
-    # name, subject and scalars, then the keys inside and outside the binder's scope
-    fields, subj, binder, inside, outside, scalars = BINDING[t]
-    *vals, span = fields(p)
-    sk, vals[subj] = _named(vals[subj], env)
-    key = [_NAMES[t], sk, *(vals[i] for i in scalars)]
-    if binder is not None:
-        b = vals[binder]
-        old, env[b] = env.get(b), depth
-        vals[binder] = _binder(depth + 1)
-        for i in inside:
-            k, vals[i] = _canon(vals[i], env, depth + 1)
-            key.append(k)
-        env[b] = old
-    for i in outside:
-        k, vals[i] = _canon(vals[i], env, depth)
-        key.append(k)
-    return tuple(key), t(*vals, span=span)
+            h = max(h, -name.uid)
+            n = len(frees)
+            outer = frees.get(src.session)
+            _merge(frees, rec, depth + 1)
+            if outer is None:
+                frees.pop(src.session, None)
+            else:  # a channel the session's name shadows
+                frees[src.session] = outer
+            if below is None or len(frees) != n:
+                below = dict(frees)
+            cf = rec[_FORM] or src.client
+            if i >= aligned and xn == x and name == src.session and cf is src.client and form is src.pool:
+                form = src
+            else:
+                form = Cons(xn, name, cf, form, span=src.span)
+            if i == 0:
+                break
+            if i >= aligned:
+                self._record(src, h, key, form, below, depth)
+            elif not self._sources:
+                self.made += 1
+                form.__dict__[_RECORD] = (h, key, None, below, True, depth)
+        return self._record(p, h, key, form, below, depth)
+
+    def _record(self, p: Process, h: int, key: tuple, form: Process, frees: dict, depth: int) -> tuple:
+        """The record of p, kept on p if p is its own form or the
+        canonicaliser keeps sources, and else its form's kept on the form.
+        A term that is a form keeps its first record: it stays where its
+        state holds it, and a step that moves it gets a new form there."""
+        rec = (h, key, None if form is p else form, frees, False, depth)
+        if form is p or self._sources:
+            old = p.__dict__.get(_RECORD)
+            if old is None or old[_FORM] is not None:
+                self.made += 1
+                p.__dict__[_RECORD] = rec
+        else:
+            self.made += 1
+            form.__dict__[_RECORD] = (h, key, None, frees, True, depth)
+        return rec
 
 
-def _named(c: ChannelName, env: dict[ChannelName, int | None]) -> tuple[tuple, ChannelName]:
-    """The key of channel c and its name in the form."""
-    level = env.get(c)
-    return (("f", c.name, c.uid), c) if level is None else (("b", level), _binder(level + 1))
+def _fits(rec: tuple, env: _Env, depth: int) -> bool:
+    """Whether each free channel of rec's term is bound in env as it was when
+    the term was keyed, with every level moved by as much as depth."""
+    by_name, shift = rec[_BY_NAME], depth - rec[_DEPTH]
+    for c, (level, name) in rec[_FREES].items():
+        e = env.get(name if by_name else c)
+        if e is None:
+            if level is not None:
+                return False
+        elif level is None or e[0] - level != shift or e[1] != name:
+            return False
+    return True
+
+
+def _named(c: ChannelName, env: _Env, depth: int, frees: dict) -> tuple[tuple, ChannelName]:
+    """The key of channel c and its name in the form; adds c to frees."""
+    e = env.get(c)
+    if e is None:
+        frees[c] = (None, c)
+        return ("f", c), c
+    frees[c] = e
+    return _bound(e[0] - depth), e[1]
+
+
+@cache
+def _bound(offset: int) -> tuple[str, int]:
+    """The key of a bound channel at offset, one object per offset: keys are
+    kept in every record."""
+    return ("b", offset)
+
+
+def _merge(frees: dict, rec: tuple, depth: int) -> None:
+    """Add to frees the free channels of rec's term, keyed here at depth."""
+    inner, shift, by_name = rec[_FREES], depth - rec[_DEPTH], rec[_BY_NAME]
+    if shift or by_name:
+        inner = {(v[1] if by_name else c): (v if v[0] is None else (v[0] + shift, v[1]))
+                 for c, v in inner.items()}
+    frees.update(inner)
 
 
 _NAMES = {t: t.__name__.lower() for t in BINDING}
-
-
-def cell_key(client: Process, session: ChannelName) -> tuple:
-    """Structural key of a pool client with its session bound.  Clients of
-    one pool with equal keys are interchangeable: connecting either one gives
-    the same canonical reduct."""
-    return _canon(client, {session: 0}, 1)[0]
 
 
 def canonical_form(p: Process) -> Process:
@@ -107,16 +345,12 @@ def canonical_form(p: Process) -> Process:
 
 
 def canonical_hashed(p: Process) -> tuple[Process, int]:
-    """The canonical form of p and the hash of its structural key, which
-    canonical forms share with every term they are the form of, so equal
-    forms have equal hashes.  The key is a tuple, hashed in C."""
-    key, form = _canon(p, {}, 0)
-    return form, hash(key)
+    """`Canonicaliser.hashed` of a canonicaliser made for this one call."""
+    return Canonicaliser().hashed(p)
 
 
 @cache
 def _binder(k: int) -> ChannelName:
-    """The name of every binder at level k - 1 of a canonical form: the k-th
-    binder on its path from the root.  Names are immutable, so all canonical
-    forms share one object per depth."""
+    """The name of every canonical binder of height k.  Names are immutable,
+    so all canonical forms share one object per height."""
     return ChannelName("c", -k)

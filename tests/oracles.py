@@ -8,13 +8,16 @@ check the package against it without the package carrying it.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Iterable
 
 from csll import runtime
 from csll import types as ty
 from csll.canon import canonical_form
 from csll.formulas import Address, Mu, MuFormula, Nu, Var, formula_children, prefix_leq
-from csll.process import BINDING, Call, ChannelName, Cut, Definition, Process, Program, unfold_head
+from csll.process import (
+    BINDING, Call, ChannelName, Cons, Cut, Definition, Process, Program, unfold_head,
+)
 from csll.proofs import (
     PRINCIPAL_STEPS, AddressStream, NotPrincipalError, SimulationReport, encode_derivation,
     principal_reduce_at, proof_bisimilar,
@@ -162,7 +165,7 @@ def channels(p: Process) -> int:
 def find_state(g: runtime.ReductionGraph, p: Process) -> int | None:
     """The id of the state that is p's canonical form, if g has one, hashed
     as `runtime` hashes the states it adds."""
-    return g._find(*runtime.canonical_hashed(p))
+    return g._find(*g.canon.hashed(p))
 
 
 def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationReport:
@@ -183,3 +186,63 @@ def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationR
         return SimulationReport(kind, n, False, f"principal reduction failed: {e}")
     ok = proof_bisimilar(g1, encode_derivation(check(reduct, ctx, prog)).graph)
     return SimulationReport(kind, n, ok, "" if ok else "reduced proof differs from reduct's encoding")
+
+
+def depth_canonical(p: Process) -> tuple[tuple, Process]:
+    """The structural key and canonical form of p as `csll.canon` made them
+    before binders were named by height: one pass from scratch, a bound
+    channel keyed by the absolute level of its binder, and every binder
+    named by its depth, `ChannelName("c", -(level + 1))`.  Its forms print
+    as `csll.canon`'s do, and two terms get equal forms from both exactly
+    together."""
+    return _depth_canon(p, {}, 0)
+
+
+def _depth_canon(p: Process, env: dict[ChannelName, int | None], depth: int) -> tuple[tuple, Process]:
+    def named(c: ChannelName) -> tuple[tuple, ChannelName]:
+        level = env.get(c)
+        return (("f", c.name, c.uid), c) if level is None else (("b", level), ChannelName("c", -(level + 1)))
+
+    t = type(p)
+    binder = ChannelName("c", -(depth + 1))
+    if t is Cut:
+        b = p.chan
+        old, env[b] = env.get(b), depth
+        (lk, lf), (rk, rf) = _depth_canon(p.left, env, depth + 1), _depth_canon(p.right, env, depth + 1)
+        env[b] = old
+        if rk < lk:
+            anno = ty.dual(p.anno)
+            return ("cut", ty.type_key(anno), rk, lk), Cut(binder, anno, rf, lf, span=p.span)
+        return ("cut", ty.type_key(p.anno), lk, rk), Cut(binder, p.anno, lf, rf, span=p.span)
+    if t is Cons:
+        ck, x = named(p.chan)
+        cells = []
+        node: Process = p
+        while type(node) is Cons and node.chan == p.chan:
+            old, env[node.session] = env.get(node.session), depth
+            cells.append((*_depth_canon(node.client, env, depth + 1), node.span))
+            env[node.session] = old
+            node = node.pool
+        key, form = _depth_canon(node, env, depth)
+        for ckey, client, span in reversed(sorted(cells, key=itemgetter(0))):
+            key, form = ("cons", ck, ckey, key), Cons(x, binder, client, form, span=span)
+        return key, form
+    if t is Call:
+        args = [named(a) for a in p.args]
+        return ("call", p.name, tuple(k for k, _ in args)), Call(p.name, tuple(a for _, a in args), span=p.span)
+    fields, subj, bound, inside, outside, scalars = BINDING[t]
+    *vals, span = fields(p)
+    sk, vals[subj] = named(vals[subj])
+    key = [t.__name__.lower(), sk, *(vals[i] for i in scalars)]
+    if bound is not None:
+        b = vals[bound]
+        old, env[b] = env.get(b), depth
+        vals[bound] = binder
+        for i in inside:
+            k, vals[i] = _depth_canon(vals[i], env, depth + 1)
+            key.append(k)
+        env[b] = old
+    for i in outside:
+        k, vals[i] = _depth_canon(vals[i], env, depth)
+        key.append(k)
+    return tuple(key), t(*vals, span=span)

@@ -1,6 +1,8 @@
 """Properties of canonical forms on every explored state and every reduct (in
 both semantics) of the corpus, lock_1..8, six cas mixes and gen_program
-0-99, and of free names on the same terms; binders that reuse a free
+0-99, among them agreement with the depth-named oracle of
+`tests/oracles.py`, and of free names on the same terms; the records a
+graph adds per reduct on lock_8 and lock_32; binders that reuse a free
 channel; one pinned printed form; the source spans of canonical pool cells;
 printing and keying of deep terms at the default recursion limit."""
 
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 from csll import types as ty
-from csll.canon import _binder, canonical_form, canonical_hashed
+from csll.canon import Canonicaliser, _binder, canonical_form, canonical_hashed
 from csll.gen import gen_program
 from csll.parser import parse_program
 from csll.printer import pretty_process, pretty_program
@@ -17,11 +19,11 @@ from csll.process import (
     BINDING, Case, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil, Program,
     Server, Wait, _free_names, free_names, fresh, rename,
 )
-from csll.runtime import enabled_steps, explore
+from csll.runtime import ReductionGraph, enabled_steps, explore
 from csll.typecheck import check
 
 from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
-from .oracles import alpha_equal
+from .oracles import alpha_equal, depth_canonical
 
 MIXES = (["TF"], ["FT"], ["TF", "FT"], ["FT", "TF"], ["TF", "FT"] * 2, ["FT", "TF"] * 3)
 
@@ -51,24 +53,64 @@ def explored() -> list[tuple[str, Program, list, list]]:
     return out
 
 
-def binders(p, depth: int = 1) -> list[tuple[int, ChannelName]]:
-    """The binders of p with their depths (the number of binders whose scope
-    encloses a binder, itself included), a binder before its scope."""
+def greatest_binder(p, scopes: list[tuple[ChannelName, int]]) -> int:
+    """The greatest binder name inside p (k for `_binder(k)`), 0 if p has no
+    binder; appends to scopes each binder of p with that number for its scope."""
     row = BINDING[type(p)]
     vals = row.fields(p)
-    out = [] if row.binder is None else [(depth, vals[row.binder])]
-    for i in row.inside:
-        out += binders(vals[i], depth + 1)
-    for i in row.outside:
-        out += binders(vals[i], depth)
-    return out
+    top = max((greatest_binder(vals[i], scopes) for i in row.outside), default=0)
+    if row.binder is not None:
+        b = vals[row.binder]
+        scopes.append((b, max(greatest_binder(vals[i], scopes) for i in row.inside)))
+        top = max(top, -b.uid)
+    return top
 
 
-def test_binders_are_named_by_depth(explored):
+def test_binders_are_named_by_height(explored):
+    # every binder is named 1 + the greatest binder name in its scope
     for label, _, _, terms in explored:
         for p in terms:
-            bs = binders(canonical_form(p))
-            assert all(b == _binder(d) for d, b in bs), (label, p)
+            scopes: list[tuple[ChannelName, int]] = []
+            greatest_binder(canonical_form(p), scopes)
+            assert all(b == _binder(1 + inner) for b, inner in scopes), (label, p)
+
+
+def test_forms_agree_with_the_depth_named_oracle(explored):
+    # one canonicaliser per program, as a graph keeps one: each form prints
+    # as the oracle's, and two terms get equal forms exactly when their
+    # oracle forms are equal, so relative keys order siblings as levels did
+    for label, _, _, terms in explored:
+        canon = Canonicaliser()
+        pairs = set()
+        for p in terms:
+            form, (_, reference) = canon.form(p), depth_canonical(p)
+            assert pretty_process(form) == pretty_process(reference), (label, p)
+            pairs.add((form, reference))
+        assert len(pairs) == len({f for f, _ in pairs}) == len({r for _, r in pairs}), label
+
+
+def test_records_added_per_edge_do_not_grow_with_the_pool(monkeypatch):
+    # each reduct the graph keys (one per orbit of a state's steps) adds as
+    # many records on lock_32 as its like does on lock_8: a step's cost
+    # follows what it changed, not the width of the pool
+    def added(n: int) -> list[int]:
+        counts = []
+
+        def add_state(g, p):
+            before = g.canon.made
+            sid = add(g, p)
+            counts.append(g.canon.made - before)
+            return sid
+
+        add = ReductionGraph.add_state
+        with monkeypatch.context() as m:
+            m.setattr(ReductionGraph, "add_state", add_state)
+            prog = parse_program(lock_text(n))
+            explore(prog.main.body, prog)
+        return counts[1:]  # the root's records grow with n
+
+    small, large = added(8), added(32)
+    assert len(large) > len(small) and set(small) == set(large)
 
 
 def test_canonicalisation_is_idempotent(explored):

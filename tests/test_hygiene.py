@@ -64,36 +64,60 @@ def defined_names(node: ast.stmt) -> list[str]:
 def unused_private_names(trees: dict[str, ast.Module]) -> list[str]:
     """The private (single-underscore) module-level names of trees that no
     module of trees reads, as `module.name`."""
-    read = set().union(*map(names_read, trees.values()))
+    read = set().union(*(names_read(tree, module_aliases(tree, trees)) for tree in trees.values()))
     return [f"{module}.{name}" for module, tree in trees.items() for node in tree.body
             for name in defined_names(node)
-            if name.startswith("_") and not name.startswith("__") and name not in read]
+            if name.startswith("_") and not name.startswith("__") and not is_read(module, name, read)]
 
 
-def names_read(node: ast.AST) -> set[str]:
+def module_aliases(tree: ast.Module, modules) -> dict[str, str]:
+    """The names tree binds to a module among modules (by `import a.m as x`,
+    `from . import m` or `from a import m as x`), mapped to that module."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                module = alias.name.split(".")[-1]
+                if module in modules:
+                    aliases[alias.asname or alias.name.split(".")[0]] = module
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+    return aliases
+
+
+def names_read(node: ast.AST, aliases: dict[str, str]) -> set[str]:
     """The names node reads: loaded names, attributes, and names imported
-    from a module."""
+    from a module.  An attribute of a name in aliases is read as
+    `module.attribute` of the module the name is bound to."""
     read = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             read.add(n.id)
         elif isinstance(n, ast.Attribute):
-            read.add(n.attr)
+            value = n.value
+            module = aliases.get(value.id) if isinstance(value, ast.Name) else None
+            read.add(n.attr if module is None else f"{module}.{n.attr}")
         elif isinstance(n, ast.ImportFrom):
             read.update(alias.name for alias in n.names)
     return read
+
+
+def is_read(module: str, name: str, read: set[str]) -> bool:
+    return name in read or f"{module}.{name}" in read
 
 
 def unread_public_names(trees: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
     """The public module-level names of trees (functions, classes and
     assignment targets) that nothing reads, as `module.name`: no top-level
     statement of trees but their own definition, and no module of readers."""
-    outside = set().union(*map(names_read, readers))
-    statements = [(module, node, names_read(node))
+    outside = set().union(*(names_read(tree, module_aliases(tree, trees)) for tree in readers))
+    statements = [(module, node, names_read(node, module_aliases(tree, trees)))
                   for module, tree in trees.items() for node in tree.body]
     return [f"{module}.{name}" for module, node, _ in statements for name in defined_names(node)
-            if not name.startswith("_") and name not in outside
-            and not any(name in read for _, other, read in statements if other is not node)]
+            if not name.startswith("_") and not is_read(module, name, outside)
+            and not any(is_read(module, name, read) for _, other, read in statements if other is not node)]
 
 
 def _parsed(paths) -> dict[str, ast.Module]:
@@ -153,6 +177,17 @@ def test_scan_flags_a_public_name_only_its_own_body_reads():
     readers = [ast.parse("from a import g\n")]
     # an `__all__` entry is no read
     assert unread_public_names(trees, readers) == ["a.f", "a.C", "a.D", "a.Y", "a.Z"]
+
+
+def test_scan_reads_a_module_attribute_as_a_name_of_that_module():
+    # formulas re-aliases a class of types that nothing reads through
+    # formulas: `t.One` and `ty.One` name the class of types, not the alias
+    trees = {"types": ast.parse("class One: pass\n"),
+             "formulas": ast.parse("from . import types as ty\nOne = ty.One\n"),
+             "cli": ast.parse("import csll.types as t\nfrom csll import formulas\n"
+                              "def f(): return t.One, formulas.Two\n")}
+    readers = [ast.parse("from csll.cli import f\n")]
+    assert unread_public_names(trees, readers) == ["formulas.One"]
 
 
 def cyclic_garbage(fn) -> list:
