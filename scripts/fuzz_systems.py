@@ -3,8 +3,8 @@
 
 For each seed: the program must be accepted by the checker, every reachable
 state must either be a terminal close or have a deterministic redex and must
-print as its depth-named canonical form (`tests/oracles.depth_canonical`)
-does, every reduct must re-typecheck, every deterministic step must be
+print as its depth-named canonical form (`tests/oracles.depth_canonical`),
+every reduct must re-typecheck, every deterministic step must be
 matched by its number of principal cut reductions of the encoded proof
 (`proofs.simulate_step`) and reported as by the from-scratch reference
 (`tests/oracles.simulate_step`), on a forward pass over the states and

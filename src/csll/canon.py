@@ -1,6 +1,6 @@
 """Canonical forms for processes.
 
-A `Canonicaliser` returns a structural key and the canonical form of a term
+Canonicalisation returns a structural key and the canonical form of a term
 together.  It orders commutative siblings (cut sides, clients within a pool
 on the same channel) by the key, which is invariant under renaming of bound
 channels: a bound channel appears in it as `("b", level - depth)`, where
@@ -20,18 +20,20 @@ positive ones.  A subterm's key then depends only on the offsets
 (level - depth) of its free bound channels, and its form only on their
 names.
 
-A term keyed has a record: its form, key and height, and the level and name
-of the binder of each free channel when it was keyed (none for a free
-channel no binder encloses).  A canonicaliser keeps the record of each form
-it makes, or of each term it is given (see `Canonicaliser`), on that term
-itself, in its instance dictionary as `functools.cached_property` keeps a
-value, so the record lives exactly as long as the term.  Wherever a term appears again with each
-free channel's name unchanged and its level moved by as much as the term's
-depth, its record is reused, so a term that shares most of its nodes with
-one keyed before costs what it changed.  A binder's height is read from the
-records of its scope, and a memoised walk finds it for the nodes without
-one.  Pool cells are sorted by key; a pool whose tail has a record keeps
-that tail when its new cells sort ahead of it.
+Every term keyed but a leaf keeps a record on itself, in its instance
+dictionary as `functools.cached_property` keeps a value, so the record
+lives exactly as long as the term: its form, key and height, and the level
+and name of the binder of each free channel when it was keyed (none for a
+free channel no binder encloses).  Wherever the term appears again with
+each free channel's name unchanged and its level moved by as much as the
+term's depth, the record is reused, so a term that shares most of its nodes
+with one keyed before costs what it changed: a run's next state shares the
+nodes of the reduct keyed before it, and a reduct of an explored state the
+nodes of that state.  A term that is its own form keeps that record rather
+than one that holds another form.  A binder's height is read from the
+records of its scope, and a walk memoised for one call finds it for the
+nodes without one.  Pool cells are sorted by key; a pool whose tail has a
+record keeps that tail when its new cells sort ahead of it.
 
 The result is a deterministic, idempotent normal form used as state
 identity during exploration.  Invocations are never unfolded here and cut
@@ -47,19 +49,19 @@ from operator import itemgetter
 from .process import BINDING, Call, ChannelName, Cons, Cut, Process
 from .types import dual, type_key
 
-# A record: (height, key, form, frees, by_name, depth), under _RECORD in its
-# term's instance dictionary; form is None when the term is its own form.
-# frees maps each free channel c of the source term to the (level, name) of
-# its binder when the term was keyed at depth, or to (None, c) when no
-# binder enclosed c.  A form's record shares its source's frees; by_name
-# says that the form's free channels are the names.  Records never change,
-# and a term's frees are its child's when they hold the same channels.
-_HEIGHT, _KEY, _FORM, _FREES, _BY_NAME, _DEPTH = range(6)
+# A record: (height, key, form, frees, depth), under _RECORD in its term's
+# instance dictionary; form is None when the term is its own form.  frees
+# maps each channel c free in the term to the (level, name) of its binder
+# when the term was keyed at depth, or to (None, c) when no binder enclosed
+# c.  Records and their frees never change, so one frees map serves every
+# record whose term has the same free channels, bound alike.
+_HEIGHT, _KEY, _FORM, _FREES, _DEPTH = range(5)
 _RECORD = "_canonical"
 
 # a scope: each bound channel's binder level and canonical name
 _Env = dict[ChannelName, "tuple[int, ChannelName] | None"]
 
+_NAMES = {t: t.__name__.lower() for t in BINDING}
 # the field names of each constructor's subterms inside and outside its binder's scope
 _SUBTERMS = {t: tuple(tuple(t.__match_args__[j] for j in js) for js in (row.inside, row.outside))
              for t, row in BINDING.items()}
@@ -67,258 +69,278 @@ _SUBTERMS = {t: tuple(tuple(t.__match_args__[j] for j in js) for js in (row.insi
 _LEAVES = frozenset(t for t, parts in _SUBTERMS.items() if parts == ((), ()))
 
 
-class Canonicaliser:
-    """Canonical forms and keys.  An exploration keeps one for its whole
-    graph, which keeps the records of the forms it makes: the graph steps
-    its canonical states, so their nodes come back in the reducts.  A run
-    keeps one for its whole trace with sources=True, which keeps the records
-    of the terms it is given instead: the run steps the reducts themselves,
-    so their nodes come back in the next state.  `made` counts the records
-    it has kept."""
+def canonical_form(p: Process) -> Process:
+    return canonical_hashed(p)[0]
 
-    def __init__(self, sources: bool = False) -> None:
-        self.made = 0
-        self._sources = sources
-        # heights of the nodes without a record of the term being keyed, by id
-        self._heights: dict[int, int] = {}
 
-    def hashed(self, p: Process) -> tuple[Process, int]:
-        """The canonical form of p and the hash of its structural key, which
-        canonical forms share with every term they are the form of, so equal
-        forms have equal hashes.  The key is a tuple, hashed in C."""
-        rec = self._keyed(p)
-        return rec[_FORM] or p, hash(rec[_KEY])
+def canonical_hashed(p: Process) -> tuple[Process, int]:
+    """The canonical form of p and the hash of its structural key, which
+    canonical forms share with every term they are the form of, so equal
+    forms have equal hashes.  The key is a tuple, hashed in C."""
+    rec = _canon(p, {}, 0, {})
+    return rec[_FORM] or p, hash(rec[_KEY])
 
-    def form(self, p: Process) -> Process:
-        return self._keyed(p)[_FORM] or p
 
-    def cell_key(self, client: Process, session: ChannelName) -> tuple:
-        """Structural key of a pool client with its session bound.  Clients of
-        one pool with equal keys are interchangeable: connecting either one
-        gives the same canonical reduct."""
-        rec = client.__dict__.get(_RECORD)
-        if rec is not None and _fits(rec, {session: (0, _binder(1 + rec[_HEIGHT]))}, 1):
-            return rec[_KEY]
-        return self._keyed(client, session)[_KEY]
+def cell_key(client: Process, session: ChannelName) -> tuple:
+    """Structural key of a pool client with its session bound.  Clients of
+    one pool with equal keys are interchangeable: connecting either one gives
+    the same canonical reduct."""
+    heights: dict[int, int] = {}
+    return _canon(client, {session: (0, _binder(1 + _height(client, heights)))}, 1, heights)[_KEY]
 
-    def _keyed(self, p: Process, session: ChannelName | None = None) -> tuple:
-        """The record of p, alone or with session bound around it."""
-        self._heights.clear()  # the ids of a term keyed before may be reused
-        if session is None:
-            return self._canon(p, {}, 0)
-        return self._canon(p, {session: (0, _binder(1 + self._height(p)))}, 1)
 
-    def _height(self, p: Process) -> int:
-        """The greatest binder name inside p's form, 0 if it has no binder."""
-        t = type(p)
-        if t in _LEAVES:
-            return 0
-        rec = p.__dict__.get(_RECORD)
-        if rec is not None:
-            return rec[_HEIGHT]
-        heights = self._heights
-        h = heights.get(id(p))
-        if h is not None:
-            return h
-        if t is Cons:  # a pool tail is walked in a loop, not a frame per cell
-            cells = []
-            while type(p) is Cons and id(p) not in heights and _RECORD not in p.__dict__:
-                cells.append(p)
-                p = p.pool
-            h = self._height(p)
-            for node in reversed(cells):
-                h = heights[id(node)] = max(h, 1 + self._height(node.client))
-            return h
-        inside, outside = _SUBTERMS[t]
-        h = 0
-        for a in outside:
-            h = max(h, self._height(getattr(p, a)))
-        for a in inside:
-            h = max(h, 1 + self._height(getattr(p, a)))
-        heights[id(p)] = h
+def _height(p: Process, heights: dict[int, int]) -> int:
+    """The greatest binder name inside p's form, 0 if it has no binder;
+    heights holds those of the nodes without a record walked in this call,
+    by id."""
+    t = type(p)
+    if t in _LEAVES:
+        return 0
+    h = heights.get(id(p))
+    if h is not None:
         return h
-
-    def _canon(self, p: Process, env: _Env, depth: int) -> tuple:
-        """The record of p where env gives the binder level and name of each
-        bound channel and depth is the level of p's binders."""
-        rec = p.__dict__.get(_RECORD)
-        if rec is not None and _fits(rec, env, depth):
-            return rec
-        t = type(p)
-        if t is Cons:
-            return self._pool(p, env, depth)
-        frees: dict = {}
-        if t is Call:
-            args = [_named(a, env, depth, frees) for a in p.args]
-            names = tuple([a for _, a in args])
-            key = ("call", p.name, tuple([k for k, _ in args]))
-            h, form = 0, p if names == p.args else Call(p.name, names, span=p.span)
-        elif t is Cut:
-            b = p.chan
-            h = 1 + max(self._height(p.left), self._height(p.right))
-            x = _binder(h)
-            old, env[b] = env.get(b), (depth, x)
-            left = self._canon(p.left, env, depth + 1)
-            right = self._canon(p.right, env, depth + 1)
-            env[b] = old
-            _merge(frees, left, depth + 1)
-            _merge(frees, right, depth + 1)
-            frees.pop(b, None)  # no channel named b is free around a cut on b
-            lk, lf, rk, rf = left[_KEY], left[_FORM] or p.left, right[_KEY], right[_FORM] or p.right
-            if rk < lk:
-                # the annotation types the left side, so commuting dualizes it
-                anno = dual(p.anno)
-                key, form = ("cut", type_key(anno), rk, lk), Cut(x, anno, rf, lf, span=p.span)
-            else:
-                key = ("cut", type_key(p.anno), lk, rk)
-                form = p if x == b and lf is p.left and rf is p.right else Cut(x, p.anno, lf, rf, span=p.span)
-        else:
-            # name, subject and scalars, then the keys inside and outside the binder's scope
-            fields, subj, binder, inside, outside, scalars = BINDING[t]
-            *vals, span = fields(p)
-            keys = [_NAMES[t], None]
-            if scalars:
-                keys += [vals[j] for j in scalars]
-            h = 0
-            if binder is not None:
-                b = vals[binder]
-                h = 1
-                for j in inside:
-                    h = max(h, 1 + self._height(vals[j]))
-                vals[binder] = x = _binder(h)
-                same = x == b
-                old, env[b] = env.get(b), (depth, x)
-                for j in inside:
-                    q = vals[j]
-                    rec = self._canon(q, env, depth + 1)
-                    keys.append(rec[_KEY])
-                    vals[j] = rec[_FORM] or q
-                    same = same and vals[j] is q
-                    _merge(frees, rec, depth + 1)
-                env[b] = old
-                frees.pop(b, None)
-            else:
-                same = True
-            # the subject is named outside the binder's scope
-            c = vals[subj]
-            keys[1], vals[subj] = _named(c, env, depth, frees)
-            same = same and vals[subj] == c
-            for j in outside:
-                q = vals[j]
-                rec = self._canon(q, env, depth)
-                keys.append(rec[_KEY])
-                vals[j] = rec[_FORM] or q
-                same = same and vals[j] is q
-                _merge(frees, rec, depth)
-                if rec[_HEIGHT] > h:
-                    h = rec[_HEIGHT]
-            key, form = tuple(keys), p if same else t(*vals, span=span)
-            if outside and rec[_DEPTH] == depth and not rec[_BY_NAME] and len(rec[_FREES]) == len(frees):
-                # the last child's frees hold every entry of p's: share them
-                return self._record(p, h, key, form, rec[_FREES], depth)
-        return self._record(p, h, key, form, frees, depth)
-
-    def _pool(self, p: Cons, env: _Env, depth: int) -> tuple:
-        """The record of the pool p: its cells on p's channel sorted by key.
-        The walk down the cells stops at a tail with a record that fits when
-        every cell above it sorts ahead of the tail's first cell."""
-        x = p.chan
-        frees: dict = {}
-        ck, xn = _named(x, env, depth, frees)
-        cells: list[tuple[tuple, tuple, ChannelName, Cons, int]] = []
-        node: Process = p
-        top = None  # the greatest cell key so far
-        while type(node) is Cons and node.chan == x:
-            if node is not p:
-                rec = node.__dict__.get(_RECORD)
-                if rec is not None and not top > rec[_KEY][2] and _fits(rec, env, depth):
-                    break
-            y = node.session
-            name = _binder(1 + self._height(node.client))
-            old, env[y] = env.get(y), (depth, name)
-            rec = self._canon(node.client, env, depth + 1)
-            env[y] = old
-            cells.append((rec[_KEY], rec, name, node, len(cells)))
-            if top is None or top < rec[_KEY]:
-                top = rec[_KEY]
-            node = node.pool
-        end = self._canon(node, env, depth)
-        cells.sort(key=itemgetter(0))
-        # the source nodes from `aligned` down hold the cells the form has
-        # there, in its order, so each has the form's pool from there for its
-        # own form
-        aligned = len(cells)
-        while aligned and cells[aligned - 1][4] == aligned - 1:
-            aligned -= 1
-        key, form, h = end[_KEY], end[_FORM] or node, end[_HEIGHT]
-        _merge(frees, end, depth)
-        below = None  # the pool's frees from cell i down, copied again only when a cell adds one
-        for i in range(len(cells) - 1, -1, -1):
-            ckey, rec, name, src, _ = cells[i]
-            key = ("cons", ck, ckey, key)
-            h = max(h, -name.uid)
-            n = len(frees)
-            outer = frees.get(src.session)
-            _merge(frees, rec, depth + 1)
-            if outer is None:
-                frees.pop(src.session, None)
-            else:  # a channel the session's name shadows
-                frees[src.session] = outer
-            if below is None or len(frees) != n:
-                below = dict(frees)
-            cf = rec[_FORM] or src.client
-            if i >= aligned and xn == x and name == src.session and cf is src.client and form is src.pool:
-                form = src
-            else:
-                form = Cons(xn, name, cf, form, span=src.span)
-            if i == 0:
-                break
-            if i >= aligned:
-                self._record(src, h, key, form, below, depth)
-            elif not self._sources:
-                self.made += 1
-                form.__dict__[_RECORD] = (h, key, None, below, True, depth)
-        return self._record(p, h, key, form, below, depth)
-
-    def _record(self, p: Process, h: int, key: tuple, form: Process, frees: dict, depth: int) -> tuple:
-        """The record of p, kept on p if p is its own form or the
-        canonicaliser keeps sources, and else its form's kept on the form.
-        A term that is a form keeps its first record: it stays where its
-        state holds it, and a step that moves it gets a new form there."""
-        rec = (h, key, None if form is p else form, frees, False, depth)
-        if form is p or self._sources:
-            old = p.__dict__.get(_RECORD)
-            if old is None or old[_FORM] is not None:
-                self.made += 1
-                p.__dict__[_RECORD] = rec
-        else:
-            self.made += 1
-            form.__dict__[_RECORD] = (h, key, None, frees, True, depth)
-        return rec
+    rec = p.__dict__.get(_RECORD)
+    if rec is not None:
+        return rec[_HEIGHT]
+    if t is Cons:  # a pool tail is walked in a loop, not a frame per cell
+        cells = []
+        while type(p) is Cons and id(p) not in heights and _RECORD not in p.__dict__:
+            cells.append(p)
+            p = p.pool
+        h = _height(p, heights)
+        for node in reversed(cells):
+            c = 1 + _height(node.client, heights)
+            if c > h:
+                h = c
+            heights[id(node)] = h
+        return h
+    inside, outside = _SUBTERMS[t]
+    h = 0
+    for a in outside:
+        q = getattr(p, a)
+        if type(q) not in _LEAVES:
+            c = _height(q, heights)
+            if c > h:
+                h = c
+    for a in inside:
+        q = getattr(p, a)
+        c = 1 if type(q) in _LEAVES else 1 + _height(q, heights)
+        if c > h:
+            h = c
+    heights[id(p)] = h
+    return h
 
 
 def _fits(rec: tuple, env: _Env, depth: int) -> bool:
     """Whether each free channel of rec's term is bound in env as it was when
     the term was keyed, with every level moved by as much as depth."""
-    by_name, shift = rec[_BY_NAME], depth - rec[_DEPTH]
+    shift = depth - rec[_DEPTH]
     for c, (level, name) in rec[_FREES].items():
-        e = env.get(name if by_name else c)
+        e = env.get(c)
         if e is None:
             if level is not None:
                 return False
-        elif level is None or e[0] - level != shift or e[1] != name:
+        elif level is None or e[1] is not name or e[0] - level != shift:
             return False
     return True
 
 
-def _named(c: ChannelName, env: _Env, depth: int, frees: dict) -> tuple[tuple, ChannelName]:
-    """The key of channel c and its name in the form; adds c to frees."""
-    e = env.get(c)
+def _frees(rec: tuple, depth: int) -> dict:
+    """The frees of rec's term keyed at depth."""
+    shift = depth - rec[_DEPTH]
+    if not shift:
+        return rec[_FREES]
+    return {c: v if v[0] is None else (v[0] + shift, v[1]) for c, v in rec[_FREES].items()}
+
+
+def _canon(p: Process, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
+    """The record of p where env gives the binder level and name of each
+    bound channel, depth is the level of p's binders and heights is the
+    call's memo for `_height`; kept on p unless p is a leaf, whose record
+    costs as much as keying it, or p keeps the record of being its own
+    form."""
+    t = type(p)
+    if t is Call:
+        frees = {}
+        keys, names = [], []
+        for a in p.args:
+            e = env.get(a)
+            if e is None:
+                keys.append(("f", a))
+                names.append(a)
+                frees[a] = (None, a)
+            else:
+                keys.append(_bound(e[0] - depth))
+                names.append(e[1])
+                frees[a] = e
+        args = tuple(names)
+        return 0, ("call", p.name, tuple(keys)), None if args == p.args else Call(p.name, args, span=p.span), \
+            frees, depth
+    if t in _LEAVES:
+        c = p.chan
+        e = env.get(c)
+        if e is None:
+            return 0, (_NAMES[t], ("f", c)), None, {c: (None, c)}, depth
+        return 0, (_NAMES[t], _bound(e[0] - depth)), None if e[1] == c else t(e[1], span=p.span), {c: e}, depth
+    d = p.__dict__
+    old = d.get(_RECORD)
+    if old is not None and _fits(old, env, depth):
+        return old
+    if t is Cons:
+        rec = _pool(p, env, depth, heights)
+    elif t is Cut:
+        b, left, right = p.chan, p.left, p.right
+        h = heights.get(id(p))  # a cut's height is its binder's name
+        if h is None:
+            h = 1 + max(0 if type(left) in _LEAVES else _height(left, heights),
+                        0 if type(right) in _LEAVES else _height(right, heights))
+        x = _binder(h)
+        inner = depth + 1
+        outer, env[b] = env.get(b), (depth, x)
+        lr = _canon(left, env, inner, heights)
+        rr = _canon(right, env, inner, heights)
+        env[b] = outer
+        frees = {**(lr[_FREES] if lr[_DEPTH] == inner else _frees(lr, inner)),
+                 **(rr[_FREES] if rr[_DEPTH] == inner else _frees(rr, inner))}
+        frees.pop(b, None)  # no channel named b is free around a cut on b
+        lk, lf, rk, rf = lr[_KEY], lr[_FORM] or left, rr[_KEY], rr[_FORM] or right
+        if rk < lk:
+            # the annotation types the left side, so commuting dualizes it
+            anno = dual(p.anno)
+            rec = (h, ("cut", type_key(anno), rk, lk), Cut(x, anno, rf, lf, span=p.span), frees, depth)
+        else:
+            form = None if x == b and lf is left and rf is right else Cut(x, p.anno, lf, rf, span=p.span)
+            rec = (h, ("cut", type_key(p.anno), lk, rk), form, frees, depth)
+    else:
+        # name, subject and scalars, then the keys inside and outside the binder's scope
+        fields, subj, binder, inside, outside, scalars = BINDING[t]
+        *vals, span = fields(p)
+        c = vals[subj]
+        e = env.get(c)
+        if e is None:
+            keys, ce = [_NAMES[t], ("f", c)], (None, c)
+            same = True
+        else:
+            keys, ce = [_NAMES[t], _bound(e[0] - depth)], e
+            same = e[1] == c
+            vals[subj] = e[1]
+        for j in scalars:
+            keys.append(vals[j])
+        h, frees = 0, None
+        if binder is not None:
+            b = vals[binder]
+            for j in inside:
+                q = vals[j]
+                k = 1 if type(q) in _LEAVES else 1 + _height(q, heights)
+                if k > h:
+                    h = k
+            vals[binder] = x = _binder(h)
+            same = same and x == b
+            outer, env[b] = env.get(b), (depth, x)
+            for j in inside:
+                r = _canon(vals[j], env, depth + 1, heights)
+                keys.append(r[_KEY])
+                if r[_FORM] is not None:
+                    vals[j], same = r[_FORM], False
+                f = r[_FREES] if r[_DEPTH] == depth + 1 else _frees(r, depth + 1)
+                frees = f if frees is None else {**frees, **f}
+            env[b] = outer
+            if b in frees:
+                frees = frees.copy()
+                del frees[b]
+        for j in outside:
+            r = _canon(vals[j], env, depth, heights)
+            keys.append(r[_KEY])
+            if r[_FORM] is not None:
+                vals[j], same = r[_FORM], False
+            if r[_HEIGHT] > h:
+                h = r[_HEIGHT]
+            f = r[_FREES] if r[_DEPTH] == depth else _frees(r, depth)
+            frees = f if frees is None or frees is f else {**frees, **f}
+        # the subject is named outside the binder's scope
+        if frees is None:
+            frees = {c: ce}
+        elif frees.get(c) != ce:
+            frees = {**frees, c: ce}
+        rec = (h, tuple(keys), None if same else t(*vals, span=span), frees, depth)
+    if old is None or old[_FORM] is not None:
+        d[_RECORD] = rec
+    return rec
+
+
+def _pool(p: Cons, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
+    """The record of the pool p: its cells on p's channel sorted by key.  The
+    walk down the cells stops at a tail with a record that fits when every
+    cell above it sorts ahead of the tail's first cell.  Each source node
+    whose cells from there down keep their order in the form has the form's
+    pool from there for its own form, and keeps that record."""
+    x = p.chan
+    e = env.get(x)
     if e is None:
-        frees[c] = (None, c)
-        return ("f", c), c
-    frees[c] = e
-    return _bound(e[0] - depth), e[1]
+        ck, xn, xe = ("f", x), x, (None, x)
+    else:
+        ck, xn, xe = _bound(e[0] - depth), e[1], e
+    cells: list[tuple[tuple, tuple, int, Cons, int]] = []
+    node: Process = p
+    end = None
+    top = None  # the greatest cell key so far
+    while True:
+        y, client = node.session, node.client
+        h = 1 if type(client) in _LEAVES else 1 + _height(client, heights)
+        outer, env[y] = env.get(y), (depth, _binder(h))
+        rec = _canon(client, env, depth + 1, heights)
+        env[y] = outer
+        k = rec[_KEY]
+        cells.append((k, rec, h, node, len(cells)))
+        if top is None or top < k:
+            top = k
+        node = node.pool
+        if type(node) is not Cons or node.chan != x:
+            break
+        rec = node.__dict__.get(_RECORD)
+        if rec is not None and not top > rec[_KEY][2] and _fits(rec, env, depth):
+            end = rec
+            break
+    if end is None:
+        end = _canon(node, env, depth, heights)
+    if len(cells) > 1:
+        cells.sort(key=itemgetter(0))
+    # the source nodes from `aligned` down hold the cells the form has there
+    aligned = len(cells)
+    while aligned and cells[aligned - 1][4] == aligned - 1:
+        aligned -= 1
+    key, form, h = end[_KEY], end[_FORM] or node, end[_HEIGHT]
+    frees = _frees(end, depth)
+    if frees.get(x) != xe:
+        frees = {**frees, x: xe}
+    for i in range(len(cells) - 1, -1, -1):
+        ckey, rec, hc, src, _ = cells[i]
+        key = ("cons", ck, ckey, key)
+        if hc > h:
+            h = hc
+        y = src.session
+        f = rec[_FREES] if rec[_DEPTH] == depth + 1 else _frees(rec, depth + 1)
+        for c, v in f.items():
+            if c != y and frees.get(c) != v:
+                # a new dict, as the one so far may sit in a record; the
+                # session binds y in the cell only
+                outer = frees.get(y)
+                frees = {**frees, **f}
+                if outer is None:
+                    frees.pop(y, None)
+                else:
+                    frees[y] = outer
+                break
+        name, cf = _binder(hc), rec[_FORM] or src.client
+        if i >= aligned and xn == x and name == y and cf is src.client and form is src.pool:
+            form = src
+        else:
+            form = Cons(xn, name, cf, form, span=src.span)
+        if i and i >= aligned:
+            old = src.__dict__.get(_RECORD)
+            if old is None or old[_FORM] is not None:
+                src.__dict__[_RECORD] = (h, key, None if form is src else form, frees, depth)
+    return (h, key, None if form is p else form, frees, depth)
 
 
 @cache
@@ -326,27 +348,6 @@ def _bound(offset: int) -> tuple[str, int]:
     """The key of a bound channel at offset, one object per offset: keys are
     kept in every record."""
     return ("b", offset)
-
-
-def _merge(frees: dict, rec: tuple, depth: int) -> None:
-    """Add to frees the free channels of rec's term, keyed here at depth."""
-    inner, shift, by_name = rec[_FREES], depth - rec[_DEPTH], rec[_BY_NAME]
-    if shift or by_name:
-        inner = {(v[1] if by_name else c): (v if v[0] is None else (v[0] + shift, v[1]))
-                 for c, v in inner.items()}
-    frees.update(inner)
-
-
-_NAMES = {t: t.__name__.lower() for t in BINDING}
-
-
-def canonical_form(p: Process) -> Process:
-    return canonical_hashed(p)[0]
-
-
-def canonical_hashed(p: Process) -> tuple[Process, int]:
-    """`Canonicaliser.hashed` of a canonicaliser made for this one call."""
-    return Canonicaliser().hashed(p)
 
 
 @cache

@@ -21,11 +21,11 @@ connecting either of two clients with equal canonical keys gives one
 canonical state (symmetry reduction).  A step record builds its
 rearrangement and reduct on first access, so exploration builds one reduct
 per such class and a random run only the drawn step's.  The reduction
-graph keeps one `canon.Canonicaliser` for all its states, reducts and pool
-cells, and buckets its states by the C-level hash of their canonical keys,
-confirming a hit by canonical-term equality; the records of its canonical
-states serve every reduct that holds their nodes unchanged.  A run keeps one
-for its trace, whose records serve the next state.
+graph buckets its states by the C-level hash of their canonical keys and
+confirms a hit by canonical-term equality.  Each term keyed keeps a record
+of its canonical form and key (`canon`), and a reduct holds the nodes of
+the state it steps from, and a run's next state those of the reduct before
+it, so keying a state costs what its step changed.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from __future__ import annotations
 import hashlib
 import random as _random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable
 
 from . import types as ty
-from .canon import Canonicaliser
+from .canon import canonical_form, canonical_hashed, cell_key
 from .process import (
     ChannelName, Close, Cons, Cut, Nil, Process, Program, Server, call_depth,
     free_names, fresh, rename, subject, unfold_head,
@@ -83,21 +83,6 @@ def _pool_cells(g: Process, x: ChannelName, defs: Program) -> tuple[list[Cons], 
             return cells, head, last
 
 
-class _Once:
-    """An attribute computed on first read and kept in the instance
-    dictionary, where later reads find it: `functools.cached_property`
-    without the lock that Python 3.11 takes on every first read."""
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj: object, cls: type | None = None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 class Step:
     """One enabled reduction: the redex, the pre-congruence rearrangement that
     exposes it (with the synchronizing cut as a shared subterm), and the
@@ -110,27 +95,25 @@ class Step:
         self.info, self.orbit = info, orbit
         self._around, self._cut, self._core = around, cut, core
 
-    @_Once
+    @cached_property
     def cut(self) -> Cut:
         """The exposed cut node, embedded in `exposed`."""
         return self._cut()
 
-    @_Once
+    @cached_property
     def exposed(self) -> Process:
         return self._around(self.cut)
 
-    @_Once
+    @cached_property
     def reduct(self) -> Process:
         return self._around(self._core())
 
 
 def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Guard, defs: Program,
-                  keys: Canonicaliser | None, path: tuple[str, ...], ctx: Callable[[Process], Process],
+                  pool_ok: bool, path: tuple[str, ...], ctx: Callable[[Process], Process],
                   out: list[Step]) -> None:
     """Append to out the steps at the cut on x (typed left_type) whose sides
-    expose the x-guards lg and rg, and whose enclosing context is ctx.  The
-    canonicaliser keys gives pool cells their orbits; None turns the pool
-    rules off."""
+    expose the x-guards lg and rg, and whose enclosing context is ctx."""
     (g1, rb1, _), (g2, rb2, _) = lg, rg
 
     def around(core: Process) -> Process:
@@ -167,13 +150,13 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
         if not cells:
             if isinstance(end, Nil) and end.chan == x:
                 add("r-done", lambda: gs.idle, partial(exposed, 0))
-        elif keys is None:  # queue order: the head connects
+        elif not pool_ok:  # queue order: the head connects
             add("r-connect", partial(connect, 0), partial(exposed, 0))
         else:  # symmetry reduction: clients with equal keys share one orbit
             orbits: dict[tuple, object] = {}
             for i, c in enumerate(cells):
                 add("r-connect", partial(connect, i), partial(exposed, i),
-                    orbits.setdefault(keys.cell_key(c.client, c.session), object()), i)
+                    orbits.setdefault(cell_key(c.client, c.session), object()), i)
 
     # two guards of dual connectives pair when the cut types the positive
     # one at its connective, which names the rule
@@ -201,7 +184,7 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
             pool_server(a, b, a_type, a_is_left)
 
 
-def _walk(p: Process, defs: Program, keys: Canonicaliser | None, path: tuple[str, ...],
+def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
           ctx: Callable[[Process], Process], out: list[Step]) -> dict[ChannelName, _Guard]:
     """Append to out every step below p, whose enclosing context is ctx, in
     preorder, and return the guards p exposes.  A cut unfolds each side once;
@@ -212,64 +195,46 @@ def _walk(p: Process, defs: Program, keys: Canonicaliser | None, path: tuple[str
     if isinstance(p, Cut):
         x, anno = p.chan, p.anno
         at = len(out)
-        lg = _walk(p.left, defs, keys, path + ("L",), lambda q: ctx(Cut(x, anno, q, p.right)), out)
-        rg = _walk(p.right, defs, keys, path + ("R",), lambda q: ctx(Cut(x, anno, p.left, q)), out)
+        lg = _walk(p.left, defs, pool_ok, path + ("L",), lambda q: ctx(Cut(x, anno, q, p.right)), out)
+        rg = _walk(p.right, defs, pool_ok, path + ("R",), lambda q: ctx(Cut(x, anno, p.left, q)), out)
         if x in lg and x in rg:
             right = rg[x]
             if not set(lg[x][2]).isdisjoint(right[2]):
                 # a step nests the right guard's cuts inside the left's, so
                 # a binder of both would capture the left's channel: pair
                 # with the right side's guard in a copy with fresh binders
-                right = _walk(rename(p.right, {}, refresh=True), defs, keys, (), _hole, [])[x]
+                right = _walk(rename(p.right, {}, refresh=True), defs, pool_ok, (), _hole, [])[x]
             own: list[Step] = []
-            _sync_redexes(x, anno, lg[x], right, defs, keys, path, ctx, own)
+            _sync_redexes(x, anno, lg[x], right, defs, pool_ok, path, ctx, own)
             out[at:at] = own
         guards = {s: (g, lambda h, rb=rb: Cut(x, anno, p.left, rb(h)), (x, *bs))
                   for s, (g, rb, bs) in rg.items() if s != x}
         guards.update({s: (g, lambda h, rb=rb: Cut(x, anno, rb(h), p.right), (x, *bs))
                        for s, (g, rb, bs) in lg.items() if s != x})
         return guards
-    if keys is not None and isinstance(p, Cons):
-        # the pool's cells down to its end, walked in a loop: each cell hands
-        # up its own guard and the guards below it on other channels
-        cells = [p]
-        end = unfold_head(p.pool, defs)
-        while isinstance(end, Cons):
-            cells.append(end)
-            end = unfold_head(end.pool, defs)
-
-        def around(q: Process) -> Process:
-            for c in reversed(cells):
-                q = Cons(c.chan, c.session, c.client, q)
-            return ctx(q)
-
-        guards = _walk(end, defs, keys, path + ("T",) * len(cells), around, out)
-        for c in reversed(cells):
-            s, tail = c.chan, guards
-            guards = {s: (c, _hole, ())}
-            if any(t != s for t in tail):
-                head = free_names(c.client) - {c.session}
-                guards.update({t: (g, lambda h, rb=rb, c=c: Cons(c.chan, c.session, c.client, rb(h)), bs)
-                               for t, (g, rb, bs) in tail.items() if t != s and t not in head})
-        return guards
     s = subject(p)
-    return {} if s is None else {s: (p, _hole, ())}
+    guards = {} if s is None else {s: (p, _hole, ())}
+    if pool_ok and isinstance(p, Cons):
+        tail = _walk(p.pool, defs, pool_ok, path + ("T",),
+                     lambda q: ctx(Cons(p.chan, p.session, p.client, q)), out)
+        if any(t != s for t in tail):
+            head = free_names(p.client) - {p.session}
+            guards.update({t: (g, lambda h, rb=rb: Cons(p.chan, p.session, p.client, rb(h)), bs)
+                           for t, (g, rb, bs) in tail.items() if t != s and t not in head})
+    return guards
 
 
-def enabled_steps(p: Process, defs: Program, deterministic: bool = False,
-                  canon: Canonicaliser | None = None) -> list[Step]:
+def enabled_steps(p: Process, defs: Program, deterministic: bool = False) -> list[Step]:
     """Full step records including the exposed rearrangement, uncanonicalized.
-    p's binders need not be distinct: sibling scopes may reuse a name.  canon
-    keys pool cells for the orbits (a new one if none is given)."""
+    p's binders need not be distinct: sibling scopes may reuse a name."""
     out: list[Step] = []
-    _walk(p, defs, None if deterministic else canon or Canonicaliser(), (), lambda q: q, out)
+    _walk(p, defs, not deterministic, (), lambda q: q, out)
     return out
 
 
 def step_det(p: Process, defs: Program) -> list[tuple[RedexInfo, Process]]:
     """One-step reducts with all pool rules removed (queue order only)."""
-    canon = Canonicaliser()
-    return [(st.info, canon.form(st.reduct)) for st in enabled_steps(p, defs, deterministic=True)]
+    return [(st.info, canonical_form(st.reduct)) for st in enabled_steps(p, defs, deterministic=True)]
 
 
 def is_close_normal(p: Process, defs: Program) -> bool:
@@ -322,14 +287,13 @@ def run(p: Process, ctx: dict, defs: Program, scheduler: str = "det",
     if det:
         seed = None  # the deterministic schedule takes the first step and draws nothing
     pick = itemgetter(0) if det else _random.Random(seed).choice
-    canon = Canonicaliser(sources=True)  # each state shares most of its nodes with the one before
     steps: list[TraceStep] = []
-    states: list[Process] = [canon.form(p)]
+    states: list[Process] = [canonical_form(p)]
     cur = p
-    while (enabled := enabled_steps(cur, defs, deterministic=det, canon=canon)) and len(steps) < max_steps:
+    while (enabled := enabled_steps(cur, defs, deterministic=det)) and len(steps) < max_steps:
         st = pick(enabled)
         cur = st.reduct
-        states.append(canon.form(cur))
+        states.append(canonical_form(cur))
         steps.append(TraceStep(len(steps), st.info, _digest(states[-1])))
     return Trace(steps, cur, not enabled and call_depth(cur, defs) is not None, bool(enabled), scheduler,
                  seed, states=states)
@@ -347,8 +311,6 @@ class ReductionGraph:
     diverging: set[int] = field(default_factory=set)  # stuck on an invocation that diverges
     partial: bool = False
     root: int = 0
-    # keys every state and reduct of the graph, and the pool cells of its states
-    canon: Canonicaliser = field(default_factory=Canonicaliser, repr=False, compare=False)
 
     def _find(self, q: Process, h: int) -> int | None:
         sid = self.buckets.get(h)
@@ -358,7 +320,7 @@ class ReductionGraph:
 
     def add_state(self, p: Process) -> int:
         """The id of the state that is p's canonical form, added if the graph has none."""
-        q, h = self.canon.hashed(p)
+        q, h = canonical_hashed(p)
         sid = self._find(q, h)
         if sid is None:
             sid = len(self.states)
@@ -417,7 +379,7 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
                 return g
             g.expanded.add(sid)
             targets: dict[object, int] = {}  # the steps of one orbit share their canonical reduct
-            for st in enabled_steps(g.states[sid], defs, canon=g.canon):
+            for st in enabled_steps(g.states[sid], defs):
                 tid = targets.get(st.orbit)
                 if tid is None:
                     tid = targets[st.orbit] = g.add_state(st.reduct)

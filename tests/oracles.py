@@ -165,7 +165,7 @@ def channels(p: Process) -> int:
 def find_state(g: runtime.ReductionGraph, p: Process) -> int | None:
     """The id of the state that is p's canonical form, if g has one, hashed
     as `runtime` hashes the states it adds."""
-    return g._find(*g.canon.hashed(p))
+    return g._find(*runtime.canonical_hashed(p))
 
 
 def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationReport:

@@ -1,8 +1,8 @@
 """Properties of canonical forms on every explored state and every reduct (in
 both semantics) of the corpus, lock_1..8, six cas mixes and gen_program
 0-99, among them agreement with the depth-named oracle of
-`tests/oracles.py`, and of free names on the same terms; the records a
-graph adds per reduct on lock_8 and lock_32; binders that reuse a free
+`tests/oracles.py`, and of free names on the same terms; the records added
+per reduct an exploration keys on lock_8 and lock_32; binders that reuse a free
 channel; one pinned printed form; the source spans of canonical pool cells;
 printing and keying of deep terms at the default recursion limit."""
 
@@ -11,13 +11,13 @@ import sys
 import pytest
 
 from csll import types as ty
-from csll.canon import Canonicaliser, _binder, canonical_form, canonical_hashed
+from csll.canon import _RECORD, _binder, canonical_form, canonical_hashed
 from csll.gen import gen_program
 from csll.parser import parse_program
 from csll.printer import pretty_process, pretty_program
 from csll.process import (
-    BINDING, Case, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil, Program,
-    Server, Wait, _free_names, free_names, fresh, rename,
+    BINDING, Case, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil, Process,
+    Program, Server, Wait, _free_names, free_names, fresh, rename,
 )
 from csll.runtime import ReductionGraph, enabled_steps, explore
 from csll.typecheck import check
@@ -76,30 +76,41 @@ def test_binders_are_named_by_height(explored):
 
 
 def test_forms_agree_with_the_depth_named_oracle(explored):
-    # one canonicaliser per program, as a graph keeps one: each form prints
-    # as the oracle's, and two terms get equal forms exactly when their
-    # oracle forms are equal, so relative keys order siblings as levels did
+    # each form prints as the oracle's, and two terms of one program get
+    # equal forms exactly when their oracle forms are equal, so relative keys
+    # order siblings as levels did; the terms are keyed in the order of the
+    # exploration, so later ones reuse the records of earlier ones
     for label, _, _, terms in explored:
-        canon = Canonicaliser()
         pairs = set()
         for p in terms:
-            form, (_, reference) = canon.form(p), depth_canonical(p)
+            form, (_, reference) = canonical_form(p), depth_canonical(p)
             assert pretty_process(form) == pretty_process(reference), (label, p)
             pairs.add((form, reference))
         assert len(pairs) == len({f for f, _ in pairs}) == len({r for _, r in pairs}), label
 
 
+def records(p) -> dict[int, tuple]:
+    """The record on each node of p that has one, by node id."""
+    out, todo = {}, [p]
+    while todo:
+        q = todo.pop()
+        if _RECORD in q.__dict__:
+            out[id(q)] = q.__dict__[_RECORD]
+        todo.extend(v for v in vars(q).values() if isinstance(v, Process))
+    return out
+
+
 def test_records_added_per_edge_do_not_grow_with_the_pool(monkeypatch):
-    # each reduct the graph keys (one per orbit of a state's steps) adds as
-    # many records on lock_32 as its like does on lock_8: a step's cost
-    # follows what it changed, not the width of the pool
+    # each reduct the graph keys (one per orbit of a state's steps) gets as
+    # many new or replaced records on lock_32 as its like does on lock_8: a
+    # step's cost follows what it changed, not the width of the pool
     def added(n: int) -> list[int]:
         counts = []
 
         def add_state(g, p):
-            before = g.canon.made
+            before = records(p)
             sid = add(g, p)
-            counts.append(g.canon.made - before)
+            counts.append(sum(before.get(i) is not r for i, r in records(p).items()))
             return sid
 
         add = ReductionGraph.add_state
@@ -107,7 +118,9 @@ def test_records_added_per_edge_do_not_grow_with_the_pool(monkeypatch):
             m.setattr(ReductionGraph, "add_state", add_state)
             prog = parse_program(lock_text(n))
             explore(prog.main.body, prog)
-        return counts[1:]  # the root's records grow with n
+        # the root's records grow with n, and so do those its form gets when
+        # its one reduct is keyed: its nodes are new there
+        return counts[2:]
 
     small, large = added(8), added(32)
     assert len(large) > len(small) and set(small) == set(large)
