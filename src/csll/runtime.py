@@ -22,10 +22,10 @@ canonical state (symmetry reduction).  A step record builds its
 rearrangement and reduct on first access, so exploration builds one reduct
 per such class and a random run only the drawn step's.  The reduction
 graph buckets its states by the C-level hash of their canonical keys and
-confirms a hit by canonical-term equality.  Each term keyed keeps a record
-of its canonical form and key (`canon`), and a reduct holds the nodes of
-the state it steps from, and a run's next state those of the reduct before
-it, so keying a state costs what its step changed.
+confirms a hit by canonical-term equality.  Each term keyed but a leaf
+keeps a record of its canonical form and key (`canon`); a reduct holds the
+nodes of the state it steps from, and a run's next state those of the
+reduct before it, so keying a state costs what its step changed.
 """
 
 from __future__ import annotations
