@@ -4,12 +4,15 @@
 For each seed: the program must be accepted by the checker, every reachable
 state must either be a terminal close or have a deterministic redex and must
 print as its depth-named canonical form (`tests/oracles.depth_canonical`),
-every reduct must re-typecheck, every deterministic step must be
-matched by its number of principal cut reductions of the encoded proof
-(`proofs.simulate_step`) and reported as by the from-scratch reference
-(`tests/oracles.simulate_step`), on a forward pass over the states and
-again in reverse order, and the unfolded thread/channel counts must
-obey the strict inequality the deadlock-freedom argument rests on.
+every state and every deterministic reduct must have the free names the
+reference walk (`tests/oracles.free_names_walk`) finds, read after printing
+and stepping have kept sets on their terms, every reduct must re-typecheck,
+every deterministic step must be matched by its number of principal cut
+reductions of the encoded proof (`proofs.simulate_step`) and reported as by
+the from-scratch reference (`tests/oracles.simulate_step`), on a forward
+pass over the states and again in reverse order, and the unfolded
+thread/channel counts must obey the strict inequality the deadlock-freedom
+argument rests on.
 
 Usage: python scripts/fuzz_systems.py [-n COUNT] [--seed-base N]
 """
@@ -25,10 +28,11 @@ sys.path.insert(0, str(ROOT))  # the oracles of tests/oracles.py
 
 from csll.gen import gen_program
 from csll.printer import pretty_process
+from csll.process import free_names
 from csll.proofs import PRINCIPAL_STEPS, simulate_step
 from csll.runtime import enabled_steps, explore, is_close_normal
 from csll.typecheck import check, check_program
-from tests.oracles import channels, depth_canonical, threads, unfold
+from tests.oracles import channels, depth_canonical, free_names_walk, threads, unfold
 from tests.oracles import simulate_step as reference_step
 
 
@@ -53,6 +57,9 @@ def main() -> int:
             assert pretty_process(depth_canonical(state)[1]) == pretty_process(state), \
                 f"seed {seed}: state {sid} prints apart from its depth-named canonical form"
             det = enabled_steps(state, prog, deterministic=True)
+            for term in (state, *(st.reduct for st in det)):
+                assert free_names(term) == free_names_walk(term), \
+                    f"seed {seed}: state {sid} or a reduct of it keeps free names apart from the reference walk"
             if not is_close_normal(state, prog):
                 assert det, f"seed {seed}: stuck state {sid}"
             walked += ((sid, st) for st in det)

@@ -49,6 +49,7 @@ def fresh(name: str) -> ChannelName:
 @dataclass(frozen=True)
 class Process:
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False, kw_only=True)
+    _free = None  # not a field: `free_names` keeps a non-leaf term's set here
 
 
 @dataclass(frozen=True)
@@ -212,49 +213,26 @@ BINDING: dict[type, Binding] = {t: _binding(t, *row) for t, row in {
 
 
 def free_names(p: Process) -> frozenset[ChannelName]:
-    """The channels free in p, found in one walk that keeps one set of found
-    names and the number of open scopes of each binder (`_free_names` keeps
-    each subterm's set instead, for a caller that asks about many subterms)."""
-    found: set[ChannelName] = set()
-    _free(p, found, {})
-    return frozenset(found)
-
-
-def _free(p: Process, found: set[ChannelName], bound: dict[ChannelName, int]) -> None:
-    """Add to found the channels free in p that no scope in bound encloses."""
-    if type(p) is Call:
-        found.update(a for a in p.args if not bound.get(a))
-        return
-    fields, subj, binder, inside, outside, _ = BINDING[type(p)]
-    vals = fields(p)
-    if subj is not None and not bound.get(x := vals[subj]):
-        found.add(x)
-    if binder is not None:
-        b = vals[binder]
-        bound[b] = bound.get(b, 0) + 1
-        for i in inside:
-            _free(vals[i], found, bound)
-        bound[b] -= 1
-    for i in outside:
-        _free(vals[i], found, bound)
-
-
-def _free_names(p: Process, memo: dict[int, frozenset[ChannelName]]) -> frozenset[ChannelName]:
-    """free_names(p), taking and leaving each subterm's set in memo under its id()."""
-    names = memo.get(id(p))
+    """The channels free in p.  A term is immutable, so a non-leaf term keeps
+    its set once found: a later call on it, or on a term that shares it (a
+    step's reduct shares most of its state), walks only the nodes that are
+    new.  A leaf or an invocation returns its set without keeping it."""
+    names = p._free
     if names is None:
         row = BINDING[type(p)]
         vals = row.fields(p)
         found = set(p.args) if type(p) is Call else set()
         for i in row.inside:
-            found |= _free_names(vals[i], memo)
+            found |= free_names(vals[i])
         if row.binder is not None:
             found.discard(vals[row.binder])
         for i in row.outside:
-            found |= _free_names(vals[i], memo)
+            found |= free_names(vals[i])
         if row.subject is not None:
             found.add(vals[row.subject])
-        names = memo[id(p)] = frozenset(found)
+        names = frozenset(found)
+        if row.inside or row.outside:
+            object.__setattr__(p, "_free", names)
     return names
 
 

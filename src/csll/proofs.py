@@ -39,16 +39,16 @@ against its proof image: the reduced proof must be bisimilar to the
 reduct's encoding, compared one node signature (`_signature`) at a time.
 
 A walk's steps share most of their terms, so `simulate_step` carries one
-session per program (`_Session`, found by the program's identity and dropped
-when the program dies): one `typecheck._SharedChecker`, whose memo spans
-every call, one proof node store, and the proof node of each derivation
-node encoded so far.  The exposed term of a step shares everything but its
-spine with the previous step's reduct, so a call checks and encodes little
-more than the spine and what the step changed.  A derivation node keeps its
-earlier proof node unless it is the redex cut or an ancestor of it, or a
-node that principal reduction reads: a premise of the cut or of a premise,
-reached through the call chain erased above it.  Those are encoded again
-under the current addresses.  This is sound: every occurrence formula is
+session per program (`_Session`, kept on the program and dropped with it):
+one `typecheck._SharedChecker`, whose memo spans every call, one proof node
+store, and the proof node of each derivation node encoded so far.  The
+exposed term of a step shares everything but its spine with the previous
+step's reduct, so a call checks and encodes little more than the spine and
+what the step changed.  A derivation node keeps its earlier proof node
+unless it is the redex cut or an ancestor of it, or a node that principal
+reduction reads: a premise of the cut or of a premise, reached through the
+call chain erased above it.  Those are encoded again under the current
+addresses.  This is sound: every occurrence formula is
 `encode_type` of its judgment's type, so a shared term-level subtree (no
 back edge leaves it) encodes alike up to addresses.  Bisimulation ignores
 addresses, and `principal_reduce_at` compares them only within two
@@ -62,14 +62,14 @@ the call's check adds, in the order they are added (a node after its
 premises), and in the whole derivation when its node is older than the
 call, as on a revisited step.  Once the store holds half as much again as
 the last compaction kept, it keeps only what the last reduct's derivation
-and proof reach, and every table keyed by a term's id() or a node id is
-pruned with it.
+and proof reach, and prunes the checker's memo and the proof map to the
+nodes it keeps.  A memo entry leads to a node that holds its term, so a
+term's id() in the memo is never reused while the entry stands.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field, replace
 
 from . import formulas as mf
@@ -482,9 +482,6 @@ class _Session:
         self.checker = _SharedChecker(None)
         self.store = ProofGraph()
         self.proof_of: dict[int, int] = {}
-        # the terms checked since the last compaction, whose subterms' ids key
-        # the checker's tables: no id there is reused before the tables are pruned
-        self.held: list = []
         self.last: tuple[int, int] | None = None  # the last reduct's derivation and proof roots
         self.live = 0  # proof nodes the last compaction kept
 
@@ -502,7 +499,6 @@ class _Session:
         _prune(self.store.nodes, self.store.nodes.keys() - keep_p)
         _prune(self.proof_of, [nid for nid, pid in self.proof_of.items()
                                if nid not in keep_d or pid not in keep_p])
-        self.held.clear()
         self.live = len(keep_p)
 
 
@@ -518,14 +514,12 @@ def _reach(nodes: dict, root: int | None) -> set[int]:
     return seen
 
 
-_SESSIONS: dict[int, _Session] = {}  # id(program) -> its session, dropped when the program dies
-
-
 def _session(prog) -> _Session:
-    s = _SESSIONS.get(id(prog))
+    """prog's session, kept on the program as `Program._call_depths` keeps its
+    table, so it goes when the program does."""
+    s = prog.__dict__.get("_session")
     if s is None:
-        s = _SESSIONS[id(prog)] = _Session()
-        weakref.finalize(prog, _SESSIONS.pop, id(prog), None)
+        s = prog._session = _Session()
     return s
 
 
@@ -568,7 +562,6 @@ def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationR
     checker, proof_of = s.checker, s.proof_of
     checker.prog = prog
     try:
-        s.held += (exposed, reduct)
         before = len(checker.nodes)
         d1 = check(exposed, ctx, prog, checker)
         added = list(itertools.islice(reversed(checker.nodes), len(checker.nodes) - before))[::-1]

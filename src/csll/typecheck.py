@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ from .cycles import closure_check
 from .printer import pretty_type
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
-    Nil, Process, Program, Select, Server, SourceSpan, Wait, _free_names,
+    Nil, Process, Program, Select, Server, SourceSpan, Wait, free_names,
     instantiate,
 )
 
@@ -188,9 +187,6 @@ class _Checker:
         self.prog = prog
         self.nodes: dict[int, DerivNode] = {}
         self.ids = itertools.count()
-        # free names, computed once per subterm and kept under its id(): a
-        # checker that outlives the terms it checked prunes this with its nodes
-        self.free = partial(_free_names, memo={})
 
     def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
         nid = next(self.ids)
@@ -216,7 +212,7 @@ class _Checker:
                 rule = "cut"
                 if x in ctx:
                     raise _err("scope", "cut", f"cut rebinds channel {x.name} already in context", p.span)
-                left, right = split_context(ctx, self.free(first), self.free(second), p.span)
+                left, right = split_context(ctx, free_names(first), free_names(second), p.span)
                 premises = ((first, {**left, x: anno}), (second, {**right, x: ty.dual(anno)}))
             case Close() | Nil():
                 if rest:
@@ -229,7 +225,7 @@ class _Checker:
                 premises = ((body, {**rest, y: t.left, x: t.right}),)
             case Fork(_, y, first, second) | Cons(_, y, first, second):
                 a, b = (t.left, t.right) if rule == "tensor" else (t.inner, t)
-                left, right = split_context(rest, self.free(first) - {y}, self.free(second), p.span, rule)
+                left, right = split_context(rest, free_names(first) - {y}, free_names(second), p.span, rule)
                 premises = ((first, {**left, y: a}), (second, {**right, x: b}))
             case Select(_, tag, body):
                 premises = ((body, {**ctx, x: t.left if tag == 1 else t.right}),)
@@ -274,12 +270,11 @@ class _SharedChecker(_Checker):
         return nid
 
     def keep(self, nids: set[int]) -> None:
-        """Keep only these nodes, with the memo entries and free-name sets of
-        their terms: an id() in either table is then that of a live term."""
+        """Keep only these nodes and the memo entries that lead to them.  A
+        memo entry leads to a node that holds its term, so an id() in the
+        memo is always that of a live term."""
         _prune(self.nodes, self.nodes.keys() - nids)
         _prune(self.memo, [key for key, nid in self.memo.items() if nid not in nids])
-        free = self.free.keywords["memo"]
-        _prune(free, free.keys() - {id(n.judgment.process) for n in self.nodes.values()})
 
 
 def _prune(table: dict, keys) -> None:
@@ -291,7 +286,7 @@ def _prune(table: dict, keys) -> None:
 def check(p: Process, ctx: TypeContext, prog: Program, checker: _Checker | None = None) -> Derivation:
     """Typecheck p against ctx (into a given checker's node store); raises TypeCheckError on failure."""
     checker = checker or _Checker(prog)
-    missing = checker.free(p) - set(ctx)
+    missing = free_names(p) - set(ctx)
     if missing:
         names = sorted(c.name for c in missing)
         raise _err("scope", "judgment", f"free channel(s) {names} missing from the context", p.span)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
+from csll import process
 from csll.parser import parse_program
 from csll.process import Program
 
@@ -42,6 +45,26 @@ def cas() -> Program:
 @pytest.fixture(scope="session")
 def comm() -> Program:
     return load_corpus("comm.csll")
+
+
+@pytest.fixture
+def kept_sets(monkeypatch) -> Callable[[], int]:
+    """How many free-name sets `process.free_names` has newly kept on terms
+    since the test began, counted by wrapping it in every csll module."""
+    kept = 0
+    inner = process.free_names
+
+    def counting(p):
+        nonlocal kept
+        had = p._free is not None
+        names = inner(p)
+        kept += not had and p._free is not None
+        return names
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "csll" and getattr(module, "free_names", None) is inner:
+            monkeypatch.setattr(module, "free_names", counting)
+    return lambda: kept
 
 
 def lock_text(n: int) -> str:

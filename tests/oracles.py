@@ -16,7 +16,7 @@ from csll import types as ty
 from csll.canon import canonical_form
 from csll.formulas import Address, Mu, MuFormula, Nu, Var, formula_children, prefix_leq
 from csll.process import (
-    BINDING, Call, ChannelName, Cons, Cut, Definition, Process, Program, unfold_head,
+    BINDING, Call, ChannelName, Cons, Cut, Definition, Process, Program, free_names, unfold_head,
 )
 from csll.proofs import (
     PRINCIPAL_STEPS, AddressStream, NotPrincipalError, SimulationReport, encode_derivation,
@@ -58,6 +58,61 @@ def alpha_equal(p: Process, q: Process, free_map: dict[ChannelName, ChannelName]
                 and all(go(a[i], b[i], env) for i in row.outside))
 
     return go(p, q, {})
+
+
+def free_names_walk(p: Process) -> frozenset[ChannelName]:
+    """The channels free in p, found in one walk that keeps one set of found
+    names and the number of open scopes of each binder; it reads no set that
+    `process.free_names` keeps on a term."""
+    found: set[ChannelName] = set()
+    _free(p, found, {})
+    return frozenset(found)
+
+
+def _free(p: Process, found: set[ChannelName], bound: dict[ChannelName, int]) -> None:
+    """Add to found the channels free in p that no scope in bound encloses."""
+    if type(p) is Call:
+        found.update(a for a in p.args if not bound.get(a))
+        return
+    fields, subj, binder, inside, outside, _ = BINDING[type(p)]
+    vals = fields(p)
+    if subj is not None and not bound.get(x := vals[subj]):
+        found.add(x)
+    if binder is not None:
+        b = vals[binder]
+        bound[b] = bound.get(b, 0) + 1
+        for i in inside:
+            _free(vals[i], found, bound)
+        bound[b] -= 1
+    for i in outside:
+        _free(vals[i], found, bound)
+
+
+def rebuilt(p: Process) -> Process:
+    """A copy of p with the same channels that shares no node with it, and so
+    keeps no free-name set."""
+    *vals, span = BINDING[type(p)].fields(p)
+    return type(p)(*(rebuilt(v) if isinstance(v, Process) else v for v in vals), span=span)
+
+
+def subterms(p: Process) -> list[Process]:
+    """p and every subterm occurrence of p."""
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        out.append(q)
+        todo.extend(v for v in BINDING[type(q)].fields(q) if isinstance(v, Process))
+    return out
+
+
+def free_names_agree(p: Process, rng: random.Random) -> bool:
+    """`free_names` agrees with the reference walk on a copy of p that keeps
+    no set, and on another copy once the set of one of its subterms, chosen
+    by rng, is kept: a kept set that depended on the order of calls would
+    differ in one of the two."""
+    cold, primed = rebuilt(p), rebuilt(p)
+    free_names(rng.choice(subterms(primed)))
+    return all(free_names(q) == free_names_walk(q) for q in (cold, primed))
 
 
 def subformula_leq(phi: MuFormula, psi: MuFormula) -> bool:

@@ -6,6 +6,7 @@ per reduct an exploration keys on lock_8 and lock_32; binders that reuse a free
 channel; one pinned printed form; the source spans of canonical pool cells;
 printing and keying of deep terms at the default recursion limit."""
 
+import random
 import sys
 
 import pytest
@@ -17,13 +18,13 @@ from csll.parser import parse_program
 from csll.printer import pretty_process, pretty_program
 from csll.process import (
     BINDING, Case, ChannelName, Close, Cons, Cut, Definition, Fork, Join, Nil, Process,
-    Program, Server, Wait, _free_names, free_names, fresh, rename,
+    Program, Server, Wait, free_names, fresh, rename,
 )
 from csll.runtime import ReductionGraph, enabled_steps, explore
 from csll.typecheck import check
 
 from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
-from .oracles import alpha_equal, depth_canonical
+from .oracles import alpha_equal, depth_canonical, free_names_agree
 
 MIXES = (["TF"], ["FT"], ["TF", "FT"], ["FT", "TF"], ["TF", "FT"] * 2, ["FT", "TF"] * 3)
 
@@ -140,9 +141,10 @@ def test_canonical_form_ignores_binder_ids(explored):
 
 
 def test_free_names_agree_with_the_checkers_walk(explored):
+    rng = random.Random(0)
     for label, _, _, terms in explored:
         for p in terms:
-            assert free_names(p) == _free_names(p, {}), (label, p)
+            assert free_names_agree(p, rng), (label, p)
 
 
 def test_canonical_states_type_and_round_trip(explored):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -20,7 +21,7 @@ from csll.proofs import (
     proof_validity, simulate_step,
 )
 from csll.runtime import enabled_steps, explore
-from csll.typecheck import check, definition_derivation, validity_check
+from csll.typecheck import TypeCheckError, check, definition_derivation, validity_check
 
 from . import lasso
 from . import oracles
@@ -583,10 +584,31 @@ def test_carried_sessions_agree_with_the_from_scratch_reference():
         assert _agree(st, st.reduct, {z: t}, prog) and not _agree(st, st.exposed, {z: t}, prog)
 
 
+def test_a_failed_check_leaves_the_session_sound():
+    # each step is first tried on an ill-typed copy of it (every context
+    # channel typed bot), whose check fails deep in the derivation after it
+    # has checked and keyed some of the copy's subterms; the copy is then
+    # dropped, so ids of its terms may come back, and each step must still
+    # agree with the from-scratch reference, principal step count included
+    progs = [parse_program(lock_text(6)), parse_program(cas_text(["TF", "FT"] * 2))]
+    walks = [_det_walk(prog) for prog in progs]
+    for pair in itertools.zip_longest(*walks):
+        for prog, st in zip(progs, pair):
+            if st is None:
+                continue
+            ctx = dict(prog.main.params)
+            copy = oracles.rebuilt(st.exposed), oracles.rebuilt(st.reduct)
+            with pytest.raises(TypeCheckError):
+                simulate_step(copy[0], st.cut, copy[1], dict.fromkeys(ctx, ty.BOT), prog, st.info.kind)
+            del copy
+            gc.collect()
+            assert _agree(st, st.reduct, ctx, prog)
+
+
 def _built(prog) -> tuple[int, int]:
     """How many derivation and proof nodes prog's session has built (each
     call takes one id of each)."""
-    s = proofs._SESSIONS[id(prog)]
+    s = proofs._session(prog)
     return next(s.checker.ids), next(s.store._ids)
 
 
@@ -620,7 +642,7 @@ def test_the_session_store_stays_within_twice_the_live_proof_and_one_step():
     ctx, built, live = dict(prog.main.params), [], 0
     for st in _det_walk(prog):
         simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
-        s = proofs._SESSIONS[id(prog)]
+        s = proofs._session(prog)
         live = max(live, _reachable(s.store.nodes, s.last[1]))
         built.append((len(s.store.nodes), _built(prog)[1]))
     step = max(b - a - 1 for (_, a), (_, b) in zip(built, built[1:]))
@@ -629,13 +651,12 @@ def test_the_session_store_stays_within_twice_the_live_proof_and_one_step():
 
 
 def test_a_session_is_dropped_with_its_program():
-    before = set(proofs._SESSIONS)
     prog = parse_program(lock_text(2))
     ctx, walk = dict(prog.main.params), _det_walk(prog)
     for st in walk:
         simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
-    key = id(prog)
-    assert set(proofs._SESSIONS) == before | {key}
+    session = weakref.ref(proofs._session(prog))
+    assert session() is not None
     del prog, walk, st
     gc.collect()
-    assert key not in proofs._SESSIONS
+    assert session() is None

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from csll import runtime
 from csll import types as ty
 from csll.canon import canonical_form
 from csll.gen import gen_program
@@ -114,6 +115,32 @@ def test_run_det_traces_are_reproducible(lock):
     t1 = run(lock.main.body, dict(lock.main.params), lock, scheduler="det")
     t2 = run(lock.main.body, dict(lock.main.params), lock, scheduler="det")
     assert [s.line() for s in t1.steps] == [s.line() for s in t2.steps]
+
+
+def test_a_det_run_keeps_as_many_free_name_sets_per_step_at_any_pool_width(kept_sets, monkeypatch):
+    # a step's reduct shares most of its state, so the free-name sets a step
+    # keeps (for its pool walk and for printing its state) cover only what
+    # it changed; printing the states again keeps none
+    digest, marks = runtime._digest, []
+
+    def marking(c):
+        h = digest(c)
+        marks.append(kept_sets())
+        return h
+
+    monkeypatch.setattr(runtime, "_digest", marking)
+    most = {}
+    for n in (32, 128):
+        prog = parse_program(lock_text(n))
+        marks.clear()
+        tr = run(prog.main.body, dict(prog.main.params), prog)
+        assert tr.terminated and len(marks) == len(tr.steps) > 2 * n
+        most[n] = max(b - a for a, b in zip(marks, marks[1:]))
+        printed = kept_sets()
+        for c in tr.states[1:]:
+            pretty_process(c)
+        assert kept_sets() == printed
+    assert 0 < most[128] <= most[32]
 
 
 def test_run_random_cas_reaches_both_outcomes(cas):

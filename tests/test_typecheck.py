@@ -223,29 +223,19 @@ def test_alternating_loops_invalid_though_each_loop_passes():
     assert len(set(dv.witness)) < len(dv.witness)
 
 
-def free_name_computations(monkeypatch, n: int) -> int:
-    """How many subterms' free-name sets checking lock_n computes."""
+def free_sets_kept(kept_sets, n: int) -> int:
+    """How many free-name sets checking lock_n keeps on terms."""
     prog = parse_program(lock_text(n))
-    computed = 0
-    inner = process._free_names
-
-    def counting(p, memo):
-        nonlocal computed
-        computed += id(p) not in memo
-        return inner(p, memo)
-
-    with monkeypatch.context() as m:
-        m.setattr(process, "_free_names", counting)
-        m.setattr(typecheck, "_free_names", counting)
-        assert check_program(prog).accepted
-    return computed
+    before = kept_sets()
+    assert check_program(prog).accepted
+    return kept_sets() - before
 
 
-def test_checker_computes_free_names_linearly(monkeypatch):
-    """Each subterm's free names are computed once per check, so doubling
-    the pool about doubles the work (the count grew 4x when every cut and
-    pool head recomputed the names of the whole pool below it)."""
-    assert free_name_computations(monkeypatch, 400) <= 2.5 * free_name_computations(monkeypatch, 200)
+def test_checker_computes_free_names_linearly(kept_sets):
+    """Each subterm keeps its free names once, so doubling the pool about
+    doubles the sets kept (the work grew 4x when every cut and pool head
+    recomputed the names of the whole pool below it)."""
+    assert 0 < free_sets_kept(kept_sets, 400) <= 2.5 * free_sets_kept(kept_sets, 200)
 
 
 def table_derivations():
