@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Property sweep over randomly generated well-typed systems.
 
-For each seed: the program must be accepted by the checker, every reachable
-state must either be a terminal close or have a deterministic redex and must
-print as its depth-named canonical form (`tests/oracles.depth_canonical`),
-every state and every deterministic reduct must have the free names the
-reference walk (`tests/oracles.free_names_walk`) finds, read after printing
-and stepping have kept sets on their terms, every reduct must re-typecheck,
-every deterministic step must be matched by its number of principal cut
+For each seed, and for the fixed programs whose pools end in a guard on
+another channel (`tests/conftest.pool_end_texts`): the program must be
+accepted by the checker, every reachable state must either be a terminal
+close or have a deterministic redex and must print as its depth-named
+canonical form (`tests/oracles.depth_canonical`), every state and every
+deterministic reduct must have the free names the reference walk
+(`tests/oracles.free_names_walk`) finds, read after printing and stepping
+have kept sets on their terms, every reduct must re-typecheck, every
+deterministic step must be matched by its number of principal cut
 reductions of the encoded proof (`proofs.simulate_step`) and reported as by
 the from-scratch reference (`tests/oracles.simulate_step`), on a forward
 pass over the states and again in reverse order, and the unfolded
@@ -18,8 +20,10 @@ Usage: python scripts/fuzz_systems.py [-n COUNT] [--seed-base N]
 """
 
 import argparse
+import itertools
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,13 +31,52 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))  # the oracles of tests/oracles.py
 
 from csll.gen import gen_program
+from csll.parser import parse_program
 from csll.printer import pretty_process
 from csll.process import free_names
 from csll.proofs import PRINCIPAL_STEPS, simulate_step
 from csll.runtime import enabled_steps, explore, is_close_normal
 from csll.typecheck import check, check_program
+from tests.conftest import pool_end_texts
 from tests.oracles import channels, depth_canonical, free_names_walk, threads, unfold
 from tests.oracles import simulate_step as reference_step
+
+
+def sweep(label: str, prog, counts: Counter) -> None:
+    """Run every check on prog, counting its states, re-checked reducts and
+    simulated steps in counts."""
+    rep = check_program(prog)
+    assert rep.accepted, f"{label}: checker rejected the program"
+    ctx = dict(prog.main.params)
+    g = explore(prog.main.body, prog, max_states=500, max_depth=500)
+    assert not g.partial, f"{label}: exploration truncated"
+    walked = []
+    for sid, state in enumerate(g.states):
+        counts["states"] += 1
+        assert pretty_process(depth_canonical(state)[1]) == pretty_process(state), \
+            f"{label}: state {sid} prints apart from its depth-named canonical form"
+        det = enabled_steps(state, prog, deterministic=True)
+        for term in (state, *(st.reduct for st in det)):
+            assert free_names(term) == free_names_walk(term), \
+                f"{label}: state {sid} or a reduct of it keeps free names apart from the reference walk"
+        if not is_close_normal(state, prog):
+            assert det, f"{label}: stuck state {sid}"
+        walked += ((sid, st) for st in det)
+        u = unfold(state, prog)
+        assert threads(u) > channels(u), f"{label}: counting lemma failed"
+    # forward, then backward: the second pass meets a session that every
+    # step of the program has warmed
+    for sid, st in walked + walked[::-1]:
+        step = (st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
+        rep = simulate_step(*step)
+        assert rep.matched and rep.steps == PRINCIPAL_STEPS[st.info.kind], \
+            f"{label}: state {sid}, {st.info}: {rep.detail}"
+        assert rep == reference_step(*step), f"{label}: state {sid}, {st.info}: {rep}"
+        counts["steps"] += 1
+    for sid in g.expanded:
+        for _, tid in g.edges[sid]:
+            counts["edges"] += 1
+            check(g.states[tid], ctx, prog)
 
 
 def main() -> int:
@@ -43,44 +86,16 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.monotonic()
-    states = edges = steps = 0
-    for seed in range(args.seed_base, args.seed_base + args.n):
-        prog = gen_program(seed)
-        rep = check_program(prog)
-        assert rep.accepted, f"seed {seed}: checker rejected the generated program"
-        ctx = dict(prog.main.params)
-        g = explore(prog.main.body, prog, max_states=500, max_depth=500)
-        assert not g.partial, f"seed {seed}: exploration truncated"
-        walked = []
-        for sid, state in enumerate(g.states):
-            states += 1
-            assert pretty_process(depth_canonical(state)[1]) == pretty_process(state), \
-                f"seed {seed}: state {sid} prints apart from its depth-named canonical form"
-            det = enabled_steps(state, prog, deterministic=True)
-            for term in (state, *(st.reduct for st in det)):
-                assert free_names(term) == free_names_walk(term), \
-                    f"seed {seed}: state {sid} or a reduct of it keeps free names apart from the reference walk"
-            if not is_close_normal(state, prog):
-                assert det, f"seed {seed}: stuck state {sid}"
-            walked += ((sid, st) for st in det)
-            u = unfold(state, prog)
-            assert threads(u) > channels(u), f"seed {seed}: counting lemma failed"
-        # forward, then backward: the second pass meets a session that every
-        # step of the program has warmed
-        for sid, st in walked + walked[::-1]:
-            step = (st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
-            rep = simulate_step(*step)
-            assert rep.matched and rep.steps == PRINCIPAL_STEPS[st.info.kind], \
-                f"seed {seed}: state {sid}, {st.info}: {rep.detail}"
-            assert rep == reference_step(*step), f"seed {seed}: state {sid}, {st.info}: {rep}"
-            steps += 1
-        for sid in g.expanded:
-            for _, tid in g.edges[sid]:
-                edges += 1
-                check(g.states[tid], ctx, prog)
+    # the pool-end programs as well: gen_program puts no guard behind a pool
+    fixed = ((label, parse_program(text, label)) for label, text in pool_end_texts().items())
+    seeds = range(args.seed_base, args.seed_base + args.n)
+    counts: Counter = Counter()
+    for label, prog in itertools.chain(fixed, ((f"seed {seed}", gen_program(seed)) for seed in seeds)):
+        sweep(label, prog, counts)
+        counts["programs"] += 1
     dt = time.monotonic() - t0
-    print(f"{args.n} programs, {states} states, {edges} re-checked reducts, "
-          f"{steps} simulated steps: all OK in {dt:.1f}s")
+    print(f"{counts['programs']} programs, {counts['states']} states, {counts['edges']} re-checked "
+          f"reducts, {counts['steps']} simulated steps: all OK in {dt:.1f}s")
     return 0
 
 

@@ -8,14 +8,16 @@ function then runs once against REV's `src/` and once against this tree's,
 each in a fresh interpreter under PYTHONHASHSEED=0.  Every artefact whose
 sha256 differs is printed, and the exit status is 1 if any differ.
 
-Inputs: the corpus, lock_1..8, six cas mixes, chain_1..8, gen_program seeds
-0-299 and 1000-1199, the 300 forwarder families of the benchmark's
-fuzz_small workload, and every one-token mutant (deletion, duplication, swap
-with the next token) of the corpus, of the printed gen_program 0-119 and of
-the checker's diagnostic snippets (`tests/test_checker_golden.py`), and the
-snippets themselves with the programs built there for diagnostics the parser
-would reject.  The channel-id counter is reset before each input, so ids
-drawn by one input do not shift the next.
+Inputs: the corpus, lock_1..8, six cas mixes, chain_1..8, the three programs
+whose pools end in a guard on another channel
+(`tests/conftest.pool_end_texts`), gen_program seeds 0-299 and 1000-1199,
+the 300 forwarder families of the benchmark's fuzz_small workload, and every
+one-token mutant (deletion, duplication, swap with the next token) of the
+corpus, of the printed gen_program 0-119 and of the checker's diagnostic
+snippets (`tests/test_checker_golden.py`), and the snippets themselves with
+the programs built there for diagnostics the parser would reject.  The
+channel-id counter is reset before each input, so ids drawn by one input do
+not shift the next.
 
 Artefacts: parse results (the program's repr, with channel ids) and parse
 errors, `pretty_program`, check reports with their derivations, encoded
@@ -53,7 +55,7 @@ MAX_STEPS = 300
 def inputs(small: bool = False) -> Iterator[tuple[str, str | int]]:
     """(label, program text or gen_program seed); small takes a slice."""
     from bench.workloads import chain_text
-    from tests.conftest import CORPUS, CORPUS_FILES, cas_text, lock_text
+    from tests.conftest import CORPUS, CORPUS_FILES, cas_text, lock_text, pool_end_texts
     for name in CORPUS_FILES:
         yield name, (CORPUS / name).read_text(encoding="utf-8")
     for n in range(1, 3 if small else 9):
@@ -63,6 +65,7 @@ def inputs(small: bool = False) -> Iterator[tuple[str, str | int]]:
         yield f"cas_{''.join(kinds)}", cas_text(kinds)
     for k in range(1, 3 if small else 9):
         yield f"chain_{k}", chain_text(k)
+    yield from pool_end_texts().items()
     yield from ((f"gen_{s}", s) for s in (range(0, 6) if small
                                           else itertools.chain(range(300), range(1000, 1200))))
 

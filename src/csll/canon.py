@@ -31,9 +31,10 @@ with one keyed before costs what it changed: a run's next state shares the
 nodes of the reduct keyed before it, and a reduct of an explored state the
 nodes of that state.  A term that is its own form keeps that record rather
 than one that holds another form.  A binder's height is read from the
-records of its scope, and a walk memoised for one call finds it for the
-nodes without one.  Pool cells are sorted by key; a pool whose tail has a
-record keeps that tail when its new cells sort ahead of it.
+records of its scope: a node without one gets a record of its height alone,
+which keying the node completes and which is never reused as a fit, so a
+call keeps no memo of its own.  Pool cells are sorted by key; a pool whose
+tail has a record keeps that tail when its new cells sort ahead of it.
 
 The result is a deterministic, idempotent normal form used as state
 identity during exploration.  Invocations are never unfolded here and cut
@@ -50,7 +51,8 @@ from .process import BINDING, Call, ChannelName, Cons, Cut, Process
 from .types import dual, type_key
 
 # A record: (height, key, form, frees, depth), under _RECORD in its term's
-# instance dictionary; form is None when the term is its own form.  frees
+# instance dictionary; form is None when the term is its own form.  A node
+# whose height was read before it was keyed holds (height,) alone.  frees
 # maps each channel c free in the term to the (level, name) of its binder
 # when the term was keyed at depth, or to (None, c) when no binder enclosed
 # c.  Records and their frees never change, so one frees map serves every
@@ -77,7 +79,7 @@ def canonical_hashed(p: Process) -> tuple[Process, int]:
     """The canonical form of p and the hash of its structural key, which
     canonical forms share with every term they are the form of, so equal
     forms have equal hashes.  The key is a tuple, hashed in C."""
-    rec = _canon(p, {}, 0, {})
+    rec = _canon(p, {}, 0)
     return rec[_FORM] or p, hash(rec[_KEY])
 
 
@@ -85,49 +87,45 @@ def cell_key(client: Process, session: ChannelName) -> tuple:
     """Structural key of a pool client with its session bound.  Clients of
     one pool with equal keys are interchangeable: connecting either one gives
     the same canonical reduct."""
-    heights: dict[int, int] = {}
-    return _canon(client, {session: (0, _binder(1 + _height(client, heights)))}, 1, heights)[_KEY]
+    return _canon(client, {session: (0, _binder(1 + _height(client)))}, 1)[_KEY]
 
 
-def _height(p: Process, heights: dict[int, int]) -> int:
-    """The greatest binder name inside p's form, 0 if it has no binder;
-    heights holds those of the nodes without a record walked in this call,
-    by id."""
+def _height(p: Process) -> int:
+    """The greatest binder name inside p's form, 0 if it has no binder, read
+    from p's record; a node without one gets a height-only record, which
+    keying it completes."""
     t = type(p)
     if t in _LEAVES:
         return 0
-    h = heights.get(id(p))
-    if h is not None:
-        return h
     rec = p.__dict__.get(_RECORD)
     if rec is not None:
         return rec[_HEIGHT]
     if t is Cons:  # a pool tail is walked in a loop, not a frame per cell
         cells = []
-        while type(p) is Cons and id(p) not in heights and _RECORD not in p.__dict__:
+        while type(p) is Cons and _RECORD not in p.__dict__:
             cells.append(p)
             p = p.pool
-        h = _height(p, heights)
+        h = _height(p)
         for node in reversed(cells):
-            c = 1 + _height(node.client, heights)
+            c = 1 + _height(node.client)
             if c > h:
                 h = c
-            heights[id(node)] = h
+            node.__dict__[_RECORD] = (h,)
         return h
     inside, outside = _SUBTERMS[t]
     h = 0
     for a in outside:
         q = getattr(p, a)
         if type(q) not in _LEAVES:
-            c = _height(q, heights)
+            c = _height(q)
             if c > h:
                 h = c
     for a in inside:
         q = getattr(p, a)
-        c = 1 if type(q) in _LEAVES else 1 + _height(q, heights)
+        c = 1 if type(q) in _LEAVES else 1 + _height(q)
         if c > h:
             h = c
-    heights[id(p)] = h
+    p.__dict__[_RECORD] = (h,)
     return h
 
 
@@ -153,12 +151,12 @@ def _frees(rec: tuple, depth: int) -> dict:
     return {c: v if v[0] is None else (v[0] + shift, v[1]) for c, v in rec[_FREES].items()}
 
 
-def _canon(p: Process, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
+def _canon(p: Process, env: _Env, depth: int) -> tuple:
     """The record of p where env gives the binder level and name of each
-    bound channel, depth is the level of p's binders and heights is the
-    call's memo for `_height`; kept on p unless p is a leaf, whose record
-    costs as much as keying it, or p keeps the record of being its own
-    form."""
+    bound channel and depth is the level of p's binders; kept on p unless p
+    is a leaf, whose record costs as much as keying it, or p keeps the
+    record of being its own form.  A height-only record is never reused:
+    keying p completes it."""
     t = type(p)
     if t is Call:
         frees = {}
@@ -184,21 +182,18 @@ def _canon(p: Process, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
         return 0, (_NAMES[t], _bound(e[0] - depth)), None if e[1] == c else t(e[1], span=p.span), {c: e}, depth
     d = p.__dict__
     old = d.get(_RECORD)
-    if old is not None and _fits(old, env, depth):
+    if old is not None and len(old) > 1 and _fits(old, env, depth):
         return old
     if t is Cons:
-        rec = _pool(p, env, depth, heights)
+        rec = _pool(p, env, depth)
     elif t is Cut:
         b, left, right = p.chan, p.left, p.right
-        h = heights.get(id(p))  # a cut's height is its binder's name
-        if h is None:
-            h = 1 + max(0 if type(left) in _LEAVES else _height(left, heights),
-                        0 if type(right) in _LEAVES else _height(right, heights))
+        h = _height(p)  # a cut's height is its binder's name
         x = _binder(h)
         inner = depth + 1
         outer, env[b] = env.get(b), (depth, x)
-        lr = _canon(left, env, inner, heights)
-        rr = _canon(right, env, inner, heights)
+        lr = _canon(left, env, inner)
+        rr = _canon(right, env, inner)
         env[b] = outer
         frees = {**(lr[_FREES] if lr[_DEPTH] == inner else _frees(lr, inner)),
                  **(rr[_FREES] if rr[_DEPTH] == inner else _frees(rr, inner))}
@@ -231,14 +226,14 @@ def _canon(p: Process, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
             b = vals[binder]
             for j in inside:
                 q = vals[j]
-                k = 1 if type(q) in _LEAVES else 1 + _height(q, heights)
+                k = 1 if type(q) in _LEAVES else 1 + _height(q)
                 if k > h:
                     h = k
             vals[binder] = x = _binder(h)
             same = same and x == b
             outer, env[b] = env.get(b), (depth, x)
             for j in inside:
-                r = _canon(vals[j], env, depth + 1, heights)
+                r = _canon(vals[j], env, depth + 1)
                 keys.append(r[_KEY])
                 if r[_FORM] is not None:
                     vals[j], same = r[_FORM], False
@@ -249,7 +244,7 @@ def _canon(p: Process, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
                 frees = frees.copy()
                 del frees[b]
         for j in outside:
-            r = _canon(vals[j], env, depth, heights)
+            r = _canon(vals[j], env, depth)
             keys.append(r[_KEY])
             if r[_FORM] is not None:
                 vals[j], same = r[_FORM], False
@@ -263,12 +258,12 @@ def _canon(p: Process, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
         elif frees.get(c) != ce:
             frees = {**frees, c: ce}
         rec = (h, tuple(keys), None if same else t(*vals, span=span), frees, depth)
-    if old is None or old[_FORM] is not None:
+    if old is None or len(old) == 1 or old[_FORM] is not None:
         d[_RECORD] = rec
     return rec
 
 
-def _pool(p: Cons, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
+def _pool(p: Cons, env: _Env, depth: int) -> tuple:
     """The record of the pool p: its cells on p's channel sorted by key.  The
     walk down the cells stops at a tail with a record that fits when every
     cell above it sorts ahead of the tail's first cell.  Each source node
@@ -286,9 +281,9 @@ def _pool(p: Cons, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
     top = None  # the greatest cell key so far
     while True:
         y, client = node.session, node.client
-        h = 1 if type(client) in _LEAVES else 1 + _height(client, heights)
+        h = 1 if type(client) in _LEAVES else 1 + _height(client)
         outer, env[y] = env.get(y), (depth, _binder(h))
-        rec = _canon(client, env, depth + 1, heights)
+        rec = _canon(client, env, depth + 1)
         env[y] = outer
         k = rec[_KEY]
         cells.append((k, rec, h, node, len(cells)))
@@ -298,11 +293,11 @@ def _pool(p: Cons, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
         if type(node) is not Cons or node.chan != x:
             break
         rec = node.__dict__.get(_RECORD)
-        if rec is not None and not top > rec[_KEY][2] and _fits(rec, env, depth):
+        if rec is not None and len(rec) > 1 and not top > rec[_KEY][2] and _fits(rec, env, depth):
             end = rec
             break
     if end is None:
-        end = _canon(node, env, depth, heights)
+        end = _canon(node, env, depth)
     if len(cells) > 1:
         cells.sort(key=itemgetter(0))
     # the source nodes from `aligned` down hold the cells the form has there
@@ -338,7 +333,7 @@ def _pool(p: Cons, env: _Env, depth: int, heights: dict[int, int]) -> tuple:
             form = Cons(xn, name, cf, form, span=src.span)
         if i and i >= aligned:
             old = src.__dict__.get(_RECORD)
-            if old is None or old[_FORM] is not None:
+            if old is None or len(old) == 1 or old[_FORM] is not None:
                 src.__dict__[_RECORD] = (h, key, None if form is src else form, frees, depth)
     return (h, key, None if form is p else form, frees, depth)
 

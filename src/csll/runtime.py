@@ -8,24 +8,25 @@ guards it exposes, keyed by subject, and each cut pairs the two guards on
 its channel when their `typecheck.GUARDS` connectives are dual and the cut
 types the positive one at its connective.  Pulling a guard out through
 enclosing cuts and pool heads mirrors the pre-congruence moves that justify
-the step.  A state's sibling scopes may reuse a binder name, as canonical
-forms do: a step nests the right guard's cuts inside the left's, so when
-both bind one name the right guard is taken from a copy of its side with
-fresh binders.  The walk unfolds an invocation only where it meets one, by
-the one unfolding rule, `process.unfold_head`: an invocation unfolds
-exactly when its unguarded unfolding terminates; one that diverges, or
-names no definition, is stuck while the rest of the state may step.  The
+the step.  The walk reads a pool's cells in one loop (`_pool_cells`).  A
+state's sibling scopes may reuse a binder name, as canonical forms do: a
+step nests the right guard's cuts inside the left's, so when both bind one
+name the right guard is taken from a copy of its side with fresh binders.
+The walk unfolds an invocation only where it meets one, by the one
+unfolding rule, `process.unfold_head`: an invocation unfolds exactly when
+its unguarded unfolding terminates; one that diverges, or names no
+definition, is stuck while the rest of the state may step.  The
 deterministic fragment drops every pool rule, so clients connect in queue
 order, and its scheduler takes the first step.  In the full semantics,
 connecting either of two clients with equal canonical keys gives one
 canonical state (symmetry reduction).  A step record builds its
 rearrangement and reduct on first access, so exploration builds one reduct
-per such class and a random run only the drawn step's.  The reduction
-graph buckets its states by the C-level hash of their canonical keys and
-confirms a hit by canonical-term equality.  Each term keyed but a leaf
-keeps a record of its canonical form and key (`canon`); a reduct holds the
-nodes of the state it steps from, and a run's next state those of the
-reduct before it, so keying a state costs what its step changed.
+per such class and a random run only the drawn step's.  The reduction graph
+buckets its states by the C-level hash of their canonical keys and confirms
+a hit by canonical-term equality.  Each term keyed but a leaf keeps a
+record of its canonical form and key (`canon`); a reduct holds the nodes of
+the state it steps from, and a run's next state those of the reduct before
+it, so keying a state costs what its step changed.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def _pool_cells(g: Process, x: ChannelName, defs: Program) -> tuple[list[Cons], 
             return cells, head, last
 
 
+def _stack(cells: list[Cons], q: Process) -> Process:
+    """The pool of cells over q."""
+    for c in reversed(cells):
+        q = Cons(c.chan, c.session, c.client, q)
+    return q
+
+
 class Step:
     """One enabled reduction: the redex, the pre-congruence rearrangement that
     exposes it (with the synchronizing cut as a shared subterm), and the
@@ -130,10 +138,7 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
 
         def rest(i: int) -> Process:
             """The pool without cell i, keeping what stands below it."""
-            out, above = (cells[i].pool, cells[:i]) if i >= last else (end, cells[:i] + cells[i + 1:])
-            for c in reversed(above):
-                out = Cons(x, c.session, c.client, out)
-            return out
+            return _stack(cells[:i], cells[i].pool) if i >= last else _stack(cells[:i] + cells[i + 1:], end)
 
         def exposed(i: int) -> Cut:
             """The exposed cut, with cell i at the pool's head if there are cells."""
@@ -190,7 +195,8 @@ def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
     preorder, and return the guards p exposes.  A cut unfolds each side once;
     the context of a step below one side keeps the other side as it was.  A
     cut hands up no guard on its own channel, which an enclosing cut that
-    binds the same name would otherwise pair."""
+    binds the same name would otherwise pair.  A pool head walks its end
+    once, and hands up its guards on other channels that no client names."""
     p = unfold_head(p, defs)
     if isinstance(p, Cut):
         x, anno = p.chan, p.anno
@@ -215,12 +221,12 @@ def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
     s = subject(p)
     guards = {} if s is None else {s: (p, _hole, ())}
     if pool_ok and isinstance(p, Cons):
-        tail = _walk(p.pool, defs, pool_ok, path + ("T",),
-                     lambda q: ctx(Cons(p.chan, p.session, p.client, q)), out)
+        cells, end, _ = _pool_cells(p, s, defs)
+        tail = _walk(end, defs, pool_ok, path + ("T",) * len(cells), lambda q: ctx(_stack(cells, q)), out)
         if any(t != s for t in tail):
-            head = free_names(p.client) - {p.session}
-            guards.update({t: (g, lambda h, rb=rb: Cons(p.chan, p.session, p.client, rb(h)), bs)
-                           for t, (g, rb, bs) in tail.items() if t != s and t not in head})
+            heads = set().union(*(free_names(c.client) - {c.session} for c in cells))
+            guards.update({t: (g, lambda h, rb=rb: _stack(cells, rb(h)), bs)
+                           for t, (g, rb, bs) in tail.items() if t != s and t not in heads})
     return guards
 
 

@@ -67,11 +67,37 @@ def kept_sets(monkeypatch) -> Callable[[], int]:
     return lambda: kept
 
 
+LOCK_DEF = "def Lock(x: srv bot, z: 1) =\n  server x(y) { wait y; Lock(x, z) } idle { close z }\n"
+
+
 def lock_text(n: int) -> str:
     """corpus/lock.csll's server with n closing clients u0..u{n-1}."""
     clients = "; ".join(f"client x(u{i}) {{ close u{i} }}" for i in range(n))
-    return ("def Lock(x: srv bot, z: 1) =\n  server x(y) { wait y; Lock(x, z) } idle { close z }\n"
-            f"main(z: 1) = new x : cli 1 {{ {clients}; done x | Lock(x, z) }}\n")
+    return f"{LOCK_DEF}main(z: 1) = new x : cli 1 {{ {clients}; done x | Lock(x, z) }}\n"
+
+
+def pool_end_texts() -> dict[str, str]:
+    """Programs whose client pool ends in a guard on another channel, which
+    the full semantics pulls up through the pool's cells: a wait closed by a
+    cut around the pool, a cut of its own, and the server forwarder spliced
+    between two clients and the lock, whose pool after a connect ends in the
+    forwarder's invocation, a server on its first channel."""
+    from csll import types as ty
+    from csll.linkgen import gen_link
+    from csll.printer import pretty_program
+    clients = "client x(u) { close u }; client x(v) { close v }"
+    return {
+        "pool_end_wait": f"{LOCK_DEF}main(z: 1) =\n  new t : 1 {{ close t | new x : cli 1 {{ "
+                         f"{clients}; wait t; done x | Lock(x, z) }} }}\n",
+        "pool_end_cut": f"{LOCK_DEF}main(z: 1) =\n  new x : cli 1 {{ "
+                        f"{clients}; new w : 1 {{ close w | wait w; done x }} | Lock(x, z) }}\n",
+        "pool_end_link": (f"{LOCK_DEF}\n{pretty_program(gen_link(ty.Server(ty.BOT)))}\n"
+                          "main(z: 1) =\n"
+                          "  new a : cli 1 {\n"
+                          "    client a(u) { close u }; client a(v) { close v }; done a\n"
+                          "    | new b : cli 1 { Link_srv_bot(a, b) | Lock(b, z) }\n"
+                          "  }\n"),
+    }
 
 
 def cas_text(kinds: list[str]) -> str:

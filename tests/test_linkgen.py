@@ -7,6 +7,7 @@ from csll.printer import pretty_program
 from csll.process import Call, Fail, Server, Wait
 from csll.typecheck import check_program
 
+from .conftest import pool_end_texts
 from .oracles import param_types, random_any_type
 
 
@@ -73,20 +74,10 @@ def test_sampled_deep_families_accepted():
 def test_forwarder_is_behaviorally_transparent():
     # splicing the server forwarder between the clients and the lock changes
     # nothing observable: the system still drains to close z
-    from csll.parser import parse_program
     from csll.printer import pretty_process
     from csll.runtime import explore, run
 
-    fam = pretty_program(gen_link(ty.Server(ty.BOT)))
-    text = (
-        "def Lock(x: srv bot, z: 1) = server x(y) { wait y; Lock(x, z) } idle { close z }\n\n"
-        + fam + "\n"
-        + "main(z: 1) =\n"
-        + "  new a : cli 1 {\n"
-        + "    client a(u) { close u }; client a(v) { close v }; done a\n"
-        + "    | new b : cli 1 { Link_srv_bot(a, b) | Lock(b, z) }\n"
-        + "  }\n")
-    prog = parse_program(text, "<spliced>")
+    prog = parse_program(pool_end_texts()["pool_end_link"], "<spliced>")
     assert check_program(prog).accepted
     tr = run(prog.main.body, dict(prog.main.params), prog, scheduler="det", max_steps=200)
     assert tr.terminated and pretty_process(tr.final) == "close z"

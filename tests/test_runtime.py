@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 
-from csll import runtime
+from csll import proofs, runtime
 from csll import types as ty
 from csll.canon import canonical_form
 from csll.gen import gen_program
@@ -11,7 +13,8 @@ from csll.process import (
     fresh, rename,
 )
 from csll.typecheck import check
-from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text
+from . import oracles
+from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text, pool_end_texts
 from .oracles import alpha_equal, channels, find_state, step_all, threads, unfold
 from .strategies import processes
 from csll.parser import parse_program
@@ -332,6 +335,63 @@ def test_long_unguarded_chain_unfolds_in_both_semantics():
         assert tr.terminated and is_close_normal(tr.final, prog)
     ft = check_fair_termination(p, prog)
     assert len(ft.graph.states) == 2 and ft.verdict == "fairly-terminating"
+
+
+@pytest.mark.parametrize("label, full, det, size", [
+    ("pool_end_wait", [("r-close@t[·]", 0), ("r-connect@x[R]", 0), ("r-connect@x[R]", 1)],
+     ["r-connect@x[R]"], (11, 16)),
+    ("pool_end_cut", [("r-connect@x[·]", 0), ("r-connect@x[·]", 1), ("r-close@w[LTT]", 0)],
+     ["r-connect@x[·]"], (11, 16)),
+    ("pool_end_link", [("r-connect@a[·]", 0), ("r-connect@a[·]", 1)], ["r-connect@a[·]"], (20, 29)),
+])
+def test_a_guard_at_a_pools_end_is_pulled_up_through_its_cells(label, full, det, size):
+    # the full semantics hands a guard of a pool's end on another channel up
+    # through every cell, and finds the steps below the pool's end
+    prog = parse_program(pool_end_texts()[label], label)
+    body, ctx = prog.main.body, dict(prog.main.params)
+    assert [(str(st.info), st.info.client_index) for st in enabled_steps(body, prog)] == full
+    assert [str(st.info) for st in enabled_steps(body, prog, deterministic=True)] == det
+    ft = check_fair_termination(body, prog)
+    assert ft.verdict == "fairly-terminating"
+    assert (len(ft.graph.states), sum(map(len, ft.graph.edges.values()))) == size
+    for state in ft.graph.states:
+        for deterministic in (False, True):
+            for st in enabled_steps(state, prog, deterministic):
+                check(st.reduct, ctx, prog)
+                step = (st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind)
+                rep = proofs.simulate_step(*step)
+                assert rep.matched and rep == oracles.simulate_step(*step), (label, st.info)
+
+
+@pytest.mark.parametrize("client", ["u", "v"])
+def test_a_pool_hands_up_no_guard_on_a_channel_a_client_names(client):
+    # the pool's end waits on t; once either client names t too, the wait is
+    # not pulled up past the pool, and only the connects remain
+    text = pool_end_texts()["pool_end_wait"]
+    prog = parse_program(text.replace(f"{{ close {client} }}", f"{{ wait t; close {client} }}"))
+    assert [str(st.info) for st in enabled_steps(prog.main.body, prog)] == ["r-connect@x[R]"] * 2
+
+
+def test_a_deep_pool_steps_at_the_default_limit():
+    # a pool's cells are walked in a loop, so a 1,500-cell pool, which the
+    # parser would not take, steps under the default limit of 1000 frames
+    prog = parse_program(lock_text(1))
+    cut = prog.main.body
+    x, pool = cut.chan, Nil(cut.chan)
+    for _ in range(1500):
+        u = fresh("u")
+        pool = Cons(x, u, Close(u), pool)
+    p = Cut(x, cut.anno, pool, cut.right)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        full = enabled_steps(p, prog)
+        det = enabled_steps(p, prog, deterministic=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [st.info.client_index for st in full] == list(range(1500))
+    assert len({st.orbit for st in full}) == 1
+    assert [str(st.info) for st in det] == ["r-connect@x[·]"]
 
 
 def test_undefined_name_is_opaque_in_both_semantics():
