@@ -1,5 +1,16 @@
 """Pretty-printer for types, processes, definitions and programs; parsing
-the printed text gives back the term up to renaming of bound channels."""
+the printed text gives back the term up to renaming of bound channels.
+
+A process prints through `_RENDER`, a table from constructor to render
+function, each rendering its subterms through the table.  A client pool
+prints in one loop over its cells.  Each cell keeps its text on itself, in
+its instance dictionary as `canon` keeps its records, once for every
+printing context it met: the indent and the namer's state, which is one
+key for all the cells of a pool.  A run's next state shares most of its
+cells with the state before it, so printing it costs what the step changed.
+A pool keeps no text of its own: a suffix's text would hold each cell's
+text once per cell above it.
+"""
 
 from __future__ import annotations
 
@@ -31,9 +42,10 @@ def _wrap_type(t: ty.SessionType, level: int = ty._ATOM, word: str = "") -> str:
 
 class _Namer:
     """Scope-aware display names; disambiguates clashes with numeric suffixes.
-    `taken` holds the keywords and every display name in scope.  A binder may
-    reuse a channel that is displayed outside its scope; `hidden` keeps,
-    innermost last, each such channel with the name its scope hides."""
+    `display` names each channel in scope, and `taken` holds the keywords
+    and every display name in scope.  A binder may reuse a channel that is
+    displayed outside its scope; `hidden` keeps, innermost last, each such
+    channel with the name its scope hides."""
 
     def __init__(self):
         self.display: dict[ChannelName, str] = {}
@@ -55,10 +67,19 @@ class _Namer:
 
     def unbind(self, c: ChannelName, name: str) -> None:
         """Ends the scope of c's binder, displayed as name.  Scopes nest, so
-        the innermost hidden entry is c's exactly when this binder hid one."""
+        the innermost hidden entry is c's exactly when this binder hid one;
+        otherwise c is displayed nowhere outside the scope."""
         self.taken.remove(name)
         if self.hidden and self.hidden[-1][0] == c:
             self.display[c] = self.hidden.pop()[1]
+        else:
+            del self.display[c]
+
+    def context(self, indent: int) -> tuple:
+        """What a subterm's text depends on besides the subterm: the indent,
+        the display name of each channel in scope and the names taken, which
+        are the keywords, those display names and the names hidden."""
+        return indent, frozenset(self.display.items()), tuple(self.hidden)
 
     def of(self, c: ChannelName) -> str:
         return self.display.get(c, c.name or "c")
@@ -67,6 +88,9 @@ class _Namer:
 _INLINE_LIMIT = 44
 
 _WORDS = {ctor: row.split()[0] for ctor, row in FORMS.items()}
+
+# where a pool cell keeps its texts, by printing context
+_TEXTS = "_printed"
 
 
 def pretty_process(p: Process) -> str:
@@ -107,12 +131,44 @@ def _join(p: Join, n: _Namer, indent: int) -> str:
     return out
 
 
-def _send(p: Fork | Cons, n: _Namer, indent: int) -> str:
-    x, y, body, rest, _ = BINDING[type(p)].fields(p)
+def _cell(p: Fork | Cons, n: _Namer, indent: int) -> str:
+    """The text of p up to its continuation."""
+    x, y, body, _, _ = BINDING[type(p)].fields(p)
     yd = n.bind(y)
     block = _block(_RENDER[type(body)](body, n, indent), indent)
     n.unbind(y, yd)
-    return f"{_WORDS[type(p)]} {n.of(x)}({yd}){block}; " + _RENDER[type(rest)](rest, n, indent)
+    return f"{_WORDS[type(p)]} {n.of(x)}({yd}){block}; "
+
+
+def _send(p: Fork, n: _Namer, indent: int) -> str:
+    return _cell(p, n, indent) + _RENDER[type(p.cont)](p.cont, n, indent)
+
+
+def _pool(p: Cons, n: _Namer, indent: int) -> str:
+    """The cells of the pool p in one loop, then its end.  A cell's text
+    depends on the cell and the context, which no cell changes, so the key
+    is built once.  The first kept key found equal to it is used from there
+    on: the cells printed with it before hold that very object, so their
+    lookups compare by identity."""
+    ctx = n.context(indent)
+    found = False
+    parts = []
+    while type(p) is Cons:
+        texts = p.__dict__.get(_TEXTS)
+        if texts is None:
+            texts = p.__dict__[_TEXTS] = {}
+        elif not found:
+            for k in texts:
+                if k == ctx:
+                    ctx, found = k, True
+                    break
+        text = texts.get(ctx)
+        if text is None:
+            text = texts[ctx] = _cell(p, n, indent)
+        parts.append(text)
+        p = p.pool
+    parts.append(_RENDER[type(p)](p, n, indent))
+    return "".join(parts)
 
 
 def _case(p: Case, n: _Namer, indent: int) -> str:
@@ -152,7 +208,7 @@ def _cut(p: Cut, n: _Namer, indent: int) -> str:
 # The render function of each constructor.  Each renders its subterms through
 # `_RENDER` itself, so a node costs one frame.
 _RENDER = {Call: _call, Close: _end, Fail: _end, Nil: _end, Wait: _wait, Select: _select,
-           Join: _join, Fork: _send, Cons: _send, Case: _case, Server: _server, Cut: _cut}
+           Join: _join, Fork: _send, Cons: _pool, Case: _case, Server: _server, Cut: _cut}
 
 
 def pretty_definition(d: Definition, keyword: str = "def") -> str:

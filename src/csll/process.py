@@ -216,9 +216,19 @@ def free_names(p: Process) -> frozenset[ChannelName]:
     """The channels free in p.  A term is immutable, so a non-leaf term keeps
     its set once found: a later call on it, or on a term that shares it (a
     step's reduct shares most of its state), walks only the nodes that are
-    new.  A leaf or an invocation returns its set without keeping it."""
+    new.  A leaf or an invocation returns its set without keeping it.  A
+    pool's cells are walked in a loop, not a frame per cell."""
     names = p._free
-    if names is None:
+    if names is None and type(p) is Cons:
+        cells = []
+        while type(p) is Cons and p._free is None:
+            cells.append(p)
+            p = p.pool
+        names = free_names(p)
+        for cell in reversed(cells):
+            names = free_names(cell.client) - {cell.session} | names | {cell.chan}
+            object.__setattr__(cell, "_free", names)
+    elif names is None:
         row = BINDING[type(p)]
         vals = row.fields(p)
         found = set(p.args) if type(p) is Call else set()

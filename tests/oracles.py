@@ -11,12 +11,13 @@ import random
 from operator import itemgetter
 from typing import Iterable
 
-from csll import runtime
+from csll import printer, runtime
 from csll import types as ty
 from csll.canon import canonical_form
 from csll.formulas import Address, Mu, MuFormula, Nu, Var, formula_children, prefix_leq
 from csll.process import (
-    BINDING, Call, ChannelName, Cons, Cut, Definition, Process, Program, free_names, unfold_head,
+    BINDING, Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join, Nil, Process,
+    Program, Select, Server, Wait, free_names, unfold_head,
 )
 from csll.proofs import (
     PRINCIPAL_STEPS, AddressStream, NotPrincipalError, SimulationReport, encode_derivation,
@@ -301,3 +302,60 @@ def _depth_canon(p: Process, env: dict[ChannelName, int | None], depth: int) -> 
         k, vals[i] = _depth_canon(vals[i], env, depth)
         key.append(k)
     return tuple(key), t(*vals, span=span)
+
+
+def pretty_reference(p: Process) -> str:
+    """`printer.pretty_process` as it was before a pool printed in one loop
+    and each cell kept its text: one recursive render per node, keeping no
+    text and reading no free-name set kept on a term."""
+    namer = printer._Namer()
+    for c in sorted(free_names_walk(p)):
+        namer.bind(c)
+    return _reference(p, namer, 0)
+
+
+def _reference(p: Process, n: printer._Namer, indent: int) -> str:
+    limit, block = 2 * printer._INLINE_LIMIT, printer._block
+    pad = "  " * (indent + 1)
+    match p:
+        case Call(name, args):
+            return f"{name}({', '.join(map(n.of, args))})"
+        case Close(c) | Fail(c) | Nil(c):
+            return f"{printer._WORDS[type(p)]} {n.of(c)}"
+        case Wait(c, body):
+            return f"wait {n.of(c)}; " + _reference(body, n, indent)
+        case Select(c, tag, body):
+            return f"{n.of(c)}.in{tag}; " + _reference(body, n, indent)
+        case Join(c, y, body):
+            head = f"recv {n.of(c)}("
+            yd = n.bind(y)
+            out = f"{head}{yd}); " + _reference(body, n, indent)
+            n.unbind(y, yd)
+            return out
+        case Fork(x, y, body, rest) | Cons(x, y, body, rest):
+            yd = n.bind(y)
+            text = block(_reference(body, n, indent), indent)
+            n.unbind(y, yd)
+            return f"{printer._WORDS[type(p)]} {n.of(x)}({yd}){text}; " + _reference(rest, n, indent)
+        case Case(c, left, right):
+            left, right = _reference(left, n, indent + 1), _reference(right, n, indent + 1)
+            one_line = f"case {n.of(c)} {{ in1: {left} ; in2: {right} }}"
+            if "\n" not in one_line and len(one_line) <= limit:
+                return one_line
+            return f"case {n.of(c)} {{\n{pad}in1: {left} ;\n{pad}in2: {right}\n" + "  " * indent + "}"
+        case Server(x, y, accept, idle):
+            yd = n.bind(y)
+            accept = _reference(accept, n, indent + 1)
+            n.unbind(y, yd)
+            idle = _reference(idle, n, indent + 1)
+            return f"server {n.of(x)}({yd}) " + block(accept, indent) + " idle " + block(idle, indent)
+        case Cut(x, anno, left, right):
+            xd = n.bind(x)
+            left, right = _reference(left, n, indent + 1), _reference(right, n, indent + 1)
+            n.unbind(x, xd)
+            head = f"new {xd} : {printer.pretty_type(anno)} "
+            one_line = head + "{ " + left + " | " + right + " }"
+            if "\n" not in one_line and len(one_line) <= limit:
+                return one_line
+            return head + "{\n" + pad + left + "\n" + pad + "| " + right + "\n" + "  " * indent + "}"
+    raise TypeError(p)

@@ -208,9 +208,10 @@ def test_pool_cells_keep_their_own_spans():
 
 
 def test_deep_terms_print_and_canonicalise_at_the_default_limit():
-    # printing, free names, keying and building take one frame per node, so
-    # an 800-cell pool and an 800-long wait chain fit under the default
-    # limit of 1000 frames; a second frame per node would not
+    # printing, free names, keying and building take at most one frame per
+    # node (a pool's cells take none), so an 800-cell pool and an 800-long
+    # wait chain fit under the default limit of 1000 frames; a second frame
+    # per node would not
     x, z = fresh("x"), fresh("z")
     pool, chain = Nil(x), Close(z)
     for _ in range(800):
