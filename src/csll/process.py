@@ -1,7 +1,10 @@
 """Process terms, global definitions, and the syntactic operations on them.
 
-Channels carry a unique id so that binder instances stay distinct under
-rewriting.  The binding structure of every constructor is stated once, in
+Channels carry a unique id, but a binder need not be unique in a term: the
+unfolding rule keeps one unfolding per invocation on its program
+(`unfold_head`), so a body's binders recur wherever it is unfolded.
+Renaming is capture-avoiding, and `runtime` steps such terms without
+capture.  The binding structure of every constructor is stated once, in
 `BINDING`: the field of its subject, the channel it binds, and which
 subterms lie inside and outside that binder's scope.  Free names, subjects,
 renaming (and `canon`'s keys and builds) all read that table rather than
@@ -11,7 +14,7 @@ restating it per constructor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -172,6 +175,17 @@ class Program:
             _depth(Call(name, ()), self, table)
         return table
 
+    def refreshed(self) -> Program:
+        """A copy whose definition bodies have fresh binders, so that nothing
+        it unfolds shares a binder with a term built from this program."""
+        return Program({name: replace(d, body=rename(d.body, {}, refresh=True)) for name, d in self.defs.items()},
+                       self.main)
+
+    @cached_property
+    def _bodies(self) -> dict[tuple[str, tuple[ChannelName, ...]], Process]:
+        """The unfolding of each invocation `unfold_head` met, by name and arguments."""
+        return {}
+
 
 class Binding(NamedTuple):
     """A `BINDING` row as field positions; scalars are the fields it does not name."""
@@ -302,12 +316,12 @@ def _rename(p: Process, m: dict, refresh: bool) -> Process:
     return type(p)(*vals, span=span) if changed else p
 
 
-def instantiate(defn: Definition, args: tuple[ChannelName, ...]) -> Process:
-    """The body of defn with parameters replaced by args and all binders refreshed."""
+def instantiate(defn: Definition, args: tuple[ChannelName, ...], *, refresh: bool = True) -> Process:
+    """The body of defn with parameters replaced by args, and with refresh all binders refreshed."""
     if len(args) != len(defn.params):
         raise ValueError(f"{defn.name} expects {len(defn.params)} arguments, got {len(args)}")
     mapping = dict(zip(defn.param_names, args))
-    return rename(defn.body, mapping, refresh=True)
+    return rename(defn.body, mapping, refresh=refresh)
 
 
 def call_depth(p: Process, prog: Program) -> int | None:
@@ -340,7 +354,17 @@ def _depth(p: Process, prog: Program, table: dict[str, int | None]) -> int | Non
 def unfold_head(p: Process, prog: Program) -> Process:
     """The unfolding rule: an invocation unfolds exactly when its unguarded
     unfolding terminates.  One whose unfolding diverges stays, stuck, and so
-    does an invocation of a name the program does not define (depth 0)."""
+    does an invocation of a name the program does not define (depth 0).
+
+    The program keeps one unfolding per name and arguments: the body renamed
+    without refresh, which keeps its binders unless one would capture an
+    argument.  Every later unfolding of that invocation is that term, so the
+    canonical records and free-name sets kept on it serve them all."""
+    bodies = prog._bodies
     while isinstance(p, Call) and call_depth(p, prog):
-        p = instantiate(prog.defs[p.name], p.args)
+        key = (p.name, p.args)
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = instantiate(prog.defs[p.name], p.args, refresh=False)
+        p = body
     return p

@@ -8,25 +8,32 @@ guards it exposes, keyed by subject, and each cut pairs the two guards on
 its channel when their `typecheck.GUARDS` connectives are dual and the cut
 types the positive one at its connective.  Pulling a guard out through
 enclosing cuts and pool heads mirrors the pre-congruence moves that justify
-the step.  The walk reads a pool's cells in one loop (`_pool_cells`).  A
-state's sibling scopes may reuse a binder name, as canonical forms do: a
-step nests the right guard's cuts inside the left's, so when both bind one
-name the right guard is taken from a copy of its side with fresh binders.
-The walk unfolds an invocation only where it meets one, by the one
-unfolding rule, `process.unfold_head`: an invocation unfolds exactly when
-its unguarded unfolding terminates; one that diverges, or names no
-definition, is stuck while the rest of the state may step.  The
-deterministic fragment drops every pool rule, so clients connect in queue
-order, and its scheduler takes the first step.  In the full semantics,
-connecting either of two clients with equal canonical keys gives one
-canonical state (symmetry reduction).  A step record builds its
-rearrangement and reduct on first access, so exploration builds one reduct
-per such class and a random run only the drawn step's.  The reduction graph
-buckets its states by the C-level hash of their canonical keys and confirms
-a hit by canonical-term equality.  Each term keyed but a leaf keeps a
-record of its canonical form and key (`canon`); a reduct holds the nodes of
-the state it steps from, and a run's next state those of the reduct before
-it, so keying a state costs what its step changed.
+the step.  The walk reads a pool's cells in one loop (`_pool_cells`) and
+hands them with the pool's guard to the cut that pairs it, which reads them
+itself only in the deterministic semantics, where the walk does not.  A
+state's binders need not be distinct: sibling scopes may reuse a name, as
+canonical forms do, and an invocation unfolded in the scope of an earlier
+unfolding of the same body repeats its binders.  A step nests the right
+side inside the cuts around the left guard, and its core inside the cuts
+around both, so where a binder of one side would capture a channel the
+other names, that side's guard is taken from a copy whose binders and
+unfoldings are fresh.  The walk unfolds an invocation only where it meets
+one, by the one unfolding rule, `process.unfold_head`: an invocation
+unfolds exactly when its unguarded unfolding terminates; one that
+diverges, or names no definition, is stuck while the rest of the state may
+step.  The deterministic fragment drops every pool rule, so clients connect
+in queue order, and its scheduler takes the first step.  In the full
+semantics, connecting either of two clients with equal canonical keys gives
+one canonical state (symmetry reduction).  A step is one small record over
+what the steps at its cut share (`_Site`, and `_Pool` for a pool's
+connects); it builds its redex, orbit, rearrangement and reduct on first
+access, so exploration keys each client and builds one reduct per such
+class, and a run builds only the drawn step.  The reduction graph buckets
+its states by the C-level hash of their canonical keys and confirms a hit
+by canonical-term equality.  Each term keyed but a leaf keeps a record of
+its canonical form and key (`canon`); a reduct holds the nodes of the
+state it steps from, and a run's next state those of the reduct before it,
+so keying a state costs what its step changed.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import random as _random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable
 
@@ -61,8 +67,10 @@ class RedexInfo:
 
 
 # an exposed guard, the closure that rebuilds its exposing term around a
-# replacement, and the binders of the cuts that term puts around it
-_Guard = tuple[Process, Callable[[Process], Process], tuple[ChannelName, ...]]
+# replacement, the binders of the cuts that term puts around it, and, for a
+# pool head that the walk read, what `_pool_cells` gave (else None)
+_Guard = tuple[Process, Callable[[Process], Process], tuple[ChannelName, ...],
+               "tuple[list[Cons], Process, int] | None"]
 
 
 def _hole(h: Process) -> Process:
@@ -94,74 +102,133 @@ def _stack(cells: list[Cons], q: Process) -> Process:
 class Step:
     """One enabled reduction: the redex, the pre-congruence rearrangement that
     exposes it (with the synchronizing cut as a shared subterm), and the
-    reduct.  `cut`, `exposed` and `reduct` are built on first access and
-    kept.  Steps that connect interchangeable clients of one pool share
-    their `orbit` token, and their reducts have one canonical form."""
+    reduct.  Every field is built from the step's site on first access and
+    kept, so a step nobody reads costs one small record.  Steps that connect
+    interchangeable clients of one pool share their `orbit` token, and their
+    reducts have one canonical form."""
 
-    def __init__(self, info: RedexInfo, orbit: object, around: Callable[[Process], Process],
-                 cut: Callable[[], Cut], core: Callable[[], Process]):
-        self.info, self.orbit = info, orbit
-        self._around, self._cut, self._core = around, cut, core
+    __slots__ = ("_site", "_i", "_info", "_orbit", "_cut", "_exposed", "_reduct")
 
-    @cached_property
+    def __init__(self, site: _Site, i: int = 0):
+        self._site, self._i = site, i
+        self._info = self._orbit = self._cut = self._exposed = self._reduct = None
+
+    @property
+    def info(self) -> RedexInfo:
+        if self._info is None:
+            self._info = self._site.info(self._i)
+        return self._info
+
+    @property
+    def orbit(self) -> object:
+        if self._orbit is None:
+            self._orbit = self._site.orbit(self._i)
+        return self._orbit
+
+    @property
     def cut(self) -> Cut:
         """The exposed cut node, embedded in `exposed`."""
-        return self._cut()
+        if self._cut is None:
+            self._cut = self._site.cut(self._i)
+        return self._cut
 
-    @cached_property
+    @property
     def exposed(self) -> Process:
-        return self._around(self.cut)
+        if self._exposed is None:
+            self._exposed = self._site.around(self.cut)
+        return self._exposed
 
-    @cached_property
+    @property
     def reduct(self) -> Process:
-        return self._around(self._core())
+        if self._reduct is None:
+            self._reduct = self._site.around(self._site.core(self._i))
+        return self._reduct
+
+
+class _Site:
+    """What the steps at one cut share: the cut on x typed anno, the guards g1
+    and g2 its sides expose, its path, and `around`, which rebuilds the state
+    around a replacement of the cut.  Its one step builds its reduct's core
+    with the closure `make`."""
+
+    __slots__ = ("kind", "x", "anno", "g1", "g2", "path", "around", "make")
+
+    def __init__(self, kind: str, x: ChannelName, anno: ty.SessionType, g1: Process, g2: Process,
+                 path: tuple[str, ...], around: Callable[[Process], Process],
+                 make: Callable[[], Process] | None = None):
+        self.kind, self.x, self.anno, self.g1, self.g2 = kind, x, anno, g1, g2
+        self.path, self.around, self.make = path, around, make
+
+    def info(self, i: int) -> RedexInfo:
+        return RedexInfo(self.kind, self.x.name, self.path)
+
+    def orbit(self, i: int) -> object:
+        return object()
+
+    def cut(self, i: int) -> Cut:
+        return Cut(self.x, self.anno, self.g1, self.g2)
+
+    def core(self, i: int) -> Process:
+        return self.make()
+
+
+class _Pool(_Site):
+    """The connects at a cut between a pool, read as `_pool_cells` reads it,
+    and a server: step i connects cell i.  In the full semantics (orbits a
+    dict) clients with equal `cell_key`s share an orbit; in queue order only
+    the head connects, in an orbit of its own."""
+
+    __slots__ = ("cells", "end", "last", "server", "client_type", "pool_is_left", "orbits")
+
+    def __init__(self, x: ChannelName, anno: ty.SessionType, g1: Process, g2: Process,
+                 path: tuple[str, ...], around: Callable[[Process], Process],
+                 pool: tuple[list[Cons], Process, int], server: Server, client_type: ty.Client,
+                 pool_is_left: bool, orbits: dict[tuple, object] | None):
+        super().__init__("r-connect", x, anno, g1, g2, path, around)
+        self.cells, self.end, self.last = pool
+        self.server, self.client_type, self.pool_is_left, self.orbits = server, client_type, pool_is_left, orbits
+
+    def info(self, i: int) -> RedexInfo:
+        return RedexInfo("r-connect", self.x.name, self.path, i)
+
+    def orbit(self, i: int) -> object:
+        if self.orbits is None:
+            return object()
+        c = self.cells[i]
+        return self.orbits.setdefault(cell_key(c.client, c.session), object())
+
+    def rest(self, i: int) -> Process:
+        """The pool without cell i, keeping what stands below it."""
+        cells = self.cells
+        return _stack(cells[:i], cells[i].pool) if i >= self.last else _stack(cells[:i] + cells[i + 1:], self.end)
+
+    def cut(self, i: int) -> Cut:
+        """The exposed cut, with cell i at the pool's head."""
+        c = self.cells[i]
+        pool = Cons(self.x, c.session, c.client, self.rest(i))
+        return Cut(self.x, self.anno, pool, self.g2) if self.pool_is_left else Cut(self.x, self.anno, self.g1, pool)
+
+    def core(self, i: int) -> Process:
+        y, body, gs = self.cells[i].session, self.cells[i].client, self.server
+        c = fresh(y.name)
+        client = rename(body, {y: c})
+        accept = rename(gs.accept, {gs.session: c})
+        return Cut(c, self.client_type.inner, client, Cut(self.x, self.client_type, self.rest(i), accept))
 
 
 def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Guard, defs: Program,
                   pool_ok: bool, path: tuple[str, ...], ctx: Callable[[Process], Process],
                   out: list[Step]) -> None:
     """Append to out the steps at the cut on x (typed left_type) whose sides
-    expose the x-guards lg and rg, and whose enclosing context is ctx."""
-    (g1, rb1, _), (g2, rb2, _) = lg, rg
+    expose the x-guards lg and rg, and whose enclosing context is ctx.  A
+    pool's cells are read here only if the walk did not read them."""
+    (g1, rb1, _, pool1), (g2, rb2, _, pool2) = lg, rg
 
     def around(core: Process) -> Process:
         return ctx(rb1(rb2(core)))
 
-    def add(kind: str, core: Callable[[], Process],
-            cut: Callable[[], Cut] = lambda: Cut(x, left_type, g1, g2), orbit: object = None,
-            client_index: int = 0) -> None:
-        out.append(Step(RedexInfo(kind, x.name, path, client_index),
-                        orbit if orbit is not None else object(), around, cut, core))
-
-    def pool_server(gp: Process, gs: Server, client_type: ty.Client, pool_is_left: bool) -> None:
-        cells, end, last = _pool_cells(gp, x, defs)
-
-        def rest(i: int) -> Process:
-            """The pool without cell i, keeping what stands below it."""
-            return _stack(cells[:i], cells[i].pool) if i >= last else _stack(cells[:i] + cells[i + 1:], end)
-
-        def exposed(i: int) -> Cut:
-            """The exposed cut, with cell i at the pool's head if there are cells."""
-            pool = Cons(x, cells[i].session, cells[i].client, rest(i)) if cells else end
-            return Cut(x, left_type, pool, g2) if pool_is_left else Cut(x, left_type, g1, pool)
-
-        def connect(i: int) -> Process:
-            y, body = cells[i].session, cells[i].client
-            c = fresh(y.name)
-            client = rename(body, {y: c})
-            accept = rename(gs.accept, {gs.session: c})
-            return Cut(c, client_type.inner, client, Cut(x, client_type, rest(i), accept))
-
-        if not cells:
-            if isinstance(end, Nil) and end.chan == x:
-                add("r-done", lambda: gs.idle, partial(exposed, 0))
-        elif not pool_ok:  # queue order: the head connects
-            add("r-connect", partial(connect, 0), partial(exposed, 0))
-        else:  # symmetry reduction: clients with equal keys share one orbit
-            orbits: dict[tuple, object] = {}
-            for i, c in enumerate(cells):
-                add("r-connect", partial(connect, i), partial(exposed, i),
-                    orbits.setdefault(cell_key(c.client, c.session), object()), i)
+    def add(kind: str, make: Callable[[], Process]) -> None:
+        out.append(Step(_Site(kind, x, left_type, g1, g2, path, around, make)))
 
     # two guards of dual connectives pair when the cut types the positive
     # one at its connective, which names the rule
@@ -185,8 +252,14 @@ def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Gu
         case ty.Plus:
             chosen, branch = (a_type.left, b.left) if a.tag == 1 else (a_type.right, b.right)
             add("r-case", lambda: Cut(x, chosen, a.body, branch))
+        case ty.Client if type(a) is Nil:
+            add("r-done", lambda: b.idle)
         case ty.Client:
-            pool_server(a, b, a_type, a_is_left)
+            pool = (pool1 if a_is_left else pool2) or _pool_cells(a, x, defs)
+            site = _Pool(x, left_type, g1, g2, path, around, pool, b, a_type, a_is_left,
+                         {} if pool_ok else None)
+            # symmetry reduction in the full semantics; queue order: the head connects
+            out.extend(Step(site, i) for i in range(len(site.cells) if pool_ok else 1))
 
 
 def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
@@ -204,29 +277,36 @@ def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
         lg = _walk(p.left, defs, pool_ok, path + ("L",), lambda q: ctx(Cut(x, anno, q, p.right)), out)
         rg = _walk(p.right, defs, pool_ok, path + ("R",), lambda q: ctx(Cut(x, anno, p.left, q)), out)
         if x in lg and x in rg:
-            right = rg[x]
-            if not set(lg[x][2]).isdisjoint(right[2]):
-                # a step nests the right guard's cuts inside the left's, so
-                # a binder of both would capture the left's channel: pair
-                # with the right side's guard in a copy with fresh binders
-                right = _walk(rename(p.right, {}, refresh=True), defs, pool_ok, (), _hole, [])[x]
+            left, right = lg[x], rg[x]
+            # a step nests the right side, rebuilt, inside the cuts around the
+            # left guard, and its core inside the cuts around both guards, so
+            # a binder of the right's cuts that the left guard names, or of
+            # the left's that the right side names, would capture it: sibling
+            # scopes that reuse a name do this, and so does an unfolding in
+            # the scope of an earlier one of the same body.  Such a side's
+            # guard is taken from a copy whose binders and unfoldings are fresh
+            if right[2] and not free_names(left[0]).union(left[2]).isdisjoint(right[2]):
+                right = _walk(rename(p.right, {}, refresh=True), defs.refreshed(), pool_ok, (), _hole, [])[x]
+            if left[2] and not free_names(p.right).isdisjoint(left[2]):
+                left = _walk(rename(p.left, {}, refresh=True), defs.refreshed(), pool_ok, (), _hole, [])[x]
             own: list[Step] = []
-            _sync_redexes(x, anno, lg[x], right, defs, pool_ok, path, ctx, own)
+            _sync_redexes(x, anno, left, right, defs, pool_ok, path, ctx, own)
             out[at:at] = own
-        guards = {s: (g, lambda h, rb=rb: Cut(x, anno, p.left, rb(h)), (x, *bs))
-                  for s, (g, rb, bs) in rg.items() if s != x}
-        guards.update({s: (g, lambda h, rb=rb: Cut(x, anno, rb(h), p.right), (x, *bs))
-                       for s, (g, rb, bs) in lg.items() if s != x})
+        guards = {s: (g, lambda h, rb=rb: Cut(x, anno, p.left, rb(h)), (x, *bs), pool)
+                  for s, (g, rb, bs, pool) in rg.items() if s != x}
+        guards.update({s: (g, lambda h, rb=rb: Cut(x, anno, rb(h), p.right), (x, *bs), pool)
+                       for s, (g, rb, bs, pool) in lg.items() if s != x})
         return guards
     s = subject(p)
-    guards = {} if s is None else {s: (p, _hole, ())}
-    if pool_ok and isinstance(p, Cons):
-        cells, end, _ = _pool_cells(p, s, defs)
-        tail = _walk(end, defs, pool_ok, path + ("T",) * len(cells), lambda q: ctx(_stack(cells, q)), out)
-        if any(t != s for t in tail):
-            heads = set().union(*(free_names(c.client) - {c.session} for c in cells))
-            guards.update({t: (g, lambda h, rb=rb: _stack(cells, rb(h)), bs)
-                           for t, (g, rb, bs) in tail.items() if t != s and t not in heads})
+    if not (pool_ok and isinstance(p, Cons)):
+        return {} if s is None else {s: (p, _hole, (), None)}
+    read = cells, end, _ = _pool_cells(p, s, defs)
+    guards = {s: (p, _hole, (), read)}
+    tail = _walk(end, defs, pool_ok, path + ("T",) * len(cells), lambda q: ctx(_stack(cells, q)), out)
+    if any(t != s for t in tail):
+        heads = set().union(*(free_names(c.client) - {c.session} for c in cells))
+        guards.update({t: (g, lambda h, rb=rb: _stack(cells, rb(h)), bs, pool)
+                       for t, (g, rb, bs, pool) in tail.items() if t != s and t not in heads})
     return guards
 
 

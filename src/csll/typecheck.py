@@ -248,8 +248,7 @@ class _SharedChecker(_Checker):
     """A checker for several terms: a term-level subterm (no back edge leaves
     its derivation) checked before under the same context keeps its node.
     The memo knows a subterm by its identity and an invocation by its name
-    and arguments: `process.unfold_head` instantiates a body afresh wherever
-    it unfolds, and invocations alike in name, arguments and context have one
+    and arguments: invocations alike in name, arguments and context have one
     derivation up to the names of bound channels."""
 
     def __init__(self, prog: Program):

@@ -17,7 +17,7 @@ from csll.canon import canonical_form
 from csll.formulas import Address, Mu, MuFormula, Nu, Var, formula_children, prefix_leq
 from csll.process import (
     BINDING, Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join, Nil, Process,
-    Program, Select, Server, Wait, free_names, unfold_head,
+    Program, Select, Server, Wait, call_depth, free_names, instantiate, rename, unfold_head,
 )
 from csll.proofs import (
     PRINCIPAL_STEPS, AddressStream, NotPrincipalError, SimulationReport, encode_derivation,
@@ -202,6 +202,20 @@ def unfold(p: Process, prog: Program) -> Process:
     if isinstance(p, Cut):
         return Cut(p.chan, p.anno, unfold(p.left, prog), unfold(p.right, prog), span=p.span)
     return p
+
+
+def refreshing_unfold_head(p: Process, prog: Program) -> Process:
+    """The unfolding rule with every unfolding built afresh, all its binders
+    refreshed: what `process.unfold_head` keeps one of per invocation."""
+    while isinstance(p, Call) and call_depth(p, prog):
+        p = instantiate(prog.defs[p.name], p.args)
+    return p
+
+
+def uid_free_repr(p: Process) -> str:
+    """The repr of p with its free channels renamed to uid 0, so that it does
+    not depend on the ids drawn before p's program was parsed."""
+    return repr(rename(p, {c: ChannelName(c.name, 0) for c in free_names(p)}))
 
 
 def threads(p: Process) -> int:

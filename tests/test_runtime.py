@@ -1,4 +1,6 @@
 import sys
+from functools import partial
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from csll.process import (
 )
 from csll.typecheck import check
 from . import oracles
-from .conftest import CORPUS_FILES, cas_text, load_corpus, lock_text, pool_end_texts
+from .conftest import CORPUS, CORPUS_FILES, LOOP_TEXT, cas_text, load_corpus, lock_text, pool_end_texts
 from .oracles import alpha_equal, channels, find_state, step_all, threads, unfold
 from .strategies import processes
 from csll.parser import parse_program
@@ -448,12 +450,14 @@ def test_step_all_total_on_arbitrary_terms(p):
     step_det(p, EMPTY)
 
 
+CAS_MIXES = [["TF"], ["FT", "TF"], ["TF", "TF", "FT"], ["FT", "TF", "FT", "TF"],
+             ["TF", "FT", "FT", "TF", "TF"], ["FT", "FT", "TF", "TF", "FT", "TF"]]
+
+
 def _graph_programs() -> list[tuple[str, Program]]:
     progs = [(name, load_corpus(name)) for name in CORPUS_FILES]
     progs += [(f"lock_{n}", parse_program(lock_text(n))) for n in range(1, 9)]
-    mixes = [["TF"], ["FT", "TF"], ["TF", "TF", "FT"], ["FT", "TF", "FT", "TF"],
-             ["TF", "FT", "FT", "TF", "TF"], ["FT", "FT", "TF", "TF", "FT", "TF"]]
-    progs += [(f"cas_{len(m)}", parse_program(cas_text(m))) for m in mixes]
+    progs += [(f"cas_{len(m)}", parse_program(cas_text(m))) for m in CAS_MIXES]
     return progs + [(f"gen_{seed}", gen_program(seed)) for seed in range(100)]
 
 
@@ -541,24 +545,55 @@ def _count_renames(monkeypatch) -> list[int]:
     return calls
 
 
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Route `runtime.<name>` through a counter."""
+    real, calls = getattr(runtime, name), [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(runtime, name, counting)
+    return calls
+
+
 def test_step_all_renames_once_per_orbit_not_per_client(monkeypatch):
-    # lock_n's clients form one orbit: one reduct is built, whatever n is
-    calls = _count_renames(monkeypatch)
+    # lock_n's clients form one orbit: one reduct is built, whatever n is;
+    # the walk reads the pool's cells once and hands them to the cut that
+    # pairs the pool with the server
+    calls, reads = _count_renames(monkeypatch), _count_calls(monkeypatch, "_pool_cells")
     counts = []
     for n in (8, 64):
         prog = parse_program(lock_text(n))
-        calls[0] = 0
+        calls[0] = reads[0] = 0
         assert len(step_all(prog.main.body, prog)) == n
         counts.append(calls[0])
+        assert reads[0] == 1, (n, reads[0])
     assert counts[0] == counts[1], counts
 
 
 def test_random_run_builds_only_the_drawn_step(monkeypatch):
-    calls = _count_renames(monkeypatch)
-    prog = parse_program(lock_text(32))
-    tr = run(prog.main.body, {}, prog, scheduler="random", seed=3)
-    assert tr.terminated and len(tr.steps) == 65
-    assert calls[0] <= 3 * (len(tr.steps) + 1), calls[0]
+    # a run reads no orbit, so it keys no client
+    calls, keys = _count_renames(monkeypatch), _count_calls(monkeypatch, "cell_key")
+    for n in (32, 64):
+        prog = parse_program(lock_text(n))
+        calls[0] = 0
+        tr = run(prog.main.body, {}, prog, scheduler="random", seed=3)
+        assert tr.terminated and len(tr.steps) == 2 * n + 1
+        assert calls[0] <= 3 * (len(tr.steps) + 1), calls[0]
+    assert keys[0] == 0
+
+
+def test_exploring_unfolds_each_invocation_once(monkeypatch):
+    from csll import process
+    real, built = process.instantiate, []
+
+    def recording(defn, args, **kwargs):
+        built.append((defn.name, args))
+        return real(defn, args, **kwargs)
+    monkeypatch.setattr(process, "instantiate", recording)
+    prog = parse_program(cas_text(["TF", "FT"] * 4))
+    explore(prog.main.body, prog)
+    assert built and len(built) == len(set(built)), len(built) - len(set(built))
 
 
 def test_step_records_keep_what_they_build(lock, cas, comm):
@@ -576,6 +611,61 @@ def test_step_records_keep_what_they_build(lock, cas, comm):
                 for st in enabled_steps(state, prog, deterministic=det):
                     assert st.reduct is st.reduct and st.exposed is st.exposed
                     assert any(node is st.cut for node in nodes(st.exposed))
+
+
+# R's binder y is live around the next unfolding of R, so one unfolding
+# kept per invocation nests cuts on one name
+NESTED_R = ("def R(x: 1) = new y : 1 { close y | new v : 1 { new u : 1 { close u | wait u; R(v) } "
+            "| wait v; wait y; close x } }\nmain(z: 1) = R(z)\n")
+# the same, where the inner unfolding sends on v from inside its cut on y:
+# the step that pairs it with the outer receive, whose continuation waits
+# on the outer y, would nest that wait inside the inner cut on y, with the
+# inner unfolding on the left of the cut on v and on its right
+NESTED_SEND = ("def S(x: 1 * 1) = new y : 1 { close y | send x(a) { close a }; new v : 1 * 1 { "
+               "new u : 1 { close u | wait u; S(v) } | recv v(b); wait b; wait v; wait y; close x } }\n"
+               "main(z: 1) = new w : 1 * 1 { S(w) | recv w(b); wait b; wait w; close z }\n")
+NESTED_RECV = ("def S(x: 1 * 1) = new y : 1 { close y | send x(a) { close a }; new v : bot par bot { "
+               "recv v(b); wait b; wait v; wait y; close x | new u : 1 { close u | wait u; S(v) } } }\n"
+               "main(z: 1) = new w : 1 * 1 { S(w) | recv w(b); wait b; wait w; close z }\n")
+
+
+def _unfolding_inputs() -> list[tuple[str, Callable[[], Program]]]:
+    texts = {name: (CORPUS / name).read_text(encoding="utf-8") for name in CORPUS_FILES}
+    texts |= {f"lock_{n}": lock_text(n) for n in range(1, 9)}
+    texts |= {"cas_" + "_".join(m): cas_text(m) for m in CAS_MIXES}
+    texts |= pool_end_texts() | {"loop": LOOP_TEXT, "nested_r": NESTED_R, "nested_send": NESTED_SEND,
+                                  "nested_recv": NESTED_RECV}
+    return ([(name, partial(parse_program, text)) for name, text in texts.items()]
+            + [(f"gen_{seed}", partial(gen_program, seed)) for seed in range(100)])
+
+
+def _behaviour(prog: Program) -> dict:
+    """What prog's main does: its bounded exploration and verdict, det and
+    random runs with their canonical states, and the correspondence report
+    of each step of its det run."""
+    rep = check_fair_termination(prog.main.body, prog, max_states=60)
+    seen = {"explore": (rep.verdict, rep.graph.to_json_dict())}
+    for scheduler, seed in (("det", None), ("random", 0), ("random", 1)):
+        tr = run(prog.main.body, {}, prog, scheduler, seed=seed, max_steps=20)
+        seen[scheduler, seed] = ([s.line() for s in tr.steps], [oracles.uid_free_repr(s) for s in tr.states],
+                                 tr.terminated, tr.truncated)
+    ctx, cur, reports = dict(prog.main.params), prog.main.body, []
+    while (det := enabled_steps(cur, prog, deterministic=True)) and len(reports) < 12:
+        st, cur = det[0], det[0].reduct
+        reports.append(proofs.simulate_step(st.exposed, st.cut, st.reduct, ctx, prog, st.info.kind))
+    seen["corr"] = reports
+    return seen
+
+
+def test_unfolding_once_per_invocation_agrees_with_refreshing_every_unfolding(monkeypatch):
+    # the program keeps one unfolding per invocation, whose binders repeat
+    # wherever it is unfolded again; the reference refreshes every unfolding
+    for name, make in _unfolding_inputs():
+        kept = _behaviour(make())
+        with monkeypatch.context() as m:
+            m.setattr(runtime, "unfold_head", oracles.refreshing_unfold_head)
+            fresh = _behaviour(make())
+        assert kept == fresh, name
 
 
 def test_state_lookup_is_exact_under_hash_collisions(monkeypatch, cas):

@@ -299,9 +299,8 @@ def test_a_split_names_the_first_misused_channel_in_context_order(text, channel)
 
 
 def test_a_shared_checker_knows_an_invocation_by_name_arguments_and_context(lock):
-    # unfolding instantiates a body afresh at every step, so the memo keys an
-    # invocation by value: an equal invocation keeps the first one's node,
-    # and one under another context is checked anew
+    # the memo keys an invocation by value: an equal invocation keeps the
+    # first one's node, and one under another context is checked anew
     x, z = lock.defs["Lock"].param_names
     ctx = dict(lock.defs["Lock"].params)
     checker = typecheck._SharedChecker(lock)
