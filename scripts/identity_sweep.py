@@ -3,10 +3,11 @@
 
 Usage: python scripts/identity_sweep.py --against REV
 
-REV is checked out into a temporary `git worktree`; the sweep's digest
-function then runs once against REV's `src/` and once against this tree's,
-each in a fresh interpreter under PYTHONHASHSEED=0.  Every artefact whose
-sha256 differs is printed, and the exit status is 1 if any differ.
+REV's `src/` is extracted into a temporary directory with `git archive`, so
+the check writes nothing under `.git`.  The sweep's digest function then
+runs once against REV's `src/` and once against this tree's, each in a
+fresh interpreter under PYTHONHASHSEED=0.  Every artefact whose sha256
+differs is printed, and the exit status is 1 if any differ.
 
 Inputs: the corpus, lock_1..8, six cas mixes, chain_1..8, the three programs
 whose pools end in a guard on another channel
@@ -254,14 +255,10 @@ def main() -> int:
             print(f"{label}\t{sha}")
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "rev"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "-q", str(tree),
-                        args.against], check=True)
-        try:
-            theirs = _side(tree / "src")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                           check=True)
+        tar = subprocess.run(["git", "-C", str(ROOT), "archive", args.against, "src"],
+                             stdout=subprocess.PIPE, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
+        theirs = _side(Path(tmp) / "src")
     ours = _side(ROOT / "src")
     differ = sorted(label for label in theirs.keys() | ours.keys()
                     if theirs.get(label) != ours.get(label))

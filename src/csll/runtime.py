@@ -24,16 +24,19 @@ diverges, or names no definition, is stuck while the rest of the state may
 step.  The deterministic fragment drops every pool rule, so clients connect
 in queue order, and its scheduler takes the first step.  In the full
 semantics, connecting either of two clients with equal canonical keys gives
-one canonical state (symmetry reduction).  A step is one small record over
-what the steps at its cut share (`_Site`, and `_Pool` for a pool's
-connects); it builds its redex, orbit, rearrangement and reduct on first
-access, so exploration keys each client and builds one reduct per such
-class, and a run builds only the drawn step.  The reduction graph buckets
-its states by the C-level hash of their canonical keys and confirms a hit
-by canonical-term equality.  Each term keyed but a leaf keeps a record of
-its canonical form and key (`canon`); a reduct holds the nodes of the
-state it steps from, and a run's next state those of the reduct before it,
-so keying a state costs what its step changed.
+one canonical state (symmetry reduction).  A step is one small record of
+its cut, the two guards it pairs, its path and its context; it builds its
+rearrangement and reduct on first access, by rules stated once
+(`Step.core`).  The connects at one cut are such records over what they
+share (`_Pool`): the pool's cells as the walk read them, and one orbit per
+client key read.  So exploration keys each client and builds one reduct
+per such class, and a run builds only the drawn step and keys no client.
+The reduction graph buckets its states by the C-level hash of their
+canonical keys and confirms a hit by canonical-term equality.  Each term
+keyed but a leaf keeps a record of its canonical form and key (`canon`); a
+reduct holds the nodes of the state it steps from, and a run's next state
+those of the reduct before it, so keying a state costs what its step
+changed.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import Callable
 from . import types as ty
 from .canon import canonical_form, canonical_hashed, cell_key
 from .process import (
-    ChannelName, Close, Cons, Cut, Nil, Process, Program, Server, call_depth,
+    ChannelName, Close, Cons, Cut, Fork, Nil, Process, Program, Select, call_depth,
     free_names, fresh, rename, subject, unfold_head,
 )
 from .printer import pretty_process
@@ -100,166 +103,147 @@ def _stack(cells: list[Cons], q: Process) -> Process:
 
 
 class Step:
-    """One enabled reduction: the redex, the pre-congruence rearrangement that
-    exposes it (with the synchronizing cut as a shared subterm), and the
-    reduct.  Every field is built from the step's site on first access and
-    kept, so a step nobody reads costs one small record.  Steps that connect
-    interchangeable clients of one pool share their `orbit` token, and their
-    reducts have one canonical form."""
+    """One enabled reduction: the cut on x typed anno whose sides expose the
+    dual guards g1 and g2, its path, `around`, which rebuilds the state
+    around a replacement of the cut, and for a connect (`_Connect`) the pool
+    and the index i of the cell it connects.  Its redex `info` is computed
+    when read; the exposed `cut`, the pre-congruence rearrangement `exposed`
+    that embeds it, and the `reduct` are built on first access and kept, so
+    a step nobody reads costs one small record.  A step is its own orbit."""
 
-    __slots__ = ("_site", "_i", "_info", "_orbit", "_cut", "_exposed", "_reduct")
+    __slots__ = ("kind", "x", "anno", "g1", "g2", "path", "around", "pool", "i", "_cut", "_exposed", "_reduct")
 
-    def __init__(self, site: _Site, i: int = 0):
-        self._site, self._i = site, i
-        self._info = self._orbit = self._cut = self._exposed = self._reduct = None
+    def __init__(self, kind: str, x: ChannelName, anno: ty.SessionType, g1: Process, g2: Process,
+                 path: tuple[str, ...], around: Callable[[Process], Process], pool: _Pool | None = None,
+                 i: int = 0):
+        self.kind, self.x, self.anno, self.g1, self.g2 = kind, x, anno, g1, g2
+        self.path, self.around, self.pool, self.i = path, around, pool, i
+        self._cut = self._exposed = self._reduct = None
 
     @property
     def info(self) -> RedexInfo:
-        if self._info is None:
-            self._info = self._site.info(self._i)
-        return self._info
+        return RedexInfo(self.kind, self.x.name, self.path, self.i)
 
     @property
     def orbit(self) -> object:
-        if self._orbit is None:
-            self._orbit = self._site.orbit(self._i)
-        return self._orbit
+        return self
 
     @property
     def cut(self) -> Cut:
         """The exposed cut node, embedded in `exposed`."""
         if self._cut is None:
-            self._cut = self._site.cut(self._i)
+            self._cut = self.redex()
         return self._cut
 
     @property
     def exposed(self) -> Process:
         if self._exposed is None:
-            self._exposed = self._site.around(self.cut)
+            self._exposed = self.around(self.cut)
         return self._exposed
 
     @property
     def reduct(self) -> Process:
         if self._reduct is None:
-            self._reduct = self._site.around(self._site.core(self._i))
+            self._reduct = self.around(self.core())
         return self._reduct
 
-
-class _Site:
-    """What the steps at one cut share: the cut on x typed anno, the guards g1
-    and g2 its sides expose, its path, and `around`, which rebuilds the state
-    around a replacement of the cut.  Its one step builds its reduct's core
-    with the closure `make`."""
-
-    __slots__ = ("kind", "x", "anno", "g1", "g2", "path", "around", "make")
-
-    def __init__(self, kind: str, x: ChannelName, anno: ty.SessionType, g1: Process, g2: Process,
-                 path: tuple[str, ...], around: Callable[[Process], Process],
-                 make: Callable[[], Process] | None = None):
-        self.kind, self.x, self.anno, self.g1, self.g2 = kind, x, anno, g1, g2
-        self.path, self.around, self.make = path, around, make
-
-    def info(self, i: int) -> RedexInfo:
-        return RedexInfo(self.kind, self.x.name, self.path)
-
-    def orbit(self, i: int) -> object:
-        return object()
-
-    def cut(self, i: int) -> Cut:
+    def redex(self) -> Cut:
         return Cut(self.x, self.anno, self.g1, self.g2)
 
-    def core(self, i: int) -> Process:
-        return self.make()
+    def positive(self) -> tuple[Process, Process, ty.SessionType]:
+        """The guard of positive connective, the other guard, and the type the cut gives the first."""
+        if GUARDS[type(self.g1)].connective in ty._POSITIVE:
+            return self.g1, self.g2, self.anno
+        return self.g2, self.g1, ty.dual(self.anno)
+
+    def core(self) -> Process:
+        """What the cut reduces to, by the close, comm, case or done rule."""
+        x, (a, b, t) = self.x, self.positive()
+        match self.kind:
+            case "r-close":
+                return b.body
+            case "r-comm":
+                c = fresh(a.payload.name)
+                payload = rename(a.payload_body, {a.payload: c})
+                return Cut(c, t.left, payload, Cut(x, t.right, a.cont, rename(b.body, {b.payload: c})))
+            case "r-case":
+                return Cut(x, t.left, a.body, b.left) if a.tag == 1 else Cut(x, t.right, a.body, b.right)
+        return b.idle
 
 
-class _Pool(_Site):
-    """The connects at a cut between a pool, read as `_pool_cells` reads it,
-    and a server: step i connects cell i.  In the full semantics (orbits a
-    dict) clients with equal `cell_key`s share an orbit; in queue order only
-    the head connects, in an orbit of its own."""
+# the rule of a step whose positive guard is not a pool head, by that guard
+_RULES = {Close: "r-close", Fork: "r-comm", Select: "r-case", Nil: "r-done"}
 
-    __slots__ = ("cells", "end", "last", "server", "client_type", "pool_is_left", "orbits")
 
-    def __init__(self, x: ChannelName, anno: ty.SessionType, g1: Process, g2: Process,
-                 path: tuple[str, ...], around: Callable[[Process], Process],
-                 pool: tuple[list[Cons], Process, int], server: Server, client_type: ty.Client,
-                 pool_is_left: bool, orbits: dict[tuple, object] | None):
-        super().__init__("r-connect", x, anno, g1, g2, path, around)
-        self.cells, self.end, self.last = pool
-        self.server, self.client_type, self.pool_is_left, self.orbits = server, client_type, pool_is_left, orbits
+class _Pool:
+    """What the connects at one cut share: the pool's cells, its end and the
+    position of the last invocation unfolded, as `_pool_cells` read them, and
+    one orbit per client key read so far."""
 
-    def info(self, i: int) -> RedexInfo:
-        return RedexInfo("r-connect", self.x.name, self.path, i)
+    __slots__ = ("cells", "end", "last", "orbits")
 
-    def orbit(self, i: int) -> object:
-        if self.orbits is None:
-            return object()
-        c = self.cells[i]
-        return self.orbits.setdefault(cell_key(c.client, c.session), object())
+    def __init__(self, read: tuple[list[Cons], Process, int]):
+        self.cells, self.end, self.last = read
+        self.orbits: dict[tuple, object] = {}
 
     def rest(self, i: int) -> Process:
         """The pool without cell i, keeping what stands below it."""
         cells = self.cells
         return _stack(cells[:i], cells[i].pool) if i >= self.last else _stack(cells[:i] + cells[i + 1:], self.end)
 
-    def cut(self, i: int) -> Cut:
-        """The exposed cut, with cell i at the pool's head."""
-        c = self.cells[i]
-        pool = Cons(self.x, c.session, c.client, self.rest(i))
-        return Cut(self.x, self.anno, pool, self.g2) if self.pool_is_left else Cut(self.x, self.anno, self.g1, pool)
 
-    def core(self, i: int) -> Process:
-        y, body, gs = self.cells[i].session, self.cells[i].client, self.server
-        c = fresh(y.name)
-        client = rename(body, {y: c})
-        accept = rename(gs.accept, {gs.session: c})
-        return Cut(c, self.client_type.inner, client, Cut(self.x, self.client_type, self.rest(i), accept))
+class _Connect(Step):
+    """The step that connects cell i of a pool to the server at its cut.
+    Connects of clients with equal `cell_key`s share an orbit."""
+
+    __slots__ = ()
+
+    @property
+    def orbit(self) -> object:
+        c = self.pool.cells[self.i]
+        # a token, not a step: a step holds its pool, and the cycle would keep
+        # every step of the state alive until the cycle collector runs
+        return self.pool.orbits.setdefault(cell_key(c.client, c.session), object())
+
+    def redex(self) -> Cut:
+        """The cut with cell i at the pool's head."""
+        c = self.pool.cells[self.i]
+        head = Cons(self.x, c.session, c.client, self.pool.rest(self.i))
+        return Cut(self.x, self.anno, *((head, self.g2) if type(self.g1) is Cons else (self.g1, head)))
+
+    def core(self) -> Process:
+        _, server, t = self.positive()
+        cell = self.pool.cells[self.i]
+        c = fresh(cell.session.name)
+        client = rename(cell.client, {cell.session: c})
+        accept = rename(server.accept, {server.session: c})
+        return Cut(c, t.inner, client, Cut(self.x, t, self.pool.rest(self.i), accept))
 
 
-def _sync_redexes(x: ChannelName, left_type: ty.SessionType, lg: _Guard, rg: _Guard, defs: Program,
+def _sync_redexes(x: ChannelName, anno: ty.SessionType, lg: _Guard, rg: _Guard, defs: Program,
                   pool_ok: bool, path: tuple[str, ...], ctx: Callable[[Process], Process],
                   out: list[Step]) -> None:
-    """Append to out the steps at the cut on x (typed left_type) whose sides
+    """Append to out the steps at the cut on x (typed anno) whose sides
     expose the x-guards lg and rg, and whose enclosing context is ctx.  A
     pool's cells are read here only if the walk did not read them."""
-    (g1, rb1, _, pool1), (g2, rb2, _, pool2) = lg, rg
+    (g1, rb1, _, read1), (g2, rb2, _, read2) = lg, rg
+    # two guards of dual connectives pair when the cut types the positive one
+    # at its connective, that is, when it types the left one at its own
+    c1 = GUARDS[type(g1)].connective
+    if ty._DUAL[c1] is not GUARDS[type(g2)].connective or not isinstance(anno, c1):
+        return
+    a = g1 if c1 in ty._POSITIVE else g2
 
     def around(core: Process) -> Process:
         return ctx(rb1(rb2(core)))
 
-    def add(kind: str, make: Callable[[], Process]) -> None:
-        out.append(Step(_Site(kind, x, left_type, g1, g2, path, around, make)))
-
-    # two guards of dual connectives pair when the cut types the positive
-    # one at its connective, which names the rule
-    c1, c2 = GUARDS[type(g1)].connective, GUARDS[type(g2)].connective
-    if ty._DUAL[c1] is not c2:
+    if type(a) is not Cons:
+        out.append(Step(_RULES[type(a)], x, anno, g1, g2, path, around))
         return
-    a_is_left = c1 in ty._POSITIVE
-    a, b, a_type, conn = (g1, g2, left_type, c1) if a_is_left else (g2, g1, ty.dual(left_type), c2)
-    if not isinstance(a_type, conn):
-        return
-    match conn:
-        case ty.One:
-            add("r-close", lambda: b.body)
-        case ty.Tensor:
-            def comm() -> Process:
-                c = fresh(a.payload.name)
-                payload = rename(a.payload_body, {a.payload: c})
-                jbody = rename(b.body, {b.payload: c})
-                return Cut(c, a_type.left, payload, Cut(x, a_type.right, a.cont, jbody))
-            add("r-comm", comm)
-        case ty.Plus:
-            chosen, branch = (a_type.left, b.left) if a.tag == 1 else (a_type.right, b.right)
-            add("r-case", lambda: Cut(x, chosen, a.body, branch))
-        case ty.Client if type(a) is Nil:
-            add("r-done", lambda: b.idle)
-        case ty.Client:
-            pool = (pool1 if a_is_left else pool2) or _pool_cells(a, x, defs)
-            site = _Pool(x, left_type, g1, g2, path, around, pool, b, a_type, a_is_left,
-                         {} if pool_ok else None)
-            # symmetry reduction in the full semantics; queue order: the head connects
-            out.extend(Step(site, i) for i in range(len(site.cells) if pool_ok else 1))
+    pool = _Pool(read1 or read2 or _pool_cells(a, x, defs))
+    # symmetry reduction in the full semantics; queue order: the head connects
+    out.extend(_Connect("r-connect", x, anno, g1, g2, path, around, pool, i)
+               for i in range(len(pool.cells) if pool_ok else 1))
 
 
 def _walk(p: Process, defs: Program, pool_ok: bool, path: tuple[str, ...],
@@ -396,7 +380,6 @@ class ReductionGraph:
     expanded: set[int] = field(default_factory=set)
     diverging: set[int] = field(default_factory=set)  # stuck on an invocation that diverges
     partial: bool = False
-    root: int = 0
 
     def _find(self, q: Process, h: int) -> int | None:
         sid = self.buckets.get(h)
@@ -452,8 +435,7 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
     canonical form.
     A state stuck only on a diverging invocation is `diverging`, not normal."""
     g = ReductionGraph()
-    g.root = g.add_state(p)
-    frontier = [g.root]
+    frontier = [g.add_state(p)]
     depth = 0
     while frontier and depth < max_depth:
         nxt: list[int] = []
@@ -466,9 +448,10 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
             g.expanded.add(sid)
             targets: dict[object, int] = {}  # the steps of one orbit share their canonical reduct
             for st in enabled_steps(g.states[sid], defs):
-                tid = targets.get(st.orbit)
+                orbit = st.orbit
+                tid = targets.get(orbit)
                 if tid is None:
-                    tid = targets[st.orbit] = g.add_state(st.reduct)
+                    tid = targets[orbit] = g.add_state(st.reduct)
                 g.edges[sid].append((st.info, tid))
                 if tid not in g.expanded:
                     nxt.append(tid)
@@ -512,36 +495,23 @@ def check_fair_termination(p: Process, defs: Program, max_states: int = 100_000,
                            max_depth: int = 10_000) -> FairTerminationReport:
     """Fair termination holds iff every reachable state is weakly terminating.
 
-    Two backward passes give every state's `is_weakly_terminating` answer:
-    'yes' for the states that reach a normal form, else 'unknown' for those
-    that reach an unexpanded state, else 'no'."""
+    One backward pass from the normal forms and the unexpanded states finds
+    every state whose `is_weakly_terminating` answer is 'yes' or 'unknown';
+    the first state it misses answers 'no'.  A graph that is not partial has
+    every state expanded, so there every state the pass finds answers 'yes'."""
     g = explore(p, defs, max_states, max_depth)
-    preds = _predecessors(g)
-    yes = _backward_closure(preds, g.normal_forms())
-    maybe = _backward_closure(preds, set(range(len(g.states))) - g.expanded)
-    for sid in range(len(g.states)):
-        if sid not in yes and sid not in maybe:
-            return FairTerminationReport("not-fairly-terminating", g, sid)
-    if g.partial or len(yes) < len(g.states):
-        return FairTerminationReport("unknown", g)
-    return FairTerminationReport("fairly-terminating", g)
-
-
-def _predecessors(g: ReductionGraph) -> list[list[int]]:
     preds: list[list[int]] = [[] for _ in g.states]
     for src, outs in g.edges.items():
         for _, tgt in outs:
             preds[tgt].append(src)
-    return preds
-
-
-def _backward_closure(preds: list[list[int]], seeds: set[int]) -> set[int]:
-    """The states that reach some seed."""
-    seen = set(seeds)
+    seen = g.normal_forms() | (set(range(len(g.states))) - g.expanded)
     stack = list(seen)
     while stack:
         for s in preds[stack.pop()]:
             if s not in seen:
                 seen.add(s)
                 stack.append(s)
-    return seen
+    for sid in range(len(g.states)):
+        if sid not in seen:
+            return FairTerminationReport("not-fairly-terminating", g, sid)
+    return FairTerminationReport("unknown" if g.partial else "fairly-terminating", g)

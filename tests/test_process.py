@@ -145,11 +145,10 @@ def test_threads_channels_counts():
 
 
 def test_canonical_commutes_cut():
-    x, z, w = fresh("x"), fresh("z"), fresh("w")
+    x, z = fresh("x"), fresh("z")
     p = Cut(x, ty.ONE, Close(x), Wait(x, Close(z)))
     q = Cut(x, ty.BOT, Wait(x, Close(z)), Close(x))
     assert canonical_form(p) == canonical_form(q)
-    del w
 
 
 def test_canonical_sorts_pool():
