@@ -10,7 +10,6 @@ by a word over {i,l,r} recording unfoldings and left/right descents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import is_
 
@@ -21,7 +20,7 @@ Tensor, Par, Plus, With = ty.Tensor, ty.Par, ty.Plus, ty.With
 F_ONE, F_BOT = ty.ONE, ty.BOT
 
 
-@dataclass(frozen=True)
+@ty.record
 class Var:
     name: str
 
@@ -37,13 +36,13 @@ class _FixedPoint:
         return subst(self.body, self.var, self)
 
 
-@dataclass(frozen=True)
+@ty.record
 class Mu(_FixedPoint):
     var: str
     body: MuFormula
 
 
-@dataclass(frozen=True)
+@ty.record
 class Nu(_FixedPoint):
     var: str
     body: MuFormula
@@ -109,7 +108,7 @@ def render_formula(phi: MuFormula) -> str:
 # --- addresses and occurrences ------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@ty.record(slots=True)
 class Address:
     atom: int
     bar: bool
@@ -131,7 +130,7 @@ def prefix_leq(a: Address, b: Address) -> bool:
     return a.atom == b.atom and a.bar == b.bar and b.word.startswith(a.word)
 
 
-@dataclass(frozen=True, slots=True)
+@ty.record(slots=True)
 class Occurrence:
     formula: MuFormula
     address: Address

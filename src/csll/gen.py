@@ -14,7 +14,6 @@ with a generated pool of finite clients.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -32,7 +31,7 @@ def _ms(types: tuple[ty.SessionType, ...]) -> tuple[ty.SessionType, ...]:
     return tuple(sorted(types, key=ty.type_key))
 
 
-@dataclass(frozen=True)
+@ty.record
 class _Move:
     kind: type         # the guard the move builds
     index: int = 0     # position of the acted-on type in the sorted multiset

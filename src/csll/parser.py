@@ -27,7 +27,6 @@ rejected here, linearity is the typechecker's job.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import types as ty
 from .process import (
@@ -105,7 +104,7 @@ class ScopeError(CsllError):
     pass
 
 
-@dataclass(frozen=True)
+@ty.record
 class Token:
     kind: str
     text: str
@@ -161,7 +160,8 @@ class _Parser:
         self.calls: list[tuple[str, int, SourceSpan]] = []
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # the tokens end in EOF, which `next` never moves past: only a look-ahead is clamped
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1) if ahead else self.pos]
 
     def next(self) -> Token:
         tok = self.toks[self.pos]

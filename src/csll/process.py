@@ -19,10 +19,10 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .types import SessionType
+from .types import SessionType, record
 
 
-@dataclass(frozen=True)
+@record
 class SourceSpan:
     file: str
     line: int
@@ -49,35 +49,35 @@ def fresh(name: str) -> ChannelName:
     return ChannelName(name, next(_uid_counter))
 
 
-@dataclass(frozen=True)
+@record
 class Process:
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False, kw_only=True)
     _free = None  # not a field: `free_names` keeps a non-leaf term's set here
 
 
-@dataclass(frozen=True)
+@record
 class Call(Process):
     name: str
     args: tuple[ChannelName, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Fail(Process):
     chan: ChannelName
 
 
-@dataclass(frozen=True)
+@record
 class Close(Process):
     chan: ChannelName
 
 
-@dataclass(frozen=True)
+@record
 class Wait(Process):
     chan: ChannelName
     body: Process
 
 
-@dataclass(frozen=True)
+@record
 class Fork(Process):
     """send x(y){P}; Q -- emits a fresh session y over x; y is bound in P only."""
 
@@ -87,7 +87,7 @@ class Fork(Process):
     cont: Process
 
 
-@dataclass(frozen=True)
+@record
 class Join(Process):
     """recv x(y); P -- receives a session y over x; y is bound in P."""
 
@@ -96,21 +96,21 @@ class Join(Process):
     body: Process
 
 
-@dataclass(frozen=True)
+@record
 class Select(Process):
     chan: ChannelName
     tag: int  # 1 or 2
     body: Process
 
 
-@dataclass(frozen=True)
+@record
 class Case(Process):
     chan: ChannelName
     left: Process
     right: Process
 
 
-@dataclass(frozen=True)
+@record
 class Server(Process):
     """server x(y){P} idle {Q} -- accepts connections on x; y bound in P."""
 
@@ -120,7 +120,7 @@ class Server(Process):
     idle: Process
 
 
-@dataclass(frozen=True)
+@record
 class Cons(Process):
     """client x(y){P}; Q -- a client at the head of the pool Q; y bound in P only."""
 
@@ -130,12 +130,12 @@ class Cons(Process):
     pool: Process
 
 
-@dataclass(frozen=True)
+@record
 class Nil(Process):
     chan: ChannelName
 
 
-@dataclass(frozen=True)
+@record
 class Cut(Process):
     """new x : T { P | Q } -- x bound in both sides; P uses x at T, Q at dual(T)."""
 
@@ -145,7 +145,7 @@ class Cut(Process):
     right: Process
 
 
-@dataclass(frozen=True)
+@record
 class Definition:
     name: str
     params: tuple[tuple[ChannelName, SessionType], ...]

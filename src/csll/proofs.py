@@ -84,7 +84,7 @@ from .typecheck import _SharedChecker, _prune
 # --- streams of atomic addresses ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@ty.record
 class AddressStream:
     """Injective stream of atomic addresses: offset, offset + step, ...
     Its even and odd halves are disjoint streams of the same shape."""
@@ -112,14 +112,14 @@ def address_stream(start: int = 0) -> AddressStream:
 # --- proof graphs -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@ty.record(slots=True)
 class ProofEdge:
     target: int
     back: bool = False
     corr: tuple[tuple[Address, Address], ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@ty.record(slots=True)
 class ProofNode:
     nid: int
     rule: str  # cut top bot one par tensor with plus nu mu loop

@@ -57,7 +57,7 @@ from .printer import pretty_process
 from .typecheck import GUARDS
 
 
-@dataclass(frozen=True, slots=True)
+@ty.record(slots=True)
 class RedexInfo:
     kind: str                 # r-close | r-comm | r-case | r-done | r-connect
     channel: str              # display name of the synchronizing channel
@@ -466,17 +466,16 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
 
 def is_weakly_terminating(sid: int, g: ReductionGraph) -> str:
     """'yes' | 'no' | 'unknown' for reachability of a normal form from sid."""
-    normals = g.normal_forms()
     seen = {sid}
     queue = [sid]
     hit_unexpanded = False
     while queue:
         cur = queue.pop()
-        if cur in normals:
-            return "yes"
         if cur not in g.expanded:
             hit_unexpanded = True
             continue
+        if not g.edges[cur] and cur not in g.diverging:  # one of `normal_forms`
+            return "yes"
         for _, t in g.edges[cur]:
             if t not in seen:
                 seen.add(t)

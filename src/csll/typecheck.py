@@ -4,9 +4,10 @@ The typing rules are applied syntax-directedly.  Each guard construct's
 rule is one `GUARDS` row: its name, the subject's connective, how a mismatch
 names it, whether the premises split the rest of the context, and each
 premise's binder and subject types; the generator, the proof encoder and the
-reducer read the rows too.  `_Checker.check` lists each case's premises as
-(process, context) pairs, the reference a test pins to the table, and checks
-them in order, allocating node ids in preorder; a tree edge's lineage is the
+reducer read the rows too.  `_Checker.check` dispatches on the constructor
+and lists each case's premises as (process, context) pairs, each context a
+dict of its own, the reference a test pins to the table; it checks them in
+order, allocating node ids in preorder.  A tree edge's lineage is the
 identity on the channels both contexts hold.  Invocations recurse into the
 definition body (renamed to the call's arguments); when the same definition
 is already being checked on the current ancestor path, a back edge with the
@@ -43,7 +44,7 @@ from .process import (
 TypeContext = dict[ChannelName, ty.SessionType]
 
 
-@dataclass(frozen=True)
+@ty.record
 class Diagnostic:
     kind: str  # "type-mismatch" | "linearity" | "arity" | "zero-subject" | "scope"
     rule: str
@@ -65,7 +66,7 @@ def _err(kind: str, rule: str, message: str, span: SourceSpan | None) -> TypeChe
     return TypeCheckError(Diagnostic(kind, rule, message, span))
 
 
-@dataclass(frozen=True, slots=True)
+@ty.record(slots=True)
 class Judgment:
     process: Process
     context: tuple[tuple[ChannelName, ty.SessionType], ...]
@@ -75,7 +76,7 @@ def _ctx_tuple(ctx: TypeContext) -> tuple[tuple[ChannelName, ty.SessionType], ..
     return tuple(sorted(ctx.items()))
 
 
-@dataclass(frozen=True, slots=True)
+@ty.record(slots=True)
 class DerivEdge:
     target: int
     back: bool
@@ -86,7 +87,7 @@ class DerivEdge:
     down: tuple[tuple[ChannelName, ChannelName], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@ty.record(slots=True)
 class DerivNode:
     nid: int
     judgment: Judgment
@@ -190,57 +191,64 @@ class _Checker:
 
     def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
         nid = next(self.ids)
-        tag = None
+        cls, x, tag = type(p), None, None
         edges: list[DerivEdge] = []
         premises: tuple[tuple[Process, TypeContext], ...] = ()  # (process, context)
-        row = GUARDS.get(type(p))
-        if row is not None:
+        if cls is Call:
+            rule, name, args = "call", p.name, p.args
+            defn = _callee(p, ctx, self.prog)
+            if name in path:
+                anc_id, anc_args = path[name]
+                edges.append(DerivEdge(anc_id, True, tuple(zip(args, anc_args))))
+            else:
+                premises = ((instantiate(defn, args), ctx.copy()),)
+                path = {**path, name: (nid, args)}
+        elif cls is Cut:
+            rule, y = "cut", p.chan
+            if y in ctx:
+                raise _err("scope", "cut", f"cut rebinds channel {y.name} already in context", p.span)
+            left, right = split_context(ctx, free_names(p.left), free_names(p.right), p.span)
+            left[y], right[y] = p.anno, ty.dual(p.anno)
+            premises = ((p.left, left), (p.right, right))
+        elif (row := GUARDS.get(cls)) is None:
+            raise _err("type-mismatch", "?", f"cannot type {cls.__name__}", p.span)
+        else:
             rule, x = row.rule, p.chan
             t = _subject_type(p, ctx, row)
-            rest = {c: v for c, v in ctx.items() if c != x}
-        match p:
-            case Call(name, args):
-                rule = "call"
-                defn = _callee(p, ctx, self.prog)
-                if name in path:
-                    anc_id, anc_args = path[name]
-                    edges.append(DerivEdge(anc_id, True, tuple(zip(args, anc_args))))
-                else:
-                    premises = ((instantiate(defn, args), dict(ctx)),)
-                    path = {**path, name: (nid, args)}
-            case Cut(x, anno, first, second):
-                rule = "cut"
-                if x in ctx:
-                    raise _err("scope", "cut", f"cut rebinds channel {x.name} already in context", p.span)
-                left, right = split_context(ctx, free_names(first), free_names(second), p.span)
-                premises = ((first, {**left, x: anno}), (second, {**right, x: ty.dual(anno)}))
-            case Close() | Nil():
-                if rest:
+            if cls is Select:  # select and case retype the subject in place
+                tag, body = p.tag, ctx.copy()
+                body[x] = t.left if tag == 1 else t.right
+                premises = ((p.body, body),)
+            elif cls is Case:
+                first, second = ctx.copy(), ctx.copy()
+                first[x], second[x] = t.left, t.right
+                premises = ((p.left, first), (p.right, second))
+            elif cls is not Fail:  # the top rule absorbs any context
+                rest = ctx.copy()
+                del rest[x]
+                if cls is Wait:
+                    premises = ((p.body, rest),)
+                elif cls is Join:
+                    rest[p.payload], rest[x] = t.left, t.right
+                    premises = ((p.body, rest),)
+                elif cls is Server:
+                    accept = ctx.copy()
+                    accept[p.session] = t.inner
+                    premises = ((p.accept, accept), (p.idle, rest))
+                elif cls is Fork or cls is Cons:
+                    y, first, second, a, b = ((p.payload, p.payload_body, p.cont, t.left, t.right) if cls is Fork
+                                              else (p.session, p.client, p.pool, t.inner, t))
+                    left, right = split_context(rest, free_names(first) - {y}, free_names(second), p.span, rule)
+                    left[y], right[x] = a, b
+                    premises = ((first, left), (second, right))
+                elif rest:  # close and done end the context
                     raise _err("linearity", rule, f"unused channel(s) {sorted(c.name for c in rest)}", p.span)
-            case Fail():  # the top rule absorbs any context
-                pass
-            case Wait(_, body):
-                premises = ((body, rest),)
-            case Join(_, y, body):
-                premises = ((body, {**rest, y: t.left, x: t.right}),)
-            case Fork(_, y, first, second) | Cons(_, y, first, second):
-                a, b = (t.left, t.right) if rule == "tensor" else (t.inner, t)
-                left, right = split_context(rest, free_names(first) - {y}, free_names(second), p.span, rule)
-                premises = ((first, {**left, y: a}), (second, {**right, x: b}))
-            case Select(_, tag, body):
-                premises = ((body, {**ctx, x: t.left if tag == 1 else t.right}),)
-            case Case(_, first, second):
-                premises = ((first, {**ctx, x: t.left}), (second, {**ctx, x: t.right}))
-            case Server(_, y, accept, idle):
-                premises = ((accept, {**ctx, y: t.inner}), (idle, rest))
-            case _:
-                raise _err("type-mismatch", "?", f"cannot type {type(p).__name__}", p.span)
-        for q, q_ctx in premises:
-            # a channel's lineage continues into the premise when both contexts hold it
-            edges.append(DerivEdge(self.check(q, q_ctx, path), False,
-                                   tuple((c, c) for c in sorted(ctx.keys() & q_ctx.keys(), key=_UID))))
-        self.nodes[nid] = DerivNode(nid, Judgment(p, _ctx_tuple(ctx)), rule, tuple(edges),
-                                    x if row else None, tag)
+        if premises:  # a channel's lineage continues into a premise whose context holds it
+            order = sorted(ctx, key=_UID)
+            for q, q_ctx in premises:
+                target = self.check(q, q_ctx, path)
+                edges.append(DerivEdge(target, False, tuple([(c, c) for c in order if c in q_ctx])))
+        self.nodes[nid] = DerivNode(nid, Judgment(p, _ctx_tuple(ctx)), rule, tuple(edges), x, tag)
         return nid
 
 

@@ -3,13 +3,39 @@
 The same classes are the connectives of `csll.formulas`, which adds only
 variables and fixed points.  `_CONNECTIVES` states each connective once: its
 dual, its word in the surface syntax and its precedence level, which the
-parser and the printer both read.
+parser and the printer both read.  `record` builds the package's records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
+
+
+def record(cls: type | None = None, /, *, slots: bool = False):
+    """`dataclass(frozen=True[, slots=True])` whose `__init__` sets each field
+    by one pre-bound call, `object.__setattr__` or the slot's `__set__` (the
+    generated one looks `object.__setattr__` up per field).  A class without
+    fields keeps `object.__init__`; all else is dataclass's own."""
+    def wrap(cls: type) -> type:
+        doc, cls.__doc__ = cls.__doc__, cls.__doc__ or "-"  # else dataclass signs the inherited __init__
+        cls = dataclass(frozen=True, init=False, slots=slots)(cls)
+        if fs := fields(cls):
+            ns = {"__name__": cls.__module__, "_set": object.__setattr__}
+            ns.update((f"_{i}", getattr(cls, f.name).__set__) for i, f in enumerate(fs) if slots)
+            pos, kw = [f for f in fs if not f.kw_only], [f for f in fs if f.kw_only]
+            params = ", ".join(["self", *(f.name for f in pos), *(["*"] if kw else []), *(f.name for f in kw)])
+            sets = (f"_{i}(self, {f.name})" if slots else f"_set(self, {f.name!r}, {f.name})"
+                    for i, f in enumerate(fs))
+            exec(f"def __init__({params}):\n " + "\n ".join(sets), ns)
+            init = cls.__init__ = ns["__init__"]
+            init.__defaults__ = tuple(f.default for f in pos if f.default is not MISSING) or None
+            init.__kwdefaults__ = {f.name: f.default for f in kw if f.default is not MISSING} or None
+            init.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
+        cls.__doc__ = doc or cls.__name__ + (str(inspect.signature(cls)).replace(" -> None", "") if fs else "()")
+        return cls
+    return wrap if cls is None else wrap(cls)
 
 
 class SessionType:
@@ -32,10 +58,10 @@ class SessionType:
 
 
 def _connective(cls: type) -> type:
-    """A frozen dataclass with SessionType's hash (the generated one hashes
-    only the fields)."""
+    """A record with SessionType's hash (the generated one hashes only the
+    fields)."""
     cls.__hash__ = SessionType.__hash__
-    return dataclass(frozen=True)(cls)
+    return record(cls)
 
 
 @_connective

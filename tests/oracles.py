@@ -23,7 +23,10 @@ from csll.proofs import (
     PRINCIPAL_STEPS, AddressStream, NotPrincipalError, SimulationReport, encode_derivation,
     principal_reduce_at, proof_bisimilar,
 )
-from csll.typecheck import check
+from csll.typecheck import (
+    GUARDS, _UID, DerivEdge, DerivNode, Judgment, TypeContext, _Checker, _callee, _ctx_tuple, _err,
+    _subject_type, check, split_context,
+)
 
 
 def alpha_equal(p: Process, q: Process, free_map: dict[ChannelName, ChannelName] | None = None) -> bool:
@@ -373,3 +376,64 @@ def _reference(p: Process, n: printer._Namer, indent: int) -> str:
                 return one_line
             return head + "{\n" + pad + left + "\n" + pad + "| " + right + "\n" + "  " * indent + "}"
     raise TypeError(p)
+
+
+class MatchChecker(_Checker):
+    """The checker's rules as one ten-arm structural `match`: the reference
+    that `_Checker.check`, which dispatches on the constructor, must agree
+    with node for node and diagnostic for diagnostic."""
+
+    def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
+        nid = next(self.ids)
+        tag = None
+        edges: list[DerivEdge] = []
+        premises: tuple[tuple[Process, TypeContext], ...] = ()  # (process, context)
+        row = GUARDS.get(type(p))
+        if row is not None:
+            rule, x = row.rule, p.chan
+            t = _subject_type(p, ctx, row)
+            rest = {c: v for c, v in ctx.items() if c != x}
+        match p:
+            case Call(name, args):
+                rule = "call"
+                defn = _callee(p, ctx, self.prog)
+                if name in path:
+                    anc_id, anc_args = path[name]
+                    edges.append(DerivEdge(anc_id, True, tuple(zip(args, anc_args))))
+                else:
+                    premises = ((instantiate(defn, args), dict(ctx)),)
+                    path = {**path, name: (nid, args)}
+            case Cut(x, anno, first, second):
+                rule = "cut"
+                if x in ctx:
+                    raise _err("scope", "cut", f"cut rebinds channel {x.name} already in context", p.span)
+                left, right = split_context(ctx, free_names(first), free_names(second), p.span)
+                premises = ((first, {**left, x: anno}), (second, {**right, x: ty.dual(anno)}))
+            case Close() | Nil():
+                if rest:
+                    raise _err("linearity", rule, f"unused channel(s) {sorted(c.name for c in rest)}", p.span)
+            case Fail():  # the top rule absorbs any context
+                pass
+            case Wait(_, body):
+                premises = ((body, rest),)
+            case Join(_, y, body):
+                premises = ((body, {**rest, y: t.left, x: t.right}),)
+            case Fork(_, y, first, second) | Cons(_, y, first, second):
+                a, b = (t.left, t.right) if rule == "tensor" else (t.inner, t)
+                left, right = split_context(rest, free_names(first) - {y}, free_names(second), p.span, rule)
+                premises = ((first, {**left, y: a}), (second, {**right, x: b}))
+            case Select(_, tag, body):
+                premises = ((body, {**ctx, x: t.left if tag == 1 else t.right}),)
+            case Case(_, first, second):
+                premises = ((first, {**ctx, x: t.left}), (second, {**ctx, x: t.right}))
+            case Server(_, y, accept, idle):
+                premises = ((accept, {**ctx, y: t.inner}), (idle, rest))
+            case _:
+                raise _err("type-mismatch", "?", f"cannot type {type(p).__name__}", p.span)
+        for q, q_ctx in premises:
+            # a channel's lineage continues into the premise when both contexts hold it
+            edges.append(DerivEdge(self.check(q, q_ctx, path), False,
+                                   tuple((c, c) for c in sorted(ctx.keys() & q_ctx.keys(), key=_UID))))
+        self.nodes[nid] = DerivNode(nid, Judgment(p, _ctx_tuple(ctx)), rule, tuple(edges),
+                                    x if row else None, tag)
+        return nid

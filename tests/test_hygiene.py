@@ -190,6 +190,28 @@ def test_scan_reads_a_module_attribute_as_a_name_of_that_module():
     assert unread_public_names(trees, readers) == ["formulas.One"]
 
 
+def frozen_dataclasses(trees: dict[str, ast.Module]) -> list[str]:
+    """The `dataclass(frozen=...)` calls and decorators of trees outside
+    `types.record`, as `module:line`: a frozen record is built by `record`."""
+    inside_record = {id(n) for f in ast.walk(trees.get("types", ast.Module([], [])))
+                     if isinstance(f, ast.FunctionDef) and f.name == "record" for n in ast.walk(f)}
+    return [f"{module}:{node.lineno}" for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside_record
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "dataclass"
+            and any(k.arg == "frozen" for k in node.keywords)]
+
+
+def test_every_frozen_record_is_built_by_record():
+    assert frozen_dataclasses(_parsed(SRC.glob("*.py"))) == []
+
+
+def test_scan_flags_a_frozen_dataclass():
+    trees = {"types": ast.parse("def record(cls):\n    return dataclass(frozen=True, init=False)(cls)\n"),
+             "a": ast.parse("@dataclass(frozen=True, slots=True)\nclass A: pass\n@dataclass\nclass B: pass\n"
+                            "C = dataclasses.dataclass(frozen=True)(B)\n")}
+    assert frozen_dataclasses(trees) == ["a:1", "a:5"]
+
+
 def cyclic_garbage(fn) -> list:
     """The objects that only the cycle collector can free after fn()."""
     gc.collect()

@@ -529,6 +529,24 @@ def test_fair_termination_equals_per_state_reference():
             ("not-fairly-terminating", False), ("fairly-terminating", False)} <= seen
 
 
+def test_a_per_state_weak_termination_sweep_builds_no_normal_form_set(monkeypatch):
+    # each call tests the states it meets one by one: a set of every normal
+    # form per call made the sweep quadratic in the states
+    prog = parse_program(cas_text(["TF", "FT"] * 4))
+    g = explore(prog.main.body, prog)
+    normals = g.normal_forms()
+    real, calls = runtime.ReductionGraph.normal_forms, [0]
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(runtime.ReductionGraph, "normal_forms", counting)
+    answers = [is_weakly_terminating(sid, g) for sid in range(len(g.states))]
+    assert calls[0] == 0
+    assert len(g.states) > 100 and normals and set(answers) == {"yes"}
+
+
 def _count_renames(monkeypatch) -> list[int]:
     """Route `process.rename`, wherever csll imported it, through a counter."""
     import sys

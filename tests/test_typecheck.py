@@ -17,7 +17,9 @@ from csll.typecheck import (
     split_context, validity_check,
 )
 
+from . import oracles
 from .conftest import CORPUS_FILES, link_types, load_corpus, lock_text
+from .test_checker_golden import SNIPPETS, built_programs, derivation_doc
 
 
 def test_split_context_assigns_by_use():
@@ -282,6 +284,37 @@ def test_checker_premises_follow_the_guard_table():
             else:
                 assert all(o == rest for o in others), node.rule
     assert rules == {row.rule for row in typecheck.GUARDS.values()}
+
+
+def _outcomes(progs: list[Program]) -> list:
+    """Each definition's derivation (as its golden document) or diagnostic."""
+    out = []
+    for prog in progs:
+        for defn in prog.all_definitions():
+            try:
+                out.append(derivation_doc(definition_derivation(defn, prog)))
+            except TypeCheckError as e:
+                out.append(e.diagnostic)
+    return out
+
+
+def test_the_checker_agrees_with_the_structural_match_reference(monkeypatch):
+    """`_Checker.check` dispatches on the constructor; `oracles.MatchChecker`
+    states the same rules as one ten-arm structural `match`.  Node ids,
+    rules, subjects, contexts, premise order, lineage and every diagnostic
+    agree on the corpus, chain_1..8, gen_program 0-299, the benchmark's
+    forwarder families and the diagnostic snippets."""
+    from bench.workloads import chain_text
+    progs = [load_corpus(name) for name in CORPUS_FILES]
+    progs += [parse_program(chain_text(k)) for k in range(1, 9)]
+    progs += [gen_program(s) for s in range(300)]
+    progs += [gen_link(parse_type(text)) for text in link_types()]
+    progs += [parse_program(text, f"<{name}>") for name, text in SNIPPETS.items()]
+    progs += built_programs().values()
+    got = _outcomes(progs)
+    assert sum(isinstance(o, typecheck.Diagnostic) for o in got) == len(SNIPPETS) + len(built_programs())
+    monkeypatch.setattr(typecheck, "_Checker", oracles.MatchChecker)
+    assert _outcomes(progs) == got
 
 
 @pytest.mark.parametrize("text, channel", [
