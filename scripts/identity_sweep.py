@@ -20,19 +20,21 @@ the programs built there for diagnostics the parser would reject.  The
 channel-id counter is reset before each input, so ids drawn by one input do
 not shift the next.
 
-Artefacts: parse results (the program's repr, with channel ids) and parse
-errors, `pretty_program`, check reports with their derivations, encoded
-proofs with their validity, their recurring greatest-fixed-point thread
-(`nu_thread_witness`) and their DOT rendering with that thread highlighted,
-bounded `explore` JSON with the fair-termination verdict and the repr of
-every explored state, the full and deterministic step records of every
-explored state (as `tests/golden/steps.json` records them), det and seeded
-random traces with the repr of every state they visit, and the
-correspondence report (`simulate_step`) of every step of the det trace.  The
-reprs show binder ids, which printed states do not: the printer picks
-display names by scope.  A forwarder family contributes its program, check
-reports, derivations and proofs; a snippet or a mutant its parse artefacts
-(a built program its repr) and, if it parses, its check reports.
+Artefacts: parse results (the program's repr, with channel ids, and the
+span text and length of every process node in preorder) and parse errors,
+each with every token's text, span text and span length; `pretty_program`;
+check reports with their derivations; encoded proofs with their validity,
+their recurring greatest-fixed-point thread (`nu_thread_witness`) and their
+DOT rendering with that thread highlighted; bounded `explore` JSON with the
+fair-termination verdict and the repr of every explored state; the full and
+deterministic step records of every explored state (as
+`tests/golden/steps.json` records them); det and seeded random traces with
+the repr of every state they visit; and the correspondence report
+(`simulate_step`) of every step of the det trace.  The reprs show binder
+ids, which printed states do not: the printer picks display names by scope.
+A forwarder family contributes its program, check reports, derivations and
+proofs; a snippet or a mutant its parse artefacts (a built program its
+repr) and, if it parses, its check reports.
 """
 
 import argparse
@@ -115,15 +117,27 @@ def _validity(v) -> list | None:
     return None if v is None else [v.verdict, v.reason, v.witness]
 
 
+def _spans(prog) -> list:
+    """The span text and length of every process node of prog, in preorder."""
+    from csll.process import BINDING, Process
+    out, todo = [], [d.body for d in reversed([*prog.defs.values(), prog.main]) if d is not None]
+    while todo:
+        p = todo.pop()
+        out.append([str(p.span), p.span.length])
+        todo.extend(reversed([v for v in BINDING[type(p)].fields(p) if isinstance(v, Process)]))
+    return out
+
+
 def _parsed(label: str, text: str) -> Iterator[tuple[str, object]]:
-    from csll.parser import CsllError, parse_program
+    from csll.parser import CsllError, parse_program, tokenize
     from csll.printer import pretty_program
+    tokens = _guarded(lambda: [[t.text, str(t.span), t.span.length] for t in tokenize(text, label)])
     try:
         prog = parse_program(text, label)
     except CsllError as e:
-        yield f"{label} parse", [type(e).__name__, e.message, str(e.span), e.span.length]
+        yield f"{label} parse", [[type(e).__name__, e.message, str(e.span), e.span.length], tokens]
         return
-    yield f"{label} parse", repr(prog)
+    yield f"{label} parse", [repr(prog), _spans(prog), tokens]
     yield f"{label} pretty", pretty_program(prog)
     return prog
 

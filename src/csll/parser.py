@@ -13,6 +13,12 @@ Grammar sketch (`--` starts a line comment):
     mult     ::= prefix (('*'|'par') mult)?; prefix ::= ('srv'|'cli') prefix | atom
     atom     ::= '1' | '0' | 'bot' | 'top' | '(' type ')'
 
+The lexer is one compiled pattern, `_TOKEN`.  A token is its text and its
+offset, and its kind follows from its text: a keyword, a name, a symbol, or
+"" at the end of input.  A token's `span` is built on request from the
+offset and the source's line starts, so only process nodes and errors make
+one.
+
 Each keyword construct is one `FORMS` row: its surface text, with the
 constructor's fields marked `$`.  Which field is the subject, which the
 binder and which subterms lie in the binder's scope is `process.BINDING`'s;
@@ -27,6 +33,8 @@ rejected here, linearity is the typechecker's job.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from typing import NamedTuple
 
 from . import types as ty
 from .process import (
@@ -53,14 +61,8 @@ FORMS: dict[type, str] = {
     Cut: "new $chan : $anno {$left | $right}",
 }
 
-_SYMBOLS = {
-    "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
-    ":": "COLON", ";": "SEMI", ",": "COMMA", "|": "PIPE", ".": "DOT",
-    "=": "EQUALS", "+": "PLUS", "&": "AMP", "*": "STAR",
-    "1": "ONE", "0": "ZERO",  # type constants; identifiers may not start with a digit
-}
-
-_SPELLING = {kind: symbol for symbol, kind in _SYMBOLS.items()}
+# the one-character tokens; "1" and "0" are type constants, so a name may not start with a digit
+_SYMBOLS = frozenset("(){}:;,|.=+&*10")
 
 # a FORMS row as (field, "") for a `$` field and ("", text) for a literal
 _LEXEME = re.compile(r"\$(\w+)|(\w+|\S)")
@@ -70,18 +72,20 @@ KEYWORDS = ({"def", "main"}
                if text and text not in _SYMBOLS}
             | {word for word in _TYPE_WORDS if word.isalpha()})
 
+# every token that is not a name: the keywords, the symbols and the end of input
+_RESERVED = KEYWORDS | _SYMBOLS | {""}
+
 
 def _steps(ctor: type, row: str) -> tuple[tuple[str, object], ...]:
     """The parse of a FORMS row after its leading word, as (role, argument)
-    steps: ("token", (kind, text)) for a literal, else (role, field) with
+    steps: ("token", text) for a literal, else (role, field) with
     the role of the field in `BINDING` (subject, binder, inside, outside),
     or "type" for the field `BINDING` does not name."""
     b = BINDING[ctor]
     fields = ctor.__match_args__
     role = {fields[i]: "inside" for i in b.inside} | {fields[i]: "outside" for i in b.outside}
     role |= {fields[i]: r for r, i in (("subject", b.subject), ("binder", b.binder)) if i is not None}
-    return tuple((role.get(field, "type"), field) if field
-                 else ("token", (_SYMBOLS[text], None) if text in _SYMBOLS else ("KEYWORD", text))
+    return tuple((role.get(field, "type"), field) if field else ("token", text)
                  for field, text in _LEXEME.findall(row)[1:])
 
 
@@ -104,51 +108,46 @@ class ScopeError(CsllError):
     pass
 
 
-@ty.record
-class Token:
-    kind: str
+# blanks and comments, then a token: a word, one other character, or the end
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|(--[^\n]*))*(?:([^\W\d]\w*|.)|\Z)")
+
+
+class _Source:
+    """A source's file name and the offset at which each of its lines starts."""
+
+    def __init__(self, text: str, file: str):
+        self.file = file
+        self.line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
+
+    def span(self, at: int, length: int = 1) -> SourceSpan:
+        line = bisect_right(self.line_starts, at)
+        return SourceSpan(self.file, line, at - self.line_starts[line - 1] + 1, length)
+
+
+class Token(NamedTuple):
+    """A word, a symbol, or "" at the end of input, at an offset of its source."""
     text: str
-    span: SourceSpan
+    at: int
+    source: _Source
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.source.span(self.at, len(self.text) or 1)
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(filename, line, col)
-        if ch in _SYMBOLS:
-            toks.append(Token(_SYMBOLS[ch], ch, span))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            span = SourceSpan(filename, line, col, len(word))
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            toks.append(Token(kind, word, span))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    toks.append(Token("EOF", "", SourceSpan(filename, line, col)))
+    source = _Source(text, filename)
+    toks = []
+    for m in _TOKEN.finditer(text):
+        word, at = m[2], m.start(2)
+        if word is None:  # the end: after the blanks, but at a comment that runs to it
+            at = m.start(1) if m.end(1) == len(text) else len(text)
+            break
+        # a name starts with a letter or "_"; the pattern's words also start at numerals such as "²"
+        if not (word in _SYMBOLS or word[0].isalpha() or word[0] == "_"):
+            raise ParseError(f"unexpected character {word[0]!r}", source.span(at))
+        toks.append(Token(word, at, source))
+    toks.append(Token("", at, source))
     return toks
 
 
@@ -160,29 +159,24 @@ class _Parser:
         self.calls: list[tuple[str, int, SourceSpan]] = []
 
     def peek(self, ahead: int = 0) -> Token:
-        # the tokens end in EOF, which `next` never moves past: only a look-ahead is clamped
+        # the tokens end in "", which `next` never moves past: only a look-ahead is clamped
         return self.toks[min(self.pos + ahead, len(self.toks) - 1) if ahead else self.pos]
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
-        if tok.kind != "EOF":
+        if tok.text:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or _SPELLING[kind]
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.span)
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.span)
         return self.next()
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "KEYWORD" and tok.text == word
 
     def ident(self, what: str = "name") -> Token:
         tok = self.peek()
-        if tok.kind != "IDENT":
+        if tok.text in _RESERVED:
             raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
         return self.next()
 
@@ -213,10 +207,10 @@ class _Parser:
 
     def _prefix(self) -> ty.SessionType:
         tok = self.peek()
-        if tok.kind == "LPAREN":
+        if tok.text == "(":
             self.next()
             inner = self.type_expr()
-            self.expect("RPAREN")
+            self.expect(")")
             return inner
         ctor, level = _TYPE_WORDS.get(tok.text, (None, 0))
         if level >= ty._PREFIX:  # a prefix or an atom
@@ -235,7 +229,7 @@ class _Parser:
     def process(self, env: dict[str, ChannelName]) -> Process:
         tok = self.peek()
         span = tok.span
-        if tok.kind == "KEYWORD":
+        if tok.text in KEYWORDS:
             if tok.text not in _FORMS:
                 raise ParseError(f"unexpected keyword {tok.text!r}", span)
             self.next()
@@ -244,7 +238,7 @@ class _Parser:
             inner = env  # the binder's scope
             for role, arg in steps:
                 if role == "token":
-                    self.expect(*arg)
+                    self.expect(arg)
                 elif role == "subject":
                     vals[arg] = self.chan_ref(env)
                 elif role == "binder":
@@ -256,25 +250,25 @@ class _Parser:
                 else:
                     vals[arg] = self.process(inner if role == "inside" else env)
             return ctor(**vals, span=span)
-        if tok.kind == "IDENT":
-            if self.peek(1).kind == "DOT":
+        if tok.text not in _RESERVED:
+            if self.peek(1).text == ".":
                 x = self.chan_ref(env)
-                self.expect("DOT")
+                self.expect(".")
                 tag_tok = self.next()
                 if tag_tok.text not in ("in1", "in2"):  # only keywords are spelt so
                     raise ParseError("expected 'in1' or 'in2' after '.'", tag_tok.span)
-                self.expect("SEMI")
+                self.expect(";")
                 return Select(x, int(tag_tok.text[2]), self.process(env), span=span)
-            if self.peek(1).kind == "LPAREN":
+            if self.peek(1).text == "(":
                 name = self.next().text
-                self.expect("LPAREN")
+                self.expect("(")
                 args: list[ChannelName] = []
-                if self.peek().kind != "RPAREN":
+                if self.peek().text != ")":
                     args.append(self.chan_ref(env))
-                    while self.peek().kind == "COMMA":
+                    while self.peek().text == ",":
                         self.next()
                         args.append(self.chan_ref(env))
-                self.expect("RPAREN")
+                self.expect(")")
                 self.calls.append((name, len(args), span))
                 return Call(name, tuple(args), span=span)
             raise ParseError(f"unexpected name {tok.text!r} (missing call arguments or '.'?)", span)
@@ -283,46 +277,43 @@ class _Parser:
     # programs -----------------------------------------------------------
 
     def params(self) -> tuple[tuple[ChannelName, ty.SessionType], ...]:
-        self.expect("LPAREN")
+        self.expect("(")
         out: list[tuple[ChannelName, ty.SessionType]] = []
         seen: set[str] = set()
-        if self.peek().kind != "RPAREN":
+        if self.peek().text != ")":
             while True:
                 tok = self.ident("parameter name")
                 if tok.text in seen:
                     raise ScopeError(f"duplicate parameter {tok.text!r}", tok.span)
                 seen.add(tok.text)
-                self.expect("COLON")
+                self.expect(":")
                 out.append((fresh(tok.text), self.type_expr()))
-                if self.peek().kind != "COMMA":
+                if self.peek().text != ",":
                     break
                 self.next()
-        self.expect("RPAREN")
+        self.expect(")")
         return tuple(out)
 
     def definition(self, name: str) -> Definition:
         """params '=' process, after the head of a def or main."""
         params = self.params()
-        self.expect("EQUALS")
+        self.expect("=")
         return Definition(name, params, self.process({c.name: c for c, _ in params}))
 
     def program(self) -> Program:
         defs: dict[str, Definition] = {}
         main: Definition | None = None
-        while self.peek().kind != "EOF":
-            if self.at_keyword("def"):
-                self.next()
+        while (tok := self.next()).text:
+            if tok.text == "def":
                 name_tok = self.ident("definition name")
                 if name_tok.text in defs:
                     raise ScopeError(f"duplicate definition {name_tok.text!r}", name_tok.span)
                 defs[name_tok.text] = self.definition(name_tok.text)
-            elif self.at_keyword("main"):
-                tok = self.next()
+            elif tok.text == "main":
                 if main is not None:
                     raise ScopeError("duplicate main", tok.span)
                 main = self.definition("main")
             else:
-                tok = self.peek()
                 raise ParseError(f"expected 'def' or 'main', found {tok.text or 'end of input'!r}", tok.span)
         for name, nargs, span in self.calls:
             if name not in defs:
@@ -341,6 +332,6 @@ def parse_type(text: str, filename: str = "<type>") -> ty.SessionType:
     p = _Parser(tokenize(text, filename))
     t = p.type_expr()
     tok = p.peek()
-    if tok.kind != "EOF":
+    if tok.text:
         raise ParseError(f"trailing input after type: {tok.text!r}", tok.span)
     return t

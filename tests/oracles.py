@@ -15,9 +15,11 @@ from csll import printer, runtime
 from csll import types as ty
 from csll.canon import canonical_form
 from csll.formulas import Address, Mu, MuFormula, Nu, Var, formula_children, prefix_leq
+from csll.parser import KEYWORDS, ParseError
 from csll.process import (
     BINDING, Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join, Nil, Process,
-    Program, Select, Server, Wait, call_depth, free_names, instantiate, rename, unfold_head,
+    Program, Select, Server, SourceSpan, Wait, call_depth, free_names, instantiate, rename,
+    unfold_head,
 )
 from csll.proofs import (
     PRINCIPAL_STEPS, AddressStream, NotPrincipalError, SimulationReport, encode_derivation,
@@ -437,3 +439,63 @@ class MatchChecker(_Checker):
         self.nodes[nid] = DerivNode(nid, Judgment(p, _ctx_tuple(ctx)), rule, tuple(edges),
                                     x if row else None, tag)
         return nid
+
+
+@ty.record
+class ReferenceToken:
+    kind: str
+    text: str
+    span: SourceSpan
+
+
+REFERENCE_SYMBOLS = {
+    "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
+    ":": "COLON", ";": "SEMI", ",": "COMMA", "|": "PIPE", ".": "DOT",
+    "=": "EQUALS", "+": "PLUS", "&": "AMP", "*": "STAR",
+    "1": "ONE", "0": "ZERO",  # type constants; identifiers may not start with a digit
+}
+
+
+def reference_tokenize(text: str, filename: str = "<input>") -> list[ReferenceToken]:
+    """The lexer that scans one character at a time, keeping the line and
+    column by hand: the reference that `parser.tokenize`, one compiled
+    pattern, must agree with in every token's text and span and in every
+    error."""
+    toks: list[ReferenceToken] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        span = SourceSpan(filename, line, col)
+        if ch in REFERENCE_SYMBOLS:
+            toks.append(ReferenceToken(REFERENCE_SYMBOLS[ch], ch, span))
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            span = SourceSpan(filename, line, col, len(word))
+            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
+            toks.append(ReferenceToken(kind, word, span))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", span)
+    toks.append(ReferenceToken("EOF", "", SourceSpan(filename, line, col)))
+    return toks

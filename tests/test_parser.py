@@ -4,16 +4,20 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from csll import parser
 from csll import types as ty
-from csll.parser import FORMS, KEYWORDS, ParseError, ScopeError, parse_program, parse_type, tokenize
+from csll.gen import gen_program
+from csll.parser import (
+    FORMS, KEYWORDS, CsllError, ParseError, ScopeError, parse_program, parse_type, tokenize,
+)
 from csll.printer import pretty_process, pretty_program, pretty_type
 from csll.process import (
     BINDING, Call, Case, Close, Cons, Cut, Definition, Fork, Join, Nil, Program, Server, Wait,
-    free_names, fresh, rename,
+    SourceSpan, free_names, fresh, rename,
 )
 
-from .conftest import CORPUS_FILES, load_corpus
-from .oracles import alpha_equal, param_types
+from .conftest import CORPUS, CORPUS_FILES, link_types, load_corpus, lock_text
+from .oracles import alpha_equal, param_types, reference_tokenize, subterms
 from .strategies import processes, session_types
 
 
@@ -244,3 +248,65 @@ def test_parse_errors_stay_inside_input(s):
         assert 1 <= e.span.line <= len(lines)
         assert e.span.column >= 1
         assert e.span.column <= len(lines[e.span.line - 1]) + 1
+
+
+def lexed(lex, text: str) -> list:
+    """Each token's text, span and span length, or the class, message, span
+    and span length of the error."""
+    try:
+        spans = [(tok.text, tok.span) for tok in lex(text, "f.csll")]
+    except CsllError as e:
+        return [type(e).__name__, e.message, str(e.span), e.span.length]
+    return [(word, str(span), span.length) for word, span in spans]
+
+
+def lexer_inputs():
+    """The corpus, each file also ending in blanks or in a comment with no
+    newline after it, printed gen_program 0-299, the fuzz_small forwarder
+    types, and every deletion of one character of the corpus and an
+    insertion at every place, of `-`, `²`, a newline and `1` in turn."""
+    corpus = [(CORPUS / name).read_text(encoding="utf-8") for name in CORPUS_FILES]
+    for text in corpus:
+        yield from (text, text + " \t\r ", text + "-- end", text.rstrip("\n") + " -- end")
+    yield from (pretty_program(gen_program(seed)) for seed in range(300))
+    yield from link_types()
+    for text in corpus:
+        for i in range(len(text) + 1):
+            yield text[:i] + text[i + 1:]
+            yield text[:i] + "-²\n1"[i % 4] + text[i:]
+
+
+def test_the_lexer_agrees_with_the_reference_on_every_token_and_error():
+    for text in lexer_inputs():
+        assert lexed(tokenize, text) == lexed(reference_tokenize, text), repr(text)
+
+
+# a letter, "_", the digits 1 and 0, a digit that is no decimal, a decimal
+# that is no ASCII digit, an accented letter, symbols, a lone "-", a comment
+# opener, the blanks and every keyword
+LEXEMES = ["a", "_", "1", "0", "²", "٣", "é", "(", ";", "-", "--", " ", "\t", "\r", "\n", *sorted(KEYWORDS)]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(LEXEMES), max_size=30).map("".join))
+def test_the_lexer_agrees_with_the_reference_on_any_text(text):
+    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+
+
+def test_parsing_builds_one_span_per_process_node(monkeypatch):
+    built = 0
+
+    def counting(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return SourceSpan(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "SourceSpan", counting)
+    text = lock_text(64)
+    prog = parse_program(text)
+    nodes = sum(len(subterms(d.body)) for d in [*prog.defs.values(), prog.main])
+    assert built <= nodes
+    built = 0
+    with pytest.raises(ScopeError):
+        parse_program(text.replace("close u63", "close u64"))
+    assert built <= nodes + 1
