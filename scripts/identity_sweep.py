@@ -23,7 +23,8 @@ not shift the next.
 Artefacts: parse results (the program's repr, with channel ids, and the
 span text and length of every process node in preorder) and parse errors,
 each with every token's text, span text and span length; `pretty_program`;
-check reports with their derivations; encoded proofs with their validity,
+check reports with their derivations (each node's judgment: the repr of its
+process and of its context); encoded proofs with their validity,
 their recurring greatest-fixed-point thread (`nu_thread_witness`) and their
 DOT rendering with that thread highlighted; bounded `explore` JSON with the
 fair-termination verdict and the repr of every explored state; the full and
@@ -108,9 +109,12 @@ def _reset_ids() -> None:
 
 
 def _derivation(d) -> list:
-    return [[n.nid, n.rule, repr(n.subject), n.tag, repr(n.judgment.context),
-             [[e.target, e.back, repr(e.down)] for e in n.premises]]
-            for _, n in sorted(d.nodes.items())] + [d.root]
+    out = []
+    for _, n in sorted(d.nodes.items()):
+        j = getattr(n, "judgment", n)  # a node holds its process and context, or a record of both
+        out.append([n.nid, n.rule, repr(n.subject), n.tag, repr(j.process), repr(j.context),
+                    [[e.target, e.back, repr(e.down)] for e in n.premises]])
+    return out + [d.root]
 
 
 def _validity(v) -> list | None:

@@ -253,9 +253,7 @@ def _canon(p: Process, env: _Env, depth: int) -> tuple:
             f = r[_FREES] if r[_DEPTH] == depth else _frees(r, depth)
             frees = f if frees is None or frees is f else {**frees, **f}
         # the subject is named outside the binder's scope
-        if frees is None:
-            frees = {c: ce}
-        elif frees.get(c) != ce:
+        if frees.get(c) != ce:
             frees = {**frees, c: ce}
         rec = (h, tuple(keys), None if same else t(*vals, span=span), frees, depth)
     if old is None or len(old) == 1 or old[_FORM] is not None:

@@ -123,23 +123,21 @@ def cmd_explore(args: argparse.Namespace) -> int:
     ft = check_fair_termination(prog.main.body, prog,
                                 max_states=args.max_states, max_depth=args.max_depth)
     g = ft.graph
-    normals = sorted(g.normal_forms())
     if args.format == "dot":
         print(g.to_dot())
-        return 0
-    if args.format == "json":
+    elif args.format == "json":
         doc = g.to_json_dict()
         doc["fair_termination"] = ft.verdict
         print(json.dumps(doc, indent=2))
     else:
+        normals = sorted(g.normal_forms())
         edge_count = sum(len(v) for v in g.edges.values())
         print(f"states: {len(g.states)}  edges: {edge_count}  normal forms: {len(normals)}")
         for sid in normals:
             print(f"  normal[{sid}]: {pretty_process(g.states[sid])}")
         print(f"fair termination: {ft.verdict}")
-        if g.partial:
-            print("warning: exploration truncated by bounds; verdicts are partial",
-                  file=sys.stderr)
+    if g.partial:
+        print("warning: exploration truncated by bounds; verdicts are partial", file=sys.stderr)
     return 0
 
 

@@ -39,9 +39,10 @@ against its proof image: the reduced proof must be bisimilar to the
 reduct's encoding, compared one node signature (`_signature`) at a time.
 
 A walk's steps share most of their terms, so `simulate_step` carries one
-session per program (`_Session`, kept on the program and dropped with it):
-one `typecheck._SharedChecker`, whose memo spans every call, one proof node
-store, and the proof node of each derivation node encoded so far.  The
+session per program (`_Session`, kept on the program and dropped with it).
+The session is itself the checker: a `typecheck._Checker` whose derivation
+node store and memo span every call.  It also holds one proof node store
+and the proof node of each derivation node encoded so far.  The
 exposed term of a step shares everything but its spine with the previous
 step's reduct, so a call checks and encodes little more than the spine and
 what the step changed.  A derivation node keeps its earlier proof node
@@ -62,8 +63,8 @@ the call's check adds, in the order they are added (a node after its
 premises), and in the whole derivation when its node is older than the
 call, as on a revisited step.  Once the store holds half as much again as
 the last compaction kept, it keeps only what the last reduct's derivation
-and proof reach, and prunes the checker's memo and the proof map to the
-nodes it keeps.  A memo entry leads to a node that holds its term, so a
+and proof reach, and rebuilds the memo and the proof map over the nodes
+it keeps.  A memo entry leads to a node that holds its term, so a
 term's id() in the memo is never reused while the entry stands.
 """
 
@@ -76,9 +77,9 @@ from . import formulas as mf
 from . import types as ty
 from .cycles import closure_thread
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
-from .process import BINDING, ChannelName
-from .typecheck import GUARDS, Derivation, DerivNode, ValidityReport, _closure_report, check
-from .typecheck import _SharedChecker, _prune
+from .process import BINDING, Call, ChannelName, Process
+from .typecheck import GUARDS, Derivation, DerivNode, TypeContext, ValidityReport, _closure_report, check
+from .typecheck import _Checker, _ctx_tuple
 
 
 # --- streams of atomic addresses ---------------------------------------------
@@ -216,7 +217,7 @@ class _Encoder:
                                     key=lambda st: (st[0].atom, st[0].bar, st[0].word)))
                 if pid is None:
                     return ProofEdge(anc_pid, True, corr)
-                seq = _mkseq(*(sigma[c] for c, _ in node.judgment.context))
+                seq = _mkseq(*(sigma[c] for c, _ in node.context))
                 self.g.add(ProofNode(pid, "loop", seq, (ProofEdge(anc_pid, True, corr),)))
                 self.mapping.update(dict.fromkeys(pending, pid))
                 return ProofEdge(pid, False)
@@ -242,7 +243,7 @@ class _Encoder:
         target = node.premises[i].target
         over = introduced or {}
         child = {c: Occurrence(encode_type(t), over[c]) if c in over else sigma[c]
-                 for c, t in self.d.nodes[target].judgment.context}
+                 for c, t in self.d.nodes[target].context}
         return self.edge(target, child, rho)
 
     def premises(self, node: DerivNode, sigma: Assignment, rho: AddressStream,
@@ -251,7 +252,7 @@ class _Encoder:
         a premise's binder or subject goes to a's left child for component 0
         of the connective and to its right child otherwise.  The premises of
         a split row take the even and odd halves of rho; the others share it."""
-        p = node.judgment.process
+        p = node.process
         row, binding = GUARDS[type(p)], BINDING[type(p)]
         y = None if binding.binder is None else binding.fields(p)[binding.binder]
         streams = (rho.even(), rho.odd()) if row.split else (rho, rho)
@@ -271,7 +272,7 @@ class _Encoder:
         cut_pair = None
         match node.rule:
             case "cut":
-                c = node.judgment.process.chan
+                c = node.process.chan
                 cut_pair = (Address(rho.head(), False), Address(rho.head(), True))
                 rest = rho.tail()
                 edges = (self.premise(node, 0, sigma, rest.even(), {c: cut_pair[0]}),
@@ -280,7 +281,7 @@ class _Encoder:
                 return self.gadget(node, sigma, rho, pid)
             case _:
                 edges = self.premises(node, sigma, rho, sigma[x].address) if node.premises else ()
-        seq = _mkseq(*(sigma[c] for c, _ in node.judgment.context))
+        seq = _mkseq(*(sigma[c] for c, _ in node.context))
         self.g.add(ProofNode(pid, node.rule, seq, edges, None if x is None else sigma[x].address,
                              node.tag, cut_pair))
 
@@ -288,7 +289,7 @@ class _Encoder:
         """A shared channel's three rules: fixed point, additive, then axiom
         (`done`) or multiplicative (`client`, and a server's two branches)."""
         x = node.subject
-        p = node.judgment.process
+        p = node.process
         top = sigma[x]
         if top not in self.gadgets:
             (unfolded,) = occ_step(top)
@@ -313,7 +314,7 @@ class _Encoder:
                          ("with", unfolded, (ProofEdge(ids[2]), ProofEdge(ids[3])), None),
                          ("bot", left, (idle,), None),
                          ("par", right, (accept,), None)]
-        rest = [sigma[c] for c, _ in node.judgment.context if c != x]
+        rest = [sigma[c] for c, _ in node.context if c != x]
         for nid, (rule, occ, edges, side) in zip(ids, rules):
             self.g.add(ProofNode(nid, rule, _mkseq(occ, *rest), edges, occ.address, side))
 
@@ -323,7 +324,7 @@ def encode_derivation(d: Derivation, g: ProofGraph | None = None, reuse: dict | 
 
     Accepts invalid derivations as well (their encodings are exactly what the
     proof-level validity check is for)."""
-    sigma0, rho0 = initial_assignment(dict(d.nodes[d.root].judgment.context))
+    sigma0, rho0 = initial_assignment(dict(d.nodes[d.root].context))
     enc = _Encoder(d, g, reuse)
     enc.g.root = enc.edge(d.root, sigma0, rho0).target
     return EncodedProof(enc.g, enc.mapping)
@@ -473,32 +474,51 @@ class SimulationReport:
     detail: str = ""
 
 
-class _Session:
+class _Session(_Checker):
     """What `simulate_step` keeps of one program between calls: a checker
-    memo, one proof node store with its id counter, and each derivation
-    node's proof node.  It holds the program only during a call."""
+    whose node store and memo span every call, one proof node store with its
+    id counter, and each derivation node's proof node.  It holds the program
+    only during a call.  The memo knows a term-level subterm (no back edge
+    leaves its derivation) by its identity and an invocation by its name and
+    arguments, each with its context: invocations alike in all three have
+    one derivation up to the names of bound channels."""
 
     def __init__(self):
-        self.checker = _SharedChecker(None)
+        super().__init__(None)
+        self.memo: dict[tuple, int] = {}  # (id(subterm), context) or (name, args, context) -> node id
         self.store = ProofGraph()
         self.proof_of: dict[int, int] = {}
         self.last: tuple[int, int] | None = None  # the last reduct's derivation and proof roots
         self.live = 0  # proof nodes the last compaction kept
+
+    def check(self, p: Process, ctx: TypeContext, path: dict) -> int:
+        if path:
+            return super().check(p, ctx, path)
+        call = type(p) is Call
+        nid = self.memo.get((p.name, p.args, _ctx_tuple(ctx)) if call else (id(p), _ctx_tuple(ctx)))
+        if nid is None:  # keyed by the node's own context tuple, which the key then shares
+            nid = super().check(p, ctx, path)
+            c = self.nodes[nid].context
+            self.memo[(p.name, p.args, c) if call else (id(p), c)] = nid
+        return nid
 
     def graph(self) -> ProofGraph:
         return ProofGraph(self.store.nodes, _ids=self.store._ids)
 
     def compact(self) -> None:
         """Once the store holds half as much again as the last compaction
-        kept, keep only what the last reduct's derivation and proof reach."""
+        kept, keep only what the last reduct's derivation and proof reach,
+        and the memo entries and proof map pairs that lead to kept nodes.  A
+        memo entry leads to a node that holds its term, so an id() in the
+        memo is always that of a live term."""
         if len(self.store.nodes) <= 1.5 * self.live:
             return
         droot, proot = self.last or (None, None)
-        keep_d, keep_p = _reach(self.checker.nodes, droot), _reach(self.store.nodes, proot)
-        self.checker.keep(keep_d)
-        _prune(self.store.nodes, self.store.nodes.keys() - keep_p)
-        _prune(self.proof_of, [nid for nid, pid in self.proof_of.items()
-                               if nid not in keep_d or pid not in keep_p])
+        keep_d, keep_p = _reach(self.nodes, droot), _reach(self.store.nodes, proot)
+        self.nodes = {nid: n for nid, n in self.nodes.items() if nid in keep_d}
+        self.memo = {key: nid for key, nid in self.memo.items() if nid in keep_d}
+        self.store.nodes = {pid: n for pid, n in self.store.nodes.items() if pid in keep_p}
+        self.proof_of = {nid: pid for nid, pid in self.proof_of.items() if nid in keep_d and pid in keep_p}
         self.live = len(keep_p)
 
 
@@ -529,7 +549,7 @@ def _spine(nodes: dict[int, DerivNode], order: list[int], cut_obj) -> dict[int, 
     spine: dict[int, None] = {}
     for nid in order:
         n = nodes[nid]
-        if (any(e.target in spine for e in n.premises) if spine else n.judgment.process is cut_obj):
+        if (any(e.target in spine for e in n.premises) if spine else n.process is cut_obj):
             spine[nid] = None
     return spine
 
@@ -559,19 +579,19 @@ def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationR
     encoded cut, and compare with the encoding of the reduct's derivation."""
     s = _session(prog)
     s.compact()
-    checker, proof_of = s.checker, s.proof_of
-    checker.prog = prog
+    nodes, proof_of = s.nodes, s.proof_of
+    s.prog = prog
     try:
-        before = len(checker.nodes)
-        d1 = check(exposed, ctx, prog, checker)
-        added = list(itertools.islice(reversed(checker.nodes), len(checker.nodes) - before))[::-1]
-        spine = _spine(checker.nodes, added, cut_obj)
+        before = len(nodes)
+        d1 = check(exposed, ctx, prog, s)
+        added = list(itertools.islice(reversed(nodes), len(nodes) - before))[::-1]
+        spine = _spine(nodes, added, cut_obj)
         if not spine:  # the cut's node is older than this call: search the whole derivation
-            reach = _reach(checker.nodes, d1.root)
-            spine = _spine(checker.nodes, [nid for nid in checker.nodes if nid in reach], cut_obj)
+            reach = _reach(nodes, d1.root)
+            spine = _spine(nodes, [nid for nid in nodes if nid in reach], cut_obj)
         if not spine:
             return SimulationReport(kind, 0, False, "redex cut not found in derivation")
-        for nid in (*spine, *_read_by_reduction(checker.nodes, next(iter(spine)))):
+        for nid in (*spine, *_read_by_reduction(nodes, next(iter(spine)))):
             proof_of.pop(nid, None)
         enc1 = encode_derivation(d1, s.graph(), proof_of)
         # principal reduction rewrites the cut's proof node in place, and so what the spine presents
@@ -583,14 +603,14 @@ def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationR
                 principal_reduce_at(g1, cut)
         except NotPrincipalError as e:
             return SimulationReport(kind, n, False, f"principal reduction failed: {e}")
-        d2 = check(reduct, ctx, prog, checker)
+        d2 = check(reduct, ctx, prog, s)
         enc2 = encode_derivation(d2, s.graph(), proof_of)
         proof_of.update(enc2.deriv_to_proof)
         s.last = d2.root, enc2.graph.root
         ok = proof_bisimilar(g1, enc2.graph)
         return SimulationReport(kind, n, ok, "" if ok else "reduced proof differs from reduct's encoding")
     finally:
-        checker.prog = None
+        s.prog = None
 
 
 # --- exports -------------------------------------------------------------------

@@ -66,12 +66,6 @@ def _err(kind: str, rule: str, message: str, span: SourceSpan | None) -> TypeChe
     return TypeCheckError(Diagnostic(kind, rule, message, span))
 
 
-@ty.record(slots=True)
-class Judgment:
-    process: Process
-    context: tuple[tuple[ChannelName, ty.SessionType], ...]
-
-
 def _ctx_tuple(ctx: TypeContext) -> tuple[tuple[ChannelName, ty.SessionType], ...]:
     return tuple(sorted(ctx.items()))
 
@@ -90,7 +84,8 @@ class DerivEdge:
 @ty.record(slots=True)
 class DerivNode:
     nid: int
-    judgment: Judgment
+    process: Process
+    context: tuple[tuple[ChannelName, ty.SessionType], ...]  # sorted by channel
     rule: str  # one of: call cut one bot top tensor par plus with server client done
     premises: tuple[DerivEdge, ...]
     subject: ChannelName | None = None
@@ -248,46 +243,8 @@ class _Checker:
             for q, q_ctx in premises:
                 target = self.check(q, q_ctx, path)
                 edges.append(DerivEdge(target, False, tuple([(c, c) for c in order if c in q_ctx])))
-        self.nodes[nid] = DerivNode(nid, Judgment(p, _ctx_tuple(ctx)), rule, tuple(edges), x, tag)
+        self.nodes[nid] = DerivNode(nid, p, _ctx_tuple(ctx), rule, tuple(edges), x, tag)
         return nid
-
-
-class _SharedChecker(_Checker):
-    """A checker for several terms: a term-level subterm (no back edge leaves
-    its derivation) checked before under the same context keeps its node.
-    The memo knows a subterm by its identity and an invocation by its name
-    and arguments: invocations alike in name, arguments and context have one
-    derivation up to the names of bound channels."""
-
-    def __init__(self, prog: Program):
-        super().__init__(prog)
-        self.memo: dict[tuple, int] = {}  # (id(subterm), context) or (name, args, context) -> node id
-
-    @staticmethod
-    def key(p: Process, ctx: tuple) -> tuple:
-        return (p.name, p.args, ctx) if type(p) is Call else (id(p), ctx)
-
-    def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
-        if path:
-            return super().check(p, ctx, path)
-        nid = self.memo.get(self.key(p, _ctx_tuple(ctx)))
-        if nid is None:  # keyed by the node's own context tuple, which the key then shares
-            nid = super().check(p, ctx, path)
-            self.memo[self.key(p, self.nodes[nid].judgment.context)] = nid
-        return nid
-
-    def keep(self, nids: set[int]) -> None:
-        """Keep only these nodes and the memo entries that lead to them.  A
-        memo entry leads to a node that holds its term, so an id() in the
-        memo is always that of a live term."""
-        _prune(self.nodes, self.nodes.keys() - nids)
-        _prune(self.memo, [key for key, nid in self.memo.items() if nid not in nids])
-
-
-def _prune(table: dict, keys) -> None:
-    """Delete these keys from table in place."""
-    for k in keys:
-        del table[k]
 
 
 def check(p: Process, ctx: TypeContext, prog: Program, checker: _Checker | None = None) -> Derivation:

@@ -26,7 +26,7 @@ from csll.proofs import (
     principal_reduce_at, proof_bisimilar,
 )
 from csll.typecheck import (
-    GUARDS, _UID, DerivEdge, DerivNode, Judgment, TypeContext, _Checker, _callee, _ctx_tuple, _err,
+    GUARDS, _UID, DerivEdge, DerivNode, TypeContext, _Checker, _callee, _ctx_tuple, _err,
     _subject_type, check, split_context,
 )
 
@@ -249,7 +249,7 @@ def simulate_step(exposed, cut_obj, reduct, ctx, prog, kind: str) -> SimulationR
     bisimulation compares every node pair."""
     d1 = check(exposed, ctx, prog)
     enc1 = encode_derivation(d1)
-    dnid = next((nid for nid, n in d1.nodes.items() if n.judgment.process is cut_obj), None)
+    dnid = next((nid for nid, n in d1.nodes.items() if n.process is cut_obj), None)
     if dnid is None:
         return SimulationReport(kind, 0, False, "redex cut not found in derivation")
     g1, cut = enc1.graph, enc1.deriv_to_proof[dnid]
@@ -436,7 +436,7 @@ class MatchChecker(_Checker):
             # a channel's lineage continues into the premise when both contexts hold it
             edges.append(DerivEdge(self.check(q, q_ctx, path), False,
                                    tuple((c, c) for c in sorted(ctx.keys() & q_ctx.keys(), key=_UID))))
-        self.nodes[nid] = DerivNode(nid, Judgment(p, _ctx_tuple(ctx)), rule, tuple(edges),
+        self.nodes[nid] = DerivNode(nid, p, _ctx_tuple(ctx), rule, tuple(edges),
                                     x if row else None, tag)
         return nid
 

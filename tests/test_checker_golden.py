@@ -31,7 +31,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def derivation_doc(d: Derivation) -> dict:
     chans = set()
     for n in d.nodes.values():
-        chans.update(c for c, _ in n.judgment.context)
+        chans.update(c for c, _ in n.context)
         chans.update(c for e in n.premises for pair in e.down for c in pair)
         if n.subject is not None:
             chans.add(n.subject)
@@ -42,7 +42,7 @@ def derivation_doc(d: Derivation) -> dict:
 
     return {"root": d.root, "nodes": [
         {"id": n.nid, "rule": n.rule, "subject": name(n.subject), "tag": n.tag,
-         "context": [[name(c), pretty_type(t)] for c, t in n.judgment.context],
+         "context": [[name(c), pretty_type(t)] for c, t in n.context],
          "premises": [{"target": e.target, "back": e.back,
                        "down": [[name(s), name(t)] for s, t in e.down]} for e in n.premises]}
         for _, n in sorted(d.nodes.items())]}

@@ -235,6 +235,22 @@ def test_zero_bounds_are_allowed(capsys):
     assert code == 0 and out.startswith("states: ")
 
 
+TRUNCATED = "warning: exploration truncated by bounds; verdicts are partial\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_a_truncated_explore_warns_in_every_format(capsys, fmt):
+    assert main(["explore", str(CORPUS / "lock.csll"), "--max-states", "1", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == TRUNCATED and captured.out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_a_full_explore_prints_no_warning(capsys, fmt):
+    assert main(["explore", str(CORPUS / "lock.csll"), "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_run_random_seeds_vary(capsys):
     finals = set()
     for seed in range(8):

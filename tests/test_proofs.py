@@ -272,7 +272,7 @@ def test_principal_reduce_writes_the_result_under_the_cut_id():
     inner = Cut(x, ty.ONE, Close(x), Wait(x, Wait(y, Close(z))))
     d = check(Cut(y, ty.ONE, Close(y), inner), {z: ty.ONE}, EMPTY)
     enc = encode_derivation(d)
-    cut_id = enc.deriv_to_proof[next(n for n, dn in d.nodes.items() if dn.judgment.process is inner)]
+    cut_id = enc.deriv_to_proof[next(n for n, dn in d.nodes.items() if dn.process is inner)]
     g = enc.graph
     assert cut_id != g.root
     premises = {nid: n.premises for nid, n in g.nodes.items()}
@@ -609,7 +609,7 @@ def _built(prog) -> tuple[int, int]:
     """How many derivation and proof nodes prog's session has built (each
     call takes one id of each)."""
     s = proofs._session(prog)
-    return next(s.checker.ids), next(s.store._ids)
+    return next(s.ids), next(s.store._ids)
 
 
 def _reachable(nodes: dict, root: int) -> int:
@@ -648,6 +648,37 @@ def test_the_session_store_stays_within_twice_the_live_proof_and_one_step():
     step = max(b - a - 1 for (_, a), (_, b) in zip(built, built[1:]))
     assert max(size for size, _ in built) <= 2 * live + step
     assert built[-1][1] > 4 * live  # what the walk built in all would not fit
+
+
+def test_a_session_knows_an_invocation_by_name_arguments_and_context(lock):
+    # the memo keys an invocation by value: an equal invocation keeps the
+    # first one's node, and one under another context is checked anew
+    x, z = lock.defs["Lock"].param_names
+    ctx = dict(lock.defs["Lock"].params)
+    session = proofs._Session()
+    session.prog = lock
+    first = check(Call("Lock", (x, z)), ctx, lock, session).root
+    assert check(Call("Lock", (x, z)), ctx, lock, session).root == first
+    with pytest.raises(TypeCheckError, match="annotation says"):
+        check(Call("Lock", (x, z)), {**ctx, z: ty.BOT}, lock, session)
+
+
+def test_a_compaction_before_every_step_keeps_the_tables_on_kept_nodes():
+    # with nothing counted live, every step starts by compacting; the memo
+    # and the proof map must then lead only to nodes the stores keep, a memo
+    # entry to a node of its own term and context, and every report must
+    # still be the from-scratch one
+    for prog in (parse_program(lock_text(16)), parse_program(cas_text(["TF", "FT"] * 3))):
+        ctx, s = dict(prog.main.params), proofs._session(prog)
+        for st in _det_walk(prog):
+            s.live = 0
+            _agree(st, st.reduct, ctx, prog)
+            for key, nid in s.memo.items():
+                node = s.nodes[nid]
+                assert key == ((node.process.name, node.process.args, node.context)
+                               if type(node.process) is Call else (id(node.process), node.context))
+            assert all(nid in s.nodes and pid in s.store.nodes for nid, pid in s.proof_of.items())
+        assert s.live > 0
 
 
 def test_a_session_is_dropped_with_its_program():

@@ -9,7 +9,7 @@ from csll.gen import gen_program
 from csll.linkgen import gen_link
 from csll.parser import parse_program, parse_type
 from csll.process import (
-    Call, Close, Cut, Definition, Program, Wait, free_names, fresh,
+    Close, Cut, Definition, Program, Wait, free_names, fresh,
 )
 from csll.proofs import encode_derivation, proof_validity
 from csll.typecheck import (
@@ -82,7 +82,7 @@ def test_derivation_regularity_bound(cas):
         for n in d.nodes.values():
             for e in n.premises:
                 if e.back:
-                    proc = d.nodes[n.nid].judgment.process
+                    proc = d.nodes[n.nid].process
                     call_targets.setdefault(proc.name, set()).add(e.target)
         for name, targets in call_targets.items():
             assert len(targets) == 1, (defn.name, name)
@@ -259,12 +259,12 @@ def test_checker_premises_follow_the_guard_table():
     rules = set()
     for d in table_derivations():
         for node in d.nodes.values():
-            p = node.judgment.process
+            p = node.process
             row = typecheck.GUARDS.get(type(p))
             if row is None:
                 continue
             rules.add(node.rule)
-            ctx, x = dict(node.judgment.context), node.subject
+            ctx, x = dict(node.context), node.subject
             binding = process.BINDING[type(p)]
             y = None if binding.binder is None else binding.fields(p)[binding.binder]
             kids = (*ty.children(ctx[x]), ctx[x])
@@ -274,7 +274,7 @@ def test_checker_premises_follow_the_guard_table():
             others = []
             for e, premise in zip(node.premises, alt):
                 assert not e.back
-                q = dict(d.nodes[e.target].judgment.context)
+                q = dict(d.nodes[e.target].context)
                 for c, k in zip((y, x), premise):
                     assert (c in q and q[c] == kids[k]) if k is not None else c not in q, node.rule
                 others.append({c: t for c, t in q.items() if c not in (x, y)})
@@ -329,15 +329,3 @@ def test_a_split_names_the_first_misused_channel_in_context_order(text, channel)
     (diag,) = r.diagnostics
     assert (diag.kind, diag.rule) == ("linearity", "cut")
     assert diag.message == f"channel {channel} is used by both sides"
-
-
-def test_a_shared_checker_knows_an_invocation_by_name_arguments_and_context(lock):
-    # the memo keys an invocation by value: an equal invocation keeps the
-    # first one's node, and one under another context is checked anew
-    x, z = lock.defs["Lock"].param_names
-    ctx = dict(lock.defs["Lock"].params)
-    checker = typecheck._SharedChecker(lock)
-    first = check(Call("Lock", (x, z)), ctx, lock, checker).root
-    assert check(Call("Lock", (x, z)), ctx, lock, checker).root == first
-    with pytest.raises(TypeCheckError, match="annotation says"):
-        check(Call("Lock", (x, z)), {**ctx, z: ty.BOT}, lock, checker)
