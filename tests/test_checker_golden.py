@@ -3,10 +3,12 @@
 The derivation goldens pin every node of every corpus definition's
 derivation: id, rule, subject, tag, context and premises (back flag and
 lineage pairs).  A channel is written `name#rank`, where rank orders the
-channels of one derivation by uid, so the files do not depend on how many
-channels were drawn before.  The diagnostic golden holds one entry for each
-diagnostic the checker can emit; snippets the parser would reject are built
-as `Program` values.
+channels of one derivation by first appearance (node order, then subject,
+context and lineage), so the files do not depend on how many channels were
+drawn before, nor on which unfolding's binders are shared.  A tree edge
+lists its lineage in rank order, a back edge in argument order.  The
+diagnostic golden holds one entry for each diagnostic the checker can emit;
+snippets the parser would reject are built as `Program` values.
 
 Regenerate with `PYTHONPATH=src python -m tests.test_checker_golden` (only
 when a change of derivations or messages is intended).
@@ -29,23 +31,24 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def derivation_doc(d: Derivation) -> dict:
-    chans = set()
-    for n in d.nodes.values():
-        chans.update(c for c, _ in n.context)
-        chans.update(c for e in n.premises for pair in e.down for c in pair)
-        if n.subject is not None:
-            chans.add(n.subject)
-    rank = {c: i for i, c in enumerate(sorted(chans, key=lambda c: c.uid))}
+    nodes = [n for _, n in sorted(d.nodes.items())]
+    rank: dict = {}
+    for n in nodes:  # by first appearance: node order, then subject, context and lineage
+        for c in (n.subject, *(c for c, _ in n.context), *(c for e in n.premises for pair in e.down for c in pair)):
+            if c is not None:
+                rank.setdefault(c, len(rank))
 
     def name(c):
         return None if c is None else f"{c.name}#{rank[c]}"
 
+    def down(e):  # a tree edge's lineage in rank order; a back edge's in argument order
+        return [[name(s), name(t)] for s, t in (e.down if e.back else sorted(e.down, key=lambda st: rank[st[0]]))]
+
     return {"root": d.root, "nodes": [
         {"id": n.nid, "rule": n.rule, "subject": name(n.subject), "tag": n.tag,
          "context": [[name(c), pretty_type(t)] for c, t in n.context],
-         "premises": [{"target": e.target, "back": e.back,
-                       "down": [[name(s), name(t)] for s, t in e.down]} for e in n.premises]}
-        for _, n in sorted(d.nodes.items())]}
+         "premises": [{"target": e.target, "back": e.back, "down": down(e)} for e in n.premises]}
+        for n in nodes]}
 
 
 def derivations_of(file: str) -> dict:
