@@ -8,7 +8,9 @@ close or have a deterministic redex and must print as its depth-named
 canonical form (`tests/oracles.depth_canonical`), every state and every
 deterministic reduct must have the free names the reference walk
 (`tests/oracles.free_names_walk`) finds, read after printing and stepping
-have kept sets on their terms, every reduct must re-typecheck, every
+have kept sets on their terms, every reduct (canonical, and as each
+deterministic step builds it) must re-typecheck, to the same derivation as
+with every unfolding built afresh (`tests/oracles.RefreshingProgram`), every
 deterministic step must be matched by its number of principal cut
 reductions of the encoded proof (`proofs.simulate_step`) and reported as by
 the from-scratch reference (`tests/oracles.simulate_step`), on a forward
@@ -36,9 +38,11 @@ from csll.printer import pretty_process
 from csll.process import free_names
 from csll.proofs import PRINCIPAL_STEPS, simulate_step
 from csll.runtime import enabled_steps, explore, is_close_normal
-from csll.typecheck import check, check_program
+from csll.typecheck import Diagnostic, check_program
 from tests.conftest import pool_end_texts
-from tests.oracles import channels, depth_canonical, free_names_walk, threads, unfold
+from tests.oracles import (
+    RefreshingProgram, channels, check_outcomes, depth_canonical, free_names_walk, threads, unfold,
+)
 from tests.oracles import simulate_step as reference_step
 
 
@@ -73,10 +77,14 @@ def sweep(label: str, prog, counts: Counter) -> None:
             f"{label}: state {sid}, {st.info}: {rep.detail}"
         assert rep == reference_step(*step), f"{label}: state {sid}, {st.info}: {rep}"
         counts["steps"] += 1
-    for sid in g.expanded:
-        for _, tid in g.edges[sid]:
-            counts["edges"] += 1
-            check(g.states[tid], ctx, prog)
+    refreshing = RefreshingProgram(prog.defs, prog.main)
+    reducts = [(f"reduct {tid}", g.states[tid]) for sid in g.expanded for _, tid in g.edges[sid]]
+    counts["edges"] += len(reducts)
+    for where, reduct in reducts + [(f"state {sid}, {st.info}", st.reduct) for sid, st in walked]:
+        (shared,) = check_outcomes(prog, [(reduct, ctx)])
+        assert not isinstance(shared, Diagnostic), f"{label}: {where} does not re-typecheck: {shared}"
+        assert [shared] == check_outcomes(refreshing, [(reduct, ctx)]), \
+            f"{label}: {where} checks apart from refreshing every unfolding"
 
 
 def main() -> int:

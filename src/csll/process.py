@@ -1,14 +1,15 @@
 """Process terms, global definitions, and the syntactic operations on them.
 
-Channels carry a unique id, but a binder need not be unique in a term: the
-unfolding rule keeps one unfolding per invocation on its program
-(`unfold_head`), so a body's binders recur wherever it is unfolded.
-Renaming is capture-avoiding, and `runtime` steps such terms without
-capture.  The binding structure of every constructor is stated once, in
-`BINDING`: the field of its subject, the channel it binds, and which
-subterms lie inside and outside that binder's scope.  Free names, subjects,
-renaming (and `canon`'s keys and builds) all read that table rather than
-restating it per constructor.
+Channels carry a unique id, but a binder need not be unique in a term: a
+program keeps one unfolding per invocation (`Program.unfolding`), which the
+unfolding rule (`unfold_head`) and the checker's call rule both read, so a
+body's binders recur wherever it is unfolded.  Renaming is
+capture-avoiding, and `runtime` steps such terms without capture.  The
+binding structure of every constructor is stated once, in `BINDING`: the
+field of its subject, the channel it binds, and which subterms lie inside
+and outside that binder's scope.  Free names, subjects, renaming (and
+`canon`'s keys and builds) all read that table rather than restating it per
+constructor.
 """
 
 from __future__ import annotations
@@ -183,8 +184,19 @@ class Program:
 
     @cached_property
     def _bodies(self) -> dict[tuple[str, tuple[ChannelName, ...]], Process]:
-        """The unfolding of each invocation `unfold_head` met, by name and arguments."""
+        """The unfolding of each invocation met so far, by name and arguments."""
         return {}
+
+    def unfolding(self, name: str, args: tuple[ChannelName, ...]) -> Process:
+        """The body of definition name on args, one term per name and
+        arguments: renamed without refresh, so it keeps its binders unless one
+        would capture an argument.  The unfolding rule and the checker's call
+        rule both read it, so the records, free-name sets and derivations kept
+        on that term serve every unfolding of the invocation."""
+        body = self._bodies.get((name, args))
+        if body is None:
+            body = self._bodies[name, args] = instantiate(self.defs[name], args, refresh=False)
+        return body
 
 
 class Binding(NamedTuple):
@@ -355,16 +367,8 @@ def unfold_head(p: Process, prog: Program) -> Process:
     """The unfolding rule: an invocation unfolds exactly when its unguarded
     unfolding terminates.  One whose unfolding diverges stays, stuck, and so
     does an invocation of a name the program does not define (depth 0).
-
-    The program keeps one unfolding per name and arguments: the body renamed
-    without refresh, which keeps its binders unless one would capture an
-    argument.  Every later unfolding of that invocation is that term, so the
-    canonical records and free-name sets kept on it serve them all."""
-    bodies = prog._bodies
+    Every unfolding of an invocation is the program's one term for it
+    (`Program.unfolding`)."""
     while isinstance(p, Call) and call_depth(p, prog):
-        key = (p.name, p.args)
-        body = bodies.get(key)
-        if body is None:
-            body = bodies[key] = instantiate(prog.defs[p.name], p.args, refresh=False)
-        p = body
+        p = prog.unfolding(p.name, p.args)
     return p

@@ -8,11 +8,16 @@ reducer read the rows too.  `_Checker.check` dispatches on the constructor
 and lists each case's premises as (process, context) pairs, each context a
 dict of its own, the reference a test pins to the table; it checks them in
 order, allocating node ids in preorder.  A tree edge's lineage is the
-identity on the channels both contexts hold.  Invocations recurse into the
-definition body (renamed to the call's arguments); when the same definition
-is already being checked on the current ancestor path, a back edge with the
-argument correspondence is emitted instead, which keeps every derivation
-finite.
+identity on the channels both contexts hold.  A binder may not shadow a
+channel of the context (cut, recv and server reject one).  Invocations
+recurse into the program's one unfolding of the definition on the call's
+arguments (`Program.unfolding`); when the same definition is already being
+checked on the current ancestor path, a back edge with the argument
+correspondence is emitted instead, which keeps every derivation finite.
+Every call with the same arguments shares the unfolding's binders, and that
+is sound: at a call the context is exactly the arguments, the unfolding
+renames a binder only where it would capture one, and no unfolding nests
+inside another of the same body on one path.
 
 Validity rules out derivations whose infinite unfoldings contain a branch
 that stops witnessing a server on one fixed channel.  A thread is a channel
@@ -38,7 +43,6 @@ from .printer import pretty_type
 from .process import (
     Call, Case, ChannelName, Close, Cons, Cut, Definition, Fail, Fork, Join,
     Nil, Process, Program, Select, Server, SourceSpan, Wait, free_names,
-    instantiate,
 )
 
 TypeContext = dict[ChannelName, ty.SessionType]
@@ -155,8 +159,15 @@ def _subject_type(p: Process, ctx: TypeContext, row: Guard) -> ty.SessionType:
                f"channel {x.name} has type {pretty_type(t)} but is used as {row.shown}", p.span)
 
 
-def _callee(p: Call, ctx: TypeContext, prog: Program) -> Definition:
-    """The definition p invokes, once p's arguments match its parameters."""
+def _unbound(y: ChannelName, ctx: TypeContext, rule: str, word: str, span: SourceSpan | None) -> None:
+    """A binder may not shadow a context channel: the premise would drop its entry."""
+    if y in ctx:
+        raise _err("scope", rule, f"{word} rebinds channel {y.name} already in context", span)
+
+
+def _callee(p: Call, ctx: TypeContext, prog: Program) -> None:
+    """Check that p invokes a definition of prog on exactly the channels of
+    ctx, each of its parameter's type."""
     name, args, span = p.name, p.args, p.span
     defn = prog.defs.get(name)
     if defn is None:
@@ -175,7 +186,6 @@ def _callee(p: Call, ctx: TypeContext, prog: Program) -> Definition:
         if ctx[a] != expected:
             raise _err("type-mismatch", "call", f"argument {a.name} of {name} has type "
                        f"{pretty_type(ctx[a])}, annotation says {pretty_type(expected)}", span)
-    return defn
 
 
 class _Checker:
@@ -191,17 +201,16 @@ class _Checker:
         premises: tuple[tuple[Process, TypeContext], ...] = ()  # (process, context)
         if cls is Call:
             rule, name, args = "call", p.name, p.args
-            defn = _callee(p, ctx, self.prog)
+            _callee(p, ctx, self.prog)
             if name in path:
                 anc_id, anc_args = path[name]
                 edges.append(DerivEdge(anc_id, True, tuple(zip(args, anc_args))))
             else:
-                premises = ((instantiate(defn, args), ctx.copy()),)
+                premises = ((self.prog.unfolding(name, args), ctx.copy()),)
                 path = {**path, name: (nid, args)}
         elif cls is Cut:
             rule, y = "cut", p.chan
-            if y in ctx:
-                raise _err("scope", "cut", f"cut rebinds channel {y.name} already in context", p.span)
+            _unbound(y, ctx, rule, rule, p.span)
             left, right = split_context(ctx, free_names(p.left), free_names(p.right), p.span)
             left[y], right[y] = p.anno, ty.dual(p.anno)
             premises = ((p.left, left), (p.right, right))
@@ -224,9 +233,11 @@ class _Checker:
                 if cls is Wait:
                     premises = ((p.body, rest),)
                 elif cls is Join:
+                    _unbound(p.payload, ctx, rule, "recv", p.span)
                     rest[p.payload], rest[x] = t.left, t.right
                     premises = ((p.body, rest),)
                 elif cls is Server:
+                    _unbound(p.session, ctx, rule, "server", p.span)
                     accept = ctx.copy()
                     accept[p.session] = t.inner
                     premises = ((p.accept, accept), (p.idle, rest))

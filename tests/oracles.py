@@ -8,6 +8,7 @@ check the package against it without the package carrying it.
 from __future__ import annotations
 
 import random
+from functools import partial
 from operator import itemgetter
 from typing import Iterable
 
@@ -26,8 +27,8 @@ from csll.proofs import (
     principal_reduce_at, proof_bisimilar,
 )
 from csll.typecheck import (
-    GUARDS, _UID, DerivEdge, DerivNode, TypeContext, _Checker, _callee, _ctx_tuple, _err,
-    _subject_type, check, split_context,
+    GUARDS, _UID, DerivEdge, Derivation, DerivNode, TypeCheckError, TypeContext, _Checker, _callee,
+    _ctx_tuple, _err, _subject_type, check, definition_derivation, split_context, validity_check,
 )
 
 
@@ -398,12 +399,12 @@ class MatchChecker(_Checker):
         match p:
             case Call(name, args):
                 rule = "call"
-                defn = _callee(p, ctx, self.prog)
+                _callee(p, ctx, self.prog)
                 if name in path:
                     anc_id, anc_args = path[name]
                     edges.append(DerivEdge(anc_id, True, tuple(zip(args, anc_args))))
                 else:
-                    premises = ((instantiate(defn, args), dict(ctx)),)
+                    premises = ((self.prog.unfolding(name, args), dict(ctx)),)
                     path = {**path, name: (nid, args)}
             case Cut(x, anno, first, second):
                 rule = "cut"
@@ -419,6 +420,8 @@ class MatchChecker(_Checker):
             case Wait(_, body):
                 premises = ((body, rest),)
             case Join(_, y, body):
+                if y in ctx:
+                    raise _err("scope", rule, f"recv rebinds channel {y.name} already in context", p.span)
                 premises = ((body, {**rest, y: t.left, x: t.right}),)
             case Fork(_, y, first, second) | Cons(_, y, first, second):
                 a, b = (t.left, t.right) if rule == "tensor" else (t.inner, t)
@@ -429,6 +432,8 @@ class MatchChecker(_Checker):
             case Case(_, first, second):
                 premises = ((first, {**ctx, x: t.left}), (second, {**ctx, x: t.right}))
             case Server(_, y, accept, idle):
+                if y in ctx:
+                    raise _err("scope", rule, f"server rebinds channel {y.name} already in context", p.span)
                 premises = ((accept, {**ctx, y: t.inner}), (idle, rest))
             case _:
                 raise _err("type-mismatch", "?", f"cannot type {type(p).__name__}", p.span)
@@ -439,6 +444,57 @@ class MatchChecker(_Checker):
         self.nodes[nid] = DerivNode(nid, p, _ctx_tuple(ctx), rule, tuple(edges),
                                     x if row else None, tag)
         return nid
+
+
+class RefreshingProgram(Program):
+    """A program whose every unfolding is built afresh, all its binders
+    refreshed: the checker's call rule as it was before it read the
+    program's one unfolding per invocation (`Program.unfolding`)."""
+
+    def unfolding(self, name: str, args: tuple[ChannelName, ...]) -> Process:
+        return instantiate(self.defs[name], args)
+
+
+def check_outcomes(prog: Program, terms: Iterable[tuple[Process, TypeContext]] | None = None) -> list:
+    """For each definition of prog, or each (term, context) of terms, its
+    derivation's `path_doc` and validity report, or its diagnostic."""
+    runs = ([partial(definition_derivation, defn, prog) for defn in prog.all_definitions()] if terms is None
+            else [partial(check, p, ctx, prog) for p, ctx in terms])
+    out = []
+    for derive in runs:
+        try:
+            d = derive()
+        except TypeCheckError as e:
+            out.append(e.diagnostic)
+        else:
+            out.append((path_doc(d), validity_check(d)))
+    return out
+
+
+def path_doc(d: Derivation) -> list:
+    """d's nodes, in id order, with each channel named by its display name
+    and the id of the node where it enters the path from the root: equal for
+    two derivations that differ only in the ids of bound channels.  Contexts
+    and tree-edge lineages are sorted by those names; a back edge keeps
+    argument order."""
+    names: dict[int, dict[ChannelName, tuple[str, int]]] = {}  # per node: channel -> its name
+    docs = {}
+    todo: list[tuple[int, dict[ChannelName, tuple[str, int]]]] = [(d.root, {})]
+    while todo:  # an ancestor is named before the nodes below it
+        nid, above = todo.pop()
+        n = d.nodes[nid]
+        env = names[nid] = {c: above.get(c, (c.name, nid)) for c, _ in n.context}
+        premises = []
+        for e in n.premises:
+            if e.back:
+                down = [(env[s], names[e.target][t]) for s, t in e.down]
+            else:
+                down = sorted((env[s], t.name) for s, t in e.down)
+                todo.append((e.target, {t: env[s] for s, t in e.down}))
+            premises.append((e.target, e.back, down))
+        docs[nid] = (n.rule, None if n.subject is None else env[n.subject], n.tag,
+                     sorted((env[c], t) for c, t in n.context), premises)
+    return sorted(docs.items())
 
 
 @ty.record

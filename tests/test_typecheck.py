@@ -9,9 +9,10 @@ from csll.gen import gen_program
 from csll.linkgen import gen_link
 from csll.parser import parse_program, parse_type
 from csll.process import (
-    Close, Cut, Definition, Program, Wait, free_names, fresh,
+    Call, Close, Cut, Definition, Join, Program, Server, Wait, free_names, fresh,
 )
 from csll.proofs import encode_derivation, proof_validity
+from csll.runtime import enabled_steps, explore
 from csll.typecheck import (
     TypeCheckError, check, check_program, definition_derivation,
     split_context, validity_check,
@@ -123,6 +124,24 @@ def test_omega_server_invalid_through_idle_cycle(omega_server):
     # no server at all; here it does contain the server node
     rules = [d.nodes[nid].rule for nid in v.witness]
     assert "server" in rules and "cut" in rules
+
+
+@pytest.mark.parametrize("rule", ["par", "server"])
+def test_a_binder_already_in_context_is_rejected_as_a_cut_rebinding_it_is(rule, lock):
+    # the premise would overwrite the outer y's entry, which nothing then
+    # uses: recv's with its payload, server's accept premise with its session
+    x, y, z = fresh("x"), fresh("y"), fresh("z")
+    if rule == "par":
+        p = Join(x, y, Wait(y, Close(x)))
+        ctx, prog, word = {x: ty.Par(ty.BOT, ty.ONE), y: ty.ONE}, Program({}), "recv"
+    else:
+        p = Server(x, y, Wait(y, Call("Lock", (x, z))), Wait(y, Close(z)))
+        ctx, prog, word = {x: ty.Server(ty.BOT), y: ty.BOT, z: ty.ONE}, lock, "server"
+    for checker in (typecheck._Checker, oracles.MatchChecker):
+        with pytest.raises(TypeCheckError) as exc:
+            check(p, ctx, prog, checker(prog))
+        assert exc.value.diagnostic == typecheck.Diagnostic(
+            "scope", rule, f"{word} rebinds channel y already in context")
 
 
 def test_unused_parameter_is_linearity_error():
@@ -298,23 +317,71 @@ def _outcomes(progs: list[Program]) -> list:
     return out
 
 
-def test_the_checker_agrees_with_the_structural_match_reference(monkeypatch):
-    """`_Checker.check` dispatches on the constructor; `oracles.MatchChecker`
-    states the same rules as one ten-arm structural `match`.  Node ids,
-    rules, subjects, contexts, premise order, lineage and every diagnostic
-    agree on the corpus, chain_1..8, gen_program 0-299, the benchmark's
-    forwarder families and the diagnostic snippets."""
+def _checker_inputs() -> list[Program]:
+    """The corpus, chain_1..8, gen_program 0-299, the benchmark's forwarder
+    families and the diagnostic snippets."""
     from bench.workloads import chain_text
     progs = [load_corpus(name) for name in CORPUS_FILES]
     progs += [parse_program(chain_text(k)) for k in range(1, 9)]
     progs += [gen_program(s) for s in range(300)]
     progs += [gen_link(parse_type(text)) for text in link_types()]
     progs += [parse_program(text, f"<{name}>") for name, text in SNIPPETS.items()]
-    progs += built_programs().values()
+    return progs + list(built_programs().values())
+
+
+def test_the_checker_agrees_with_the_structural_match_reference(monkeypatch):
+    """`_Checker.check` dispatches on the constructor; `oracles.MatchChecker`
+    states the same rules as one ten-arm structural `match`.  Node ids,
+    rules, subjects, contexts, premise order, lineage and every diagnostic
+    agree on `_checker_inputs`."""
+    progs = _checker_inputs()
     got = _outcomes(progs)
     assert sum(isinstance(o, typecheck.Diagnostic) for o in got) == len(SNIPPETS) + len(built_programs())
     monkeypatch.setattr(typecheck, "_Checker", oracles.MatchChecker)
     assert _outcomes(progs) == got
+
+
+def test_shared_unfoldings_agree_with_refreshing_every_unfolding():
+    """The checker reads the program's one unfolding per invocation, whose
+    binders recur wherever it is unfolded; `oracles.RefreshingProgram`
+    builds every unfolding afresh.  Derivations (each channel named by where
+    it enters the path), validity reports and diagnostics agree on
+    `_checker_inputs`, and on every explored state of gen_program 0-59 and
+    of the programs whose unfoldings nest (`test_runtime.NESTED_*`, 60
+    states each), each with its reducts.  A reduct is not canonical: it
+    invokes definitions on the binders of their own unfoldings, which the
+    unfolding must rename apart."""
+    from .test_runtime import NESTED_R, NESTED_RECV, NESTED_SEND
+    compared = 0
+    for prog in _checker_inputs():
+        shared = oracles.check_outcomes(prog)
+        assert shared == oracles.check_outcomes(oracles.RefreshingProgram(prog.defs, prog.main))
+        compared += len(shared)
+    progs = [gen_program(seed) for seed in range(60)]
+    progs += [parse_program(text) for text in (NESTED_R, NESTED_SEND, NESTED_RECV)]
+    for i, prog in enumerate(progs):
+        ctx = dict(prog.main.params)
+        terms = [(q, ctx) for state in explore(prog.main.body, prog, max_states=60).states
+                 for q in (state, *(st.reduct for st in enabled_steps(state, prog)))]
+        shared = oracles.check_outcomes(prog, terms)
+        assert shared == oracles.check_outcomes(oracles.RefreshingProgram(prog.defs, prog.main), terms), i
+        compared += len(shared)
+    assert compared > 4000
+
+
+@pytest.mark.parametrize("k, unfoldings", [(6, 56), (8, 90), (10, 132)])
+def test_checking_unfolds_each_invocation_once(monkeypatch, k, unfoldings):
+    # chain_k has (k+1)(k+2) distinct invocations, and its derivations about
+    # 6 * 2^k call nodes, every one of them below a call not on the path
+    from bench.workloads import chain_text
+    real, built = process.instantiate, []
+
+    def recording(defn, args, **kwargs):
+        built.append((defn.name, args))
+        return real(defn, args, **kwargs)
+    monkeypatch.setattr(process, "instantiate", recording)
+    assert check_program(parse_program(chain_text(k))).accepted
+    assert len(built) == len(set(built)) == unfoldings
 
 
 @pytest.mark.parametrize("text, channel", [
