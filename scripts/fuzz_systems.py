@@ -3,8 +3,10 @@
 
 For each seed, and for the fixed programs whose pools end in a guard on
 another channel (`tests/conftest.pool_end_texts`): the program must be
-accepted by the checker, every reachable state must either be a terminal
-close or have a deterministic redex and must print as its depth-named
+accepted by the checker, every derivation must store a lineage on its back
+edges only and compute each tree edge's as the reference does
+(`tests/oracles.lineage_faults`), every reachable state must either be a
+terminal close or have a deterministic redex and must print as its depth-named
 canonical form (`tests/oracles.depth_canonical`), every state and every
 deterministic reduct must have the free names the reference walk
 (`tests/oracles.free_names_walk`) finds, read after printing and stepping
@@ -41,7 +43,8 @@ from csll.runtime import enabled_steps, explore, is_close_normal
 from csll.typecheck import Diagnostic, check_program
 from tests.conftest import pool_end_texts
 from tests.oracles import (
-    RefreshingProgram, channels, check_outcomes, depth_canonical, free_names_walk, threads, unfold,
+    RefreshingProgram, channels, check_outcomes, depth_canonical, free_names_walk, lineage_faults, threads,
+    unfold,
 )
 from tests.oracles import simulate_step as reference_step
 
@@ -51,6 +54,9 @@ def sweep(label: str, prog, counts: Counter) -> None:
     simulated steps in counts."""
     rep = check_program(prog)
     assert rep.accepted, f"{label}: checker rejected the program"
+    for r in rep.defs:
+        faults = lineage_faults(r.derivation)
+        assert not faults, f"{label}: derivation of {r.name}: {faults[0]}"
     ctx = dict(prog.main.params)
     g = explore(prog.main.body, prog, max_states=500, max_depth=500)
     assert not g.partial, f"{label}: exploration truncated"

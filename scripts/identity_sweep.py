@@ -24,7 +24,8 @@ Artefacts: parse results (the program's repr, with channel ids, and the
 span text and length of every process node in preorder) and parse errors,
 each with every token's text, span text and span length; `pretty_program`;
 check reports with their derivations (each node's judgment: the repr of its
-process and of its context); encoded proofs with their validity,
+process and of its context; each premise edge's target, back flag and
+lineage, read through `Derivation.lineage` where the tree has it); encoded proofs with their validity,
 their recurring greatest-fixed-point thread (`nu_thread_witness`) and their
 DOT rendering with that thread highlighted; bounded `explore` JSON with the
 fair-termination verdict and the repr of every explored state; the full and
@@ -109,11 +110,13 @@ def _reset_ids() -> None:
 
 
 def _derivation(d) -> list:
+    lineage = getattr(d, "lineage", None)  # a tree without the accessor stores every edge's lineage
     out = []
     for _, n in sorted(d.nodes.items()):
         j = getattr(n, "judgment", n)  # a node holds its process and context, or a record of both
         out.append([n.nid, n.rule, repr(n.subject), n.tag, repr(j.process), repr(j.context),
-                    [[e.target, e.back, repr(e.down)] for e in n.premises]])
+                    [[e.target, e.back, repr(e.down if lineage is None else lineage(n.nid, i))]
+                     for i, e in enumerate(n.premises)]])
     return out + [d.root]
 
 

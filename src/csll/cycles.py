@@ -12,10 +12,10 @@ ancestors, as in cyclic derivations and proofs.
 
 The targets of back edges are the heads, and every cycle passes through one,
 so only the edges below a head carry threads that matter: `arcs` is asked
-for those edges alone, once each, and an acyclic graph costs one walk of
-its premise edges.  The tree paths between heads are summarised once as
-size-change graphs: sets of arcs between slots, an arc progressing when
-some step along the path progressed.  Closing these graphs under
+for those edges alone, once each, and a graph without back edges costs one
+scan of its nodes' back flags.  The tree paths between heads are summarised
+once as size-change graphs: sets of arcs between slots, an arc progressing
+when some step along the path progressed.  Closing these graphs under
 composition decides the condition exactly (Lee, Jones & Ben-Amram, POPL
 2001; for cyclic proofs Brotherston & Simpson, JLC 2011): every infinite
 path carries a progressing thread if and only if every idempotent loop
@@ -59,6 +59,8 @@ def _idempotent_loops(graph, arcs: Callable[[int, int], Iterable[Arc]]
     """The idempotent loop graphs `G;G = G` at heads, shortest walk first,
     each with a function that gives a shortest closed walk realising it."""
     nodes = graph.nodes
+    if not any(e.back for n in nodes.values() for e in n.premises):  # no head, no loop
+        return
     parent: dict[int, Step] = {}
     depth = {graph.root: 0}
     order = [graph.root]  # preorder: parents before children

@@ -8,12 +8,15 @@ reducer read the rows too.  `_Checker.check` dispatches on the constructor
 and lists each case's premises as (process, context) pairs, each context a
 dict of its own, the reference a test pins to the table; it checks them in
 order, allocating node ids in preorder.  A tree edge's lineage is the
-identity on the channels both contexts hold.  A binder may not shadow a
-channel of the context (cut, recv and server reject one).  Invocations
-recurse into the program's one unfolding of the definition on the call's
-arguments (`Program.unfolding`); when the same definition is already being
-checked on the current ancestor path, a back edge with the argument
-correspondence is emitted instead, which keeps every derivation finite.
+identity on the channels both contexts hold, so the edge stores none and
+`Derivation.lineage` computes it from the two judgments.  A binder may not
+shadow a channel of the context (cut, recv and server reject one).
+Invocations recurse into the program's one unfolding of the definition on
+the call's arguments (`Program.unfolding`), in the call's own context, and
+the call node holds its unfolding root's context tuple; when the same
+definition is already being checked on the current ancestor path, a back
+edge storing the argument correspondence is emitted instead, which keeps
+every derivation finite.
 Every call with the same arguments shares the unfolding's binders, and that
 is sound: at a call the context is exactly the arguments, the unfolding
 renames a binder only where it would capture one, and no unfolding nests
@@ -78,11 +81,10 @@ def _ctx_tuple(ctx: TypeContext) -> tuple[tuple[ChannelName, ty.SessionType], ..
 class DerivEdge:
     target: int
     back: bool
-    # lineage: source-judgment channel -> target-judgment channel.  For tree
-    # edges this maps a conclusion channel to its continuation in the premise
-    # (absent if consumed/dropped); for back edges it is the argument
-    # correspondence, a type-preserving bijection.
-    down: tuple[tuple[ChannelName, ChannelName], ...]
+    # a back edge's argument correspondence (source-judgment channel ->
+    # target-judgment channel), a type-preserving bijection; None on a tree
+    # edge, whose lineage its two judgments determine (`Derivation.lineage`)
+    down: tuple[tuple[ChannelName, ChannelName], ...] | None
 
 
 @ty.record(slots=True)
@@ -100,6 +102,17 @@ class DerivNode:
 class Derivation:
     nodes: dict[int, DerivNode]
     root: int
+
+    def lineage(self, nid: int, i: int) -> tuple[tuple[ChannelName, ChannelName], ...]:
+        """The lineage along premise edge i of node nid: a back edge's
+        argument correspondence, or, on a tree edge, the identity on the
+        channels both judgments hold, in uid order (a channel continues into
+        a premise whose context holds it; absent if consumed or dropped)."""
+        e = self.nodes[nid].premises[i]
+        if e.back:
+            return e.down
+        below = dict(self.nodes[e.target].context)
+        return tuple([(c, c) for c in sorted(dict(self.nodes[nid].context), key=_UID) if c in below])
 
 
 def split_context(ctx: TypeContext, fn_left: frozenset[ChannelName], fn_right: frozenset[ChannelName],
@@ -174,18 +187,20 @@ def _callee(p: Call, ctx: TypeContext, prog: Program) -> None:
         raise _err("scope", "call", f"undefined process {name!r}", span)
     if len(args) != len(defn.params):
         raise _err("arity", "call", f"{name} takes {len(defn.params)} argument(s), got {len(args)}", span)
-    if len(set(args)) != len(args):
+    passed = set(args)
+    if len(passed) != len(args):
         raise _err("linearity", "call", f"repeated argument in call to {name}", span)
-    if set(args) != set(ctx):
-        missing = sorted({c.name for c in set(ctx) - set(args)})
-        extra = sorted({c.name for c in set(args) - set(ctx)})
+    if passed != ctx.keys():
+        missing = sorted({c.name for c in ctx.keys() - passed})
+        extra = sorted({c.name for c in passed - ctx.keys()})
         what = [f"{label} channel(s) {names}" for label, names in (("unused", missing), ("unknown", extra))
                 if names]
         raise _err("linearity", "call", f"call to {name}: {', '.join(what)}", span)
     for a, (_, expected) in zip(args, defn.params):
-        if ctx[a] != expected:
+        t = ctx[a]
+        if t is not expected and t != expected:
             raise _err("type-mismatch", "call", f"argument {a.name} of {name} has type "
-                       f"{pretty_type(ctx[a])}, annotation says {pretty_type(expected)}", span)
+                       f"{pretty_type(t)}, annotation says {pretty_type(expected)}", span)
 
 
 class _Checker:
@@ -205,9 +220,12 @@ class _Checker:
             if name in path:
                 anc_id, anc_args = path[name]
                 edges.append(DerivEdge(anc_id, True, tuple(zip(args, anc_args))))
-            else:
-                premises = ((self.prog.unfolding(name, args), ctx.copy()),)
-                path = {**path, name: (nid, args)}
+            else:  # the unfolding's judgment is the call's: it is checked in the call's
+                # context dict (no rule mutates its input), and both nodes hold one tuple
+                target = self.check(self.prog.unfolding(name, args), ctx, {**path, name: (nid, args)})
+                self.nodes[nid] = DerivNode(nid, p, self.nodes[target].context, rule,
+                                            (DerivEdge(target, False, None),))
+                return nid
         elif cls is Cut:
             rule, y = "cut", p.chan
             _unbound(y, ctx, rule, rule, p.span)
@@ -249,11 +267,8 @@ class _Checker:
                     premises = ((first, left), (second, right))
                 elif rest:  # close and done end the context
                     raise _err("linearity", rule, f"unused channel(s) {sorted(c.name for c in rest)}", p.span)
-        if premises:  # a channel's lineage continues into a premise whose context holds it
-            order = sorted(ctx, key=_UID)
-            for q, q_ctx in premises:
-                target = self.check(q, q_ctx, path)
-                edges.append(DerivEdge(target, False, tuple([(c, c) for c in order if c in q_ctx])))
+        for q, q_ctx in premises:  # a tree edge's lineage is `Derivation.lineage`'s to compute
+            edges.append(DerivEdge(self.check(q, q_ctx, path), False, None))
         self.nodes[nid] = DerivNode(nid, p, _ctx_tuple(ctx), rule, tuple(edges), x, tag)
         return nid
 
@@ -298,7 +313,7 @@ def validity_check(d: Derivation) -> ValidityReport:
     def arcs(nid: int, i: int) -> list[tuple[ChannelName, ChannelName, bool]]:
         node = d.nodes[nid]
         server = node.rule == "server"
-        return [(s, t, server and s == node.subject) for s, t in node.premises[i].down]
+        return [(s, t, server and s == node.subject) for s, t in d.lineage(nid, i)]
 
     return _closure_report(d, arcs,
                            "every cycle recurs through a server on a fixed channel",

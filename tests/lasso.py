@@ -17,8 +17,16 @@ MAX_EDGES = 8
 
 
 def derivation_edges(d: Derivation) -> dict:
-    """node -> [(target, back, arcs)]; a lineage arc progresses at a server on its subject."""
-    return {nid: [(e.target, e.back, [(s, t, n.rule == "server" and s == n.subject) for s, t in e.down])
+    """node -> [(target, back, arcs)]; a lineage arc progresses at a server on
+    its subject.  A back edge's lineage is its argument correspondence, a
+    tree edge's the channels both judgments hold, each continuing as itself."""
+    def lineage(n, e) -> list:
+        if e.back:
+            return list(e.down)
+        held = {c for c, _ in d.nodes[e.target].context}
+        return [(c, c) for c, _ in n.context if c in held]
+
+    return {nid: [(e.target, e.back, [(s, t, n.rule == "server" and s == n.subject) for s, t in lineage(n, e)])
                   for e in n.premises]
             for nid, n in d.nodes.items()}
 

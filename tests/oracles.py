@@ -27,7 +27,7 @@ from csll.proofs import (
     principal_reduce_at, proof_bisimilar,
 )
 from csll.typecheck import (
-    GUARDS, _UID, DerivEdge, Derivation, DerivNode, TypeCheckError, TypeContext, _Checker, _callee,
+    GUARDS, DerivEdge, Derivation, DerivNode, TypeCheckError, TypeContext, _Checker, _callee,
     _ctx_tuple, _err, _subject_type, check, definition_derivation, split_context, validity_check,
 )
 
@@ -437,10 +437,8 @@ class MatchChecker(_Checker):
                 premises = ((accept, {**ctx, y: t.inner}), (idle, rest))
             case _:
                 raise _err("type-mismatch", "?", f"cannot type {type(p).__name__}", p.span)
-        for q, q_ctx in premises:
-            # a channel's lineage continues into the premise when both contexts hold it
-            edges.append(DerivEdge(self.check(q, q_ctx, path), False,
-                                   tuple((c, c) for c in sorted(ctx.keys() & q_ctx.keys(), key=_UID))))
+        for q, q_ctx in premises:  # a tree edge stores no lineage
+            edges.append(DerivEdge(self.check(q, q_ctx, path), False, None))
         self.nodes[nid] = DerivNode(nid, p, _ctx_tuple(ctx), rule, tuple(edges),
                                     x if row else None, tag)
         return nid
@@ -471,6 +469,34 @@ def check_outcomes(prog: Program, terms: Iterable[tuple[Process, TypeContext]] |
     return out
 
 
+def reference_lineage(d: Derivation, nid: int, i: int) -> tuple[tuple[ChannelName, ChannelName], ...]:
+    """The lineage of tree edge i of node nid, from the two judgments alone:
+    the identity on the channels both contexts hold, by uid."""
+    n = d.nodes[nid]
+    below = d.nodes[n.premises[i].target]
+    both = {c for c, _ in n.context} & {c for c, _ in below.context}
+    return tuple((c, c) for c in sorted(both, key=lambda c: c.uid))
+
+
+def lineage_faults(d: Derivation) -> list[str]:
+    """Where d departs from keeping a lineage only where its judgments do not
+    determine it: a tree edge that stores one or whose `Derivation.lineage`
+    is not `reference_lineage`, or a back edge whose lineage is not its
+    call's arguments against its target call's, position by position."""
+    faults = []
+    for nid, n in sorted(d.nodes.items()):
+        for i, e in enumerate(n.premises):
+            if e.back:
+                target = d.nodes[e.target].process
+                if d.lineage(nid, i) != tuple(zip(n.process.args, target.args)):
+                    faults.append(f"back edge {nid}.{i} keeps {e.down}")
+            elif e.down is not None:
+                faults.append(f"tree edge {nid}.{i} stores {e.down}")
+            elif d.lineage(nid, i) != reference_lineage(d, nid, i):
+                faults.append(f"tree edge {nid}.{i} has lineage {d.lineage(nid, i)}")
+    return faults
+
+
 def path_doc(d: Derivation) -> list:
     """d's nodes, in id order, with each channel named by its display name
     and the id of the node where it enters the path from the root: equal for
@@ -485,12 +511,13 @@ def path_doc(d: Derivation) -> list:
         n = d.nodes[nid]
         env = names[nid] = {c: above.get(c, (c.name, nid)) for c, _ in n.context}
         premises = []
-        for e in n.premises:
+        for i, e in enumerate(n.premises):
             if e.back:
                 down = [(env[s], names[e.target][t]) for s, t in e.down]
             else:
-                down = sorted((env[s], t.name) for s, t in e.down)
-                todo.append((e.target, {t: env[s] for s, t in e.down}))
+                lineage = reference_lineage(d, nid, i)
+                down = sorted((env[s], t.name) for s, t in lineage)
+                todo.append((e.target, {t: env[s] for s, t in lineage}))
             premises.append((e.target, e.back, down))
         docs[nid] = (n.rule, None if n.subject is None else env[n.subject], n.tag,
                      sorted((env[c], t) for c, t in n.context), premises)

@@ -32,22 +32,26 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def derivation_doc(d: Derivation) -> dict:
     nodes = [n for _, n in sorted(d.nodes.items())]
+    lineages = {(n.nid, i): d.lineage(n.nid, i) for n in nodes for i in range(len(n.premises))}
     rank: dict = {}
     for n in nodes:  # by first appearance: node order, then subject, context and lineage
-        for c in (n.subject, *(c for c, _ in n.context), *(c for e in n.premises for pair in e.down for c in pair)):
+        for c in (n.subject, *(c for c, _ in n.context),
+                  *(c for i in range(len(n.premises)) for pair in lineages[n.nid, i] for c in pair)):
             if c is not None:
                 rank.setdefault(c, len(rank))
 
     def name(c):
         return None if c is None else f"{c.name}#{rank[c]}"
 
-    def down(e):  # a tree edge's lineage in rank order; a back edge's in argument order
-        return [[name(s), name(t)] for s, t in (e.down if e.back else sorted(e.down, key=lambda st: rank[st[0]]))]
+    def down(nid, i, e):  # a tree edge's lineage in rank order; a back edge's in argument order
+        pairs = lineages[nid, i]
+        return [[name(s), name(t)] for s, t in (pairs if e.back else sorted(pairs, key=lambda st: rank[st[0]]))]
 
     return {"root": d.root, "nodes": [
         {"id": n.nid, "rule": n.rule, "subject": name(n.subject), "tag": n.tag,
          "context": [[name(c), pretty_type(t)] for c, t in n.context],
-         "premises": [{"target": e.target, "back": e.back, "down": down(e)} for e in n.premises]}
+         "premises": [{"target": e.target, "back": e.back, "down": down(n.nid, i, e)}
+                      for i, e in enumerate(n.premises)]}
         for n in nodes]}
 
 
@@ -104,6 +108,11 @@ SNIPPETS = {
     "call/unknown-channels": A_ONE + "main(z: bot) = wait z; A(z)",
     "call/unused-and-unknown-channels": A_ONE + "main(z: bot, w: 1) = wait z; A(z)",
     "call/argument-type": A_ONE + "main(z: bot) = A(z)",
+    # as many arguments as the context has channels: a repeat whose types all
+    # match, and a type mismatch after a match
+    "call/repeated-argument-full-context": "def A(x: bot, y: bot, v: 1) = wait x; wait y; close v\n"
+                                           "main(z: bot, w: bot, u: 1) = A(z, z, u)",
+    "call/argument-type-full-context": "def A(x: bot, y: 1) = wait x; close y\nmain(z: bot, w: bot) = A(z, w)",
 }
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -72,6 +73,25 @@ def test_check_lock_call_has_back_edge(lock):
     assert e.target == d.root
     # the correspondence maps both arguments positionally
     assert len(e.down) == 2
+
+
+def test_a_tree_edge_stores_no_lineage_and_a_back_edge_its_correspondence():
+    """A tree edge's lineage is a function of its two judgments: the edge
+    stores none and `Derivation.lineage` equals `oracles.reference_lineage`.
+    A back edge keeps its argument correspondence."""
+    from bench.workloads import chain_text
+    from .conftest import cas_text
+    from .test_runtime import CAS_MIXES, NESTED_R, NESTED_RECV, NESTED_SEND
+    texts = [lock_text(8), *map(cas_text, CAS_MIXES), chain_text(6), TWO_PHASE, NESTED_R, NESTED_SEND, NESTED_RECV]
+    progs = [load_corpus(name) for name in CORPUS_FILES] + [parse_program(t) for t in texts]
+    progs += [gen_program(seed) for seed in range(60)]
+    edges = Counter()
+    for prog in progs:
+        for r in check_program(prog).defs:
+            if r.derivation is not None:
+                assert oracles.lineage_faults(r.derivation) == [], r.name
+                edges.update(e.back for n in r.derivation.nodes.values() for e in n.premises)
+    assert edges[False] > 2500 and edges[True] > 200
 
 
 def test_derivation_regularity_bound(cas):
