@@ -135,9 +135,6 @@ class Occurrence:
     formula: MuFormula
     address: Address
 
-    def render(self) -> str:
-        return f"{render_formula(self.formula)} @ {self.address}"
-
 
 def occ_step(occ: Occurrence) -> tuple[Occurrence, ...]:
     """Proper successors under the descent relation: binary connectives step

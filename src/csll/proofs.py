@@ -1,21 +1,23 @@
 """Cyclic pre-proofs: encoding of typing derivations, thread validity, and
 top-level principal cut reduction.
 
-A typing derivation maps onto a proof graph rule by rule, in one pass of
-`_Encoder`.  Its `edge` erases invocation nodes, so a derivation back edge
-becomes a proof back edge targeting the encoding of the ancestor's body,
-with an address re-rooting map; an invocation chain closing on itself
-becomes a degenerate `loop` node.  Its `premise` gives a premise the
-parent's addresses, overridden by those the rule introduces, and a stream
-of fresh atomic addresses: an injective stream is split between independent
-premises and shared between mutually exclusive ones.  `premises` reads a
-guard's premises from its `typecheck.GUARDS` row, so `emit` states only the
-cut by hand; `gadget` expands a shared channel into three rules (fixed
-point, additive, then axiom or multiplicative), matching its list
-interpretation.  A channel keeps its type and address until a rule acts on
-it, so the encoder's assignment maps each channel to its occurrence and
-hands it down unchanged: a node builds occurrences only for the channels
-its rule introduces, and a shared channel occurrence unfolds once.
+A typing derivation maps onto a proof graph rule by rule, in one recursion
+of `_Encoder.edge`, one call per derivation node.  It erases invocation
+nodes, so a derivation back edge becomes a proof back edge targeting the
+encoding of the ancestor's body, with an address re-rooting map; an
+invocation chain closing on itself becomes a degenerate `loop` node.  It
+plans a node's premises, each with the parent's addresses overridden by
+those the rule introduces and a stream of fresh atomic addresses: an
+injective stream is split between independent premises and shared between
+mutually exclusive ones.  A guard's plan is read from its `typecheck.GUARDS`
+row, so only the cut is stated by hand.  It encodes the premises in plan
+order, then adds the node's proof node; a shared channel becomes three
+rules (fixed point, additive, then axiom or multiplicative), matching its
+list interpretation, whose ids are drawn before the premises are encoded.
+A channel keeps its type and address until a rule acts on it, so the
+assignment maps each channel to its occurrence and hands it down unchanged:
+a node builds occurrences only for the channels its rule introduces, and a
+shared channel occurrence unfolds once.
 
 Thread validity: a thread follows occurrence successors (descent at the
 principal occurrence, carry elsewhere, the address map across back edges),
@@ -203,7 +205,10 @@ class _Encoder:
 
     def edge(self, nid: int, sigma: Assignment, rho: AddressStream) -> ProofEdge:
         """The edge to the encoding of derivation node nid: invocation chains
-        are erased, and one closing on itself becomes a degenerate `loop`."""
+        are erased, and one closing on itself becomes a degenerate `loop`.
+        The node's premises are planned as (index, stream, addresses the
+        rule introduces) and encoded in plan order before its proof node is
+        added."""
         if nid in self.reuse:
             return ProofEdge(self.reuse[nid])
         node = self.d.nodes[nid]
@@ -213,8 +218,8 @@ class _Encoder:
             e = node.premises[0]
             if e.back:
                 anc_pid, anc_sigma = self.calls[e.target]
-                corr = tuple(sorted(((sigma[s].address, anc_sigma[t].address) for s, t in e.down),
-                                    key=lambda st: (st[0].atom, st[0].bar, st[0].word)))
+                to = {sigma[s]: anc_sigma[t].address for s, t in e.down}
+                corr = tuple([(o.address, to[o]) for o in sorted(to, key=_address_order)])
                 if pid is None:
                     return ProofEdge(anc_pid, True, corr)
                 seq = _mkseq(*(sigma[c] for c, _ in node.context))
@@ -230,93 +235,64 @@ class _Encoder:
         if pid is None:
             pid = self.g.new_id()
         self.mapping.update(dict.fromkeys(pending, pid))
-        self.emit(node, sigma, rho, pid)
+        self.mapping[nid] = pid
+        rule, x = node.rule, node.subject
+        gadget = rule == "done" or rule == "client" or rule == "server"
+        if gadget:  # a shared channel's rules draw their ids before the premises are encoded
+            top = sigma[x]
+            if top not in self.gadgets:
+                (unfolded,) = occ_step(top)
+                self.gadgets[top] = (unfolded, *occ_step(unfolded))
+            unfolded, left, right = self.gadgets[top]
+            ids = pid, self.g.new_id(), self.g.new_id(), self.g.new_id() if rule == "server" else None
+        cut_pair = None
+        plan: list[tuple[int, AddressStream, dict[ChannelName, Address]]] = []
+        if rule == "cut":
+            c = node.process.chan
+            cut_pair = (Address(rho.head(), False), Address(rho.head(), True))
+            rest = rho.tail()
+            plan = [(0, rest.even(), {c: cut_pair[0]}), (1, rest.odd(), {c: cut_pair[1]})]
+        elif node.premises:  # a guard: its binder and subject take the children of address a
+            p = node.process
+            row, binding = GUARDS[type(p)], BINDING[type(p)]
+            y = None if binding.binder is None else binding.fields(p)[binding.binder]
+            a = right.address if gadget else sigma[x].address
+            streams = (rho.even(), rho.odd()) if row.split else (rho, rho)
+            for i, (b, s) in enumerate(row.alts[(node.tag or 1) - 1]):
+                over = {}
+                if b is not None:
+                    over[y] = a.child("l" if b == 0 else "r")
+                if s is not None:
+                    over[x] = a.child("l" if s == 0 else "r")
+                plan.append((i, streams[i], over))
+            if rule == "server":  # the idle branch, which drops x, comes first
+                plan.reverse()
+        edges = []
+        for i, stream, over in plan:
+            target = node.premises[i].target
+            child = {c: Occurrence(encode_type(t), over[c]) if c in over else sigma[c]
+                     for c, t in self.d.nodes[target].context}
+            edges.append(self.edge(target, child, stream))
         for c in pending:  # no back edge outside the subtree targets them
             del self.calls[c]
-        return ProofEdge(pid, False)
-
-    def premise(self, node: DerivNode, i: int, sigma: Assignment, rho: AddressStream,
-                introduced: dict[ChannelName, Address] | None = None) -> ProofEdge:
-        """The edge to premise i, whose channels keep the parent's occurrences
-        unless the rule introduces them at the given addresses, encoded from
-        stream rho."""
-        target = node.premises[i].target
-        over = introduced or {}
-        child = {c: Occurrence(encode_type(t), over[c]) if c in over else sigma[c]
-                 for c, t in self.d.nodes[target].context}
-        return self.edge(target, child, rho)
-
-    def premises(self, node: DerivNode, sigma: Assignment, rho: AddressStream,
-                 a: Address) -> tuple[ProofEdge, ...]:
-        """The edges to a guard node's premises, read from its `GUARDS` row:
-        a premise's binder or subject goes to a's left child for component 0
-        of the connective and to its right child otherwise.  The premises of
-        a split row take the even and odd halves of rho; the others share it."""
-        p = node.process
-        row, binding = GUARDS[type(p)], BINDING[type(p)]
-        y = None if binding.binder is None else binding.fields(p)[binding.binder]
-        streams = (rho.even(), rho.odd()) if row.split else (rho, rho)
-        edges = []
-        for i, (b, s) in enumerate(row.alts[(node.tag or 1) - 1]):
-            over = {}
-            if b is not None:
-                over[y] = a.child("l" if b == 0 else "r")
-            if s is not None:
-                over[node.subject] = a.child("l" if s == 0 else "r")
-            edges.append(self.premise(node, i, sigma, streams[i], over))
-        return tuple(edges)
-
-    def emit(self, node: DerivNode, sigma: Assignment, rho: AddressStream, pid: int) -> None:
-        self.mapping[node.nid] = pid
-        x = node.subject
-        cut_pair = None
-        match node.rule:
-            case "cut":
-                c = node.process.chan
-                cut_pair = (Address(rho.head(), False), Address(rho.head(), True))
-                rest = rho.tail()
-                edges = (self.premise(node, 0, sigma, rest.even(), {c: cut_pair[0]}),
-                         self.premise(node, 1, sigma, rest.odd(), {c: cut_pair[1]}))
-            case "done" | "client" | "server":
-                return self.gadget(node, sigma, rho, pid)
-            case _:
-                edges = self.premises(node, sigma, rho, sigma[x].address) if node.premises else ()
-        seq = _mkseq(*(sigma[c] for c, _ in node.context))
-        self.g.add(ProofNode(pid, node.rule, seq, edges, None if x is None else sigma[x].address,
-                             node.tag, cut_pair))
-
-    def gadget(self, node: DerivNode, sigma: Assignment, rho: AddressStream, pid: int) -> None:
-        """A shared channel's three rules: fixed point, additive, then axiom
-        (`done`) or multiplicative (`client`, and a server's two branches)."""
-        x = node.subject
-        p = node.process
-        top = sigma[x]
-        if top not in self.gadgets:
-            (unfolded,) = occ_step(top)
-            self.gadgets[top] = (unfolded, *occ_step(unfolded))
-        unfolded, left, right = self.gadgets[top]
-        a = right.address
-        ids = [pid] + [self.g.new_id() for _ in range(3 if node.rule == "server" else 2)]
-        match node.rule:
-            case "done":
-                rules = [("mu", top, (ProofEdge(ids[1]),), None),
-                         ("plus", unfolded, (ProofEdge(ids[2]),), 1),
-                         ("one", left, (), None)]
-            case "client":
-                edges = self.premises(node, sigma, rho, a)
-                rules = [("mu", top, (ProofEdge(ids[1]),), None),
-                         ("plus", unfolded, (ProofEdge(ids[2]),), 2),
-                         ("tensor", right, edges, None)]
-            case _:  # server: the idle branch drops x and shares the stream with accept
-                idle = self.premise(node, 1, sigma, rho)
-                accept = self.premise(node, 0, sigma, rho, {x: a.child("r"), p.session: a.child("l")})
-                rules = [("nu", top, (ProofEdge(ids[1]),), None),
-                         ("with", unfolded, (ProofEdge(ids[2]), ProofEdge(ids[3])), None),
-                         ("bot", left, (idle,), None),
-                         ("par", right, (accept,), None)]
+        if not gadget:
+            seq = _mkseq(*(sigma[c] for c, _ in node.context))
+            self.g.add(ProofNode(pid, rule, seq, tuple(edges), None if x is None else sigma[x].address,
+                                 node.tag, cut_pair))
+            return ProofEdge(pid, False)
+        if rule == "server":
+            idle, accept = edges
+            rules = [("nu", top, (ProofEdge(ids[1]),), None),
+                     ("with", unfolded, (ProofEdge(ids[2]), ProofEdge(ids[3])), None),
+                     ("bot", left, (idle,), None), ("par", right, (accept,), None)]
+        else:  # done ends in an axiom, client in a multiplicative
+            rules = [("mu", top, (ProofEdge(ids[1]),), None),
+                     ("plus", unfolded, (ProofEdge(ids[2]),), 2 if edges else 1),
+                     ("tensor", right, tuple(edges), None) if edges else ("one", left, (), None)]
         rest = [sigma[c] for c, _ in node.context if c != x]
-        for nid, (rule, occ, edges, side) in zip(ids, rules):
-            self.g.add(ProofNode(nid, rule, _mkseq(occ, *rest), edges, occ.address, side))
+        for gid, (kind, occ, premises, side) in zip(ids, rules):
+            self.g.add(ProofNode(gid, kind, _mkseq(occ, *rest), premises, occ.address, side))
+        return ProofEdge(pid, False)
 
 
 def encode_derivation(d: Derivation, g: ProofGraph | None = None, reuse: dict | None = None) -> EncodedProof:

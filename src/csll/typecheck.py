@@ -10,7 +10,8 @@ dict of its own, the reference a test pins to the table; it checks them in
 order, allocating node ids in preorder.  A tree edge's lineage is the
 identity on the channels both contexts hold, so the edge stores none and
 `Derivation.lineage` computes it from the two judgments.  A binder may not
-shadow a channel of the context (cut, recv and server reject one).
+shadow a channel of the context (cut, recv, send, server and client
+reject one).
 Invocations recurse into the program's one unfolding of the definition on
 the call's arguments (`Program.unfolding`), in the call's own context, and
 the call node holds its unfolding root's context tuple; when the same
@@ -262,6 +263,7 @@ class _Checker:
                 elif cls is Fork or cls is Cons:
                     y, first, second, a, b = ((p.payload, p.payload_body, p.cont, t.left, t.right) if cls is Fork
                                               else (p.session, p.client, p.pool, t.inner, t))
+                    _unbound(y, ctx, rule, "send" if cls is Fork else "client", p.span)
                     left, right = split_context(rest, free_names(first) - {y}, free_names(second), p.span, rule)
                     left[y], right[x] = a, b
                     premises = ((first, left), (second, right))

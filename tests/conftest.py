@@ -76,6 +76,14 @@ def lock_text(n: int) -> str:
     return f"{LOCK_DEF}main(z: 1) = new x : cli 1 {{ {clients}; done x | Lock(x, z) }}\n"
 
 
+def nested_cuts_text(n: int) -> str:
+    """n cuts x0..x{n-1} on 1, each nested in the right premise of the last."""
+    body = "close z"
+    for i in reversed(range(n)):
+        body = f"new x{i} : 1 {{ close x{i} | wait x{i}; {body} }}"
+    return f"main(z: 1) = {body}\n"
+
+
 def pool_end_texts() -> dict[str, str]:
     """Programs whose client pool ends in a guard on another channel, which
     the full semantics pulls up through the pool's cells: a wait closed by a

@@ -424,6 +424,9 @@ class MatchChecker(_Checker):
                     raise _err("scope", rule, f"recv rebinds channel {y.name} already in context", p.span)
                 premises = ((body, {**rest, y: t.left, x: t.right}),)
             case Fork(_, y, first, second) | Cons(_, y, first, second):
+                if y in ctx:
+                    word = "send" if rule == "tensor" else "client"
+                    raise _err("scope", rule, f"{word} rebinds channel {y.name} already in context", p.span)
                 a, b = (t.left, t.right) if rule == "tensor" else (t.inner, t)
                 left, right = split_context(rest, free_names(first) - {y}, free_names(second), p.span, rule)
                 premises = ((first, {**left, y: a}), (second, {**right, x: b}))

@@ -171,11 +171,14 @@ def test_unreadable_input_exits_1_with_one_error_line(tmp_path, capsys, kind):
 
 
 def test_deep_input_exits_6_without_traceback(tmp_path, capsys):
-    # 500 clients nest the checker past Python's recursion limit, and 1000
-    # nest the parser past it
-    for n, command in ((500, "check"), (1000, "explore")):
-        path = tmp_path / f"lock_{n}.csll"
-        path.write_text(lock_text(n))
+    # a chain of 1200 definitions, each invoking the last, parses flat but
+    # nests the checker (one frame per invocation) past Python's recursion
+    # limit; lock_1000 nests the parser past it
+    chain = "\n".join(["def D0(z: 1) = close z", *(f"def D{i}(z: 1) = D{i - 1}(z)" for i in range(1, 1201))])
+    for name, text, command in (("chain_1200", f"{chain}\nmain(z: 1) = D1200(z)\n", "check"),
+                                ("lock_1000", lock_text(1000), "explore")):
+        path = tmp_path / f"{name}.csll"
+        path.write_text(text)
         assert main([command, str(path)]) == 6
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nests too deeply" in err

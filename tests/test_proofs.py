@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import sys
 import weakref
 
 import hypothesis.strategies as st
@@ -25,7 +26,7 @@ from csll.typecheck import TypeCheckError, check, definition_derivation, validit
 
 from . import lasso
 from . import oracles
-from .conftest import LOOP_TEXT, cas_text, lock_text
+from .conftest import LOOP_TEXT, cas_text, lock_text, nested_cuts_text
 from .oracles import disjoint, is_nu, min_formula, stream_at
 
 EMPTY = Program({})
@@ -211,6 +212,23 @@ def test_an_invocation_chain_closing_on_itself_encodes_as_one_loop_node():
     (node,) = g.nodes.values()
     assert node.nid == g.root and node.rule == "loop"
     assert [(e.target, e.back) for e in node.premises] == [(g.root, True)]
+
+
+@pytest.mark.parametrize("text", [lock_text(500), nested_cuts_text(400)], ids=["lock_500", "nested_cuts_400"])
+def test_deep_input_checks_encodes_and_validates_at_the_default_limit(text):
+    # the encoder recurses once per derivation node, as the checker does, so
+    # a derivation the checker builds under the default limit of 1000 frames
+    # also encodes under it: lock_500 nests 500 client nodes, and 400 nested
+    # cuts nest 800 cut and wait nodes
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        prog = parse_program(text, "deep.csll")
+        for defn in prog.all_definitions():
+            d = definition_derivation(defn, prog)
+            assert validity_check(d).is_valid and proof_validity(encode_derivation(d).graph).is_valid
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_invalid_proof_has_witness(omega):

@@ -10,7 +10,8 @@ from csll.gen import gen_program
 from csll.linkgen import gen_link
 from csll.parser import parse_program, parse_type
 from csll.process import (
-    Call, Close, Cut, Definition, Join, Program, Server, Wait, free_names, fresh,
+    Call, Close, Cons, Cut, Definition, Fork, Join, Nil, Program, Server, Wait, free_names,
+    fresh,
 )
 from csll.proofs import encode_derivation, proof_validity
 from csll.runtime import enabled_steps, explore
@@ -146,17 +147,26 @@ def test_omega_server_invalid_through_idle_cycle(omega_server):
     assert "server" in rules and "cut" in rules
 
 
-@pytest.mark.parametrize("rule", ["par", "server"])
+@pytest.mark.parametrize("rule", ["par", "server", "tensor", "client"])
 def test_a_binder_already_in_context_is_rejected_as_a_cut_rebinding_it_is(rule, lock):
     # the premise would overwrite the outer y's entry, which nothing then
-    # uses: recv's with its payload, server's accept premise with its session
+    # uses: recv's with its payload, server's accept premise with its
+    # session; send's payload premise and client's session premise hold
+    # the bound y while the context's y goes to the other premise, so the
+    # lineage would carry the outer y into the bound one
     x, y, z = fresh("x"), fresh("y"), fresh("z")
     if rule == "par":
         p = Join(x, y, Wait(y, Close(x)))
         ctx, prog, word = {x: ty.Par(ty.BOT, ty.ONE), y: ty.ONE}, Program({}), "recv"
-    else:
+    elif rule == "server":
         p = Server(x, y, Wait(y, Call("Lock", (x, z))), Wait(y, Close(z)))
         ctx, prog, word = {x: ty.Server(ty.BOT), y: ty.BOT, z: ty.ONE}, lock, "server"
+    elif rule == "tensor":
+        p = Fork(x, y, Close(y), Wait(x, Wait(y, Close(z))))
+        ctx, prog, word = {x: ty.Tensor(ty.ONE, ty.BOT), y: ty.BOT, z: ty.ONE}, Program({}), "send"
+    else:
+        p = Cons(x, y, Close(y), Wait(y, Nil(x)))
+        ctx, prog, word = {x: ty.Client(ty.ONE), y: ty.BOT}, Program({}), "client"
     for checker in (typecheck._Checker, oracles.MatchChecker):
         with pytest.raises(TypeCheckError) as exc:
             check(p, ctx, prog, checker(prog))
