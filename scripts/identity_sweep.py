@@ -9,9 +9,11 @@ runs once against REV's `src/` and once against this tree's, each in a
 fresh interpreter under PYTHONHASHSEED=0.  Every artefact whose sha256
 differs is printed, and the exit status is 1 if any differ.
 
-Inputs: the corpus, lock_1..8, six cas mixes, chain_1..8, the three programs
+Inputs: the corpus, lock_1..8, six cas mixes, chain_1..10, the three programs
 whose pools end in a guard on another channel
-(`tests/conftest.pool_end_texts`), gen_program seeds 0-299 and 1000-1199,
+(`tests/conftest.pool_end_texts`), the two whose calls derive apart by the
+definitions on their path (`tests/conftest.PATH_SENSITIVE`), gen_program
+seeds 0-299 and 1000-1199,
 the 300 forwarder families of the benchmark's fuzz_small workload, and every
 one-token mutant (deletion, duplication, swap with the next token) of the
 corpus, of the printed gen_program 0-119 and of the checker's diagnostic
@@ -60,7 +62,7 @@ MAX_STEPS = 300
 def inputs(small: bool = False) -> Iterator[tuple[str, str | int]]:
     """(label, program text or gen_program seed); small takes a slice."""
     from bench.workloads import chain_text
-    from tests.conftest import CORPUS, CORPUS_FILES, cas_text, lock_text, pool_end_texts
+    from tests.conftest import CORPUS, CORPUS_FILES, PATH_SENSITIVE, cas_text, lock_text, pool_end_texts
     for name in CORPUS_FILES:
         yield name, (CORPUS / name).read_text(encoding="utf-8")
     for n in range(1, 3 if small else 9):
@@ -68,9 +70,10 @@ def inputs(small: bool = False) -> Iterator[tuple[str, str | int]]:
     mixes = (["TF"], ["FT"], ["TF", "FT"], ["FT", "TF"], ["TF", "FT"] * 2, ["FT", "TF"] * 3)
     for kinds in mixes[:1] if small else mixes:
         yield f"cas_{''.join(kinds)}", cas_text(kinds)
-    for k in range(1, 3 if small else 9):
+    for k in range(1, 3 if small else 11):
         yield f"chain_{k}", chain_text(k)
     yield from pool_end_texts().items()
+    yield from PATH_SENSITIVE.items()
     yield from ((f"gen_{s}", s) for s in (range(0, 6) if small
                                           else itertools.chain(range(300), range(1000, 1200))))
 

@@ -6,18 +6,20 @@ of `_Encoder.edge`, one call per derivation node.  It erases invocation
 nodes, so a derivation back edge becomes a proof back edge targeting the
 encoding of the ancestor's body, with an address re-rooting map; an
 invocation chain closing on itself becomes a degenerate `loop` node.  It
-plans a node's premises, each with the parent's addresses overridden by
-those the rule introduces and a stream of fresh atomic addresses: an
-injective stream is split between independent premises and shared between
-mutually exclusive ones.  A guard's plan is read from its `typecheck.GUARDS`
-row, so only the cut is stated by hand.  It encodes the premises in plan
-order, then adds the node's proof node; a shared channel becomes three
-rules (fixed point, additive, then axiom or multiplicative), matching its
-list interpretation, whose ids are drawn before the premises are encoded.
-A channel keeps its type and address until a rule acts on it, so the
-assignment maps each channel to its occurrence and hands it down unchanged:
-a node builds occurrences only for the channels its rule introduces, and a
-shared channel occurrence unfolds once.
+encodes a node's premises in order (a server's idle branch first), each
+with a stream of fresh atomic addresses: an injective stream is split
+between independent premises and shared between mutually exclusive ones.
+A premise's one channel outside its parent's context is the cut channel, at
+one end of a fresh atomic address, or the guard's binder, at the left child
+of the subject's address; a subject the premise retypes takes the side its
+`typecheck.GUARDS` row gives.  Then it adds the node's proof node; a shared
+channel becomes three rules (fixed point, additive, then axiom or
+multiplicative), matching its list interpretation, whose ids are drawn
+before the premises are encoded.  A channel keeps its type and address
+until a rule acts on it, so the assignment maps each channel to its
+occurrence and hands it down unchanged: a node builds occurrences only for
+the channels its rule introduces or retypes, and a shared channel
+occurrence unfolds once.
 
 Thread validity: a thread follows occurrence successors (descent at the
 principal occurrence, carry elsewhere, the address map across back edges),
@@ -79,7 +81,7 @@ from . import formulas as mf
 from . import types as ty
 from .cycles import closure_thread
 from .formulas import Address, MuFormula, Occurrence, encode_type, occ_step
-from .process import BINDING, Call, ChannelName, Process
+from .process import Call, ChannelName, Process
 from .typecheck import GUARDS, Derivation, DerivNode, TypeContext, ValidityReport, _closure_report, check
 from .typecheck import _Checker, _ctx_tuple
 
@@ -160,7 +162,10 @@ def _address_order(o: Occurrence) -> tuple[int, bool, str]:
 def _mkseq(*occs: Occurrence) -> tuple[Occurrence, ...]:
     """The occurrences in address order, which must be pairwise disjoint.  In
     that order the words extending an address follow it directly, so two
-    addresses overlap exactly when some adjacent pair does."""
+    addresses overlap exactly when some adjacent pair does; fewer than two
+    occurrences are already in order and disjoint."""
+    if len(occs) < 2:  # nothing to sort, nothing to overlap
+        return occs
     out = tuple(sorted(occs, key=_address_order))
     for a, b in zip(out, out[1:]):
         if mf.prefix_leq(a.address, b.address):
@@ -190,10 +195,12 @@ class _Encoder:
     """One encoding pass over a derivation, into g, where a derivation node
     in `reuse` already has its proof node.  `calls` records, for every call
     node on the current path, the proof node standing for it and its address
-    assignment: back edges target ancestors only.  A channel keeps its type
-    and address down the tree until a rule acts on it, so the assignment
-    hands its occurrence down unchanged; `gadgets` holds the three rule
-    occurrences of each shared channel occurrence."""
+    assignment: back edges target ancestors only.  Only a node reached
+    through a call chain touches `calls`, and `mapping` takes the chain's
+    call nodes with it.  An assignment holds exactly its judgment's
+    channels, in context order, and a child's is built in one pass over the
+    premise's context; `gadgets` holds the three rule occurrences of each
+    shared channel occurrence."""
 
     def __init__(self, d: Derivation, g: ProofGraph | None = None, reuse: dict[int, int] | None = None):
         self.d = d
@@ -206,37 +213,38 @@ class _Encoder:
     def edge(self, nid: int, sigma: Assignment, rho: AddressStream) -> ProofEdge:
         """The edge to the encoding of derivation node nid: invocation chains
         are erased, and one closing on itself becomes a degenerate `loop`.
-        The node's premises are planned as (index, stream, addresses the
-        rule introduces) and encoded in plan order before its proof node is
-        added."""
-        if nid in self.reuse:
-            return ProofEdge(self.reuse[nid])
-        node = self.d.nodes[nid]
-        pending: list[int] = []
-        pid: int | None = None
-        while node.rule == "call":
-            e = node.premises[0]
-            if e.back:
-                anc_pid, anc_sigma = self.calls[e.target]
-                to = {sigma[s]: anc_sigma[t].address for s, t in e.down}
-                corr = tuple([(o.address, to[o]) for o in sorted(to, key=_address_order)])
-                if pid is None:
-                    return ProofEdge(anc_pid, True, corr)
-                seq = _mkseq(*(sigma[c] for c, _ in node.context))
-                self.g.add(ProofNode(pid, "loop", seq, (ProofEdge(anc_pid, True, corr),)))
-                self.mapping.update(dict.fromkeys(pending, pid))
-                return ProofEdge(pid, False)
-            if pid is None:
-                pid = self.g.new_id()
-            self.calls[nid] = (pid, sigma)
-            pending.append(nid)
-            nid = e.target
-            node = self.d.nodes[nid]
-        if pid is None:
+        The node's premises are encoded in order, a server's idle branch
+        first, before its proof node is added."""
+        pid = self.reuse.get(nid)
+        if pid is not None:
+            return ProofEdge(pid)
+        nodes = self.d.nodes
+        node = nodes[nid]
+        chain: list[int] | tuple = ()
+        if node.rule == "call":
+            chain = []
+            while node.rule == "call":
+                e = node.premises[0]
+                if e.back:
+                    anc_pid, anc_sigma = self.calls[e.target]
+                    to = {sigma[s]: anc_sigma[t].address for s, t in e.down}
+                    corr = tuple([(o.address, to[o]) for o in sorted(to, key=_address_order)])
+                    if not chain:
+                        return ProofEdge(anc_pid, True, corr)
+                    self.g.add(ProofNode(pid, "loop", _mkseq(*sigma.values()), (ProofEdge(anc_pid, True, corr),)))
+                    self.mapping.update(dict.fromkeys(chain, pid))
+                    return ProofEdge(pid, False)
+                if not chain:
+                    pid = self.g.new_id()
+                self.calls[nid] = (pid, sigma)
+                chain.append(nid)
+                nid = e.target
+                node = nodes[nid]
+            self.mapping.update(dict.fromkeys(chain, pid))
+        else:
             pid = self.g.new_id()
-        self.mapping.update(dict.fromkeys(pending, pid))
         self.mapping[nid] = pid
-        rule, x = node.rule, node.subject
+        rule, x, premises = node.rule, node.subject, node.premises
         gadget = rule == "done" or rule == "client" or rule == "server"
         if gadget:  # a shared channel's rules draw their ids before the premises are encoded
             top = sigma[x]
@@ -246,39 +254,37 @@ class _Encoder:
             unfolded, left, right = self.gadgets[top]
             ids = pid, self.g.new_id(), self.g.new_id(), self.g.new_id() if rule == "server" else None
         cut_pair = None
-        plan: list[tuple[int, AddressStream, dict[ChannelName, Address]]] = []
-        if rule == "cut":
-            c = node.process.chan
-            cut_pair = (Address(rho.head(), False), Address(rho.head(), True))
-            rest = rho.tail()
-            plan = [(0, rest.even(), {c: cut_pair[0]}), (1, rest.odd(), {c: cut_pair[1]})]
-        elif node.premises:  # a guard: its binder and subject take the children of address a
-            p = node.process
-            row, binding = GUARDS[type(p)], BINDING[type(p)]
-            y = None if binding.binder is None else binding.fields(p)[binding.binder]
-            a = right.address if gadget else sigma[x].address
-            streams = (rho.even(), rho.odd()) if row.split else (rho, rho)
-            for i, (b, s) in enumerate(row.alts[(node.tag or 1) - 1]):
-                over = {}
-                if b is not None:
-                    over[y] = a.child("l" if b == 0 else "r")
-                if s is not None:
-                    over[x] = a.child("l" if s == 0 else "r")
-                plan.append((i, streams[i], over))
-            if rule == "server":  # the idle branch, which drops x, comes first
-                plan.reverse()
         edges = []
-        for i, stream, over in plan:
-            target = node.premises[i].target
-            child = {c: Occurrence(encode_type(t), over[c]) if c in over else sigma[c]
-                     for c, t in self.d.nodes[target].context}
-            edges.append(self.edge(target, child, stream))
-        for c in pending:  # no back edge outside the subtree targets them
+        if premises:
+            # a premise's one channel outside the context is the cut channel,
+            # at one end of a fresh atomic address, or the guard's binder, at
+            # the left child of address a; a retyped subject takes the side
+            # its GUARDS row gives
+            if rule == "cut":
+                head, rho = rho.head(), rho.tail()
+                cut_pair = (Address(head, False), Address(head, True))
+                split = True
+            else:
+                row = GUARDS[type(node.process)]
+                a = right.address if gadget else sigma[x].address
+                split, sides = row.split, row.alts[(node.tag or 1) - 1]
+            streams = (rho.even(), rho.odd()) if split else (rho, rho)
+            for i in (1, 0) if rule == "server" else range(len(premises)):  # idle, which drops x, first
+                target = premises[i].target
+                child = {}
+                for c, t in nodes[target].context:
+                    o = sigma.get(c)
+                    if o is None:
+                        o = Occurrence(encode_type(t), a.child("l") if cut_pair is None else cut_pair[i])
+                    elif c == x:
+                        o = Occurrence(encode_type(t), a.child("l" if sides[i][1] == 0 else "r"))
+                    child[c] = o
+                edges.append(self.edge(target, child, streams[i]))
+        for c in chain:  # no back edge outside the subtree targets them
             del self.calls[c]
         if not gadget:
-            seq = _mkseq(*(sigma[c] for c, _ in node.context))
-            self.g.add(ProofNode(pid, rule, seq, tuple(edges), None if x is None else sigma[x].address,
-                                 node.tag, cut_pair))
+            self.g.add(ProofNode(pid, rule, _mkseq(*sigma.values()), tuple(edges),
+                                 None if x is None else sigma[x].address, node.tag, cut_pair))
             return ProofEdge(pid, False)
         if rule == "server":
             idle, accept = edges
@@ -289,9 +295,9 @@ class _Encoder:
             rules = [("mu", top, (ProofEdge(ids[1]),), None),
                      ("plus", unfolded, (ProofEdge(ids[2]),), 2 if edges else 1),
                      ("tensor", right, tuple(edges), None) if edges else ("one", left, (), None)]
-        rest = [sigma[c] for c, _ in node.context if c != x]
-        for gid, (kind, occ, premises, side) in zip(ids, rules):
-            self.g.add(ProofNode(gid, kind, _mkseq(occ, *rest), premises, occ.address, side))
+        rest = [o for c, o in sigma.items() if c != x]
+        for gid, (kind, occ, out, side) in zip(ids, rules):
+            self.g.add(ProofNode(gid, kind, _mkseq(occ, *rest), out, occ.address, side))
         return ProofEdge(pid, False)
 
 

@@ -23,6 +23,23 @@ is sound: at a call the context is exactly the arguments, the unfolding
 renames a binder only where it would capture one, and no unfolding nests
 inside another of the same body on one path.
 
+A call whose unfolding one `check` has derived before is copied, not derived
+again, when no back edge leaves the earlier call's subtree and every
+definition on the current path is on the earlier call's path too.  The
+first holds of the last call that derived the unfolding, which the copy's
+walk over that subtree tests, so a call that derives pays one lookup and one
+store, and nothing per back edge.  The copy
+shares every process, context tuple, rule and back-edge correspondence of
+the earlier nodes, in the order a check inserts them (a node after its
+premises), with each id and edge target shifted by the distance between the
+two calls; only the call node holds its own term.  It is exact: the
+unfolding fixes the judgment, since at a call the context is exactly the
+arguments at their parameter types; no call in the subtree names a
+definition on the earlier path, so under a path of fewer or the same
+definitions a fresh check takes every decision and draws every id alike.
+So the rules run about once per distinct judgment, and every node is
+still built.  The memo lasts one `check`: a session drops nodes between checks.
+
 Validity rules out derivations whose infinite unfoldings contain a branch
 that stops witnessing a server on one fixed channel.  A thread is a channel
 lineage: it follows rule premises and back-edge argument correspondences,
@@ -209,6 +226,9 @@ class _Checker:
         self.prog = prog
         self.nodes: dict[int, DerivNode] = {}
         self.ids = itertools.count()
+        # id(unfolding) -> (unfolding, call node id, the path it was derived
+        # under), for the last call that derived it
+        self.derived: dict[int, tuple[Process, int, dict]] = {}
 
     def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
         nid = next(self.ids)
@@ -221,9 +241,15 @@ class _Checker:
             if name in path:
                 anc_id, anc_args = path[name]
                 edges.append(DerivEdge(anc_id, True, tuple(zip(args, anc_args))))
-            else:  # the unfolding's judgment is the call's: it is checked in the call's
+            else:
+                u = self.prog.unfolding(name, args)
+                seen = self.derived.get(id(u))
+                if seen is not None and path.keys() <= seen[2].keys() and self._copy(p, nid, seen[1]):
+                    return nid
+                # the unfolding's judgment is the call's: it is checked in the call's
                 # context dict (no rule mutates its input), and both nodes hold one tuple
-                target = self.check(self.prog.unfolding(name, args), ctx, {**path, name: (nid, args)})
+                target = self.check(u, ctx, {**path, name: (nid, args)})
+                self.derived[id(u)] = (u, nid, path)
                 self.nodes[nid] = DerivNode(nid, p, self.nodes[target].context, rule,
                                             (DerivEdge(target, False, None),))
                 return nid
@@ -274,6 +300,31 @@ class _Checker:
         self.nodes[nid] = DerivNode(nid, p, _ctx_tuple(ctx), rule, tuple(edges), x, tag)
         return nid
 
+    def _copy(self, p: Call, nid: int, old: int) -> bool:
+        """Derive call p at nid as a copy of the call at old: its nodes in
+        the order a check inserts them (a node after its premises), each id
+        and edge target shifted, the rest shared but the call's own term.
+        Copies nothing, and is false, if a back edge leaves old's subtree."""
+        nodes, shift = self.nodes, nid - old
+        todo, order = [old], []
+        while todo:  # old's subtree, last inserted first
+            o = todo.pop()
+            order.append(o)
+            for e in nodes[o].premises:
+                if not e.back:
+                    todo.append(e.target)
+                elif e.target < old:  # a back edge leaves the subtree
+                    return False
+        for o in reversed(order):
+            n = nodes[o]
+            edges = []
+            for e in n.premises:
+                edges.append(DerivEdge(e.target + shift, e.back, e.down))
+            nodes[o + shift] = DerivNode(o + shift, n.process if o != old else p, n.context, n.rule,
+                                         tuple(edges), n.subject, n.tag)
+        self.ids = itertools.count(nid + len(order))
+        return True
+
 
 def check(p: Process, ctx: TypeContext, prog: Program, checker: _Checker | None = None) -> Derivation:
     """Typecheck p against ctx (into a given checker's node store); raises TypeCheckError on failure."""
@@ -282,6 +333,7 @@ def check(p: Process, ctx: TypeContext, prog: Program, checker: _Checker | None 
     if missing:
         names = sorted(c.name for c in missing)
         raise _err("scope", "judgment", f"free channel(s) {names} missing from the context", p.span)
+    checker.derived = {}  # a session compacts its store between checks
     root = checker.check(p, dict(ctx), {})
     return Derivation(checker.nodes, root)
 

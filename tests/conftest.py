@@ -84,6 +84,18 @@ def nested_cuts_text(n: int) -> str:
     return f"main(z: 1) = {body}\n"
 
 
+# A calls B and B calls A, so a call's derivation depends on the definitions
+# on its path: main's first branch derives B(z)'s unfolding with no
+# definition above it, and the second again below A(z), where its call A(z)
+# closes on the A above instead of unfolding (and the other way round)
+PATH_SENSITIVE = {
+    "path_sensitive_B_first": ("def A(z: 1) = B(z)\ndef B(z: 1) = A(z)\n"
+                "main(c: bot & bot, z: 1) = case c { in1: wait c; B(z) ; in2: wait c; A(z) }\n"),
+    "path_sensitive_A_first": ("def A(z: 1) = B(z)\ndef B(z: 1) = A(z)\n"
+                "main(c: bot & bot, z: 1) = case c { in1: wait c; A(z) ; in2: wait c; B(z) }\n"),
+}
+
+
 def pool_end_texts() -> dict[str, str]:
     """Programs whose client pool ends in a guard on another channel, which
     the full semantics pulls up through the pool's cells: a wait closed by a

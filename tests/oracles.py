@@ -500,6 +500,19 @@ def lineage_faults(d: Derivation) -> list[str]:
     return faults
 
 
+def match_faults(d: Derivation, defn: Definition, prog: Program) -> list[str]:
+    """Where d, defn's derivation, departs from `MatchChecker`'s, which
+    derives every call afresh: the node ids in insertion order, a node's
+    record, or a node's process object (but the root's, which each
+    derivation of a callable definition builds afresh)."""
+    root = Call(defn.name, defn.param_names, span=defn.body.span) if defn.name in prog.defs else defn.body
+    ref = check(root, dict(defn.params), prog, MatchChecker(prog)).nodes
+    if list(d.nodes) != list(ref):
+        return [f"node ids in insertion order {list(d.nodes)[:6]}..., the reference's {list(ref)[:6]}..."]
+    return [f"node {nid} departs from the reference's" for nid, n in d.nodes.items()
+            if n != ref[nid] or n.process is not ref[nid].process and nid != d.root]
+
+
 def path_doc(d: Derivation) -> list:
     """d's nodes, in id order, with each channel named by its display name
     and the id of the node where it enters the path from the root: equal for

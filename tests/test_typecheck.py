@@ -21,7 +21,7 @@ from csll.typecheck import (
 )
 
 from . import oracles
-from .conftest import CORPUS_FILES, link_types, load_corpus, lock_text
+from .conftest import CORPUS_FILES, PATH_SENSITIVE, link_types, load_corpus, lock_text
 from .test_checker_golden import SNIPPETS, built_programs, derivation_doc
 
 
@@ -336,23 +336,29 @@ def test_checker_premises_follow_the_guard_table():
 
 
 def _outcomes(progs: list[Program]) -> list:
-    """Each definition's derivation (as its golden document) or diagnostic."""
+    """Each definition's derivation (as its golden document, with its node
+    ids in insertion order and the identity of each node's process but the
+    root's, which `definition_derivation` may build afresh) or diagnostic."""
     out = []
     for prog in progs:
         for defn in prog.all_definitions():
             try:
-                out.append(derivation_doc(definition_derivation(defn, prog)))
+                d = definition_derivation(defn, prog)
             except TypeCheckError as e:
                 out.append(e.diagnostic)
+            else:
+                out.append((derivation_doc(d), list(d.nodes),
+                            [id(n.process) for n in d.nodes.values() if n.nid != d.root]))
     return out
 
 
 def _checker_inputs() -> list[Program]:
-    """The corpus, chain_1..8, gen_program 0-299, the benchmark's forwarder
-    families and the diagnostic snippets."""
+    """The corpus, chain_1..10, the path-sensitive programs, gen_program
+    0-299, the benchmark's forwarder families and the diagnostic snippets."""
     from bench.workloads import chain_text
     progs = [load_corpus(name) for name in CORPUS_FILES]
-    progs += [parse_program(chain_text(k)) for k in range(1, 9)]
+    progs += [parse_program(chain_text(k)) for k in range(1, 11)]
+    progs += [parse_program(text) for text in PATH_SENSITIVE.values()]
     progs += [gen_program(s) for s in range(300)]
     progs += [gen_link(parse_type(text)) for text in link_types()]
     progs += [parse_program(text, f"<{name}>") for name, text in SNIPPETS.items()]
@@ -360,10 +366,12 @@ def _checker_inputs() -> list[Program]:
 
 
 def test_the_checker_agrees_with_the_structural_match_reference(monkeypatch):
-    """`_Checker.check` dispatches on the constructor; `oracles.MatchChecker`
-    states the same rules as one ten-arm structural `match`.  Node ids,
-    rules, subjects, contexts, premise order, lineage and every diagnostic
-    agree on `_checker_inputs`."""
+    """`_Checker.check` dispatches on the constructor and copies a repeated
+    call's derivation; `oracles.MatchChecker` states the same rules as one
+    ten-arm structural `match` and derives every call afresh.  Node ids,
+    their insertion order, each node's process object, rules, subjects,
+    contexts, premise order, lineage and every diagnostic agree on
+    `_checker_inputs`."""
     progs = _checker_inputs()
     got = _outcomes(progs)
     assert sum(isinstance(o, typecheck.Diagnostic) for o in got) == len(SNIPPETS) + len(built_programs())
@@ -412,6 +420,24 @@ def test_checking_unfolds_each_invocation_once(monkeypatch, k, unfoldings):
     monkeypatch.setattr(process, "instantiate", recording)
     assert check_program(parse_program(chain_text(k))).accepted
     assert len(built) == len(set(built)) == unfoldings
+
+
+@pytest.mark.parametrize("k, rules, nodes", [(6, 189, 931), (8, 366, 3805), (10, 627, 15319)])
+def test_checking_derives_each_repeated_judgment_once(monkeypatch, k, rules, nodes):
+    # a call whose unfolding was derived before, under a path its own path
+    # does not extend, is copied: the rules run (each building one context
+    # tuple) about once per distinct judgment, against 557 / 2,281 / 9,189
+    # times when every repeat is derived afresh, and the nodes stay alike
+    from bench.workloads import chain_text
+    real, built = typecheck._ctx_tuple, []
+
+    def recording(ctx):
+        built.append(None)
+        return real(ctx)
+    monkeypatch.setattr(typecheck, "_ctx_tuple", recording)
+    rep = check_program(parse_program(chain_text(k)))
+    assert rep.accepted
+    assert (len(built), sum(len(r.derivation.nodes) for r in rep.defs)) == (rules, nodes)
 
 
 @pytest.mark.parametrize("text, channel", [
