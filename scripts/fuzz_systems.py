@@ -7,10 +7,12 @@ accepted by the checker, every derivation must store a lineage on its back
 edges only and compute each tree edge's as the reference does
 (`tests/oracles.lineage_faults`) and be, node for node, the one the
 structural match reference derives with no copied call
-(`tests/oracles.match_faults`), every reachable state must either be a
-terminal close or have a deterministic redex and must print as its depth-named
-canonical form (`tests/oracles.depth_canonical`), every state and every
-deterministic reduct must have the free names the reference walk
+(`tests/oracles.match_faults`) and encode, proof node for proof node, as
+with no copied call recorded (`tests/oracles.encoding_faults`), every
+reachable state must either be a terminal close or have a deterministic
+redex and must print as its depth-named canonical form
+(`tests/oracles.depth_canonical`), every state and every deterministic
+reduct must have the free names the reference walk
 (`tests/oracles.free_names_walk`) finds, read after printing and stepping
 have kept sets on their terms, every reduct (canonical, and as each
 deterministic step builds it) must re-typecheck, to the same derivation as
@@ -26,7 +28,8 @@ reducts, must check as with every unfolding built afresh: unlike the
 generated programs, they invoke definitions on the binders of their own
 unfoldings, which the unfolding must rename apart.  And the derivations of
 the programs whose calls derive apart by the definitions on their path
-(`tests/conftest.PATH_SENSITIVE`) must be the structural match reference's.
+(`tests/conftest.PATH_SENSITIVE`) must be the structural match reference's,
+and encode as with no copied call recorded.
 
 Usage: python scripts/fuzz_systems.py [-n COUNT] [--seed-base N]
 """
@@ -51,8 +54,8 @@ from csll.runtime import enabled_steps, explore, is_close_normal
 from csll.typecheck import Diagnostic, check_program
 from tests.conftest import PATH_SENSITIVE, pool_end_texts
 from tests.oracles import (
-    RefreshingProgram, channels, check_outcomes, depth_canonical, free_names_walk, lineage_faults, match_faults,
-    threads, unfold,
+    RefreshingProgram, channels, check_outcomes, depth_canonical, encoding_faults, free_names_walk, lineage_faults,
+    match_faults, threads, unfold,
 )
 from tests.test_runtime import NESTED_R, NESTED_RECV, NESTED_SEND
 from tests.oracles import simulate_step as reference_step
@@ -66,6 +69,9 @@ def sweep(label: str, prog, counts: Counter) -> None:
     for defn, r in zip(prog.all_definitions(), rep.defs):
         faults = lineage_faults(r.derivation) + match_faults(r.derivation, defn, prog)
         assert not faults, f"{label}: derivation of {r.name}: {faults[0]}"
+        faults = encoding_faults(r.derivation)
+        assert not faults, f"{label}: encoding of {r.name}: {faults[0]}"
+        counts["encodings"] += 1
     ctx = dict(prog.main.params)
     g = explore(prog.main.body, prog, max_states=500, max_depth=500)
     assert not g.partial, f"{label}: exploration truncated"
@@ -132,12 +138,13 @@ def main() -> int:
     for label, text in PATH_SENSITIVE.items():  # rejected, so not swept: their derivations are compared
         prog = parse_program(text, label)
         for defn, r in zip(prog.all_definitions(), check_program(prog).defs):
-            faults = match_faults(r.derivation, defn, prog)
+            faults = match_faults(r.derivation, defn, prog) + encoding_faults(r.derivation)
             assert not faults, f"{label}: derivation of {r.name}: {faults[0]}"
+            counts["encodings"] += 1
     dt = time.monotonic() - t0
-    print(f"{counts['programs']} programs, {counts['states']} states, {counts['edges']} re-checked "
-          f"reducts, {counts['steps']} simulated steps, {counts['nested']} nested-unfolding terms: "
-          f"all OK in {dt:.1f}s")
+    print(f"{counts['programs']} programs, {counts['encodings']} encodings, {counts['states']} states, "
+          f"{counts['edges']} re-checked reducts, {counts['steps']} simulated steps, {counts['nested']} "
+          f"nested-unfolding terms: all OK in {dt:.1f}s")
     return 0
 
 

@@ -9,7 +9,7 @@ runs once against REV's `src/` and once against this tree's, each in a
 fresh interpreter under PYTHONHASHSEED=0.  Every artefact whose sha256
 differs is printed, and the exit status is 1 if any differ.
 
-Inputs: the corpus, lock_1..8, six cas mixes, chain_1..10, the three programs
+Inputs: the corpus, lock_1..8, six cas mixes, chain_1..12, the three programs
 whose pools end in a guard on another channel
 (`tests/conftest.pool_end_texts`), the two whose calls derive apart by the
 definitions on their path (`tests/conftest.PATH_SENSITIVE`), gen_program
@@ -70,7 +70,7 @@ def inputs(small: bool = False) -> Iterator[tuple[str, str | int]]:
     mixes = (["TF"], ["FT"], ["TF", "FT"], ["FT", "TF"], ["TF", "FT"] * 2, ["FT", "TF"] * 3)
     for kinds in mixes[:1] if small else mixes:
         yield f"cas_{''.join(kinds)}", cas_text(kinds)
-    for k in range(1, 3 if small else 11):
+    for k in range(1, 3 if small else 13):
         yield f"chain_{k}", chain_text(k)
     yield from pool_end_texts().items()
     yield from PATH_SENSITIVE.items()

@@ -136,8 +136,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
         for sid in normals:
             print(f"  normal[{sid}]: {pretty_process(g.states[sid])}")
         print(f"fair termination: {ft.verdict}")
-    if g.partial:
-        print("warning: exploration truncated by bounds; verdicts are partial", file=sys.stderr)
+    if g.bound:
+        print(f"warning: exploration stopped at --{g.bound.replace('_', '-')} {getattr(args, g.bound)}; "
+              "verdicts are partial", file=sys.stderr)
     return 0
 
 

@@ -21,6 +21,26 @@ occurrence and hands it down unchanged: a node builds occurrences only for
 the channels its rule introduces or retypes, and a shared channel
 occurrence unfolds once.
 
+A call the checker derived as a copy of another (`Derivation.copies`) is
+in one copy class with it, and the encoder builds by rule only the first
+member it meets at a chain's start; another member's encoding is that
+one's image under a renaming.  The image is exact: members have equal
+subtrees but for ids, and an encoding reads only its subtree, the
+assignment sigma and the stream rho (no back edge leaves a copied
+subtree).  Every address in it is a context address sigma[c].address
+extended by a word, or a fresh atom of rho (offset + i * step) extended by
+a word, and its ids are drawn contiguously.  So another member's encoding
+under sigma' and rho' shifts every id by one constant, maps
+sigma[c].address to sigma'[c].address by prefix substitution and offset +
+i * step to offset' + i * step', and keeps every formula.  Each sequent
+and back-edge map is re-sorted where the renaming changes the address
+order, and the derivation-to-proof pairs are shifted.  The first member's
+encoding is kept as a plan (`_Image`) of its proof nodes, with the image
+of each member inside it as one step, and replayed in one loop over a
+stack of images.  A member met inside a call chain, whose proof node is
+the chain's, and a member of fewer than 8 proof nodes are encoded by rule,
+and a session encoding (`reuse` given) copies nothing.
+
 Thread validity: a thread follows occurrence successors (descent at the
 principal occurrence, carry elsewhere, the address map across back edges),
 and it progresses where its occurrence is the principal formula of a `nu`
@@ -75,6 +95,7 @@ term's id() in the memo is never reused while the entry stands.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from . import formulas as mf
@@ -150,6 +171,13 @@ class ProofGraph:
     def new_id(self) -> int:
         return next(self._ids)
 
+    def new_ids(self, k: int) -> int:
+        """The first of k > 0 consecutive new ids."""
+        first = next(self._ids)
+        if k > 1:
+            next(itertools.islice(self._ids, k - 2, None))
+        return first
+
     def add(self, node: ProofNode) -> int:
         self.nodes[node.nid] = node
         return node.nid
@@ -157,6 +185,11 @@ class ProofGraph:
 
 def _address_order(o: Occurrence) -> tuple[int, bool, str]:
     return o.address.atom, o.address.bar, o.address.word
+
+
+def _pair_order(pair: tuple[Address, Address]) -> tuple[int, bool, str]:
+    a = pair[0]
+    return a.atom, a.bar, a.word
 
 
 def _mkseq(*occs: Occurrence) -> tuple[Occurrence, ...]:
@@ -200,7 +233,11 @@ class _Encoder:
     call nodes with it.  An assignment holds exactly its judgment's
     channels, in context order, and a child's is built in one pass over the
     premise's context; `gadgets` holds the three rule occurrences of each
-    shared channel occurrence."""
+    shared channel occurrence.  `classes` takes each copy class member to
+    its class, and `images` each class to the image of its first member
+    encoded at a chain's start; `inner` lists the images encoded so far
+    that no kept image holds, which the next one kept around them takes as
+    its steps."""
 
     def __init__(self, d: Derivation, g: ProofGraph | None = None, reuse: dict[int, int] | None = None):
         self.d = d
@@ -209,6 +246,12 @@ class _Encoder:
         self.mapping: dict[int, int] = {}
         self.calls: dict[int, tuple[int, Assignment]] = {}
         self.gadgets: dict[Occurrence, tuple[Occurrence, Occurrence, Occurrence]] = {}
+        # each member of a copy class to the class's original call; a session keeps none
+        self.classes = {} if reuse is not None else {**{o: o for o in d.copies.values()}, **d.copies}
+        self.images: dict[int, _Image] = {}  # per class, its first member encoded at a chain's start
+        # each image encoded so far and not inside another: (its first place in
+        # g's node order, the image, its assignment, its stream, its first id)
+        self.inner: list[tuple[int, _Image, Assignment, AddressStream, int]] = []
 
     def edge(self, nid: int, sigma: Assignment, rho: AddressStream) -> ProofEdge:
         """The edge to the encoding of derivation node nid: invocation chains
@@ -218,6 +261,16 @@ class _Encoder:
         pid = self.reuse.get(nid)
         if pid is not None:
             return ProofEdge(pid)
+        mark = None
+        cls = self.classes.get(nid)
+        if cls is not None:
+            image = self.images.get(cls)
+            if image is not None:
+                start = len(self.g.nodes)
+                out = image.emit(self.g, self.mapping, nid, sigma, rho)
+                self.inner.append((start, image, sigma, rho, out.target))
+                return out
+            mark = cls, nid, sigma, rho, len(self.g.nodes), len(self.mapping)
         nodes = self.d.nodes
         node = nodes[nid]
         chain: list[int] | tuple = ()
@@ -233,6 +286,8 @@ class _Encoder:
                         return ProofEdge(anc_pid, True, corr)
                     self.g.add(ProofNode(pid, "loop", _mkseq(*sigma.values()), (ProofEdge(anc_pid, True, corr),)))
                     self.mapping.update(dict.fromkeys(chain, pid))
+                    if mark:
+                        self.keep(mark)
                     return ProofEdge(pid, False)
                 if not chain:
                     pid = self.g.new_id()
@@ -285,6 +340,8 @@ class _Encoder:
         if not gadget:
             self.g.add(ProofNode(pid, rule, _mkseq(*sigma.values()), tuple(edges),
                                  None if x is None else sigma[x].address, node.tag, cut_pair))
+            if mark:
+                self.keep(mark)
             return ProofEdge(pid, False)
         if rule == "server":
             idle, accept = edges
@@ -298,7 +355,177 @@ class _Encoder:
         rest = [o for c, o in sigma.items() if c != x]
         for gid, (kind, occ, out, side) in zip(ids, rules):
             self.g.add(ProofNode(gid, kind, _mkseq(occ, *rest), out, occ.address, side))
+        if mark:
+            self.keep(mark)
         return ProofEdge(pid, False)
+
+    def keep(self, mark: tuple) -> None:
+        """Keep the image of a class member just encoded, from what its
+        encoding added to the graph and to the mapping, in that order; an
+        image inside it is kept as a step of it."""
+        cls, nid, sigma, rho, before, pairs = mark
+        nodes, mapping, inner = self.g.nodes, self.mapping, []
+        if len(nodes) - before < _SMALL:
+            return
+        while self.inner and self.inner[-1][0] >= before:
+            inner.append(self.inner.pop())
+        image = self.images[cls] = _Image(
+            nid, sigma, rho, mapping[nid], list(itertools.islice(reversed(nodes.values()), len(nodes) - before))[::-1],
+            [(start - before, *rest) for start, *rest in reversed(inner)],
+            list(itertools.islice(reversed(mapping.keys()), len(mapping) - pairs))[::-1])
+        self.inner.append((before, image, sigma, rho, mapping[nid]))
+
+
+# a member whose encoding has fewer proof nodes keeps no image: emitting one
+# costs about as much as encoding that few by rule
+_SMALL = 8
+
+
+class _Image:
+    """A copy class member's encoding, as the plan for encoding another
+    member: its steps are proof nodes and the images inside it, in the order
+    the member's encoding added them.  Ids are offsets from the member's
+    first.  The member's context is a list of occurrences in address order,
+    and an address is a place: the context address it extends, by index and
+    suffix, or a fresh atom, by its index in the stream."""
+
+    def __init__(self, nid: int, sigma: Assignment, rho: AddressStream, first: int, added: list[ProofNode],
+                 inner: list[tuple[int, _Image, Assignment, AddressStream, int]], keys: list[int]):
+        # keys: the derivation nodes the member's encoding mapped, in that order
+        self.nid, self.first, self.size, self.keys = nid, first, len(added), keys
+        self.channels = sorted(sigma, key=lambda c: _address_order(sigma[c]))
+        ctx = [sigma[c] for c in self.channels]
+        roots: dict[tuple[int, bool], list[tuple[str, int]]] = {}
+        for j, o in enumerate(ctx):
+            roots.setdefault((o.address.atom, o.address.bar), []).append((o.address.word, j))
+        where: dict[int, int] = {}  # id(address) -> its place's index
+        self.places: list[tuple[int, int, bool, str]] = []  # (context index or -1, stream index, bar, suffix)
+        fresh = set()
+
+        def place(a: Address) -> int:
+            k = where.get(id(a))
+            if k is None:
+                i, r = divmod(a.atom - rho.offset, rho.step)
+                if i >= 0 and r == 0:
+                    fresh.add(i)
+                    spec = -1, i, a.bar, a.word
+                else:
+                    spec = next((j, 0, False, a.word[len(w):]) for w, j in roots[a.atom, a.bar]
+                                if a.word.startswith(w))
+                k = where[id(a)] = len(self.places)
+                self.places.append(spec)
+            return k
+
+        at = {id(o): j for j, o in enumerate(ctx)}  # id(occurrence) -> its index
+        self.occs: list[tuple[MuFormula, int]] = []  # the occurrences past the context's
+
+        def occ(o: Occurrence) -> int:
+            k = at.get(id(o))
+            if k is None:
+                k = at[id(o)] = len(ctx) + len(self.occs)
+                self.occs.append((o.formula, place(o.address)))
+            return k
+
+        # a node as (id, rule, occurrences, premise ids, each premise's back-edge map
+        # or None for none, principal or -1, side, cut pair); an image inside as
+        # (its first id, None, the image, its context, its stream's offset and
+        # step in this one's, None, None)
+        self.steps: list[tuple] = []
+        done = 0
+        for start, image, isigma, irho, ipid in (*inner, (len(added), None, None, None, None)):
+            for n in itertools.islice(added, done, start):
+                premises, corrs = n.premises, None
+                for e in premises:
+                    if e.back:
+                        corrs = tuple([tuple([(place(s), place(t)) for s, t in e.corr]) if e.back else None
+                                       for e in premises])
+                        break
+                principal, cut = n.principal, n.cut_pair
+                self.steps.append((n.nid - first, n.rule, tuple(map(occ, n.sequent)),
+                                   tuple([e.target - first for e in premises]), corrs,
+                                   -1 if principal is None else place(principal), n.side,
+                                   None if cut is None else (place(cut[0]), place(cut[1]))))
+            if image is not None:  # the stream of an image inside is a part of this one's
+                self.steps.append((ipid - first, None, image, tuple([occ(isigma[c]) for c in image.channels]),
+                                   (irho.offset - rho.offset) // rho.step, irho.step // rho.step, None, None))
+                done = start + image.size
+        # the fresh atoms' indices, and how many of them lie below each context address
+        self.fresh = sorted(fresh)
+        self.below = [bisect_left(self.fresh, -((rho.offset - o.address.atom) // rho.step)) for o in ctx]
+
+    def ordered(self, ctx: list[Occurrence], offset: int, step: int) -> bool:
+        """Does renaming onto context ctx and a stream of that offset and step
+        keep the order of this image's addresses?  It does when the context
+        addresses keep their order and each has as many of the fresh atoms
+        below it: within one context address, or within the stream, renaming
+        keeps the order anyway."""
+        if len(ctx) > 1:
+            keys = list(map(_address_order, ctx))
+            if any(a >= b for a, b in zip(keys, keys[1:])):
+                return False
+        fresh = self.fresh
+        return not fresh or all(bisect_left(fresh, -((offset - o.address.atom) // step)) == n
+                                for o, n in zip(ctx, self.below))
+
+    def frame(self, ctx: list[Occurrence], offset: int, step: int, base: int) -> tuple:
+        """What emitting this image's steps onto context ctx, a stream of
+        that offset and step and first id base reads: its renamed addresses
+        and occurrences, and whether the renaming keeps their order."""
+        ordered, addrs = self.ordered(ctx, offset, step), []
+        for j, i, bar, word in self.places:
+            if j < 0:
+                addrs.append(Address(offset + i * step, bar, word))
+            else:
+                a = ctx[j].address
+                addrs.append(Address(a.atom, a.bar, a.word + word) if word else a)
+        occs = ctx  # the occurrences past the context's follow it
+        for formula, k in self.occs:
+            occs.append(Occurrence(formula, addrs[k]))
+        addrs.append(None)  # the principal of a node without one
+        return iter(self.steps), offset, step, base, addrs, occs, ordered
+
+    def emit(self, g: ProofGraph, mapping: dict[int, int], nid: int, sigma: Assignment,
+             rho: AddressStream) -> ProofEdge:
+        """Add the encoding of the class member at nid under sigma and rho to
+        g and mapping, in the order the kept member's was added, with no
+        recursion: an image inside is emitted from a stack; the edge to it."""
+        first = g.new_ids(self.size)
+        nodes = g.nodes
+        stack = [self.frame([sigma[c] for c in self.channels], rho.offset, rho.step, first)]
+        while stack:
+            steps, offset, step, base, addrs, occs, ordered = stack[-1]
+            at = occs.__getitem__
+            for pid, rule, seq, targets, corrs, principal, side, cut in steps:
+                if rule is None:  # an image inside
+                    image, i, m = seq, corrs, principal
+                    stack.append(image.frame(list(map(at, targets)), offset + i * step, m * step, base + pid))
+                    break
+                pid += base
+                if corrs is None:  # a node has at most two premises
+                    if not targets:
+                        edges = ()
+                    elif len(targets) == 1:
+                        edges = (ProofEdge(base + targets[0]),)
+                    else:
+                        edges = (ProofEdge(base + targets[0]), ProofEdge(base + targets[1]))
+                else:
+                    edges = []
+                    for target, corr in zip(targets, corrs):
+                        if corr is None:
+                            edges.append(ProofEdge(base + target))
+                        else:
+                            pairs = [(addrs[s], addrs[t]) for s, t in corr]
+                            edges.append(ProofEdge(base + target, True,
+                                                   tuple(pairs if ordered else sorted(pairs, key=_pair_order))))
+                    edges = tuple(edges)
+                nodes[pid] = ProofNode(pid, rule, tuple(map(at, seq)) if ordered else _mkseq(*map(at, seq)),
+                                       edges, addrs[principal], side,
+                                       None if cut is None else (addrs[cut[0]], addrs[cut[1]]))
+            else:
+                stack.pop()
+        pids = list(map(mapping.__getitem__, self.keys))  # the kept member's proof nodes
+        mapping.update(zip(map((nid - self.nid).__add__, self.keys), map((first - self.first).__add__, pids)))
+        return ProofEdge(first)
 
 
 def encode_derivation(d: Derivation, g: ProofGraph | None = None, reuse: dict | None = None) -> EncodedProof:

@@ -379,7 +379,11 @@ class ReductionGraph:
     edges: dict[int, list[tuple[RedexInfo, int]]] = field(default_factory=dict)
     expanded: set[int] = field(default_factory=set)
     diverging: set[int] = field(default_factory=set)  # stuck on an invocation that diverges
-    partial: bool = False
+    bound: str | None = None  # the bound that stopped exploration: "max_states" or "max_depth"
+
+    @property
+    def partial(self) -> bool:
+        return self.bound is not None
 
     def _find(self, q: Process, h: int) -> int | None:
         sid = self.buckets.get(h)
@@ -433,7 +437,8 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
             max_depth: int = 10_000) -> ReductionGraph:
     """Breadth-first closure of the full semantics' steps, one state per
     canonical form.
-    A state stuck only on a diverging invocation is `diverging`, not normal."""
+    A state stuck only on a diverging invocation is `diverging`, not normal.
+    The bound that stops it short, if one does, is the graph's `bound`."""
     g = ReductionGraph()
     frontier = [g.add_state(p)]
     depth = 0
@@ -443,7 +448,7 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
             if sid in g.expanded:
                 continue
             if len(g.states) >= max_states:
-                g.partial = True
+                g.bound = "max_states"
                 return g
             g.expanded.add(sid)
             targets: dict[object, int] = {}  # the steps of one orbit share their canonical reduct
@@ -460,7 +465,7 @@ def explore(p: Process, defs: Program, max_states: int = 100_000,
         frontier = nxt
         depth += 1
     if frontier:
-        g.partial = True
+        g.bound = "max_depth"
     return g
 
 

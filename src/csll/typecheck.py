@@ -39,6 +39,8 @@ definition on the earlier path, so under a path of fewer or the same
 definitions a fresh check takes every decision and draws every id alike.
 So the rules run about once per distinct judgment, and every node is
 still built.  The memo lasts one `check`: a session drops nodes between checks.
+The derivation records each copy with the call it copies (`copies`), which
+the proof encoder reads to encode a copy by renaming.
 
 Validity rules out derivations whose infinite unfoldings contain a branch
 that stops witnessing a server on one fixed channel.  A thread is a channel
@@ -120,6 +122,8 @@ class DerivNode:
 class Derivation:
     nodes: dict[int, DerivNode]
     root: int
+    # each call `_Checker._copy` derived as a copy, to the call it copies
+    copies: dict[int, int] = field(default_factory=dict)
 
     def lineage(self, nid: int, i: int) -> tuple[tuple[ChannelName, ChannelName], ...]:
         """The lineage along premise edge i of node nid: a back edge's
@@ -229,6 +233,7 @@ class _Checker:
         # id(unfolding) -> (unfolding, call node id, the path it was derived
         # under), for the last call that derived it
         self.derived: dict[int, tuple[Process, int, dict]] = {}
+        self.copies: dict[int, int] = {}  # copy root -> the call it copies
 
     def check(self, p: Process, ctx: TypeContext, path: dict[str, tuple[int, tuple[ChannelName, ...]]]) -> int:
         nid = next(self.ids)
@@ -303,8 +308,9 @@ class _Checker:
     def _copy(self, p: Call, nid: int, old: int) -> bool:
         """Derive call p at nid as a copy of the call at old: its nodes in
         the order a check inserts them (a node after its premises), each id
-        and edge target shifted, the rest shared but the call's own term.
-        Copies nothing, and is false, if a back edge leaves old's subtree."""
+        and edge target shifted, the rest shared but the call's own term;
+        record nid as old's copy.  Copies nothing, and is false, if a back
+        edge leaves old's subtree."""
         nodes, shift = self.nodes, nid - old
         todo, order = [old], []
         while todo:  # old's subtree, last inserted first
@@ -323,6 +329,7 @@ class _Checker:
             nodes[o + shift] = DerivNode(o + shift, n.process if o != old else p, n.context, n.rule,
                                          tuple(edges), n.subject, n.tag)
         self.ids = itertools.count(nid + len(order))
+        self.copies[nid] = old
         return True
 
 
@@ -333,9 +340,9 @@ def check(p: Process, ctx: TypeContext, prog: Program, checker: _Checker | None 
     if missing:
         names = sorted(c.name for c in missing)
         raise _err("scope", "judgment", f"free channel(s) {names} missing from the context", p.span)
-    checker.derived = {}  # a session compacts its store between checks
+    checker.derived, checker.copies = {}, {}  # a session compacts its store between checks
     root = checker.check(p, dict(ctx), {})
-    return Derivation(checker.nodes, root)
+    return Derivation(checker.nodes, root, checker.copies)
 
 
 # --- validity ---------------------------------------------------------------

@@ -128,6 +128,15 @@ def cas_text(kinds: list[str]) -> str:
             f"  new x : cli ((1 + 1) + (1 + 1)) {{ {clients}; done x | CasTrue(x, z) }}\n")
 
 
+def small_types() -> list:
+    """The session types of depth at most 2 over the four constants."""
+    from csll import types as ty
+    atoms = [ty.ONE, ty.BOT, ty.Top(), ty.Zero()]
+    depth2 = [ctor(a) for ctor in (ty.Server, ty.Client) for a in atoms]
+    depth2 += [ctor(a, b) for ctor in (ty.Tensor, ty.Par, ty.Plus, ty.With) for a in atoms for b in atoms]
+    return atoms + depth2
+
+
 def link_types(n: int = 300) -> list[str]:
     """The type texts of the benchmark's forwarder families (fuzz_small's
     `link_*` items), first n of them, in order."""

@@ -513,6 +513,25 @@ def match_faults(d: Derivation, defn: Definition, prog: Program) -> list[str]:
             if n != ref[nid] or n.process is not ref[nid].process and nid != d.root]
 
 
+def encoding_faults(d: Derivation) -> list[str]:
+    """Where `proofs.encode_derivation(d)` departs from encoding d with no
+    copy recorded, which runs the rules at every node: the root, the proof
+    nodes in insertion order (ids, sequents, edges with their back-edge
+    maps, principal, side, cut pair), or the derivation-to-proof pairs in
+    insertion order."""
+    got, ref = encode_derivation(d), encode_derivation(Derivation(d.nodes, d.root))
+    if got.graph.root != ref.graph.root:
+        return [f"root {got.graph.root}, the reference's {ref.graph.root}"]
+    if list(got.graph.nodes) != list(ref.graph.nodes):
+        return [f"proof ids in insertion order {list(got.graph.nodes)[:6]}..., "
+                f"the reference's {list(ref.graph.nodes)[:6]}..."]
+    faults = [f"proof node {pid} departs from the reference's" for pid, n in got.graph.nodes.items()
+              if n != ref.graph.nodes[pid]]
+    if list(got.deriv_to_proof.items()) != list(ref.deriv_to_proof.items()):
+        faults.append("the derivation-to-proof pairs depart from the reference's")
+    return faults
+
+
 def path_doc(d: Derivation) -> list:
     """d's nodes, in id order, with each channel named by its display name
     and the id of the node where it enters the path from the root: equal for

@@ -238,14 +238,21 @@ def test_zero_bounds_are_allowed(capsys):
     assert code == 0 and out.startswith("states: ")
 
 
-TRUNCATED = "warning: exploration truncated by bounds; verdicts are partial\n"
+TRUNCATED = "warning: exploration stopped at {}; verdicts are partial\n"  # the bound that stopped it
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_a_truncated_explore_warns_in_every_format(capsys, fmt):
     assert main(["explore", str(CORPUS / "lock.csll"), "--max-states", "1", "--format", fmt]) == 0
     captured = capsys.readouterr()
-    assert captured.err == TRUNCATED and captured.out
+    assert captured.err == TRUNCATED.format("--max-states 1") and captured.out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_an_explore_cut_at_its_depth_names_that_bound(capsys, fmt):
+    assert main(["explore", str(CORPUS / "lock.csll"), "--max-depth", "2", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == TRUNCATED.format("--max-depth 2") and captured.out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])

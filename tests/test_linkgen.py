@@ -7,7 +7,7 @@ from csll.printer import pretty_program
 from csll.process import Call, Fail, Server, Wait
 from csll.typecheck import check_program
 
-from .conftest import pool_end_texts
+from .conftest import pool_end_texts, small_types
 from .oracles import param_types, random_any_type
 
 
@@ -56,11 +56,7 @@ def test_generated_families_parse_back():
 
 
 def test_every_depth2_family_accepted():
-    atoms = [ty.ONE, ty.BOT, ty.Top(), ty.Zero()]
-    depth2 = [ctor(a) for ctor in (ty.Server, ty.Client) for a in atoms]
-    depth2 += [ctor(a, b) for ctor in (ty.Tensor, ty.Par, ty.Plus, ty.With)
-               for a in atoms for b in atoms]
-    for t in atoms + depth2:
+    for t in small_types():
         assert check_program(gen_link(t)).accepted, t
 
 

@@ -13,6 +13,8 @@ from csll import proofs
 from csll import types as ty
 from csll.cycles import closure_check, closure_thread
 from csll.formulas import Address, Occurrence
+from csll.gen import gen_program
+from csll.linkgen import gen_link
 from csll.parser import parse_program
 from csll.process import Call, Close, Cut, Nil, Program, Select, Wait, fresh
 from csll.proofs import (
@@ -22,7 +24,7 @@ from csll.proofs import (
     proof_validity, simulate_step,
 )
 from csll.runtime import enabled_steps, explore
-from csll.typecheck import TypeCheckError, check, definition_derivation, validity_check
+from csll.typecheck import Derivation, TypeCheckError, check, check_program, definition_derivation, validity_check
 
 from . import lasso
 from . import oracles
@@ -212,6 +214,102 @@ def test_an_invocation_chain_closing_on_itself_encodes_as_one_loop_node():
     (node,) = g.nodes.values()
     assert node.nid == g.root and node.rule == "loop"
     assert [(e.target, e.back) for e in node.premises] == [(g.root, True)]
+
+
+# --- copied subtrees --------------------------------------------------------------
+
+# M(a) is derived in a call chain, below E's idle branch's call L(a), and copied
+# at main's idle branch; the encoder meets the copy first (a server's idle
+# branch before its accept branch), keeps its image, and encodes the original,
+# inside the chain, by rule
+COPY_AT_A_CHAIN = """
+def M(a: 1) = new x : 1 { close x | wait x; new y : 1 { close y | wait y; new w : 1 { close w | wait w; close a } } }
+def L(a: 1) = M(a)
+def E(s: srv bot, a: 1) = server s(u) { wait u; E(s, a) } idle { L(a) }
+main(s: srv bot, a: 1) = server s(u) { wait u; E(s, a) } idle { M(a) }
+"""
+# main's second branch copies M(a, b), an invocation on two channels
+TWO_CHANNEL_COPY = """
+def M(a: 1, b: bot) = wait b; new x : 1 { close x | wait x; new y : 1 { close y | wait y; close a } }
+main(c: bot & bot, a: 1, b: bot) = case c { in1: wait c; M(a, b) ; in2: wait c; M(a, b) }
+"""
+
+
+def _encoding_inputs():
+    """(label, program): the corpus, chain_1..10, the path-sensitive
+    programs, TWO_PHASE, the two programs above, the forwarders of every
+    type of depth at most 2 and gen_program 0-59."""
+    from bench.workloads import chain_text
+
+    from .conftest import CORPUS_FILES, PATH_SENSITIVE, load_corpus, small_types
+    from .test_typecheck import TWO_PHASE
+    yield from ((name, load_corpus(name)) for name in CORPUS_FILES)
+    texts = {**{f"chain_{k}": chain_text(k) for k in range(1, 11)}, **PATH_SENSITIVE, "TWO_PHASE": TWO_PHASE,
+             "COPY_AT_A_CHAIN": COPY_AT_A_CHAIN, "TWO_CHANNEL_COPY": TWO_CHANNEL_COPY}
+    yield from ((label, parse_program(text)) for label, text in texts.items())
+    yield from ((f"link {t}", gen_link(t)) for t in small_types())
+    yield from ((f"gen_{seed}", gen_program(seed)) for seed in range(60))
+
+
+def test_an_encoding_is_the_copy_free_encoders_node_for_node():
+    # the encoder emits a copied call's subtree from the image of another
+    # member of its copy class; encoding the same derivation with no copy
+    # recorded runs the rules at every node, and must build the same proof
+    # nodes in the same order, with the same derivation-to-proof pairs
+    copies = 0
+    for label, prog in _encoding_inputs():
+        for r in check_program(prog).defs:
+            if r.derivation is not None:
+                faults = oracles.encoding_faults(r.derivation)
+                assert not faults, (label, r.name, faults[0])
+                copies += len(r.derivation.copies)
+    assert copies > 600
+
+
+@pytest.mark.parametrize("k, by_rule, by_copy", [(6, 265, 292), (8, 509, 1772), (10, 857, 8332)])
+def test_a_copied_subtree_is_encoded_by_renaming_its_first_encoding(monkeypatch, k, by_rule, by_copy):
+    # of chain_k's 557 / 2,281 / 9,189 proof nodes, those of a copy class
+    # member met at a chain's start after another of at least 8 nodes are
+    # emitted from its image, the rest built by rule
+    from bench.workloads import chain_text
+    real, copied = proofs._Image.emit, []
+
+    def counting(image, g, *args):
+        before = len(g.nodes)
+        out = real(image, g, *args)
+        copied.append(len(g.nodes) - before)
+        return out
+    monkeypatch.setattr(proofs._Image, "emit", counting)
+    total = sum(len(encode_derivation(r.derivation).graph.nodes)
+                for r in check_program(parse_program(chain_text(k))).defs)
+    assert (total - sum(copied), sum(copied)) == (by_rule, by_copy)
+
+
+def test_a_copy_encodes_as_the_rules_do_under_any_assignment():
+    # M(a, b)'s original and its copy encoded under assignments and streams
+    # chosen here: the image renames each context address by prefix and
+    # each fresh atom by its place in the stream, and re-sorts a sequent
+    # whose order the renaming changes (b's address below a's, fresh atoms
+    # between them)
+    prog = parse_program(TWO_CHANNEL_COPY)
+    d = definition_derivation(prog.main, prog)
+    ((copy, original),) = d.copies.items()
+    a, b = sorted((c for c, _ in d.nodes[original].context), key=lambda c: c.name)
+    one, bot = mf.encode_type(ty.ONE), mf.encode_type(ty.BOT)
+
+    def sigma(a_at: Address, b_at: Address) -> dict:
+        return {a: Occurrence(one, a_at), b: Occurrence(bot, b_at)}
+    kept = (original, sigma(Address(1, False), Address(9, False)), proofs.AddressStream(20, 1))
+    for again in [(copy, sigma(Address(3, False), Address(11, False)), proofs.AddressStream(30, 2)),
+                  (copy, sigma(Address(9, True, "l"), Address(2, False)), proofs.AddressStream(5, 3)),
+                  (copy, sigma(Address(4, False, "r"), Address(4, False, "l")), proofs.AddressStream(0, 5))]:
+        got, ref = proofs._Encoder(d), proofs._Encoder(Derivation(d.nodes, d.root))
+        for enc in (got, ref):
+            for nid, assignment, stream in (kept, again):
+                enc.edge(nid, assignment, stream)
+        assert len(got.images) == 1 and len(ref.images) == 0
+        assert list(got.g.nodes.items()) == list(ref.g.nodes.items()), again
+        assert list(got.mapping.items()) == list(ref.mapping.items())
 
 
 @pytest.mark.parametrize("text", [lock_text(500), nested_cuts_text(400)], ids=["lock_500", "nested_cuts_400"])

@@ -201,6 +201,16 @@ def test_weak_termination_unknown_when_partial(omega_server):
     assert is_weakly_terminating(0, g) == "unknown"
 
 
+@pytest.mark.parametrize("bounds, bound", [({"max_states": 1}, "max_states"), ({"max_depth": 1}, "max_depth")])
+def test_a_truncated_graph_records_the_bound_that_stopped_it(lock, bounds, bound):
+    # the JSON document says only that it is partial
+    g = explore(lock.main.body, lock, **bounds)
+    assert g.bound == bound and g.partial
+    doc = g.to_json_dict()
+    assert doc["partial"] is True and "bound" not in doc
+    assert explore(lock.main.body, lock).bound is None
+
+
 def test_fair_termination_verdicts(lock, cas, omega, omega_server):
     assert check_fair_termination(lock.main.body, lock).verdict == "fairly-terminating"
     assert check_fair_termination(cas.main.body, cas).verdict == "fairly-terminating"
